@@ -57,11 +57,37 @@ void BM_SimpleInclusion(benchmark::State& state) {
   state.counters["s"] = static_cast<double>(f.s.size());
 }
 
+// The parent table is built once per universe (RegionIndex caches it), so
+// it is built outside the timed loop; BM_ParentTableBuild prices it.
 void BM_DirectInclusion(benchmark::State& state) {
   Fixture f = MakeNested(2000, static_cast<int>(state.range(0)));
+  qof::ParentTable parents = qof::BuildParentTable(f.universe);
   for (auto _ : state) {
-    RegionSet out = DirectlyIncluding(f.r, f.s, f.universe);
+    RegionSet out = DirectlyIncluding(f.r, f.s, f.universe, parents);
     benchmark::DoNotOptimize(out.size());
+  }
+}
+
+// The indexed-query shape: a handful of selected S members (every
+// 1000th, so 2–16 of them) probed against the whole universe.
+void BM_DirectInclusionSkewed(benchmark::State& state) {
+  Fixture f = MakeNested(2000, static_cast<int>(state.range(0)));
+  qof::ParentTable parents = qof::BuildParentTable(f.universe);
+  std::vector<Region> few;
+  for (size_t i = 0; i < f.s.size(); i += 1000) few.push_back(f.s[i]);
+  RegionSet s = RegionSet::FromSortedUnique(std::move(few));
+  for (auto _ : state) {
+    RegionSet out = DirectlyIncluding(f.r, s, f.universe, parents);
+    benchmark::DoNotOptimize(out.size());
+  }
+  state.counters["s"] = static_cast<double>(s.size());
+  state.counters["universe"] = static_cast<double>(f.universe.size());
+}
+
+void BM_ParentTableBuild(benchmark::State& state) {
+  Fixture f = MakeNested(2000, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qof::BuildParentTable(f.universe).size());
   }
 }
 
@@ -95,6 +121,8 @@ void BM_SetOps(benchmark::State& state) {
 
 BENCHMARK(BM_SimpleInclusion)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_DirectInclusion)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_DirectInclusionSkewed)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_ParentTableBuild)->Arg(2)->Arg(16);
 BENCHMARK(BM_DirectInclusionLayered)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_InnermostOutermost)->Arg(4)->Arg(16);
 BENCHMARK(BM_SetOps)->Arg(4)->Arg(16);

@@ -105,8 +105,12 @@ Result<CostEstimate> CostEstimator::Estimate(const RegionExpr& expr) const {
       bool direct = expr.kind() == ExprKind::kDirectlyIncluding ||
                     expr.kind() == ExprKind::kDirectlyIncluded;
       if (direct && regions_ != nullptr) {
-        // ⊃d consults the whole indexed universe for separators.
-        merge += static_cast<double>(regions_->UniverseSize());
+        // ⊃d probes each right member into the universe, ⊂d each left.
+        double probes = expr.kind() == ExprKind::kDirectlyIncluding
+                            ? r.cardinality
+                            : l.cardinality;
+        merge += CostModel::DirectProbeWork(
+            probes, static_cast<double>(regions_->UniverseSize()));
         merge *= kDirectFactor;
       }
       est.work = l.work + r.work + merge;

@@ -149,9 +149,10 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalDirect(
     const RegionExpr& expr, const RegionSet& left, const RegionSet& right,
     EvalStats* stats) const {
   if (stats) ++stats->direct_incl_ops;
-  // ⊃d consults the whole indexed universe; a disk-backed index must
-  // materialize every instance first, and an I/O failure has to surface
-  // here (Universe() itself is infallible and would answer short).
+  // ⊃d consults the indexed universe and its parent table; a disk-backed
+  // index must materialize every instance first, and an I/O failure has
+  // to surface here (Universe() itself is infallible and would answer
+  // short).
   QOF_RETURN_IF_ERROR(index_->EnsureResident());
   const bool including = expr.kind() == ExprKind::kDirectlyIncluding;
   RegionSet out;
@@ -167,12 +168,15 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalDirect(
     std::vector<const RegionSet*> others =
         index_->AllExcept(SourceName(*expr.left()));
     RegionSet direct_parents = DirectlyIncludingLayered(right, left, others);
-    // Keep the left members whose innermost strict encloser is a selected
-    // parent; equivalent to the fast path but reusing its sweep.
-    out = DirectlyIncluded(left, direct_parents, index_->Universe());
+    // Keep the left members one of whose direct enclosers is a selected
+    // parent.
+    out = DirectlyIncluded(left, direct_parents, index_->Universe(),
+                           index_->Parents());
   } else {
-    out = including ? DirectlyIncluding(left, right, index_->Universe())
-                    : DirectlyIncluded(left, right, index_->Universe());
+    out = including ? DirectlyIncluding(left, right, index_->Universe(),
+                                        index_->Parents())
+                    : DirectlyIncluded(left, right, index_->Universe(),
+                                       index_->Parents());
   }
   QOF_RETURN_IF_ERROR(Charge(stats, out));
   return EvalResult::Owned(std::move(out));

@@ -39,7 +39,7 @@ struct EvalStats {
 
 /// How ⊃d/⊂d are computed.
 enum class DirectAlgorithm {
-  /// Innermost-strict-encloser sweep (see region_set.h) — the default.
+  /// Parent-table probe (see region_set.h) — the default.
   kFast,
   /// The paper's §3.1 layer-by-layer ω program; kept for the E3 cost
   /// experiment. Assumes the right operand's region name is not

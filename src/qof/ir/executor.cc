@@ -397,9 +397,11 @@ Result<IrExecutor::Slot> IrExecutor::ComputeNode(int id, EvalStats* stats) {
       QOF_RETURN_IF_ERROR(regions_->EnsureResident());
       out.owned = node.op == IrOp::kDirectlyIncluding
                       ? DirectlyIncluding(*inputs[0], *inputs[1],
-                                          regions_->Universe())
+                                          regions_->Universe(),
+                                          regions_->Parents())
                       : DirectlyIncluded(*inputs[0], *inputs[1],
-                                         regions_->Universe());
+                                         regions_->Universe(),
+                                         regions_->Parents());
       QOF_RETURN_IF_ERROR(Charge(stats, out.owned));
       break;
     case IrOp::kProject:

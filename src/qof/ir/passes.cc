@@ -78,13 +78,19 @@ Est SelectEst(const Est& child, const SelectSpec& spec,
   return est;
 }
 
-Est InclusionEst(const Est& l, const Est& r, bool direct,
+/// `op` is one of ⊃ ⊂ ⊃d ⊂d.
+Est InclusionEst(const Est& l, const Est& r, IrOp op,
                  const RegionIndex* regions) {
   Est est;
   est.card = std::min(l.card, r.card);
   double merge = l.card + r.card;
+  const bool direct =
+      op == IrOp::kDirectlyIncluding || op == IrOp::kDirectlyIncluded;
   if (direct && regions != nullptr) {
-    merge += static_cast<double>(regions->UniverseSize());
+    // ⊃d probes each right member into the universe, ⊂d each left.
+    double probes = op == IrOp::kDirectlyIncluding ? r.card : l.card;
+    merge += CostModel::DirectProbeWork(
+        probes, static_cast<double>(regions->UniverseSize()));
     merge *= CostModel::kDirectFactor;
   }
   est.work = l.work + r.work + merge;
@@ -135,10 +141,7 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
       case IrOp::kIncluded:
       case IrOp::kDirectlyIncluding:
       case IrOp::kDirectlyIncluded:
-        e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]],
-                         n.op == IrOp::kDirectlyIncluding ||
-                             n.op == IrOp::kDirectlyIncluded,
-                         regions);
+        e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]], n.op, regions);
         break;
       case IrOp::kFusedChain: {
         e = est[n.inputs[0]];
@@ -149,7 +152,7 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
               break;
             case IrStage::Kind::kIncluding:
             case IrStage::Kind::kIncluded:
-              e = InclusionEst(e, est[stage.rhs], /*direct=*/false,
+              e = InclusionEst(e, est[stage.rhs], IrOp::kIncluding,
                                regions);
               break;
           }
@@ -158,7 +161,7 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
       }
       case IrOp::kProject:
         e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]],
-                         /*direct=*/false, regions);
+                         IrOp::kIncluded, regions);
         break;
       case IrOp::kJoin: {
         const Est& c = est[n.inputs[0]];

@@ -1,6 +1,7 @@
 #ifndef QOF_REGION_COST_MODEL_H_
 #define QOF_REGION_COST_MODEL_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -22,6 +23,14 @@ struct CostModel {
   /// Weight of a ⊃d/⊂d relative to ⊃/⊂ on the same operands (measured
   /// ratio of the paper's layered program is 3–12×; 4 is a fair middle).
   static constexpr double kDirectFactor = 4.0;
+
+  /// Work of the parent-table ⊃d/⊂d probes: each of `probes` regions
+  /// gallops into a universe of `universe` members, O(log(U/m)) each,
+  /// then takes a short walk up the parent chain (one unit).
+  static double DirectProbeWork(double probes, double universe) {
+    if (probes <= 0) return 0;
+    return probes * (1.0 + std::log2(1.0 + universe / probes));
+  }
 
   /// Region-run batch size for fused IR kernels: stages of a fused chain
   /// are applied per batch so intermediates stay cache-resident without

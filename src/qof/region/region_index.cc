@@ -6,6 +6,17 @@
 
 namespace qof {
 
+void RegionIndex::CopyFrom(const RegionIndex& other) {
+  std::scoped_lock lock(other.lazy_mu_, other.universe_mu_);
+  sets_ = other.sets_;
+  universe_ = other.universe_;
+  universe_valid_ = other.universe_valid_;
+  parents_ = other.parents_;
+  parents_valid_ = other.parents_valid_;
+  source_ = other.source_;
+  unloaded_ = other.unloaded_;
+}
+
 void RegionIndex::Add(std::string name, RegionSet regions) {
   auto it = sets_.find(name);
   if (it == sets_.end()) {
@@ -13,7 +24,7 @@ void RegionIndex::Add(std::string name, RegionSet regions) {
   } else {
     it->second = Union(it->second, regions);
   }
-  universe_valid_ = false;
+  InvalidateUniverse();
 }
 
 uint64_t RegionIndex::EraseSpan(uint64_t begin, uint64_t end) {
@@ -21,7 +32,7 @@ uint64_t RegionIndex::EraseSpan(uint64_t begin, uint64_t end) {
   for (auto& [name, set] : sets_) {
     erased += set.EraseStartsIn(begin, end);
   }
-  if (erased > 0) universe_valid_ = false;
+  if (erased > 0) InvalidateUniverse();
   return erased;
 }
 
@@ -30,7 +41,7 @@ void RegionIndex::InsertDocRegions(
   for (const auto& [name, run] : by_name) {
     sets_[name].InsertRun(run);
   }
-  universe_valid_ = false;
+  InvalidateUniverse();
 }
 
 bool RegionIndex::Has(std::string_view name) const {
@@ -140,7 +151,7 @@ Status RegionIndex::AttachSource(std::shared_ptr<const RegionSource> source) {
     }
   }
   source_ = std::move(source);
-  universe_valid_ = false;
+  InvalidateUniverse();
   return Status::OK();
 }
 
@@ -182,6 +193,21 @@ const RegionSet& RegionIndex::Universe() const {
     universe_valid_ = true;
   }
   return universe_;
+}
+
+const ParentTable& RegionIndex::Parents() const {
+  const RegionSet& universe = Universe();
+  std::lock_guard<std::mutex> lock(universe_mu_);
+  if (!parents_valid_) {
+    parents_ = BuildParentTable(universe);
+    parents_valid_ = true;
+  }
+  return parents_;
+}
+
+bool RegionIndex::has_parents() const {
+  std::lock_guard<std::mutex> lock(universe_mu_);
+  return parents_valid_;
 }
 
 std::vector<const RegionSet*> RegionIndex::AllExcept(

@@ -36,34 +36,25 @@ class RegionIndex {
   // duplicate it, builds move it), but the mutexes guarding the lazy
   // universe cache and the lazy materialization are neither copyable nor
   // movable — each instance gets its own.
-  RegionIndex(const RegionIndex& other) {
-    std::lock_guard<std::mutex> lock(other.lazy_mu_);
-    sets_ = other.sets_;
-    universe_ = other.universe_;
-    universe_valid_ = other.universe_valid_;
-    source_ = other.source_;
-    unloaded_ = other.unloaded_;
-  }
+  RegionIndex(const RegionIndex& other) { CopyFrom(other); }
   RegionIndex& operator=(const RegionIndex& other) {
-    if (this == &other) return *this;
-    std::lock_guard<std::mutex> lock(other.lazy_mu_);
-    sets_ = other.sets_;
-    universe_ = other.universe_;
-    universe_valid_ = other.universe_valid_;
-    source_ = other.source_;
-    unloaded_ = other.unloaded_;
+    if (this != &other) CopyFrom(other);
     return *this;
   }
   RegionIndex(RegionIndex&& other) noexcept
       : sets_(std::move(other.sets_)),
         universe_(std::move(other.universe_)),
         universe_valid_(other.universe_valid_),
+        parents_(std::move(other.parents_)),
+        parents_valid_(other.parents_valid_),
         source_(std::move(other.source_)),
         unloaded_(std::move(other.unloaded_)) {}
   RegionIndex& operator=(RegionIndex&& other) noexcept {
     sets_ = std::move(other.sets_);
     universe_ = std::move(other.universe_);
     universe_valid_ = other.universe_valid_;
+    parents_ = std::move(other.parents_);
+    parents_valid_ = other.parents_valid_;
     source_ = std::move(other.source_);
     unloaded_ = std::move(other.unloaded_);
     return *this;
@@ -140,6 +131,16 @@ class RegionIndex {
   /// queries): the lazy initialization is serialized internally.
   const RegionSet& Universe() const;
 
+  /// BuildParentTable(Universe()), the table the ⊃d/⊂d kernels probe.
+  /// Built lazily on the first call rather than with the universe, so
+  /// callers that only want the universe (SaveStore) never pay for it;
+  /// cached and invalidated with the universe, carried by copies and
+  /// moves. Thread-safety as Universe().
+  const ParentTable& Parents() const;
+
+  /// True while a parent table for the current universe is cached.
+  bool has_parents() const;
+
   /// All instances except `excluded` — the paper's "I − {S}" used by the
   /// layered ⊃d program.
   std::vector<const RegionSet*> AllExcept(std::string_view excluded) const;
@@ -155,6 +156,15 @@ class RegionIndex {
   /// Pages `name` in from the source. Caller holds lazy_mu_.
   Status MaterializeLocked(const std::string& name, uint64_t count) const;
 
+  /// Copy assignment's body: takes both of `other`'s cache locks.
+  void CopyFrom(const RegionIndex& other);
+
+  /// Drops the cached universe and its parent table.
+  void InvalidateUniverse() {
+    universe_valid_ = false;
+    parents_valid_ = false;
+  }
+
   /// Mutable: Get() materializes lazily under lazy_mu_. Node-based, so
   /// pointers handed out by Get() survive later insertions.
   mutable std::map<std::string, RegionSet, std::less<>> sets_;
@@ -164,6 +174,10 @@ class RegionIndex {
   mutable std::mutex universe_mu_;
   mutable RegionSet universe_;
   mutable bool universe_valid_ = false;
+  /// Guarded by universe_mu_ like universe_; valid only while the
+  /// universe is.
+  mutable ParentTable parents_;
+  mutable bool parents_valid_ = false;
 
   /// Backing source; null for a fully in-memory index. Set once before
   /// the index is shared, never reassigned by const paths (readers may

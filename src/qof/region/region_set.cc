@@ -515,63 +515,130 @@ RegionSet IncludedInStrict(const RegionSet& r, const RegionSet& s) {
   return IncludedInDispatch(r, s, /*strict=*/true);
 }
 
-std::vector<Region> InnermostStrictEnclosers(const RegionSet& queries,
-                                             const RegionSet& universe) {
+ParentTable BuildParentTable(const RegionSet& universe) {
   assert(universe.IsLaminar() &&
          "direct inclusion requires a laminar universe");
-  std::vector<Region> result(queries.size(), Region{0, 0});
+  assert(universe.size() < kNoParent && "parent entries are 4 bytes");
   const std::vector<Region>& uv = universe.regions();
-  std::vector<Region> stack;
-  size_t ui = 0;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const Region& q = queries[qi];
-    // Push universe members that precede (or equal) q in canonical order;
-    // exactly those can enclose q.
-    while (ui < uv.size() && (uv[ui] < q || uv[ui] == q)) {
-      while (!stack.empty() && stack.back().end <= uv[ui].start) {
-        stack.pop_back();
-      }
-      stack.push_back(uv[ui]);
-      ++ui;
-    }
-    while (!stack.empty() && stack.back().end <= q.start) stack.pop_back();
-    // The stack is now the chain of universe members covering q.start,
-    // outermost first. The innermost strict encloser is the deepest entry
-    // that strictly contains q (at most the identical span needs skipping).
-    for (size_t d = stack.size(); d-- > 0;) {
-      if (stack[d] == q) continue;
-      if (stack[d].Contains(q)) {
-        result[qi] = stack[d];
-      }
-      break;
-    }
+  ParentTable parent(uv.size());
+  // The sweep's stack is always the parent chain of the last member
+  // pushed, so popping is walking up that chain; every member is walked
+  // past at most once, keeping the build linear.
+  uint32_t top = kNoParent;
+  for (size_t i = 0; i < uv.size(); ++i) {
+    while (top != kNoParent && uv[top].end <= uv[i].start) top = parent[top];
+    parent[i] = top;
+    top = static_cast<uint32_t>(i);
   }
-  return result;
+  return parent;
 }
 
-RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
-                            const RegionSet& universe) {
-  // r ⊃d s  ⟺  r is the innermost strict encloser of s within the
-  // universe of indexed regions (see region_set.h preconditions): any
-  // shallower encloser has that innermost one strictly between itself and
-  // s, and any member of `r` strictly containing s *is* an encloser.
-  std::vector<Region> enclosers = InnermostStrictEnclosers(s, universe);
-  std::vector<Region> valid;
-  valid.reserve(enclosers.size());
-  for (const Region& e : enclosers) {
-    if (e.end > e.start || e.start > 0) valid.push_back(e);
+namespace {
+
+/// Finds the direct enclosers of query regions in a laminar universe by
+/// probing its parent table. Queries must come in canonical order: the
+/// search cursors only move forward, so a whole operand costs
+/// O(m log(|U|/m)) in searches plus the chain steps.
+class EncloserProbe {
+ public:
+  EncloserProbe(const RegionSet& universe, const ParentTable& parents)
+      : uv_(universe.regions()), parent_(parents) {
+    assert(parents.size() == uv_.size() &&
+           "parent table built for another universe");
   }
-  return Intersect(r, RegionSet::FromUnsorted(std::move(valid)));
+
+  /// Calls emit(i) for each universe index i whose member directly
+  /// includes `q`: at most one for a query of non-zero length, at most two
+  /// for a zero-length one.
+  template <typename Emit>
+  void Enclosers(const Region& q, Emit&& emit) {
+    pos_ = GallopLowerBound(uv_, pos_, q);  // first member not before q
+    if (q.end > q.start) {
+      // Every encloser of q precedes it canonically and stays on the
+      // parent chain of the last member not after q (nothing before q
+      // starts at or past an encloser's end); walking up from there, the
+      // first strict encloser met is the innermost one.
+      uint32_t last = pos_ < uv_.size() && uv_[pos_] == q
+                          ? static_cast<uint32_t>(pos_)
+                          : Before(pos_);
+      uint32_t e = Up(last, [&](const Region& u) {
+        return u.StrictlyContains(q);
+      });
+      if (e != kNoParent) emit(e);
+      return;
+    }
+    // q = [x, x] is contained both by members ending at x and by members
+    // starting at x, which are disjoint, so it can have two direct
+    // enclosers. Members starting at x and ending after it form a nested
+    // run just before q; its last member is the innermost right encloser.
+    const uint64_t x = q.start;
+    start_pos_ = GallopLowerBound(uv_, start_pos_, Region{x, UINT64_MAX});
+    const bool right = pos_ > start_pos_;
+    if (right) emit(static_cast<uint32_t>(pos_ - 1));
+    // Every member that starts before x and reaches x is on the parent
+    // chain of the last member starting before x; the first one met is
+    // innermost. One ending at x directly includes q; one spanning x does
+    // only when nothing else encloses q below it.
+    uint32_t e = Up(Before(start_pos_), [&](const Region& u) {
+      return u.end >= x;
+    });
+    if (e != kNoParent && (uv_[e].end == x || !right)) emit(e);
+  }
+
+ private:
+  static uint32_t Before(size_t i) {
+    return i == 0 ? kNoParent : static_cast<uint32_t>(i - 1);
+  }
+
+  /// The first member on the parent chain from `i` satisfying `stop`.
+  template <typename Stop>
+  uint32_t Up(uint32_t i, Stop&& stop) const {
+    while (i != kNoParent && !stop(uv_[i])) i = parent_[i];
+    return i;
+  }
+
+  const std::vector<Region>& uv_;
+  const ParentTable& parent_;
+  size_t pos_ = 0;        // lower bound of the current query
+  size_t start_pos_ = 0;  // first member starting at the query's start
+};
+
+}  // namespace
+
+RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
+                            const RegionSet& universe,
+                            const ParentTable& parents) {
+  // r ⊃d s  ⟺  r is a direct encloser of some s member within the
+  // universe: any shallower encloser has a direct one strictly between
+  // itself and that member.
+  if (r.empty() || s.empty()) return RegionSet();
+  EncloserProbe probe(universe, parents);
+  std::vector<uint32_t> hits;
+  hits.reserve(s.size());
+  for (const Region& q : s) {
+    probe.Enclosers(q, [&](uint32_t e) { hits.push_back(e); });
+  }
+  // Universe indices sort in canonical order.
+  std::sort(hits.begin(), hits.end());
+  hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+  std::vector<Region> enclosers;
+  enclosers.reserve(hits.size());
+  for (uint32_t e : hits) enclosers.push_back(universe[e]);
+  return Intersect(r, RegionSet::FromSortedUnique(std::move(enclosers)));
 }
 
 RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
-                           const RegionSet& universe) {
-  std::vector<Region> enclosers = InnermostStrictEnclosers(r, universe);
+                           const RegionSet& universe,
+                           const ParentTable& parents) {
+  if (r.empty() || s.empty()) return RegionSet();
+  EncloserProbe probe(universe, parents);
   std::vector<Region> out;
-  for (size_t i = 0; i < r.size(); ++i) {
-    const Region& e = enclosers[i];
-    bool has_encloser = e.end > e.start || e.start > 0;
-    if (has_encloser && s.ContainsRegion(e)) out.push_back(r[i]);
+  for (const Region& q : r) {
+    bool keep = false;
+    probe.Enclosers(q, [&](uint32_t e) {
+      keep = keep || s.ContainsRegion(universe[e]);
+    });
+    if (keep) out.push_back(q);
   }
   return RegionSet::FromSortedUnique(std::move(out));
 }

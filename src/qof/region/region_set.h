@@ -122,24 +122,50 @@ RegionSet IncludedIn(const RegionSet& r, const RegionSet& s);
 RegionSet IncludingStrict(const RegionSet& r, const RegionSet& s);
 RegionSet IncludedInStrict(const RegionSet& r, const RegionSet& s);
 
-/// For every member of `queries`, the innermost member of `universe` that
-/// *strictly* contains it, or {0,0} sentinel when none exists.
-/// Precondition: `universe` is laminar (checked in debug builds).
-std::vector<Region> InnermostStrictEnclosers(const RegionSet& queries,
-                                             const RegionSet& universe);
+/// Parent table of a laminar universe, one 4-byte entry per member:
+/// `parent[i]` is the index of the member below `universe[i]` on the
+/// canonical-order stack sweep (members ending at or before its start are
+/// popped first), or kNoParent at the bottom of the stack. For a member
+/// of non-zero length that is its innermost strict encloser; a zero-length
+/// member's entry skips enclosers that end exactly at its position. The
+/// stack at any point of the sweep is a parent chain, so a probe that
+/// lands on a member can walk up to every region enclosing that position.
+/// Entries are 4 bytes and kNoParent is reserved, so the universe must
+/// hold fewer than 2^32 - 1 members (debug-checked, as is laminarity).
+using ParentTable = std::vector<uint32_t>;
+inline constexpr uint32_t kNoParent = UINT32_MAX;
+
+/// One O(|universe|) stack sweep. RegionIndex::Parents() caches the table
+/// per universe, so an indexed query pays this once, not per operator.
+ParentTable BuildParentTable(const RegionSet& universe);
 
 /// R ⊃d S: members of `r` that directly include some member of `s`, where
 /// "directly" means no region of `universe` lies strictly between the two
-/// (paper §3.1). Preconditions (debug-checked): `universe` is laminar and
-/// the spans of `r` and `s` occur in `universe` — which holds whenever the
-/// arguments were produced by evaluating algebra expressions over the
-/// region indices that make up the universe.
+/// (paper §3.1). `parents` is BuildParentTable(universe).
+///
+/// Each member of `s` gallops into the universe from the previous probe's
+/// position, lands on the last member not after it in canonical order and
+/// walks the parent chain up to its innermost strict encloser (a
+/// zero-length member can have two: one ending at and one starting at its
+/// position). Cost O(|s| log(|U|/|s|) + chain steps) plus an adaptive
+/// intersection with `r`: |U| enters only through the logarithm.
+///
+/// Preconditions: `universe` is laminar and the members of `r` occur in
+/// it, which holds whenever `r` was produced by evaluating algebra
+/// expressions over the region indices that make up the universe. The
+/// members of `s` need not occur in the universe.
 RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
-                            const RegionSet& universe);
+                            const RegionSet& universe,
+                            const ParentTable& parents);
 
-/// R ⊂d S: members of `r` directly included in some member of `s`.
+/// R ⊂d S: members of `r` directly included in some member of `s`. Same
+/// probe as DirectlyIncluding with the roles swapped: each member of `r`
+/// is probed and kept when one of its direct enclosers is in `s`. Cost
+/// O(|r| (log(|U|/|r|) + log |s|) + chain steps). Preconditions as above,
+/// with `s` the side that must occur in the universe.
 RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
-                           const RegionSet& universe);
+                           const RegionSet& universe,
+                           const ParentTable& parents);
 
 /// The paper's §3.1 reference implementation of ⊃d: iterate over nested
 /// layers of `r` via ω, and for each layer subtract the `s` members that

@@ -22,8 +22,8 @@ TEST(RegionEdgeTest, EmptySetsEverywhere) {
   EXPECT_EQ(Outermost(e), e);
   EXPECT_EQ(Including(e, e), e);
   EXPECT_EQ(IncludedIn(e, e), e);
-  EXPECT_EQ(DirectlyIncluding(e, e, e), e);
-  EXPECT_EQ(DirectlyIncluded(e, e, e), e);
+  EXPECT_EQ(DirectlyIncluding(e, e, e, BuildParentTable(e)), e);
+  EXPECT_EQ(DirectlyIncluded(e, e, e, BuildParentTable(e)), e);
   EXPECT_EQ(DirectlyIncludingLayered(e, e, {}), e);
 }
 
@@ -33,7 +33,8 @@ TEST(RegionEdgeTest, SingletonIdentities) {
   EXPECT_EQ(Outermost(s), s);
   EXPECT_EQ(Including(s, s), s);   // weak self-containment
   EXPECT_EQ(IncludedIn(s, s), s);
-  EXPECT_EQ(DirectlyIncluding(s, s, s), RegionSet());  // strict: no pair
+  // strict: no pair
+  EXPECT_EQ(DirectlyIncluding(s, s, s, BuildParentTable(s)), RegionSet());
 }
 
 TEST(RegionEdgeTest, AdjacentRegionsDoNotContain) {
@@ -52,8 +53,9 @@ TEST(RegionEdgeTest, SharedEndpointsAreWeakContainment) {
   EXPECT_EQ(IncludedIn(inner, outer), inner);
   // And direct inclusion sees both as direct children.
   RegionSet universe = Union(outer, inner);
-  EXPECT_EQ(DirectlyIncluding(outer, inner, universe), outer);
-  EXPECT_EQ(DirectlyIncluded(inner, outer, universe), inner);
+  ParentTable parents = BuildParentTable(universe);
+  EXPECT_EQ(DirectlyIncluding(outer, inner, universe, parents), outer);
+  EXPECT_EQ(DirectlyIncluded(inner, outer, universe, parents), inner);
 }
 
 TEST(RegionEdgeTest, SameSpanInDifferentOperands) {
@@ -64,7 +66,9 @@ TEST(RegionEdgeTest, SameSpanInDifferentOperands) {
   EXPECT_EQ(IncludedIn(a, b), a);       // via itself and via {0,10}
   EXPECT_EQ(IncludedInStrict(a, b), a); // via {0,10} only
   RegionSet universe = b;
-  EXPECT_EQ(DirectlyIncluded(a, RS({{0, 10}}), universe), a);
+  EXPECT_EQ(
+      DirectlyIncluded(a, RS({{0, 10}}), universe, BuildParentTable(universe)),
+      a);
 }
 
 TEST(RegionEdgeTest, DeepNestingStress) {
@@ -80,9 +84,10 @@ TEST(RegionEdgeTest, DeepNestingStress) {
   EXPECT_TRUE(universe.IsLaminar());
   // Every r member weakly contains some s member except possibly the
   // innermost; direct inclusion pairs alternate strictly.
-  RegionSet direct = DirectlyIncluding(rs, ss, universe);
+  ParentTable parents = BuildParentTable(universe);
+  RegionSet direct = DirectlyIncluding(rs, ss, universe, parents);
   EXPECT_EQ(direct.size(), rs.size());
-  RegionSet direct_rev = DirectlyIncluding(ss, rs, universe);
+  RegionSet direct_rev = DirectlyIncluding(ss, rs, universe, parents);
   // Every s member directly includes the next r member except the last.
   EXPECT_EQ(direct_rev.size(), ss.size() - 1);
   EXPECT_EQ(Innermost(universe).size(), 1u);

@@ -161,6 +161,50 @@ RegionSet RandomLaminar(std::mt19937& rng, uint64_t span, int depth) {
   return RegionSet::FromUnsorted(std::move(v));
 }
 
+// Up to `max_regions` arbitrary spans in [0, max_pos], a quarter of them
+// zero-length.
+RegionSet RandomSpans(std::mt19937& rng, int max_regions, uint64_t max_pos) {
+  std::uniform_int_distribution<int> count(0, max_regions);
+  std::uniform_int_distribution<uint64_t> pos(0, max_pos);
+  std::bernoulli_distribution empty(0.25);
+  std::vector<Region> v;
+  for (int i = count(rng); i > 0; --i) {
+    uint64_t a = pos(rng);
+    uint64_t b = empty(rng) ? a : pos(rng);
+    v.push_back({std::min(a, b), std::max(a, b)});
+  }
+  return RegionSet::FromUnsorted(std::move(v));
+}
+
+// A laminar family with the shapes RandomLaminar leaves out: siblings
+// that touch, children sharing their parent's start (same-start groups),
+// and zero-length spans, also on sibling boundaries. Each node is cut at
+// random points and keeps most of the pieces; at most `max_regions`.
+void SubdivideRich(std::mt19937& rng, uint64_t lo, uint64_t hi, int depth,
+                   size_t max_regions, std::vector<Region>* out) {
+  if (depth <= 0) return;
+  std::uniform_int_distribution<int> cuts(0, 2);
+  std::uniform_int_distribution<uint64_t> pos(lo, hi);
+  std::bernoulli_distribution keep(0.8);
+  std::vector<uint64_t> points = {lo, hi};
+  for (int i = cuts(rng); i > 0; --i) points.push_back(pos(rng));
+  std::sort(points.begin(), points.end());
+  for (size_t i = 0; i + 1 < points.size(); ++i) {
+    if (out->size() >= max_regions || !keep(rng)) continue;
+    out->push_back({points[i], points[i + 1]});
+    SubdivideRich(rng, points[i], points[i + 1], depth - 1, max_regions,
+                  out);
+  }
+}
+
+RegionSet RandomRichLaminar(std::mt19937& rng, uint64_t span, int depth,
+                            size_t max_regions) {
+  std::vector<Region> v;
+  v.push_back({0, span});
+  SubdivideRich(rng, 0, span, depth, max_regions, &v);
+  return RegionSet::FromUnsorted(std::move(v));
+}
+
 // Random subset of a laminar family (arguments to ⊃d must come from the
 // universe).
 RegionSet RandomSubset(std::mt19937& rng, const RegionSet& base,
@@ -228,18 +272,44 @@ TEST_P(RegionPropertyTest, SetAlgebraLaws) {
 
 TEST_P(RegionPropertyTest, DirectInclusionMatchesOracleOnLaminar) {
   std::mt19937 rng(GetParam() + 4000);
+  // ⊃d needs its left operand drawn from the universe, ⊂d its right one;
+  // the probed side may be any set of regions.
+  auto check = [](const RegionSet& members, const RegionSet& queries,
+                  const RegionSet& universe) {
+    ParentTable parents = BuildParentTable(universe);
+    EXPECT_EQ(DirectlyIncluding(members, queries, universe, parents),
+              OracleDirectlyIncluding(members, queries, universe))
+        << "universe=" << universe.ToString()
+        << "\nr=" << members.ToString() << "\ns=" << queries.ToString();
+    EXPECT_EQ(DirectlyIncluded(queries, members, universe, parents),
+              OracleDirectlyIncluded(queries, members, universe))
+        << "universe=" << universe.ToString()
+        << "\nr=" << queries.ToString() << "\ns=" << members.ToString();
+  };
   for (int iter = 0; iter < 10; ++iter) {
     RegionSet universe = RandomLaminar(rng, 400, 4);
+    check(RandomSubset(rng, universe, 0.5), RandomSubset(rng, universe, 0.5),
+          universe);
+  }
+  std::uniform_int_distribution<int> depth(1, 8);
+  for (int iter = 0; iter < 6; ++iter) {
+    RegionSet universe = RandomRichLaminar(rng, 120, depth(rng), 160);
+    ASSERT_TRUE(universe.IsLaminar()) << universe.ToString();
     RegionSet r = RandomSubset(rng, universe, 0.5);
     RegionSet s = RandomSubset(rng, universe, 0.5);
-    EXPECT_EQ(DirectlyIncluding(r, s, universe),
-              OracleDirectlyIncluding(r, s, universe))
-        << "universe=" << universe.ToString() << "\nr=" << r.ToString()
-        << "\ns=" << s.ToString();
-    EXPECT_EQ(DirectlyIncluded(r, s, universe),
-              OracleDirectlyIncluded(r, s, universe))
-        << "universe=" << universe.ToString() << "\nr=" << r.ToString()
-        << "\ns=" << s.ToString();
+    check(r, s, universe);
+    // Probes that are not universe members, zero-length ones included,
+    // mixed with members.
+    RegionSet probes =
+        Union(RandomSubset(rng, universe, 0.2), RandomSpans(rng, 40, 120));
+    check(r, probes, universe);
+    check(RegionSet(), s, universe);
+    check(r, RegionSet(), universe);
+    check(universe, universe, universe);
+    check(r, universe, universe);
+    // |s| ≪ |U|: a couple of probes against the whole universe.
+    check(universe, RandomSubset(rng, universe, 0.02), universe);
+    check(RandomSubset(rng, universe, 0.02), universe, universe);
   }
 }
 
@@ -276,7 +346,8 @@ TEST_P(RegionPropertyTest, DirectImpliesSimpleInclusion) {
     RegionSet universe = RandomLaminar(rng, 300, 4);
     RegionSet r = RandomSubset(rng, universe, 0.5);
     RegionSet s = RandomSubset(rng, universe, 0.5);
-    RegionSet direct = DirectlyIncluding(r, s, universe);
+    RegionSet direct =
+        DirectlyIncluding(r, s, universe, BuildParentTable(universe));
     RegionSet simple = Including(r, s);
     // ⊃d refines ⊃: every direct includer is an includer.
     EXPECT_EQ(Intersect(direct, simple), direct);

@@ -140,30 +140,37 @@ struct BibFixture {
   RegionSet last_name = RS({{20, 28}, {60, 68}});
   RegionSet universe = Union(
       Union(Union(reference, authors), Union(editors, name)), last_name);
+  ParentTable parents = BuildParentTable(universe);
 };
 
 TEST(DirectInclusionTest, ParentChildIsDirect) {
   BibFixture f;
-  EXPECT_EQ(DirectlyIncluding(f.reference, f.authors, f.universe),
+  EXPECT_EQ(DirectlyIncluding(f.reference, f.authors, f.universe, f.parents),
             f.reference);
-  EXPECT_EQ(DirectlyIncluding(f.authors, f.name, f.universe), f.authors);
-  EXPECT_EQ(DirectlyIncluding(f.name, f.last_name, f.universe), f.name);
+  EXPECT_EQ(DirectlyIncluding(f.authors, f.name, f.universe, f.parents),
+            f.authors);
+  EXPECT_EQ(DirectlyIncluding(f.name, f.last_name, f.universe, f.parents),
+            f.name);
 }
 
 TEST(DirectInclusionTest, GrandparentIsNotDirect) {
   BibFixture f;
   // Reference ⊃ Name holds but Authors/Editors lie in between.
   EXPECT_EQ(Including(f.reference, f.name), f.reference);
-  EXPECT_EQ(DirectlyIncluding(f.reference, f.name, f.universe), RegionSet());
-  EXPECT_EQ(DirectlyIncluding(f.reference, f.last_name, f.universe),
+  EXPECT_EQ(DirectlyIncluding(f.reference, f.name, f.universe, f.parents),
+            RegionSet());
+  EXPECT_EQ(DirectlyIncluding(f.reference, f.last_name, f.universe, f.parents),
             RegionSet());
 }
 
 TEST(DirectInclusionTest, DirectlyIncludedMirror) {
   BibFixture f;
-  EXPECT_EQ(DirectlyIncluded(f.authors, f.reference, f.universe), f.authors);
-  EXPECT_EQ(DirectlyIncluded(f.name, f.reference, f.universe), RegionSet());
-  EXPECT_EQ(DirectlyIncluded(f.last_name, f.name, f.universe), f.last_name);
+  EXPECT_EQ(DirectlyIncluded(f.authors, f.reference, f.universe, f.parents),
+            f.authors);
+  EXPECT_EQ(DirectlyIncluded(f.name, f.reference, f.universe, f.parents),
+            RegionSet());
+  EXPECT_EQ(DirectlyIncluded(f.last_name, f.name, f.universe, f.parents),
+            f.last_name);
 }
 
 TEST(DirectInclusionTest, UnindexedGapMakesInclusionDirect) {
@@ -171,7 +178,9 @@ TEST(DirectInclusionTest, UnindexedGapMakesInclusionDirect) {
   BibFixture f;
   RegionSet universe =
       Union(Union(f.reference, f.authors), Union(f.editors, f.last_name));
-  EXPECT_EQ(DirectlyIncluding(f.authors, f.last_name, universe), f.authors);
+  EXPECT_EQ(DirectlyIncluding(f.authors, f.last_name, universe,
+                              BuildParentTable(universe)),
+            f.authors);
 }
 
 TEST(DirectInclusionTest, NestedSelfRegions) {
@@ -179,9 +188,10 @@ TEST(DirectInclusionTest, NestedSelfRegions) {
   RegionSet sections = RS({{0, 100}, {10, 50}, {20, 40}, {60, 90}});
   RegionSet universe = sections;
   // outer ⊃d {10,50}? yes. {10,50} ⊃d {20,40}? yes. {0,100} ⊃d {20,40}? no.
-  EXPECT_EQ(DirectlyIncluding(sections, RS({{20, 40}}), universe),
+  ParentTable parents = BuildParentTable(universe);
+  EXPECT_EQ(DirectlyIncluding(sections, RS({{20, 40}}), universe, parents),
             RS({{10, 50}}));
-  EXPECT_EQ(DirectlyIncluding(sections, RS({{60, 90}}), universe),
+  EXPECT_EQ(DirectlyIncluding(sections, RS({{60, 90}}), universe, parents),
             RS({{0, 100}}));
 }
 
@@ -191,7 +201,8 @@ TEST(DirectInclusionTest, LayeredAgreesOnNestedSelfRegions) {
   // separators, yet the resulting r-set matches the definition because any
   // r with only S-members in between directly includes the outermost one.
   RegionSet sections = RS({{0, 100}, {10, 50}, {20, 40}, {60, 90}});
-  RegionSet direct = DirectlyIncluding(sections, sections, sections);
+  RegionSet direct = DirectlyIncluding(sections, sections, sections,
+                                       BuildParentTable(sections));
   EXPECT_EQ(direct, RS({{0, 100}, {10, 50}}));
   RegionSet layered = DirectlyIncludingLayered(sections, sections, {});
   EXPECT_EQ(layered, direct);
@@ -203,11 +214,11 @@ TEST(DirectInclusionTest, LayeredMatchesFastOnFixture) {
   std::vector<const RegionSet*> others = {&f.reference, &f.editors, &f.name,
                                           &f.last_name};
   EXPECT_EQ(DirectlyIncludingLayered(f.reference, f.authors, others),
-            DirectlyIncluding(f.reference, f.authors, f.universe));
+            DirectlyIncluding(f.reference, f.authors, f.universe, f.parents));
   std::vector<const RegionSet*> others2 = {&f.reference, &f.authors,
                                            &f.editors, &f.name};
   EXPECT_EQ(DirectlyIncludingLayered(f.name, f.last_name, others2),
-            DirectlyIncluding(f.name, f.last_name, f.universe));
+            DirectlyIncluding(f.name, f.last_name, f.universe, f.parents));
   // Non-direct pair stays empty in both.
   std::vector<const RegionSet*> others3 = {&f.reference, &f.authors,
                                            &f.editors, &f.last_name};
@@ -217,22 +228,65 @@ TEST(DirectInclusionTest, LayeredMatchesFastOnFixture) {
 
 TEST(DirectInclusionTest, EmptyOperands) {
   BibFixture f;
-  EXPECT_EQ(DirectlyIncluding(RegionSet(), f.authors, f.universe),
+  EXPECT_EQ(DirectlyIncluding(RegionSet(), f.authors, f.universe, f.parents),
             RegionSet());
-  EXPECT_EQ(DirectlyIncluding(f.reference, RegionSet(), f.universe),
+  EXPECT_EQ(DirectlyIncluding(f.reference, RegionSet(), f.universe, f.parents),
             RegionSet());
-  EXPECT_EQ(DirectlyIncluded(RegionSet(), f.reference, f.universe),
+  EXPECT_EQ(DirectlyIncluded(RegionSet(), f.reference, f.universe, f.parents),
             RegionSet());
 }
 
 TEST(DirectInclusionTest, InnermostStrictEnclosersChain) {
   RegionSet universe = RS({{0, 100}, {10, 50}, {20, 40}});
-  auto enc = InnermostStrictEnclosers(RS({{20, 40}}), universe);
-  ASSERT_EQ(enc.size(), 1u);
-  EXPECT_EQ(enc[0], (Region{10, 50}));
-  auto enc2 = InnermostStrictEnclosers(RS({{0, 100}}), universe);
-  ASSERT_EQ(enc2.size(), 1u);
-  EXPECT_EQ(enc2[0], (Region{0, 0}));  // sentinel: no encloser
+  ParentTable parents = BuildParentTable(universe);
+  EXPECT_EQ(parents, (ParentTable{kNoParent, 0, 1}));
+  // The innermost strict encloser of [20,40) is [10,50); [0,100) has none.
+  EXPECT_EQ(DirectlyIncluding(universe, RS({{20, 40}}), universe, parents),
+            RS({{10, 50}}));
+  EXPECT_EQ(DirectlyIncluding(universe, RS({{0, 100}}), universe, parents),
+            RegionSet());
+  EXPECT_EQ(DirectlyIncluded(universe, RS({{10, 50}}), universe, parents),
+            RS({{20, 40}}));
+}
+
+TEST(DirectInclusionTest, ParentTableSkipsFinishedSiblings) {
+  // [0,100) ⊃ {[10,20) ⊃ [12,15)}, [30,40), then a sibling root.
+  RegionSet universe = RS({{0, 100}, {10, 20}, {12, 15}, {30, 40}, {100, 120}});
+  EXPECT_EQ(BuildParentTable(universe),
+            (ParentTable{kNoParent, 0, 1, 0, kNoParent}));
+}
+
+TEST(DirectInclusionTest, ZeroLengthMemberHasTwoDirectEnclosers) {
+  // [5,5) lies in both [2,5) and [5,8): two direct enclosers, which hide
+  // [0,10) from it. Empty spans elsewhere have a single one.
+  RegionSet universe = RS({{0, 10}, {2, 5}, {5, 8}, {5, 5}, {9, 9}});
+  ParentTable parents = BuildParentTable(universe);
+  RegionSet empty5 = RS({{5, 5}});
+  EXPECT_EQ(DirectlyIncluding(universe, empty5, universe, parents),
+            RS({{2, 5}, {5, 8}}));
+  EXPECT_EQ(DirectlyIncluded(empty5, RS({{2, 5}}), universe, parents),
+            empty5);
+  EXPECT_EQ(DirectlyIncluded(empty5, RS({{5, 8}}), universe, parents),
+            empty5);
+  EXPECT_EQ(DirectlyIncluded(empty5, RS({{0, 10}}), universe, parents),
+            RegionSet());
+  EXPECT_EQ(DirectlyIncluding(universe, RS({{9, 9}}), universe, parents),
+            RS({{0, 10}}));
+}
+
+TEST(DirectInclusionTest, NonMemberQueries) {
+  BibFixture f;
+  // Spans absent from the universe still find their innermost strict
+  // encloser, also when they straddle a member's boundary.
+  EXPECT_EQ(
+      DirectlyIncluding(f.universe, RS({{22, 25}}), f.universe, f.parents),
+      RS({{20, 28}}));
+  EXPECT_EQ(
+      DirectlyIncluding(f.universe, RS({{25, 35}}), f.universe, f.parents),
+      RS({{10, 40}}));
+  EXPECT_EQ(
+      DirectlyIncluded(RS({{41, 45}}), f.reference, f.universe, f.parents),
+      RS({{41, 45}}));
 }
 
 }  // namespace
