@@ -4,6 +4,7 @@
 
 #include "qof/region/cost_model.h"
 #include "qof/text/tokenizer.h"
+#include "qof/util/gallop.h"
 #include "qof/util/string_util.h"
 
 namespace qof {
@@ -25,6 +26,32 @@ bool PostingDriven(size_t posting_count, size_t child_size) {
       break;
   }
   return CostModel::PreferPostingDriven(posting_count, child_size);
+}
+
+// Every loop below walks one side in ascending order and keeps forward
+// cursors into the other, galloping from where the previous search
+// stopped (see GallopForward). The IR calls a kernel once per fused
+// batch or morsel slice, so each call's cursors start at the front and
+// reach their first position in O(log n).
+
+/// First posting index >= `from` at or after position `pos`.
+size_t PostingAtOrAfter(const std::vector<TextPos>& postings, size_t from,
+                        uint64_t pos) {
+  return GallopForward(postings, from, [&](TextPos p) { return p < pos; });
+}
+
+/// First child index >= `from` whose member starts at or after `pos`.
+size_t MemberStartingAt(const std::vector<Region>& members, size_t from,
+                        uint64_t pos) {
+  return GallopForward(members, from,
+                       [&](const Region& r) { return r.start < pos; });
+}
+
+/// First child index >= `from` not before `key` canonically.
+size_t MemberAtOrAfter(const std::vector<Region>& members, size_t from,
+                       const Region& key) {
+  return GallopForward(members, from,
+                       [&](const Region& r) { return r < key; });
 }
 
 }  // namespace
@@ -108,23 +135,21 @@ Result<std::vector<Region>> RunSelectKernel(const SelectSpec& spec,
     const uint64_t d = spec.param;
     const uint64_t len1 = tokens[0].text.size();
     const uint64_t len2 = t2[0].text.size();
+    size_t lo1 = 0;  // first w1 occurrence at or after r.start
+    size_t lo2 = 0;  // first w2 occurrence at or after r.start
     for (const Region& r : child) {
       // Both occurrences must lie fully inside the region — a word whose
       // start fits but whose tail overhangs r.end is not "in" r (the
       // same clamp bug class as kSelectAtLeast below).
-      auto lo1 = std::lower_bound(p1.begin(), p1.end(), r.start);
+      lo1 = PostingAtOrAfter(p1, lo1, r.start);
+      lo2 = PostingAtOrAfter(p2, lo2, r.start);
       bool hit = false;
-      for (auto it = lo1; !hit && it != p1.end() && *it + len1 <= r.end;
-           ++it) {
-        // Closest w2 occurrence inside r to *it.
-        auto lo2 = std::lower_bound(p2.begin(), p2.end(),
-                                    *it >= d ? *it - d : 0);
-        for (auto jt = lo2; jt != p2.end() && *jt <= *it + d; ++jt) {
-          if (*jt >= r.start && *jt + len2 <= r.end) {
-            hit = true;
-            break;
-          }
-        }
+      size_t j = lo2;  // w2 cursor within r: ascends with the w1 occurrence
+      for (size_t i = lo1; !hit && i < p1.size() && p1[i] + len1 <= r.end;
+           ++i) {
+        // The w2 occurrences inside r within d of p1[i].
+        j = PostingAtOrAfter(p2, j, p1[i] >= d ? p1[i] - d : 0);
+        hit = j < p2.size() && p2[j] <= p1[i] + d && p2[j] + len2 <= r.end;
       }
       if (hit) out.push_back(r);
     }
@@ -138,14 +163,19 @@ Result<std::vector<Region>> RunSelectKernel(const SelectSpec& spec,
         words->Lookup(std::string(tokens[0].text));
     const uint64_t len = tokens[0].text.size();
     const uint64_t need = spec.param;
+    size_t lo = 0;  // first occurrence at or after r.start
     for (const Region& r : child) {
       // A region shorter than the word holds no occurrence at all; the
       // old `r.end >= len ? r.end - len : 0` clamp let a posting at
       // position 0 count for such a region when r.start == 0.
       if (r.length() < len) continue;
-      auto lo = std::lower_bound(postings.begin(), postings.end(), r.start);
-      auto hi = std::upper_bound(lo, postings.end(), r.end - len);
-      if (static_cast<uint64_t>(hi - lo) >= need) out.push_back(r);
+      lo = PostingAtOrAfter(postings, lo, r.start);
+      // Postings ascend, so `need` occurrences fit iff the need-th one
+      // from the cursor does.
+      if (need == 0 || (need <= postings.size() - lo &&
+                        postings[lo + need - 1] <= r.end - len)) {
+        out.push_back(r);
+      }
     }
   } else if (kind == ExprKind::kSelectStartsWith ||
              kind == ExprKind::kSelectContainsPrefix) {
@@ -167,33 +197,36 @@ Result<std::vector<Region>> RunSelectKernel(const SelectSpec& spec,
         // Postings ascend and group members keep their in-set order, so
         // the output is already canonical.
         const std::vector<Region>& cv = child.regions();
+        size_t at = 0;  // first member starting at or after the posting
         for (TextPos p : postings) {
-          auto it = std::lower_bound(
-              cv.begin(), cv.end(), p,
-              [](const Region& r, TextPos s) { return r.start < s; });
+          at = MemberStartingAt(cv, at, p);
           // Within a start group ends descend, so the members long
           // enough for the prefix are a prefix of the group.
-          for (; it != cv.end() && it->start == p && it->end >= p + len;
-               ++it) {
-            out.push_back(*it);
+          for (size_t i = at;
+               i < cv.size() && cv[i].start == p && cv[i].end >= p + len;
+               ++i) {
+            out.push_back(cv[i]);
           }
         }
       } else {
+        size_t at = 0;  // first posting at or after r.start
         for (const Region& r : child) {
           if (r.length() < len) continue;
-          if (std::binary_search(postings.begin(), postings.end(),
-                                 r.start)) {
+          at = PostingAtOrAfter(postings, at, r.start);
+          if (at < postings.size() && postings[at] == r.start) {
             out.push_back(r);
           }
         }
       }
     } else {
       const uint64_t len = prefix.size();
+      size_t at = 0;  // first posting at or after r.start
       for (const Region& r : child) {
         if (r.length() < len) continue;
-        auto it =
-            std::lower_bound(postings.begin(), postings.end(), r.start);
-        if (it != postings.end() && *it + len <= r.end) out.push_back(r);
+        at = PostingAtOrAfter(postings, at, r.start);
+        if (at < postings.size() && postings[at] + len <= r.end) {
+          out.push_back(r);
+        }
       }
     }
   } else if (kind == ExprKind::kSelectMatches) {
@@ -205,15 +238,19 @@ Result<std::vector<Region>> RunSelectKernel(const SelectSpec& spec,
       // Posting-driven: each posting determines the single span {p, p+len}
       // a match can have; probe the child for it. Postings ascend and a
       // set holds each span at most once, so the output is canonical.
+      const std::vector<Region>& cv = child.regions();
+      size_t at = 0;  // first member not before the posting's span
       for (TextPos p : postings) {
-        if (child.ContainsRegion(Region{p, p + len})) {
-          out.push_back(Region{p, p + len});
-        }
+        const Region span{p, p + len};
+        at = MemberAtOrAfter(cv, at, span);
+        if (at < cv.size() && cv[at] == span) out.push_back(span);
       }
     } else {
+      size_t at = 0;  // first posting at or after r.start
       for (const Region& r : child) {
         if (r.length() != len) continue;
-        if (std::binary_search(postings.begin(), postings.end(), r.start)) {
+        at = PostingAtOrAfter(postings, at, r.start);
+        if (at < postings.size() && postings[at] == r.start) {
           out.push_back(r);
         }
       }
@@ -222,10 +259,14 @@ Result<std::vector<Region>> RunSelectKernel(const SelectSpec& spec,
     const std::string word(tokens[0].text);
     const std::vector<TextPos>& postings = words->Lookup(word);
     const uint64_t len = word.size();
+    size_t at = 0;  // first posting at or after r.start
     for (const Region& r : child) {
       if (r.length() < len) continue;
-      auto it = std::lower_bound(postings.begin(), postings.end(), r.start);
-      if (it != postings.end() && *it + len <= r.end) out.push_back(r);
+      // The earliest occurrence in r is the one most likely to fit.
+      at = PostingAtOrAfter(postings, at, r.start);
+      if (at < postings.size() && postings[at] + len <= r.end) {
+        out.push_back(r);
+      }
     }
   } else if (kind == ExprKind::kSelectContains) {
     // Phrase containment: an occurrence of the whole literal inside the
@@ -240,15 +281,15 @@ Result<std::vector<Region>> RunSelectKernel(const SelectSpec& spec,
     const std::vector<TextPos>& postings = words->Lookup(first);
     const uint64_t first_off = tokens[0].start;
     const uint64_t len = trimmed.size();
+    size_t at = 0;  // first first-word occurrence that can anchor in r
     for (const Region& r : child) {
       if (r.length() < len) continue;
-      auto it = std::lower_bound(postings.begin(), postings.end(),
-                                 r.start + first_off);
+      at = PostingAtOrAfter(postings, at, r.start + first_off);
       bool hit = false;
-      for (; !hit && it != postings.end() && *it + len - first_off <= r.end;
-           ++it) {
-        TextPos begin = *it - first_off;
-        if (begin < r.start) continue;
+      for (size_t i = at; !hit && i < postings.size() &&
+                          postings[i] - first_off + len <= r.end;
+           ++i) {
+        TextPos begin = postings[i] - first_off;
         std::string_view text = corpus->ScanText(begin, begin + len);
         if (bytes_scanned) *bytes_scanned += text.size();
         hit = text == trimmed;
@@ -265,15 +306,14 @@ Result<std::vector<Region>> RunSelectKernel(const SelectSpec& spec,
     }
     const std::string first(tokens[0].text);
     const std::vector<TextPos>& postings = words->Lookup(first);
+    size_t at = 0;  // first occurrence at or after the region's anchor
     for (const Region& r : child) {
       if (r.length() != literal.size()) continue;
       // The first word starts where the region starts (field spans are
       // trimmed by the parser, as are phrase literals by convention).
       TextPos word_start = r.start + tokens[0].start;
-      if (!std::binary_search(postings.begin(), postings.end(),
-                              word_start)) {
-        continue;
-      }
+      at = PostingAtOrAfter(postings, at, word_start);
+      if (at == postings.size() || postings[at] != word_start) continue;
       std::string_view text = corpus->ScanText(r.start, r.end);
       if (bytes_scanned) *bytes_scanned += text.size();
       if (text == literal) out.push_back(r);

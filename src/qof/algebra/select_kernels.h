@@ -35,7 +35,17 @@ struct SelectSpec {
 /// This is THE selection implementation: the tree evaluator and the IR
 /// executor both call it, so their results are byte-identical by
 /// construction. Dispatch between posting-driven and child-driven
-/// directions follows kernel_policy() and the shared CostModel table.
+/// directions (σ= and STARTS have both) follows kernel_policy() and the
+/// shared CostModel table.
+///
+/// Cost: the driving side (child members, or postings when
+/// posting-driven) is walked in ascending order with a forward galloping
+/// cursor into the other side, so C members against P postings cost
+/// O(C log(P/C + 1)) in searches plus O(1) per member for CONTAINS,
+/// HASPREFIX, ATLEAST, σ=, STARTS and phrase σ. NEAR and phrase CONTAINS
+/// also scan the first word's occurrences inside each member. A call on
+/// one slice of a child (the IR's fused batches and morsels) reaches its
+/// first cursor position in O(log P).
 ///
 /// `words` must be non-null; `corpus` may be null unless the spec needs
 /// phrase verification. Text bytes read during phrase verification are

@@ -187,9 +187,10 @@ const RegionSet& RegionIndex::Universe() const {
   (void)EnsureResident();
   std::lock_guard<std::mutex> lock(universe_mu_);
   if (!universe_valid_) {
-    RegionSet u;
-    for (const auto& [name, set] : sets_) u = Union(u, set);
-    universe_ = std::move(u);
+    std::vector<const RegionSet*> instances;
+    instances.reserve(sets_.size());
+    for (const auto& [name, set] : sets_) instances.push_back(&set);
+    universe_ = UnionAll(instances);
     universe_valid_ = true;
   }
   return universe_;

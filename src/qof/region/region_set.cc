@@ -5,6 +5,9 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+
+#include "qof/util/gallop.h"
 
 namespace qof {
 namespace {
@@ -38,8 +41,9 @@ bool UseGalloping(size_t small, size_t large) {
   return CostModel::PreferGallop(small, large);
 }
 
-// Sparse table for O(1) range-min queries over member end offsets; built
-// per algebra operation, so construction is O(n log n) on the operand only.
+// Sparse table for O(1) range-min queries over member end offsets. Only
+// the ⊃ kernel builds one, and only once its window scans overrun their
+// budget; construction is O(n log n) in that operand.
 class MinEndTable {
  public:
   explicit MinEndTable(const std::vector<Region>& regions) {
@@ -72,110 +76,43 @@ class MinEndTable {
   std::vector<std::vector<uint64_t>> table_;
 };
 
-// Index range [lo, hi) of members whose start lies in [min_start, max_start].
-std::pair<size_t, size_t> StartWindow(const std::vector<Region>& v,
-                                      uint64_t min_start,
-                                      uint64_t max_start) {
-  auto lo = std::lower_bound(
-      v.begin(), v.end(), min_start,
-      [](const Region& r, uint64_t s) { return r.start < s; });
-  auto hi = std::upper_bound(
-      v.begin(), v.end(), max_start,
-      [](uint64_t s, const Region& r) { return s < r.start; });
-  return {static_cast<size_t>(lo - v.begin()),
-          static_cast<size_t>(hi - v.begin())};
-}
-
-// Index of the exact span in a canonical vector, or npos.
-size_t FindExact(const std::vector<Region>& v, const Region& r) {
-  auto it = std::lower_bound(v.begin(), v.end(), r);
-  if (it != v.end() && *it == r) return static_cast<size_t>(it - v.begin());
-  return static_cast<size_t>(-1);
-}
-
-// Shared implementation of R ⊃ S (strict=false) and its strict variant.
-RegionSet IncludingImpl(const RegionSet& r, const RegionSet& s, bool strict) {
-  std::vector<Region> out;
-  if (r.empty() || s.empty()) return RegionSet();
-  const std::vector<Region>& sv = s.regions();
-  MinEndTable min_end(sv);
-  for (const Region& cand : r) {
-    auto [lo, hi] = StartWindow(sv, cand.start, cand.end);
-    bool hit;
-    if (!strict) {
-      hit = min_end.Min(lo, hi) <= cand.end;
-    } else {
-      size_t self = FindExact(sv, cand);
-      if (self >= lo && self < hi) {
-        hit = std::min(min_end.Min(lo, self), min_end.Min(self + 1, hi)) <=
-              cand.end;
-      } else {
-        hit = min_end.Min(lo, hi) <= cand.end;
-      }
-    }
-    if (hit) out.push_back(cand);
-  }
-  return RegionSet::FromSortedUnique(std::move(out));
-}
-
-// Shared implementation of R ⊂ S and its strict variant.
-RegionSet IncludedInImpl(const RegionSet& r, const RegionSet& s,
-                         bool strict) {
-  std::vector<Region> out;
-  if (r.empty() || s.empty()) return RegionSet();
-  const std::vector<Region>& sv = s.regions();
-  // prefix_max[i] = max end over sv[0..i).
-  std::vector<uint64_t> prefix_max(sv.size() + 1, 0);
-  for (size_t i = 0; i < sv.size(); ++i) {
-    prefix_max[i + 1] = std::max(prefix_max[i], sv[i].end);
-  }
-  for (const Region& cand : r) {
-    // Candidates that may contain `cand` have start <= cand.start, i.e.
-    // indices [0, hi).
-    auto hi_it = std::upper_bound(
-        sv.begin(), sv.end(), cand.start,
-        [](uint64_t p, const Region& x) { return p < x.start; });
-    size_t hi = static_cast<size_t>(hi_it - sv.begin());
-    bool hit = prefix_max[hi] >= cand.end;
-    if (hit && strict) {
-      // The only member of sv[0,hi) that weakly-but-not-strictly contains
-      // `cand` is the identical span; re-check excluding it.
-      size_t self = FindExact(sv, cand);
-      if (self < hi) {
-        uint64_t best = prefix_max[self];  // max over [0, self)
-        for (size_t j = self + 1; j < hi && sv[j].start == cand.start; ++j) {
-          best = std::max(best, sv[j].end);
-        }
-        // Members after `self` with the same start have smaller ends (and
-        // cannot contain cand); members with larger start are not in [0,hi).
-        hit = best >= cand.end;
-      }
-    }
-    if (hit) out.push_back(cand);
-  }
-  return RegionSet::FromSortedUnique(std::move(out));
-}
-
-// --- galloping kernels ----------------------------------------------------
+// --- cursor kernels -------------------------------------------------------
 //
-// Each probes the small operand into the large one: a forward exponential
-// search from the previous match position, then a binary search over the
-// bracketed range — O(m log(n/m)) total instead of the linear merge's
-// O(m + n). All outputs are produced in canonical order (debug-asserted);
-// results are identical to the linear kernels under every policy.
+// Every kernel below walks one operand in canonical order and keeps
+// forward cursors into the other. The bound each member needs only moves
+// forward, so each search gallops from where the previous one stopped:
+// m probes into n members cost O(m log(n/m)) in searches, and no loop
+// re-searches the other operand from its start. All outputs are produced
+// in canonical order and are identical under every kernel policy.
 
-/// First index >= `from` whose region is not less than `key` (canonical
-/// order), found by galloping forward from `from`.
-size_t GallopLowerBound(const std::vector<Region>& v, size_t from,
-                        const Region& key) {
-  size_t n = v.size();
-  size_t lo = from;
+/// First index >= `from` whose member is not before `key` canonically.
+size_t LowerBound(const std::vector<Region>& v, size_t from,
+                  const Region& key) {
+  return GallopForward(v, from, [&](const Region& x) { return x < key; });
+}
+
+/// First index >= `from` whose member starts after `pos`.
+size_t StartsAfter(const std::vector<Region>& v, size_t from, uint64_t pos) {
+  return GallopForward(v, from,
+                       [&](const Region& x) { return x.start <= pos; });
+}
+
+/// Lower bound of `key` searched outward from `pos`: forward when the
+/// bound lies past `pos`, otherwise a backward gallop. For probes that
+/// mostly move forward but occasionally step back a little (enclosers
+/// of canonically ordered members), the cost is logarithmic in the
+/// distance moved.
+size_t SeekLowerBound(const std::vector<Region>& v, size_t pos,
+                      const Region& key) {
+  pos = std::min(pos, v.size());
+  if (pos == 0 || v[pos - 1] < key) return LowerBound(v, pos, key);
+  size_t hi = pos - 1;  // v[hi] is not before key
   size_t step = 1;
-  while (from + step < n && v[from + step] < key) {
-    lo = from + step;
+  while (hi >= step && !(v[hi - step] < key)) {
+    hi -= step;
     step <<= 1;
   }
-  size_t hi = std::min(n, from + step);
+  const size_t lo = hi >= step ? hi - step : 0;
   return static_cast<size_t>(
       std::lower_bound(v.begin() + static_cast<long>(lo),
                        v.begin() + static_cast<long>(hi), key) -
@@ -189,7 +126,7 @@ RegionSet GallopIntersect(const RegionSet& a, const RegionSet& b) {
   const std::vector<Region>& bv = b.regions();
   size_t pos = 0;
   for (const Region& x : a) {
-    pos = GallopLowerBound(bv, pos, x);
+    pos = LowerBound(bv, pos, x);
     if (pos == bv.size()) break;
     if (bv[pos] == x) {
       assert((out.empty() || out.back() < x) &&
@@ -209,7 +146,7 @@ RegionSet GallopDifference(const RegionSet& a, const RegionSet& b) {
   const std::vector<Region>& bv = b.regions();
   size_t pos = 0;
   for (const Region& x : a) {
-    pos = GallopLowerBound(bv, pos, x);
+    pos = LowerBound(bv, pos, x);
     if (pos == bv.size() || !(bv[pos] == x)) {
       assert((out.empty() || out.back() < x) &&
              "galloping difference broke canonical order");
@@ -219,99 +156,119 @@ RegionSet GallopDifference(const RegionSet& a, const RegionSet& b) {
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
-/// R ⊃ S with |r| ≪ |s|: instead of building the range-min table over all
-/// of `s`, binary-search each candidate's start window and scan it with an
-/// early exit at the first contained member. When the windows blow past
-/// |s| in total (pathologically overlapping operands) the scan bails to
-/// the table-based kernel, bounding the worst case at ~2x linear.
-RegionSet GallopIncluding(const RegionSet& r, const RegionSet& s,
-                          bool strict) {
+/// The one R ⊃ S kernel, for ⊃, its strict variant and (with
+/// `keep_including` false, r = s, strict) ι. A member of `s` inside a
+/// candidate c sorts at or after c canonically (an equal start means a
+/// smaller end) and starts at or before c.end, so each candidate's window
+/// begins at a forward cursor. The window is scanned with an exit at the
+/// first contained member. Scans are budgeted at |r| + |s| members in
+/// total; past that (deeply nested r over long-ending s members) the
+/// remaining candidates are answered from a range-min table over the s
+/// ends, O(1) each after an O(|s| log |s|) build, with the same cursor.
+RegionSet IncludingKernel(const RegionSet& r, const RegionSet& s,
+                          bool strict, bool keep_including) {
   std::vector<Region> out;
   out.reserve(r.size());
   const std::vector<Region>& sv = s.regions();
-  size_t scanned = 0;
-  for (const Region& cand : r) {
-    auto [lo, hi] = StartWindow(sv, cand.start, cand.end);
-    for (size_t i = lo; i < hi; ++i) {
-      if (++scanned > sv.size()) return IncludingImpl(r, s, strict);
-      if (sv[i].end > cand.end) continue;
-      if (strict && sv[i] == cand) continue;
-      assert((out.empty() || out.back() < cand) &&
-             "galloping including broke canonical order");
-      out.push_back(cand);
-      break;
-    }
-  }
-  return RegionSet::FromSortedUnique(std::move(out));
-}
-
-/// R ⊂ S with |r| ≪ |s|: the prefix-max over `s` ends is built
-/// incrementally, advancing a cursor only as far as the candidates'
-/// (nondecreasing) start positions require — s-members past the last
-/// candidate's start are never touched.
-RegionSet GallopIncludedInSmallR(const RegionSet& r, const RegionSet& s,
-                                 bool strict) {
-  std::vector<Region> out;
-  out.reserve(r.size());
-  const std::vector<Region>& sv = s.regions();
-  size_t cursor = 0;          // sv[0, cursor) folded into the maxima below
-  uint64_t max_end = 0;       // max end over sv[0, cursor)
-  uint64_t second_end = 0;    // max end over sv[0, cursor) minus one
-                              // occurrence of the max (for strict)
-  for (const Region& cand : r) {
-    // Fold in the s-members with start <= cand.start.
-    while (cursor < sv.size() && sv[cursor].start <= cand.start) {
-      if (sv[cursor].end >= max_end) {
-        second_end = max_end;
-        max_end = sv[cursor].end;
+  const size_t n = sv.size();
+  size_t lo = 0;
+  size_t budget = r.size() + n;
+  std::optional<MinEndTable> min_end;
+  for (const Region& c : r) {
+    lo = LowerBound(sv, lo, c);
+    size_t i = strict && lo < n && sv[lo] == c ? lo + 1 : lo;
+    bool hit = false;
+    if (!min_end) {
+      // Skip the window's members that end past c.
+      while (budget > 0 && i < n && sv[i].start <= c.end &&
+             sv[i].end > c.end) {
+        ++i;
+        --budget;
+      }
+      if (budget == 0) {
+        min_end.emplace(sv);
       } else {
-        second_end = std::max(second_end, sv[cursor].end);
-      }
-      ++cursor;
-    }
-    bool hit = max_end >= cand.end;
-    if (hit && strict && max_end == cand.end) {
-      // The maximum may be the identical span; a strict container exists
-      // iff some *other* folded member also reaches cand.end, or the max
-      // was achieved by a non-identical span (earlier start or duplicate
-      // end at a different start).
-      size_t self = FindExact(sv, cand);
-      if (self < cursor) {
-        hit = second_end >= cand.end;
-        // A member with the same end but a different (earlier) start
-        // strictly contains cand and also counts; second_end covers it
-        // because the identical span displaces only one occurrence.
+        hit = i < n && sv[i].start <= c.end;
       }
     }
-    if (hit) {
-      assert((out.empty() || out.back() < cand) &&
-             "galloping included-in broke canonical order");
-      out.push_back(cand);
-    }
+    if (min_end) hit = min_end->Min(i, StartsAfter(sv, i, c.end)) <= c.end;
+    if (hit == keep_including) out.push_back(c);
   }
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
-/// R ⊂ S with |s| ≪ |r|: enumerate each container's start window in `r`
-/// and keep the members it contains, deduplicating across overlapping
-/// containers by index. Bails to the linear kernel when the windows blow
-/// past |r| in total.
-RegionSet GallopIncludedInSmallS(const RegionSet& r, const RegionSet& s,
-                                 bool strict) {
+/// R ⊂ S by one r-driven pass: a running maximum of s ends over the
+/// members starting at or before each candidate (the fallback of
+/// IncludedInKernel). For the strict variant the second-largest end is
+/// kept too, and a cursor tells whether the candidate itself is in `s`.
+RegionSet IncludedInFold(const RegionSet& r, const RegionSet& s,
+                         bool strict) {
+  std::vector<Region> out;
+  out.reserve(r.size());
+  const std::vector<Region>& sv = s.regions();
+  size_t folded = 0;          // sv[0, folded) folded into the maxima below
+  uint64_t max_end = 0;       // max end over sv[0, folded)
+  uint64_t second_end = 0;    // max end over sv[0, folded) minus one
+                              // occurrence of the max (for strict)
+  size_t self = 0;            // lower bound of the candidate in sv
+  for (const Region& cand : r) {
+    for (; folded < sv.size() && sv[folded].start <= cand.start; ++folded) {
+      if (sv[folded].end >= max_end) {
+        second_end = max_end;
+        max_end = sv[folded].end;
+      } else {
+        second_end = std::max(second_end, sv[folded].end);
+      }
+    }
+    bool hit = folded > 0 && max_end >= cand.end;
+    if (hit && strict && max_end == cand.end) {
+      // The maximum may be the identical span; then a strict container
+      // exists iff another folded member also reaches cand.end (the
+      // identical span displaces only one occurrence of the max).
+      self = LowerBound(sv, self, cand);
+      if (self < sv.size() && sv[self] == cand) hit = second_end >= cand.end;
+    }
+    if (hit) out.push_back(cand);
+  }
+  return RegionSet::FromSortedUnique(std::move(out));
+}
+
+/// The R ⊂ S kernel, container-driven: each member c of `s` collects the
+/// members of `r` in its window, which begins at c's forward cursor into
+/// `r` (a contained member sorts at or after c) and ends at the first
+/// member starting past c.end. A container inside an earlier one adds
+/// nothing and is skipped, as is every container starting past the last
+/// member of `r`. Only overlapping containers rescan part of a window;
+/// once the scans pass |r| + |s| members the r-driven fold takes over.
+RegionSet IncludedInKernel(const RegionSet& r, const RegionSet& s,
+                           bool strict) {
   const std::vector<Region>& rv = r.regions();
   std::vector<size_t> hits;
-  size_t scanned = 0;
-  for (const Region& container : s) {
-    auto [lo, hi] = StartWindow(rv, container.start, container.end);
-    for (size_t i = lo; i < hi; ++i) {
-      if (++scanned > rv.size()) return IncludedInImpl(r, s, strict);
-      if (rv[i].end > container.end) continue;
-      if (strict && rv[i] == container) continue;
-      hits.push_back(i);
+  size_t lo = 0;
+  size_t budget = rv.size() + s.size();
+  size_t scanned_to = 0;  // one past the furthest member any window saw
+  bool overlapped = false;
+  bool first = true;
+  uint64_t reach = 0;     // largest end over the containers so far
+  const uint64_t last_start = rv.back().start;
+  for (const Region& c : s) {
+    if (c.start > last_start) break;
+    if (!first && c.end <= reach) continue;
+    first = false;
+    reach = c.end;
+    lo = LowerBound(rv, lo, c);
+    overlapped = overlapped || lo < scanned_to;
+    size_t i = lo;
+    for (; i < rv.size() && rv[i].start <= c.end; ++i) {
+      if (budget-- == 0) return IncludedInFold(r, s, strict);
+      if (rv[i].end <= c.end && !(strict && rv[i] == c)) hits.push_back(i);
     }
+    scanned_to = std::max(scanned_to, i);
   }
-  std::sort(hits.begin(), hits.end());
-  hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+  if (overlapped) {
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+  }
   std::vector<Region> out;
   out.reserve(hits.size());
   for (size_t i : hits) out.push_back(rv[i]);
@@ -340,7 +297,7 @@ RegionSet RegionSet::FromSortedUnique(std::vector<Region> regions) {
 }
 
 bool RegionSet::ContainsRegion(const Region& r) const {
-  return FindExact(regions_, r) != static_cast<size_t>(-1);
+  return std::binary_search(regions_.begin(), regions_.end(), r);
 }
 
 size_t RegionSet::EraseStartsIn(uint64_t begin, uint64_t end) {
@@ -405,6 +362,39 @@ RegionSet Union(const RegionSet& a, const RegionSet& b) {
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
+RegionSet UnionAll(const std::vector<const RegionSet*>& sets) {
+  // k-way merge: a min-heap holds one cursor per non-empty input, keyed
+  // by the member it points at; each output step pops the least member,
+  // skips it when it repeats the last output, and pushes the cursor back.
+  struct Cursor {
+    const Region* at;
+    const Region* end;
+  };
+  auto later = [](const Cursor& a, const Cursor& b) { return *b.at < *a.at; };
+  std::vector<Cursor> heap;
+  size_t total = 0;
+  for (const RegionSet* set : sets) {
+    if (set->empty()) continue;
+    heap.push_back({set->regions().data(),
+                    set->regions().data() + set->size()});
+    total += set->size();
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::vector<Region> out;
+  out.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& c = heap.back();
+    if (out.empty() || out.back() < *c.at) out.push_back(*c.at);
+    if (++c.at == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  return RegionSet::FromSortedUnique(std::move(out));
+}
+
 void SetKernelPolicy(KernelPolicy policy) {
   KernelPolicyFlag().store(policy, std::memory_order_relaxed);
 }
@@ -440,19 +430,8 @@ RegionSet Difference(const RegionSet& a, const RegionSet& b) {
 }
 
 RegionSet Innermost(const RegionSet& r) {
-  std::vector<Region> out;
-  const std::vector<Region>& v = r.regions();
-  MinEndTable min_end(v);
-  for (size_t i = 0; i < v.size(); ++i) {
-    // Any member contained in v[i] appears after i (canonical order) with
-    // start <= v[i].end; it is contained iff its end <= v[i].end.
-    auto hi_it = std::upper_bound(
-        v.begin() + i + 1, v.end(), v[i].end,
-        [](uint64_t p, const Region& x) { return p < x.start; });
-    size_t hi = static_cast<size_t>(hi_it - v.begin());
-    if (min_end.Min(i + 1, hi) > v[i].end) out.push_back(v[i]);
-  }
-  return RegionSet::FromSortedUnique(std::move(out));
+  // ι(R): the members of r that strictly include no member of r.
+  return IncludingKernel(r, r, /*strict=*/true, /*keep_including=*/false);
 }
 
 RegionSet Outermost(const RegionSet& r) {
@@ -462,57 +441,28 @@ RegionSet Outermost(const RegionSet& r) {
   for (const Region& cand : v) {
     // Any member containing cand appears before it (canonical order) and
     // contains it iff its end >= cand.end.
-    if (max_end < cand.end) out.push_back(cand);
+    if (out.empty() || max_end < cand.end) out.push_back(cand);
     max_end = std::max(max_end, cand.end);
   }
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
-namespace {
-
-/// Shared adaptive dispatch for ⊃ and its strict variant. Only the
-/// r-small case has a galloping kernel: the table-based kernel's work is
-/// dominated by iterating r, which the output is drawn from.
-RegionSet IncludingDispatch(const RegionSet& r, const RegionSet& s,
-                            bool strict) {
-  if (r.empty() || s.empty()) return RegionSet();
-  if (r.size() <= s.size() && UseGalloping(r.size(), s.size())) {
-    return GallopIncluding(r, s, strict);
-  }
-  return IncludingImpl(r, s, strict);
-}
-
-/// Shared adaptive dispatch for ⊂ and its strict variant; both skew
-/// directions have galloping kernels.
-RegionSet IncludedInDispatch(const RegionSet& r, const RegionSet& s,
-                             bool strict) {
-  if (r.empty() || s.empty()) return RegionSet();
-  if (r.size() <= s.size()) {
-    if (UseGalloping(r.size(), s.size())) {
-      return GallopIncludedInSmallR(r, s, strict);
-    }
-  } else if (UseGalloping(s.size(), r.size())) {
-    return GallopIncludedInSmallS(r, s, strict);
-  }
-  return IncludedInImpl(r, s, strict);
-}
-
-}  // namespace
-
 RegionSet Including(const RegionSet& r, const RegionSet& s) {
-  return IncludingDispatch(r, s, /*strict=*/false);
+  return IncludingKernel(r, s, /*strict=*/false, /*keep_including=*/true);
 }
 
 RegionSet IncludedIn(const RegionSet& r, const RegionSet& s) {
-  return IncludedInDispatch(r, s, /*strict=*/false);
+  if (r.empty() || s.empty()) return RegionSet();
+  return IncludedInKernel(r, s, /*strict=*/false);
 }
 
 RegionSet IncludingStrict(const RegionSet& r, const RegionSet& s) {
-  return IncludingDispatch(r, s, /*strict=*/true);
+  return IncludingKernel(r, s, /*strict=*/true, /*keep_including=*/true);
 }
 
 RegionSet IncludedInStrict(const RegionSet& r, const RegionSet& s) {
-  return IncludedInDispatch(r, s, /*strict=*/true);
+  if (r.empty() || s.empty()) return RegionSet();
+  return IncludedInKernel(r, s, /*strict=*/true);
 }
 
 ParentTable BuildParentTable(const RegionSet& universe) {
@@ -552,7 +502,7 @@ class EncloserProbe {
   /// for a zero-length one.
   template <typename Emit>
   void Enclosers(const Region& q, Emit&& emit) {
-    pos_ = GallopLowerBound(uv_, pos_, q);  // first member not before q
+    pos_ = LowerBound(uv_, pos_, q);  // first member not before q
     if (q.end > q.start) {
       // Every encloser of q precedes it canonically and stays on the
       // parent chain of the last member not after q (nothing before q
@@ -572,7 +522,7 @@ class EncloserProbe {
     // enclosers. Members starting at x and ending after it form a nested
     // run just before q; its last member is the innermost right encloser.
     const uint64_t x = q.start;
-    start_pos_ = GallopLowerBound(uv_, start_pos_, Region{x, UINT64_MAX});
+    start_pos_ = LowerBound(uv_, start_pos_, Region{x, UINT64_MAX});
     const bool right = pos_ > start_pos_;
     if (right) emit(static_cast<uint32_t>(pos_ - 1));
     // Every member that starts before x and reaches x is on the parent
@@ -632,11 +582,17 @@ RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
                            const ParentTable& parents) {
   if (r.empty() || s.empty()) return RegionSet();
   EncloserProbe probe(universe, parents);
+  const std::vector<Region>& sv = s.regions();
   std::vector<Region> out;
+  // Enclosers of canonically ordered members mostly move forward and
+  // step back only to an ancestor of an earlier one, so each lookup in
+  // `s` seeks outward from the previous one's position.
+  size_t pos = 0;
   for (const Region& q : r) {
     bool keep = false;
     probe.Enclosers(q, [&](uint32_t e) {
-      keep = keep || s.ContainsRegion(universe[e]);
+      pos = SeekLowerBound(sv, pos, universe[e]);
+      keep = keep || (pos < sv.size() && sv[pos] == universe[e]);
     });
     if (keep) out.push_back(q);
   }

@@ -15,8 +15,10 @@ namespace qof {
 /// (paper §3.1: "with no restrictions on overlaps").
 ///
 /// All the region-algebra primitives of §3.1 are provided as free functions
-/// below; each is a sorted-merge / sweep algorithm whose cost is linear or
-/// O(n log n) in its inputs — never proportional to the underlying text.
+/// below. Each walks one operand in canonical order with forward
+/// galloping cursors into the other (a sorted merge whose searches cost
+/// O(log d) for a cursor that moves d places), so its cost is linear in
+/// the operands or better — never proportional to the underlying text.
 class RegionSet {
  public:
   RegionSet() = default;
@@ -71,11 +73,13 @@ class RegionSet {
   std::vector<Region> regions_;
 };
 
-/// Which merge kernel the binary set operations (∪ ∩ − ⊃ ⊂) use.
+/// Which merge kernel ∩ and − use, and which direction the selection
+/// kernels (select_kernels.h) iterate in. ⊃, ⊂ and ι have one cursor
+/// kernel each, which already adapts to skew, and ignore the policy.
 ///
-/// The linear kernels cost O(m + n) or O(n log n) regardless of operand
-/// skew; the galloping (exponential-search) kernels probe the small
-/// operand into the large one in O(m log n), which wins exactly when
+/// The linear kernels cost O(m + n) regardless of operand skew; the
+/// galloping (exponential-search) kernels probe the small operand into
+/// the large one in O(m log(n/m)), which wins exactly when
 /// min(m, n) ≪ max(m, n) — the shape indexed containment queries produce
 /// (a handful of selected regions against a full instance).
 enum class KernelPolicy {
@@ -102,19 +106,34 @@ KernelPolicy kernel_policy();
 
 /// Set-theoretic union of two region sets.
 RegionSet Union(const RegionSet& a, const RegionSet& b);
+/// Union of any number of sets by one k-way heap merge: O(N log k) for N
+/// members over k sets, each written once, where folding Union one set
+/// at a time re-copies the growing result on every step.
+RegionSet UnionAll(const std::vector<const RegionSet*>& sets);
 /// Set-theoretic intersection (identical spans).
 RegionSet Intersect(const RegionSet& a, const RegionSet& b);
 /// Members of `a` whose span does not occur in `b`.
 RegionSet Difference(const RegionSet& a, const RegionSet& b);
 
 /// ι(R): members that contain no *other* member (paper's innermost).
+/// Runs the ⊃ kernel of r against itself.
 RegionSet Innermost(const RegionSet& r);
 /// ω(R): members contained in no *other* member (paper's outermost).
+/// One pass with a running maximum end.
 RegionSet Outermost(const RegionSet& r);
 
 /// R ⊃ S: members of `r` that (weakly) contain some member of `s`.
+/// Each member of `r` gallops a cursor into `s` and scans its start
+/// window up to the first contained member: O(|r| log(1 + |s|/|r|))
+/// searches plus the scans. The scans are budgeted at |r| + |s| members;
+/// past that (deeply nested r over long-ending s) a range-min table over
+/// `s` answers the rest, so the worst case is O(|r| + |s| log |s|).
 RegionSet Including(const RegionSet& r, const RegionSet& s);
 /// R ⊂ S: members of `r` (weakly) contained in some member of `s`.
+/// Each member of `s` not inside an earlier one gallops a cursor into
+/// `r` and collects its window; overlapping containers that rescan more
+/// than |r| + |s| members in total hand over to one r-driven pass with a
+/// running maximum of `s` ends, so the worst case is O(|r| + |s|).
 RegionSet IncludedIn(const RegionSet& r, const RegionSet& s);
 
 /// Strict variants (the containing/contained member must differ). Used by
@@ -160,9 +179,11 @@ RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
 
 /// R ⊂d S: members of `r` directly included in some member of `s`. Same
 /// probe as DirectlyIncluding with the roles swapped: each member of `r`
-/// is probed and kept when one of its direct enclosers is in `s`. Cost
-/// O(|r| (log(|U|/|r|) + log |s|) + chain steps). Preconditions as above,
-/// with `s` the side that must occur in the universe.
+/// is probed and kept when one of its direct enclosers is in `s`, looked
+/// up by a seek from the previous encloser's position in `s`. Cost
+/// O(|r| log(|U|/|r|) + chain steps) plus O(log d) per seek of d places.
+/// Preconditions as above, with `s` the side that must occur in the
+/// universe.
 RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
                            const RegionSet& universe,
                            const ParentTable& parents);

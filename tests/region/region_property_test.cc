@@ -217,6 +217,40 @@ RegionSet RandomSubset(std::mt19937& rng, const RegionSet& base,
   return RegionSet::FromUnsorted(std::move(v));
 }
 
+// A laminar family of at least `n` members from a random walk over a
+// stack of open regions: each step advances 0–3 bytes, then opens a
+// member, closes the innermost open one or drops a zero-length span.
+// Zero-byte steps make same-start groups, touching siblings and
+// zero-length spans on member boundaries.
+RegionSet RandomLaminarOfSize(std::mt19937& rng, size_t n) {
+  std::uniform_int_distribution<uint64_t> step(0, 3);
+  std::uniform_int_distribution<int> action(0, 9);
+  std::vector<Region> out;
+  std::vector<uint64_t> open;
+  uint64_t pos = 0;
+  while (out.size() < n || !open.empty()) {
+    pos += step(rng);
+    const int a = out.size() < n ? action(rng) : 8;
+    if (a < 4) {
+      open.push_back(pos);
+    } else if (a < 9 && !open.empty()) {
+      out.push_back({open.back(), pos});
+      open.pop_back();
+    } else {
+      out.push_back({pos, pos});
+    }
+  }
+  return RegionSet::FromUnsorted(std::move(out));
+}
+
+// `k` distinct members of `base` drawn at random (all when k >= |base|).
+RegionSet Sample(std::mt19937& rng, const RegionSet& base, size_t k) {
+  std::vector<Region> v = base.regions();
+  std::shuffle(v.begin(), v.end(), rng);
+  v.resize(std::min(k, v.size()));
+  return RegionSet::FromUnsorted(std::move(v));
+}
+
 class RegionPropertyTest : public ::testing::TestWithParam<uint32_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionPropertyTest,
@@ -352,6 +386,116 @@ TEST_P(RegionPropertyTest, DirectImpliesSimpleInclusion) {
     // ⊃d refines ⊃: every direct includer is an includer.
     EXPECT_EQ(Intersect(direct, simple), direct);
   }
+}
+
+// Checks ⊃, ⊂, their strict variants and ι against the oracles.
+void ExpectInclusionMatchesOracle(const RegionSet& r, const RegionSet& s) {
+  EXPECT_EQ(Including(r, s), OracleIncluding(r, s, false))
+      << "r=" << r.ToString() << "\ns=" << s.ToString();
+  EXPECT_EQ(IncludingStrict(r, s), OracleIncluding(r, s, true))
+      << "r=" << r.ToString() << "\ns=" << s.ToString();
+  EXPECT_EQ(IncludedIn(r, s), OracleIncludedIn(r, s, false))
+      << "r=" << r.ToString() << "\ns=" << s.ToString();
+  EXPECT_EQ(IncludedInStrict(r, s), OracleIncludedIn(r, s, true))
+      << "r=" << r.ToString() << "\ns=" << s.ToString();
+  EXPECT_EQ(Innermost(r), OracleInnermost(r)) << r.ToString();
+  EXPECT_EQ(Outermost(r), OracleOutermost(r)) << r.ToString();
+}
+
+TEST_P(RegionPropertyTest, CursorKernelsMatchOracleAcrossSkews) {
+  // The cursor kernels gallop through the larger operand, so skew decides
+  // how far each probe jumps. Laminar operands are subsets of one parse
+  // -tree-shaped family; overlapping ones are arbitrary spans, a quarter
+  // of them zero-length.
+  std::mt19937 rng(GetParam() + 8000);
+  for (size_t ratio : {1, 10, 100, 1000}) {
+    const size_t large = ratio == 1 ? 60 : 1000;
+    const size_t small = large / ratio;
+    RegionSet family = RandomLaminarOfSize(rng, 2 * large);
+    ASSERT_TRUE(family.IsLaminar());
+    RegionSet lam_small = Sample(rng, family, small);
+    RegionSet lam_large = Sample(rng, family, large);
+    ExpectInclusionMatchesOracle(lam_small, lam_large);
+    ExpectInclusionMatchesOracle(lam_large, lam_small);
+    const uint64_t extent = family.regions().back().end;
+    RegionSet ovl_small = Sample(
+        rng, RandomSpans(rng, static_cast<int>(4 * small), extent), small);
+    RegionSet ovl_large = Sample(
+        rng, RandomSpans(rng, static_cast<int>(4 * large), extent), large);
+    ExpectInclusionMatchesOracle(ovl_small, ovl_large);
+    ExpectInclusionMatchesOracle(ovl_large, ovl_small);
+    ExpectInclusionMatchesOracle(lam_small, ovl_large);
+    ExpectInclusionMatchesOracle(ovl_large, lam_small);
+  }
+}
+
+TEST(RegionPropertyEdgeTest, DeepNestingOverLongEndsFallsBack) {
+  // r is a 300-deep chain; s holds a member starting inside every link
+  // and ending past all of them, plus one short member at the core.
+  // Every ⊃ window scans the long members first, which overruns the
+  // |r| + |s| scan budget and hands over to the range-min table.
+  std::vector<Region> chain, spans;
+  for (uint64_t i = 0; i < 300; ++i) {
+    chain.push_back({i, 1000 - i});
+    spans.push_back({i, 5000 + i});
+  }
+  spans.push_back({450, 460});
+  RegionSet r = RegionSet::FromUnsorted(chain);
+  RegionSet s = RegionSet::FromUnsorted(spans);
+  EXPECT_EQ(Including(r, s), r);
+  ExpectInclusionMatchesOracle(r, s);
+  ExpectInclusionMatchesOracle(s, r);
+  ExpectInclusionMatchesOracle(Union(r, s), s);
+  // Without the core member nothing of r includes anything of s.
+  spans.pop_back();
+  RegionSet s_long = RegionSet::FromUnsorted(spans);
+  EXPECT_TRUE(Including(r, s_long).empty());
+  ExpectInclusionMatchesOracle(r, s_long);
+  // A same-start chain: every member's window starts at the longer ones.
+  std::vector<Region> same_start;
+  for (uint64_t i = 1; i <= 400; ++i) same_start.push_back({0, i});
+  ExpectInclusionMatchesOracle(RegionSet::FromUnsorted(same_start), s);
+  // ⊂ with heavily overlapping containers: every window overlaps the
+  // previous one, which overruns the budget of the container-driven scan.
+  std::vector<Region> containers, words;
+  for (uint64_t k = 0; k < 300; ++k) containers.push_back({k, k + 200});
+  for (uint64_t k = 0; k < 600; ++k) words.push_back({k, k + 3});
+  ExpectInclusionMatchesOracle(RegionSet::FromUnsorted(words),
+                               RegionSet::FromUnsorted(containers));
+}
+
+TEST(RegionPropertyEdgeTest, ZeroLengthSpansOnBoundaries) {
+  // Zero-length spans at position 0, on the ends of their neighbours and
+  // between touching siblings.
+  RegionSet r = RegionSet::FromUnsorted(
+      {{0, 0}, {0, 5}, {5, 5}, {5, 10}, {10, 10}, {0, 10}, {3, 3}});
+  RegionSet s = RegionSet::FromUnsorted({{0, 0}, {5, 5}, {10, 10}});
+  RegionSet t = RegionSet::FromUnsorted({{0, 5}, {5, 10}, {10, 12}});
+  for (const RegionSet* a : {&r, &s, &t}) {
+    for (const RegionSet* b : {&r, &s, &t}) {
+      ExpectInclusionMatchesOracle(*a, *b);
+    }
+  }
+  EXPECT_EQ(Outermost(RegionSet::FromUnsorted({{0, 0}})),
+            RegionSet::FromUnsorted({{0, 0}}));
+  EXPECT_TRUE(IncludedIn(RegionSet::FromUnsorted({{0, 0}}),
+                         RegionSet::FromUnsorted({{1, 1}}))
+                  .empty());
+}
+
+TEST_P(RegionPropertyTest, UnionAllMatchesFoldedUnion) {
+  std::mt19937 rng(GetParam() + 9000);
+  std::uniform_int_distribution<int> count(0, 9);
+  std::vector<RegionSet> sets(static_cast<size_t>(count(rng)));
+  for (RegionSet& set : sets) set = RandomSpans(rng, 40, 200);
+  if (!sets.empty()) sets.push_back(sets.front());  // duplicate members
+  std::vector<const RegionSet*> inputs;
+  RegionSet folded;
+  for (const RegionSet& set : sets) {
+    inputs.push_back(&set);
+    folded = Union(folded, set);
+  }
+  EXPECT_EQ(UnionAll(inputs), folded);
 }
 
 TEST_P(RegionPropertyTest, InnermostOutermostAreIdempotent) {

@@ -1,4 +1,5 @@
-// Query-plan explainer: parses files under a canned schema, builds full
+// Query-plan explainer: parses files under a canned schema or one read
+// from a schema text file (the format ParseSchemaText accepts), builds full
 // indexes, and prints the compiler's plan explanation followed by the
 // dataflow IR pipeline — the program dump (with per-node cardinality and
 // work estimates) after lowering and after each optimizer pass (see
@@ -16,14 +17,18 @@
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
 #include "qof/ir/passes.h"
+#include "qof/schema/schema_text.h"
 #include "qof/util/result.h"
 
 namespace qof {
 namespace {
 
 void PrintUsage(std::ostream& out) {
-  out << "usage: qof_explain --schema KIND --query FQL [options] FILE...\n"
+  out << "usage: qof_explain (--schema KIND | --schema-file PATH) --query FQL\n"
+         "                   [options] FILE...\n"
          "  --schema KIND   canned schema: bibtex | mail | log | outline\n"
+         "  --schema-file PATH\n"
+         "                  schema in the text format of schema_text.h\n"
          "  --query FQL     the SELECT query to explain\n"
          "  --execute       also run the query (auto mode) and print the\n"
          "                  per-operator IR timing counters\n"
@@ -41,8 +46,27 @@ Result<StructuringSchema> SchemaByKind(const std::string& kind) {
                                  "' (want bibtex | mail | log | outline)");
 }
 
+/// Reads a whole file; false when it cannot be opened.
+bool ReadFile(const std::string& path, std::string* contents) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *contents = buffer.str();
+  return true;
+}
+
+Result<StructuringSchema> SchemaFromFile(const std::string& path) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
+    return Status::InvalidArgument("cannot open schema file: " + path);
+  }
+  return ParseSchemaText(text);
+}
+
 int Run(int argc, char** argv) {
   std::string schema_kind;
+  std::string schema_file;
   std::string fql;
   bool execute = false;
   IrPlanOptions ir_options;
@@ -63,6 +87,13 @@ int Run(int argc, char** argv) {
         return 1;
       }
       schema_kind = value;
+    } else if (arg == "--schema-file") {
+      const char* value = next();
+      if (value == nullptr) {
+        PrintUsage(std::cerr);
+        return 1;
+      }
+      schema_file = value;
     } else if (arg == "--query") {
       const char* value = next();
       if (value == nullptr) {
@@ -88,12 +119,14 @@ int Run(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (schema_kind.empty() || fql.empty() || files.empty()) {
+  if (schema_kind.empty() == schema_file.empty() || fql.empty() ||
+      files.empty()) {
     PrintUsage(std::cerr);
     return 1;
   }
 
-  auto schema = SchemaByKind(schema_kind);
+  auto schema = schema_file.empty() ? SchemaByKind(schema_kind)
+                                    : SchemaFromFile(schema_file);
   if (!schema.ok()) {
     std::cerr << schema.status().ToString() << "\n";
     return 2;
@@ -101,14 +134,12 @@ int Run(int argc, char** argv) {
   FileQuerySystem system(*schema);
   system.SetIrOptions(ir_options);
   for (const std::string& path : files) {
-    std::ifstream in(path);
-    if (!in) {
+    std::string contents;
+    if (!ReadFile(path, &contents)) {
       std::cerr << "cannot open file: " << path << "\n";
       return 2;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    Status added = system.AddFile(path, buffer.str());
+    Status added = system.AddFile(path, contents);
     if (!added.ok()) {
       std::cerr << "cannot add " << path << ": " << added.ToString()
                 << "\n";
