@@ -1,16 +1,15 @@
-// Benchmarks backing the parallel-execution + prefetch acceptance
-// targets:
+// Benchmark backing the disk-tier prefetch acceptance target:
 //
 //   1. Skip-table-guided prefetch + ReadPages batching must cut VFS
 //      read calls ≥4× on a scan-heavy disk-tier query (pages_read must
 //      never increase) — prefetch changes I/O batching, not I/O volume.
-//   2. Results must hash-match the serial run at every worker count ×
-//      prefetch setting: the morsel scheduler is invisible in answers.
+//   2. Results must hash-match with prefetch on and off.
 //
-// The corpus is the deterministic grammar-model bench corpus (Zipf-
-// skewed words, regenerated from a seed — nothing checked in). On the
-// 1-core CI runner the wall-clock columns are informational; the gated
-// metrics are I/O counts and result hashes.
+// Both configurations run the query serially on one thread (`_w1` in the
+// config names). The corpus is the deterministic grammar-model bench
+// corpus (Zipf-skewed words, regenerated from a seed — nothing checked
+// in). The wall-clock column is informational; the gated metrics are
+// I/O counts and result hashes.
 //
 // Usage: bench_parallel_exec [--json <path>] [--mb <corpus MiB>]
 //   default path: BENCH_parallel_exec.json in the current directory;
@@ -41,7 +40,7 @@ using qof::Region;
 
 /// The scan-heavy disk query: two hot-word containments unioned with a
 /// selective equality — long posting streams through the block-skipping
-/// cursor kernels plus an n-ary union the morsel scheduler splits.
+/// cursor kernels plus an n-ary union.
 constexpr const char* kScanHeavyQuery =
     "SELECT x FROM Obj x WHERE x.Beta.ItemA CONTAINS \"apple\" "
     "OR x.Gamma.ItemB.ItemBVal CONTAINS \"baker\" "
@@ -53,7 +52,7 @@ std::string TempPath() {
 }
 
 /// FNV-1a over the result's regions and rendered values — the "results
-/// hash-match the serial run" gate compares these across configs.
+/// hash-match" gate compares these across configs.
 uint64_t ResultHash(const QueryResult& r) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
@@ -109,9 +108,9 @@ std::unique_ptr<FileQuerySystem> OpenCold(const Fixture& fx) {
     if (!system->AddFile(name, text).ok()) std::abort();
   }
   // Pool sized to the query's working set (as a deployment would be):
-  // an undersized pool thrashes under concurrency — prefetched frames
-  // get clock-evicted by other operators before their cursor decodes
-  // them — which measures eviction policy, not prefetch batching.
+  // an undersized pool would let prefetched frames get clock-evicted
+  // before their cursor decodes them, which measures eviction policy,
+  // not prefetch batching.
   qof::PagedStoreOptions store_options;
   store_options.pool_pages = 4096;
   if (!system->OpenStore(fx.store_path, store_options).ok()) {
@@ -166,66 +165,61 @@ int main(int argc, char** argv) {
   std::printf("\n%-28s %10s %10s %10s %10s  %s\n", "config", "micros",
               "pages", "reads", "pf_hits", "hash");
 
-  uint64_t serial_hash = 0;
+  uint64_t first_hash = 0;
   bool hashes_match = true;
   for (bool prefetch : {false, true}) {
-    for (int workers : {1, 2, 4, 8}) {
-      auto system = OpenCold(fx);
-      QueryOptions options;
-      options.use_ir = true;
-      options.exec_workers = workers;
-      options.prefetch = prefetch;
-      double micros = 0;
-      auto result = [&] {
-        auto start = std::chrono::steady_clock::now();
-        auto r = system->Execute(kScanHeavyQuery, ExecutionMode::kAuto,
-                                 options);
-        micros = std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-        return r;
-      }();
-      if (!result.ok()) {
-        std::fprintf(stderr, "bench query failed: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      IoTotals io = SumIo(*result);
-      const qof::BufferPoolStats pool = system->index_stats().pool;
-      std::fprintf(stderr,
-                   "  [pool] fetches=%llu hits=%llu misses=%llu "
-                   "pf_pages=%llu pf_hits=%llu evict=%llu calls=%llu\n",
-                   (unsigned long long)pool.fetches,
-                   (unsigned long long)pool.hits,
-                   (unsigned long long)pool.misses,
-                   (unsigned long long)pool.prefetch_pages,
-                   (unsigned long long)pool.prefetch_hits,
-                   (unsigned long long)pool.evictions,
-                   (unsigned long long)pool.read_calls);
-      uint64_t hash = ResultHash(*result);
-      if (!prefetch && workers == 1) serial_hash = hash;
-      hashes_match = hashes_match && hash == serial_hash;
-
-      std::string config = std::string(prefetch ? "pf_on" : "pf_off") +
-                           "_w" + std::to_string(workers);
-      std::printf("%-28s %10.0f %10llu %10llu %10llu  %016llx\n",
-                  config.c_str(), micros,
-                  static_cast<unsigned long long>(io.pages_read),
-                  static_cast<unsigned long long>(io.read_calls),
-                  static_cast<unsigned long long>(io.prefetch_hits),
-                  static_cast<unsigned long long>(hash));
-      json.Row("parallel_exec", config, "micros", micros);
-      json.Row("parallel_exec", config, "pages_read",
-               static_cast<double>(io.pages_read));
-      json.Row("parallel_exec", config, "read_calls",
-               static_cast<double>(io.read_calls));
-      json.Row("parallel_exec", config, "prefetch_hits",
-               static_cast<double>(io.prefetch_hits));
-      // Double-precision JSON holds the hash exactly only below 2^53;
-      // the low 48 bits are plenty for an equality gate.
-      json.Row("parallel_exec", config, "result_hash_lo48",
-               static_cast<double>(hash & ((1ull << 48) - 1)));
+    auto system = OpenCold(fx);
+    QueryOptions options;
+    options.prefetch = prefetch;
+    double micros = 0;
+    auto result = [&] {
+      auto start = std::chrono::steady_clock::now();
+      auto r = system->Execute(kScanHeavyQuery, ExecutionMode::kAuto,
+                               options);
+      micros = std::chrono::duration<double, std::micro>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+      return r;
+    }();
+    if (!result.ok()) {
+      std::fprintf(stderr, "bench query failed: %s\n",
+                   result.status().ToString().c_str());
+      return 1;
     }
+    IoTotals io = SumIo(*result);
+    const qof::BufferPoolStats pool = system->index_stats().pool;
+    std::fprintf(stderr,
+                 "  [pool] fetches=%llu hits=%llu misses=%llu "
+                 "pf_pages=%llu pf_hits=%llu evict=%llu calls=%llu\n",
+                 (unsigned long long)pool.fetches,
+                 (unsigned long long)pool.hits,
+                 (unsigned long long)pool.misses,
+                 (unsigned long long)pool.prefetch_pages,
+                 (unsigned long long)pool.prefetch_hits,
+                 (unsigned long long)pool.evictions,
+                 (unsigned long long)pool.read_calls);
+    uint64_t hash = ResultHash(*result);
+    if (!prefetch) first_hash = hash;
+    hashes_match = hashes_match && hash == first_hash;
+
+    const std::string config = prefetch ? "pf_on_w1" : "pf_off_w1";
+    std::printf("%-28s %10.0f %10llu %10llu %10llu  %016llx\n",
+                config.c_str(), micros,
+                static_cast<unsigned long long>(io.pages_read),
+                static_cast<unsigned long long>(io.read_calls),
+                static_cast<unsigned long long>(io.prefetch_hits),
+                static_cast<unsigned long long>(hash));
+    json.Row("parallel_exec", config, "micros", micros);
+    json.Row("parallel_exec", config, "pages_read",
+             static_cast<double>(io.pages_read));
+    json.Row("parallel_exec", config, "read_calls",
+             static_cast<double>(io.read_calls));
+    json.Row("parallel_exec", config, "prefetch_hits",
+             static_cast<double>(io.prefetch_hits));
+    // Double-precision JSON holds the hash exactly only below 2^53;
+    // the low 48 bits are plenty for an equality gate.
+    json.Row("parallel_exec", config, "result_hash_lo48",
+             static_cast<double>(hash & ((1ull << 48) - 1)));
   }
   json.Row("parallel_exec", "all", "hashes_match",
            hashes_match ? 1.0 : 0.0);

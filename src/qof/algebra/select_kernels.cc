@@ -31,8 +31,8 @@ bool PostingDriven(size_t posting_count, size_t child_size) {
 // Every loop below walks one side in ascending order and keeps forward
 // cursors into the other, galloping from where the previous search
 // stopped (see GallopForward). The IR calls a kernel once per fused
-// batch or morsel slice, so each call's cursors start at the front and
-// reach their first position in O(log n).
+// batch, so each call's cursors start at the front and reach their
+// first position in O(log n).
 
 /// First posting index >= `from` at or after position `pos`.
 size_t PostingAtOrAfter(const std::vector<TextPos>& postings, size_t from,

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 
 #include "qof/engine/baseline.h"
 #include "qof/engine/condition_eval.h"
@@ -18,57 +15,6 @@
 
 namespace qof {
 namespace {
-
-/// Process-wide engine override: QOF_FORCE_EXEC=tree|ir beats
-/// QueryOptions::use_ir (mirrors QOF_FORCE_KERNEL for the set kernels).
-/// Read once — queries are hot, getenv is not.
-enum class ForcedEngine { kNone, kTree, kIr };
-
-ForcedEngine ForcedExec() {
-  static const ForcedEngine forced = [] {
-    const char* v = std::getenv("QOF_FORCE_EXEC");
-    if (v == nullptr) return ForcedEngine::kNone;
-    if (std::strcmp(v, "tree") == 0) return ForcedEngine::kTree;
-    if (std::strcmp(v, "ir") == 0) return ForcedEngine::kIr;
-    return ForcedEngine::kNone;
-  }();
-  return forced;
-}
-
-/// Process-wide worker override: QOF_EXEC_WORKERS=<n> beats
-/// QueryOptions::exec_workers (0 = one per hardware thread). Read once,
-/// like QOF_FORCE_EXEC. Returns -1 when unset/invalid.
-int ForcedExecWorkers() {
-  static const int forced = [] {
-    const char* v = std::getenv("QOF_EXEC_WORKERS");
-    if (v == nullptr) return -1;
-    char* end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n < 0 || n > 1024) return -1;
-    return static_cast<int>(n);
-  }();
-  return forced;
-}
-
-/// Logical workers this query's IR execution should use: the env
-/// override, else QueryOptions::exec_workers, resolved so 0 means one
-/// worker per hardware thread. Always >= 1.
-int ResolveExecWorkers(const QueryOptions& options) {
-  const int forced = ForcedExecWorkers();
-  return EffectiveParallelism(forced >= 0 ? forced : options.exec_workers);
-}
-
-bool UseIrEngine(const QueryOptions& options) {
-  switch (ForcedExec()) {
-    case ForcedEngine::kTree:
-      return false;
-    case ForcedEngine::kIr:
-      return true;
-    case ForcedEngine::kNone:
-      break;
-  }
-  return options.use_ir;
-}
 
 class Timer {
  public:
@@ -427,10 +373,7 @@ Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
   // Per-query byte accounting: the snapshot's corpus is shared with
   // other concurrent queries (and possibly the live state), so its
   // member counter can't be reset — route this thread's scanning into a
-  // local counter instead. Parallel stages re-install this thread's
-  // scope on every pool worker (IrExecutor and RunTwoPhase both capture
-  // it before dispatch), so the override covers every scan of this query
-  // even on an ephemeral worker pool.
+  // local counter instead.
   std::atomic<uint64_t> scanned{0};
   Corpus::ScanCounterScope scope(&scanned);
   ExecSurface surface;
@@ -445,16 +388,8 @@ Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
   // retained as long as the snapshot lives.
   surface.eval_cache = eval_cache_.get();
   // Snapshot queries run concurrently, so they cannot share the system
-  // pool (ParallelFor is not reentrant across callers); a query asking
-  // for workers gets its own short-lived pool instead.
-  const int exec_workers = ResolveExecWorkers(options);
-  std::unique_ptr<ThreadPool> query_pool;
-  if (exec_workers > 1) {
-    query_pool = std::make_unique<ThreadPool>(exec_workers);
-    surface.pool = query_pool.get();
-  } else {
-    surface.pool = nullptr;
-  }
+  // pool (ParallelFor is not reentrant across callers): they run serial.
+  surface.pool = nullptr;
   surface.scan_counter = &scanned;
   return ExecuteWithSurface(surface, query, mode, options,
                             plans != nullptr ? &key : nullptr,
@@ -532,12 +467,8 @@ Result<QueryResult> FileQuerySystem::ExecuteQueryImpl(
       maintainer_ != nullptr ? maintainer_->stats() : MaintainStats{};
   surface.maintained = maintainer_ != nullptr;
   surface.eval_cache = eval_cache_.get();
-  // One pool serves both parallel surfaces: two-phase candidate
-  // verification (sized by the system parallelism knob) and morsel-driven
-  // IR execution (sized by the query's exec_workers request) — composed
-  // by taking the larger of the two.
-  surface.pool = EnsurePool(std::max(EffectiveParallelism(parallelism_),
-                                     ResolveExecWorkers(options)));
+  // Two-phase candidate verification runs on the system pool.
+  surface.pool = EnsurePool(EffectiveParallelism(parallelism_));
   // The live path owns the corpus counter (no concurrent readers by
   // contract — see AcquireSnapshot's concurrency notes).
   corpus_->ResetBytesRead();
@@ -681,61 +612,30 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
     governed.ResetForFallback();
   };
 
-  // Pick the algebra engine. Both produce identical results (the fuzzer's
-  // IR leg proves it); the IR path lowers the plan's expression legs into
-  // one dataflow program, optimizes it, and evaluates nodes at most once
-  // per query with shared slots across the candidate/projection/join
-  // roots.
-  const bool use_ir = UseIrEngine(options);
-  result.stats.engine = use_ir ? "ir" : "tree";
-  ExprEvaluator evaluator(&surface.built->regions, &surface.built->words,
-                          surface.corpus, DirectAlgorithm::kFast, ctx,
-                          surface.eval_cache, surface.epoch);
-  std::optional<IrProgram> ir;
-  std::optional<IrExecutor> ir_exec;
-  if (use_ir) {
-    ir.emplace(LowerToIr(plan.candidates.get(), plan.projection.get(),
-                         plan.join_lhs_attrs.get(),
-                         plan.join_rhs_attrs.get()));
-    RunPasses(&*ir, ir_options_, &surface.built->regions,
-              &surface.built->words);
-    ir_exec.emplace(&*ir, &surface.built->regions, &surface.built->words,
-                    surface.corpus, ctx, surface.eval_cache, surface.epoch);
-    ir_exec->SetJoinFn([&corpus](const RegionSet& cands,
-                                 const RegionSet& lhs,
-                                 const RegionSet& rhs) {
-      return RunIndexJoin(corpus, cands, lhs, rhs);
-    });
-    // Morsel-driven execution: ready IR nodes (and large node-internal
-    // folds/scans) dispatch onto the surface's pool. Results are
-    // byte-identical at every worker count — see DESIGN.md §5k.
-    const int exec_workers = ResolveExecWorkers(options);
-    if (surface.pool != nullptr && exec_workers > 1) {
-      ir_exec->SetThreadPool(surface.pool, exec_workers);
-      result.stats.exec_workers = exec_workers;
-    }
-    ir_exec->set_prefetch(options.prefetch);
-    if (ir_options_.morsel_grain != 0) {
-      ir_exec->set_morsel_grain(ir_options_.morsel_grain);
-    }
-    if (ir_options_.inject_racy_merge) {
-      ir_exec->set_inject_racy_merge(true);
-    }
-  }
-  auto record_timings = [&] {
-    if (ir_exec) result.stats.op_timings = ir_exec->timings();
-  };
+  // Lower the plan's expression legs into one dataflow program, optimize
+  // it, and evaluate each node at most once per query: slots are shared
+  // across the candidate/projection/join roots.
+  result.stats.engine = "ir";
+  IrProgram ir =
+      LowerToIr(plan.candidates.get(), plan.projection.get(),
+                plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
+  RunPasses(&ir, ir_options_, &surface.built->regions,
+            &surface.built->words);
+  IrExecutor ir_exec(&ir, &surface.built->regions, &surface.built->words,
+                     surface.corpus, ctx, surface.eval_cache, surface.epoch);
+  ir_exec.SetJoinFn([&corpus](const RegionSet& cands, const RegionSet& lhs,
+                              const RegionSet& rhs) {
+    return RunIndexJoin(corpus, cands, lhs, rhs);
+  });
+  ir_exec.set_prefetch(options.prefetch);
+  auto record_timings = [&] { result.stats.op_timings = ir_exec.timings(); };
 
   // Phase 1: evaluate the candidate expression on the indices. With the
   // eval cache on, every composite subexpression is first looked up by
   // its serialized normal form under the surface's index epoch.
   RegionSet candidates;
   {
-    auto cand = use_ir
-                    ? ir_exec->EvaluateRoot(ir->candidates,
-                                            &result.stats.algebra)
-                    : evaluator.Evaluate(*plan.candidates,
-                                         &result.stats.algebra);
+    auto cand = ir_exec.EvaluateRoot(ir.candidates, &result.stats.algebra);
     if (!cand.ok()) {
       // No index-backed rung can run without candidates (two-phase needs
       // them too): kAuto degrades straight to the baseline.
@@ -759,19 +659,11 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
     Status rung = Status::OK();
     std::vector<Value> values;
     if (wants_projection) {
-      // The IR program's kProject root is the same two steps — evaluate
-      // the attribute expression, keep attributes within candidates —
-      // with the candidate root served from its memoized slot.
+      // The IR program's kProject root evaluates the attribute
+      // expression and keeps the attributes within candidates, with the
+      // candidate root served from its memoized slot.
       Result<RegionSet> within_r =
-          use_ir
-              ? ir_exec->EvaluateRoot(ir->project, &result.stats.algebra)
-              : [&]() -> Result<RegionSet> {
-                  QOF_ASSIGN_OR_RETURN(
-                      RegionSet attrs,
-                      evaluator.Evaluate(*plan.projection,
-                                         &result.stats.algebra));
-                  return IncludedIn(attrs, candidates);
-                }();
+          ir_exec.EvaluateRoot(ir.project, &result.stats.algebra);
       if (!within_r.ok()) {
         rung = within_r.status();
       } else {
@@ -817,39 +709,12 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   // indexes that just failed.
   if (!index_rung_degraded && plan.index_join && !wants_projection &&
       mode != ExecutionMode::kTwoPhase) {
-    Status rung = Status::OK();
-    std::vector<Region> joined;
-    if (use_ir) {
-      // The kJoin root evaluates both attribute legs (sharing any
-      // subexpression the candidates already computed) and runs the join
-      // through the injected callback.
-      auto out = ir_exec->EvaluateRoot(ir->join, &result.stats.algebra);
-      if (!out.ok()) {
-        rung = out.status();
-      } else {
-        joined.assign(out->begin(), out->end());
-      }
-    } else {
-      auto lhs =
-          evaluator.Evaluate(*plan.join_lhs_attrs, &result.stats.algebra);
-      if (!lhs.ok()) rung = lhs.status();
-      if (rung.ok()) {
-        auto rhs = evaluator.Evaluate(*plan.join_rhs_attrs,
-                                      &result.stats.algebra);
-        if (!rhs.ok()) {
-          rung = rhs.status();
-        } else {
-          auto out = RunIndexJoin(corpus, candidates, *lhs, *rhs);
-          if (!out.ok()) {
-            rung = out.status();
-          } else {
-            joined = std::move(*out);
-          }
-        }
-      }
-    }
-    if (rung.ok()) {
-      result.regions = std::move(joined);
+    // The kJoin root evaluates both attribute legs (sharing any
+    // subexpression the candidates already computed) and runs the join
+    // through the injected callback.
+    auto joined = ir_exec.EvaluateRoot(ir.join, &result.stats.algebra);
+    if (joined.ok()) {
+      result.regions.assign(joined->begin(), joined->end());
       result.stats.strategy = "index-join";
       result.stats.exact = true;
       result.stats.results = result.regions.size();
@@ -858,10 +723,11 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
       result.stats.micros = timer.Micros();
       return result;
     }
-    if (!degradable(rung)) {
-      return WithProgress(rung, "index-join", surface.BytesScanned(), ctx);
+    if (!degradable(joined.status())) {
+      return WithProgress(joined.status(), "index-join",
+                          surface.BytesScanned(), ctx);
     }
-    degrade_to("two-phase", rung);
+    degrade_to("two-phase", joined.status());
   }
 
   // Phase 2 (§6.2): parse candidates, filter in the database.

@@ -54,17 +54,12 @@ struct QueryStats {
   /// result is the verified prefix, not the full answer (`exact` is false
   /// and a note records the limit that tripped).
   bool truncated = false;
-  /// Which algebra engine evaluated the index plan: "ir" (the dataflow
-  /// IR executor) or "tree" (the recursive expression walker). Empty for
-  /// strategies that evaluate no algebra (baseline, empty).
+  /// "ir" when the dataflow IR executor evaluated an index plan; empty
+  /// for strategies that evaluate no algebra (baseline, empty).
   std::string engine;
-  /// IR engine only: wall time, node counts and cursor I/O per IR
-  /// operator kind (exclusive of input evaluation).
+  /// Wall time, node counts and cursor I/O per IR operator kind
+  /// (exclusive of input evaluation); empty when `engine` is.
   IrOpTimings op_timings;
-  /// Logical workers the executor ran with (QueryOptions::exec_workers
-  /// after the QOF_EXEC_WORKERS override and pool availability): 1 =
-  /// serial.
-  int exec_workers = 1;
   std::vector<std::string> notes;  // compiler + engine decisions
 };
 

@@ -46,28 +46,13 @@ struct QueryOptions {
   /// cancel the call.
   std::shared_ptr<CancelToken> cancel;
 
-  /// Evaluate index plans through the dataflow IR (lowering + optimizer
-  /// passes + batched executor) instead of walking the expression tree.
-  /// Results are identical by construction — the tree evaluator is kept
-  /// as the differential-testing oracle. The QOF_FORCE_EXEC environment
-  /// variable ("tree" | "ir") overrides this per process.
-  bool use_ir = true;
-
-  /// Worker threads for morsel-driven IR execution. 1 = serial (the
-  /// default), n > 1 = that many workers, 0 = one per hardware thread.
-  /// Results are byte-identical at every setting — the scheduler merges
-  /// morsels in canonical doc order. The QOF_EXEC_WORKERS environment
-  /// variable overrides this per process.
-  int exec_workers = 1;
-
   /// Let disk-tier cursor kernels emit skip-table-guided prefetch hints
   /// so the buffer pool batches multi-page reads. Affects I/O counts
   /// only, never results.
   bool prefetch = true;
 
-  // Note: use_ir / exec_workers / prefetch are engine selectors, not
-  // limits — they must not make a default-constructed QueryOptions count
-  // as "governed".
+  // Note: prefetch is an I/O hint, not a limit — it must not make a
+  // default-constructed QueryOptions count as "governed".
   bool unlimited() const {
     return deadline_ms == 0 && max_bytes == 0 && max_regions == 0 &&
            cancel == nullptr;

@@ -55,8 +55,6 @@ Status CheckDiskTier(
   // multi-page reads all actually happen.
   QOF_RETURN_IF_ERROR(mem->SaveStore(path, /*page_size=*/256));
 
-  std::unique_ptr<FileQuerySystem> disk = make_system();
-  disk->SetParallelism(1);
   PagedStoreOptions store_options;
   // Clean runs get a pool big enough for the longest pinned read; the
   // injected bug needs a pool *smaller* than a multi-page stream so the
@@ -65,9 +63,32 @@ Status CheckDiskTier(
   const bool inject = options.bug == InjectedBug::kEvictPinned;
   store_options.pool_pages = inject ? 1 : 64;
   store_options.inject_evict_pinned = inject;
-  QOF_RETURN_IF_ERROR(disk->OpenStore(path, store_options));
+  // A fresh system on the store, nothing paged in yet — so the cursor
+  // kernels stream the instances instead of probing materialized ones.
+  auto open_disk = [&]() -> Result<std::unique_ptr<FileQuerySystem>> {
+    std::unique_ptr<FileQuerySystem> disk = make_system();
+    disk->SetParallelism(1);
+    QOF_RETURN_IF_ERROR(disk->OpenStore(path, store_options));
+    return disk;
+  };
 
   CanonExec baseline = Canon(mem->Execute(c.fql, ExecutionMode::kAuto));
+  // Prefetch changes page-read batching, never answers: each setting on
+  // its own cold system must land on the in-memory baseline.
+  for (bool prefetch : {true, false}) {
+    QOF_ASSIGN_OR_RETURN(std::unique_ptr<FileQuerySystem> cold, open_disk());
+    QueryOptions query_options;
+    query_options.prefetch = prefetch;
+    if (!Agrees(prefetch ? "disk/prefetch=on" : "disk/prefetch=off",
+                baseline,
+                Canon(cold->Execute(c.fql, ExecutionMode::kAuto,
+                                    query_options)),
+                c, failure)) {
+      return Status::OK();
+    }
+  }
+
+  QOF_ASSIGN_OR_RETURN(std::unique_ptr<FileQuerySystem> disk, open_disk());
   if (!Agrees("disk/auto", baseline,
               Canon(disk->Execute(c.fql, ExecutionMode::kAuto)), c,
               failure)) {

@@ -12,14 +12,16 @@
 #include "qof/datagen/outline_gen.h"
 #include "qof/datagen/schemas.h"
 #include "qof/engine/index_io.h"
+#include "qof/engine/join.h"
 #include "qof/engine/system.h"
 #include "qof/exec/fault_injector.h"
 #include "qof/fuzz/canon.h"
 #include "qof/fuzz/rng.h"
 #include "qof/fuzz/crash_leg.h"
 #include "qof/fuzz/disk_leg.h"
-#include "qof/fuzz/parallel_leg.h"
 #include "qof/fuzz/session_leg.h"
+#include "qof/ir/ir.h"
+#include "qof/ir/passes.h"
 #include "qof/maintain/journal.h"
 #include "qof/optimizer/optimizer.h"
 #include "qof/schema/rig_derivation.h"
@@ -405,63 +407,129 @@ Status CheckCaching(
   return Status::OK();
 }
 
-/// The IR leg: the dataflow IR engine must agree with the tree evaluator
-/// byte-for-byte. Both engines run on the *same* system (per cache
-/// setting), so with caches enabled the IR run is also served entries the
-/// tree run published and vice versa — the canonical-key interop the IR
-/// design promises. This is the leg that catches kBadCse
-/// (IrPlanOptions::inject_bad_cse), whose CSE pass merges selections that
-/// differ only in their word operands.
+/// One evaluator's answer for one expression leg, in the shape Agrees
+/// compares.
+CanonExec CanonSet(const Result<RegionSet>& r) {
+  CanonExec out;
+  if (!r.ok()) {
+    out.error = r.status().ToString();
+    return out;
+  }
+  out.ok = true;
+  out.regions.assign(r->begin(), r->end());
+  return out;
+}
+
+/// The reference answers for the roots `ir` was lowered with, in root
+/// order (candidates, then projection and join when present): the plan's
+/// legs through the tree evaluator, then the engine rungs the
+/// kProject/kJoin roots compute — attributes within candidates, and the
+/// index join.
+std::vector<Result<RegionSet>> TreeReference(const QueryPlan& plan,
+                                             const IrProgram& ir,
+                                             ExprEvaluator& tree,
+                                             const Corpus& corpus) {
+  std::vector<Result<RegionSet>> out;
+  const Result<RegionSet> cands = tree.Evaluate(*plan.candidates);
+  out.push_back(cands);
+  if (ir.project >= 0) {
+    Result<RegionSet> attrs = tree.Evaluate(*plan.projection);
+    if (!cands.ok() || !attrs.ok()) {
+      out.push_back(!cands.ok() ? cands.status() : attrs.status());
+    } else {
+      out.push_back(IncludedIn(*attrs, *cands));
+    }
+  }
+  if (ir.join >= 0) {
+    Result<RegionSet> lhs = tree.Evaluate(*plan.join_lhs_attrs);
+    Result<RegionSet> rhs = tree.Evaluate(*plan.join_rhs_attrs);
+    if (!cands.ok() || !lhs.ok() || !rhs.ok()) {
+      out.push_back(!cands.ok() ? cands.status()
+                    : !lhs.ok() ? lhs.status()
+                                : rhs.status());
+    } else {
+      auto joined = RunIndexJoin(corpus, *cands, *lhs, *rhs);
+      if (!joined.ok()) {
+        out.push_back(joined.status());
+      } else {
+        out.push_back(RegionSet::FromUnsorted(std::move(*joined)));
+      }
+    }
+  }
+  return out;
+}
+
+/// The IR leg: every expression leg of the case's plan (candidates,
+/// projection, join attributes) evaluated through the IR pipeline
+/// (LowerToIr + RunPasses + IrExecutor) must agree byte-for-byte with
+/// the reference ExprEvaluator. With the cache on, both evaluators share
+/// one EvalCache in either order, so each is also served entries the
+/// other published — the canonical-key interop the IR design promises.
+/// This is the leg that catches kBadCse (IrPlanOptions::inject_bad_cse),
+/// whose CSE pass merges selections that differ only in their word
+/// operands.
 Status CheckIrEquivalence(
     const StructuringSchema& schema,
     const std::vector<std::pair<std::string, std::string>>& docs,
-    const ConcreteCase& c, const OracleOptions& options, bool is_projection,
+    const ConcreteCase& c, const OracleOptions& options,
     std::string* failure) {
-  QueryOptions tree_engine;
-  tree_engine.use_ir = false;
-  QueryOptions ir_engine;
-  ir_engine.use_ir = true;
+  FileQuerySystem sys(schema);
+  for (const auto& [name, text] : docs) {
+    QOF_RETURN_IF_ERROR(sys.AddFile(name, text));
+  }
+  sys.SetParallelism(1);
+  QOF_RETURN_IF_ERROR(sys.BuildIndexes(IndexSpec::Full()));
+  auto plan = sys.Plan(c.fql);
+  if (!plan.ok() || plan->trivially_empty || !plan->view_indexed) {
+    return Status::OK();  // no index plan to evaluate
+  }
+  IrPlanOptions planted;
+  planted.inject_bad_cse = options.bug == InjectedBug::kBadCse;
+  IrProgram ir =
+      LowerToIr(plan->candidates.get(), plan->projection.get(),
+                plan->join_lhs_attrs.get(), plan->join_rhs_attrs.get());
+  RunPasses(&ir, planted, &sys.region_index(), &sys.word_index());
+  std::vector<std::pair<const char*, int>> roots = {
+      {"candidates", ir.candidates}};
+  if (ir.project >= 0) roots.push_back({"projection", ir.project});
+  if (ir.join >= 0) roots.push_back({"join", ir.join});
 
-  for (bool with_cache : {false, true}) {
-    FileQuerySystem sys(schema);
-    for (const auto& [name, text] : docs) {
-      QOF_RETURN_IF_ERROR(sys.AddFile(name, text));
+  struct Config {
+    bool with_cache;
+    bool ir_first;
+    const char* label;
+  };
+  for (const Config& config :
+       {Config{false, false, " cache=off"},
+        Config{true, false, " cache=on tree-first"},
+        Config{true, true, " cache=on ir-first"}}) {
+    std::unique_ptr<EvalCache> cache;
+    if (config.with_cache) {
+      cache = std::make_unique<EvalCache>(
+          CacheOptions::Enabled().max_cached_regions, /*inject_stale=*/false);
     }
-    if (with_cache) sys.SetCacheOptions(CacheOptions::Enabled());
-    sys.SetParallelism(1);
-    QOF_RETURN_IF_ERROR(sys.BuildIndexes(IndexSpec::Full()));
-    if (options.bug == InjectedBug::kBadCse) {
-      IrPlanOptions planted;
-      planted.inject_bad_cse = true;
-      sys.SetIrOptions(planted);
-    }
-    auto plan = sys.Plan(c.fql);
-    const bool index_only_answers =
-        plan.ok() && plan->exact &&
-        (!is_projection || plan->projection != nullptr);
-    std::string cache_label = with_cache ? " cache=on" : " cache=off";
-
-    for (int parallelism : {1, options.workers}) {
-      sys.SetParallelism(parallelism);
-      std::string label_tail =
-          cache_label + " p=" + std::to_string(parallelism);
-      struct ModeCase {
-        ExecutionMode mode;
-        const char* name;
-      };
-      std::vector<ModeCase> modes = {{ExecutionMode::kAuto, "auto"},
-                                     {ExecutionMode::kTwoPhase,
-                                      "two-phase"}};
-      if (index_only_answers) {
-        modes.push_back({ExecutionMode::kIndexOnly, "index-only"});
+    ExprEvaluator tree(&sys.region_index(), &sys.word_index(), &sys.corpus(),
+                       DirectAlgorithm::kFast, nullptr, cache.get());
+    IrExecutor exec(&ir, &sys.region_index(), &sys.word_index(),
+                    &sys.corpus(), nullptr, cache.get());
+    exec.SetJoinFn([&sys](const RegionSet& cands, const RegionSet& lhs,
+                          const RegionSet& rhs) {
+      return RunIndexJoin(sys.corpus(), cands, lhs, rhs);
+    });
+    std::vector<Result<RegionSet>> got;
+    auto run_ir = [&] {
+      for (const auto& [name, root] : roots) {
+        got.push_back(exec.EvaluateRoot(root));
       }
-      for (const ModeCase& mc : modes) {
-        CanonExec tree = Canon(sys.Execute(c.fql, mc.mode, tree_engine));
-        CanonExec ir = Canon(sys.Execute(c.fql, mc.mode, ir_engine));
-        if (!Agrees("ir/" + std::string(mc.name) + label_tail, tree, ir,
-                    c, failure)) {
-          return Status::OK();
-        }
+    };
+    if (config.ir_first) run_ir();
+    const std::vector<Result<RegionSet>> want =
+        TreeReference(*plan, ir, tree, sys.corpus());
+    if (!config.ir_first) run_ir();
+    for (size_t i = 0; i < roots.size(); ++i) {
+      if (!Agrees("ir/" + std::string(roots[i].first) + config.label,
+                  CanonSet(want[i]), CanonSet(got[i]), c, failure)) {
+        return Status::OK();
       }
     }
   }
@@ -1162,19 +1230,8 @@ Result<OracleOutcome> RunOracle(const ConcreteCase& c,
   // 7. Dataflow IR engine vs. tree evaluator, every strategy, caches off
   // and on. (Runs before the chain check so a planted IR bug shrinks on
   // the cheap legs.)
-  QOF_RETURN_IF_ERROR(CheckIrEquivalence(schema, docs, c, options,
-                                         is_projection, &outcome.failure));
-  if (!outcome.failure.empty()) {
-    outcome.failed = true;
-    return outcome;
-  }
-
-  // 7b. Morsel-driven parallel execution: exec_workers ∈ {2, 4} (and the
-  // worker × prefetch grid on a paged store) must be byte-identical to
-  // serial execution, at a morsel grain low enough that small cases
-  // split.
   QOF_RETURN_IF_ERROR(
-      CheckParallelExec(schema, docs, c, options, seed, &outcome.failure));
+      CheckIrEquivalence(schema, docs, c, options, &outcome.failure));
   if (!outcome.failure.empty()) {
     outcome.failed = true;
     return outcome;

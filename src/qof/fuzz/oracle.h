@@ -54,12 +54,6 @@ namespace qof {
 ///    every mutating I/O op, then recovery — must flag the cut that
 ///    loses an acknowledged commit (or strands the directory
 ///    unreadable).
-///  - kRacyMerge makes the morsel-driven IR executor's result merge lose
-///    its first range (IrPlanOptions::inject_racy_merge) — the
-///    lost-update outcome of an unsynchronized merge. Serial execution
-///    is untouched, so the parallel leg's serial-vs-parallel
-///    differential (run with a tiny morsel grain so even small cases
-///    split) must flag the missing results.
 enum class InjectedBug {
   kNone,
   kRelaxDirect,
@@ -70,7 +64,6 @@ enum class InjectedBug {
   kStaleSnapshot,
   kEvictPinned,
   kSkipDirSync,
-  kRacyMerge,
 };
 
 struct OracleOptions {
@@ -127,11 +120,11 @@ struct OracleOutcome {
 ///     random-order rewrite walk converges to Optimize()'s normal form,
 ///     and re-optimizing any intermediate chain yields the same normal
 ///     form (Thm. 3.6);
-///  7. the dataflow IR engine (lowering + CSE/pushdown/ordering/fusion +
-///     batched executor) agrees with the tree evaluator on regions and
-///     rendered values for every strategy, at parallelism 1 and
-///     `workers`, with the query caches off and on (sharing one system,
-///     so cache entries cross engines);
+///  7. the dataflow IR pipeline (lowering + CSE/pushdown/ordering/fusion
+///     + executor) agrees with the reference tree evaluator on every
+///     expression leg of the plan (candidates, projection, join
+///     attributes), with the eval cache off and on (one cache shared by
+///     both evaluators, so entries cross between them);
 ///  8. driven through the multi-client QueryService on a deterministic
 ///     interleaved-session schedule, every session's queries are
 ///     byte-identical to a single-threaded replay at the generation the

@@ -45,8 +45,6 @@ std::string InjectedBugName(InjectedBug bug) {
       return "evict-pinned";
     case InjectedBug::kSkipDirSync:
       return "skip-dir-sync";
-    case InjectedBug::kRacyMerge:
-      return "racy-merge";
   }
   return "none";
 }
@@ -61,7 +59,6 @@ Result<InjectedBug> InjectedBugFromName(std::string_view name) {
   if (name == "stale-snapshot") return InjectedBug::kStaleSnapshot;
   if (name == "evict-pinned") return InjectedBug::kEvictPinned;
   if (name == "skip-dir-sync") return InjectedBug::kSkipDirSync;
-  if (name == "racy-merge") return InjectedBug::kRacyMerge;
   return Status::InvalidArgument("unknown injected bug name: " +
                                  std::string(name));
 }

@@ -1,12 +1,10 @@
 #ifndef QOF_IR_EXECUTOR_H_
 #define QOF_IR_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "qof/text/corpus.h"
 #include "qof/text/word_index.h"
 #include "qof/util/result.h"
-#include "qof/util/thread_pool.h"
 
 namespace qof {
 
@@ -58,18 +55,9 @@ using IrOpTimings = std::map<std::string, IrOpTiming>;
 /// so IR and tree share entries), cache hits charging their own result
 /// size, and kLoad borrowing index instances uncharged. kProject/kJoin
 /// are engine rungs, not algebra operators: never cached, checked or
-/// charged — exactly like the tree engine's post-evaluation steps.
+/// charged.
 ///
-/// Parallel execution (SetThreadPool with workers > 1) is morsel-driven:
-/// ready IR nodes — nodes whose hard inputs are all computed — run as a
-/// wave on the pool, and within a node, large n-ary set folds and select
-/// scans split into per-range morsels merged back in canonical order.
-/// Results are byte-identical at every worker count; see DESIGN.md §5k
-/// for the determinism argument. Charges and EvalStats for morselized
-/// nodes are reconstructed from per-range sizes so they match the serial
-/// fold exactly (bytes_scanned is the one exception: the select kernel's
-/// scan/posting dispatch depends on child size, so per-morsel dispatch
-/// may scan different byte totals while selecting identical members).
+/// Execution is serial, on the calling thread.
 class IrExecutor {
  public:
   /// All pointers are borrowed. `words`/`corpus` may be null when no node
@@ -86,32 +74,9 @@ class IrExecutor {
       const RegionSet& rhs_attrs)>;
   void SetJoinFn(JoinFn fn) { join_fn_ = std::move(fn); }
 
-  /// Runs roots on `pool` with `workers` logical workers. Null pool or
-  /// workers <= 1 keeps the exact serial path. The pool is borrowed and
-  /// must outlive the executor; the executor is its only ParallelFor
-  /// caller while a root evaluates (ParallelFor is not reentrant).
-  void SetThreadPool(ThreadPool* pool, int workers) {
-    pool_ = pool;
-    workers_ = workers;
-  }
-
   /// Per-query QueryOptions::prefetch: forwarded to every cursor the
   /// disk fast path opens. Affects I/O batching only, never results.
   void set_prefetch(bool prefetch) { prefetch_ = prefetch; }
-
-  /// Minimum input size (regions) before a node's internal work is worth
-  /// splitting into morsels; a node splits once its driving input holds
-  /// at least two grains. Tests and the fuzzer lower this to exercise
-  /// morsel merging on small corpora.
-  void set_morsel_grain(size_t grain) { morsel_grain_ = grain > 0 ? grain : 1; }
-
-  /// Planted bug for the fuzz harness (`--inject racy-merge`): the morsel
-  /// merge "loses" the first range's results, modeling the lost-update
-  /// outcome of an unsynchronized result merge. The damaged set keeps
-  /// every RegionSet invariant (sorted, unique) so the corruption travels
-  /// all the way to the differential oracle instead of tripping a debug
-  /// assert at the merge site.
-  void set_inject_racy_merge(bool inject) { inject_racy_merge_ = inject; }
 
   /// Evaluates the node `root` (a root id from the program) and returns a
   /// copy of its result. Re-entrant across roots: previously computed
@@ -154,38 +119,7 @@ class IrExecutor {
   /// eligibility tests (runtime fallbacks — no cursor for the name —
   /// still possible).
   bool CursorCandidate(const IrNode& node) const;
-  /// Whether node `id` should prefer the cursor path this evaluation.
-  /// Serial mode reads the load slot live; parallel mode uses the
-  /// snapshot ScheduleParallel took before dispatch, so the choice does
-  /// not depend on wave timing.
-  bool CursorPathWanted(int id, int load_id) const;
 
-  /// Wavefront scheduler: computes every not-yet-done node reachable from
-  /// `root` on the thread pool, wave by ready wave, merging worker stats
-  /// and errors deterministically (node-id order). On success every
-  /// reachable slot is done and EvalNode(root) is a slot read.
-  Status ScheduleParallel(int root, EvalStats* stats);
-
-  /// Morselized n-ary set fold (kUnion/kIntersect/kDifference): range-
-  /// partitions the inputs by pivots from the largest input, folds each
-  /// range independently, concatenates in range order, and replays the
-  /// serial fold's per-step charges from the per-range sizes. Engages
-  /// only from a thread that may call ParallelFor.
-  Result<Slot> MorselSetFold(const IrNode& node,
-                             const std::vector<const RegionSet*>& inputs,
-                             EvalStats* stats);
-  /// Morselized select: index-partitions the child (members are filtered
-  /// independently), runs the kernel per range, concatenates in range
-  /// order. One select_op and one charge, like the serial kernel.
-  Result<Slot> MorselSelect(const IrNode& node, const RegionSet& child,
-                            EvalStats* stats);
-  /// True when morsel splitting may run here: pool configured, calling
-  /// thread not already inside a ParallelFor task (ParallelFor is not
-  /// reentrant), and the driving input spans at least two grains.
-  bool MorselEligible(size_t driving_size) const;
-
-  /// Thread-safe accumulation into timings_ (one lock per computed node;
-  /// contention is trivial next to kernel work).
   void AddTiming(IrOp op, uint64_t micros,
                  const CursorIoStats* io = nullptr);
 
@@ -200,29 +134,7 @@ class IrExecutor {
   std::vector<Slot> slots_;
   IrOpTimings timings_;
 
-  ThreadPool* pool_ = nullptr;
-  int workers_ = 1;
   bool prefetch_ = true;
-  size_t morsel_grain_ = 2048;
-  bool inject_racy_merge_ = false;
-
-  /// True while ScheduleParallel is dispatching waves — switches the
-  /// load-slot accesses below to their locked variants.
-  bool parallel_active_ = false;
-  /// Guards load slots only: a cursor-path fallback materializing its
-  /// load input is the one slot write that can race (soft edges exclude
-  /// loads from the wave ordering). Every other slot is written by
-  /// exactly one wave task and read only after its wave's barrier.
-  std::mutex slot_mu_;
-  std::mutex timings_mu_;
-  /// Schedule-time snapshot: node ids whose cursor path was elected when
-  /// the wavefront was built (their load inputs get soft edges). Keeps
-  /// the cursor-vs-kernel choice independent of wave timing.
-  std::vector<char> cursor_elected_;
-  /// Scan counter captured from the query thread at EvaluateRoot entry;
-  /// installed on every pool worker so morsel text scans account like
-  /// serial ones.
-  std::atomic<uint64_t>* scan_counter_ = nullptr;
 };
 
 }  // namespace qof

@@ -22,12 +22,6 @@ struct IrPlanOptions {
   bool enable_ordering = true;
   bool enable_fusion = true;
   bool inject_bad_cse = false;
-  /// Executor knobs carried alongside the pass switches so tests and the
-  /// fuzzer can reach them through FileQuerySystem::SetIrOptions.
-  /// morsel_grain = 0 keeps the executor default; inject_racy_merge is
-  /// the planted `--inject racy-merge` bug (see IrExecutor).
-  size_t morsel_grain = 0;
-  bool inject_racy_merge = false;
 };
 
 /// One recorded pipeline step: the program dump after the named pass ran

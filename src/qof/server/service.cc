@@ -70,14 +70,6 @@ QueryOptions QueryService::EffectiveOptions(const ClientSession& session,
   options.deadline_ms = TightenLimit(options.deadline_ms, limits.deadline_ms);
   options.max_bytes = TightenLimit(options.max_bytes, limits.max_bytes);
   options.max_regions = TightenLimit(options.max_regions, limits.max_regions);
-  // Thread-budget composition: each service worker may fan a query out
-  // onto exec workers, so total threads ≈ workers × exec_workers. The
-  // ceiling (limits.exec_workers, default 1 = serial queries) keeps that
-  // product under operator control; 0 on either side means "one per
-  // hardware thread" before the min is taken.
-  options.exec_workers =
-      std::min(EffectiveParallelism(options.exec_workers),
-               EffectiveParallelism(limits.exec_workers));
   if (options.cancel == nullptr) {
     options.cancel = session.cancel_token();
   }

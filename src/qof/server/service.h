@@ -29,10 +29,8 @@ struct ServiceOptions {
   /// refuses with kUnavailable (admission control). 0 = unbounded.
   size_t max_queued = 64;
   /// Per-query governance ceilings (deadline_ms / max_bytes /
-  /// max_regions; zero fields impose no ceiling). limits.exec_workers
-  /// additionally caps each query's parallel-execution fan-out (default
-  /// 1: service queries run serial unless the operator raises it — the
-  /// thread budget is roughly workers × exec_workers).
+  /// max_regions; zero fields impose no ceiling). Each query runs serial
+  /// on its worker, so the thread budget is `workers`.
   QueryOptions limits;
   /// Planted bug for the fuzzer (`--inject stale-snapshot`): queries run
   /// against a freshly acquired live snapshot instead of the session's

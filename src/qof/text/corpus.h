@@ -151,8 +151,8 @@ class Corpus {
   }
 
   /// The calling thread's active scan counter, or null outside any scope.
-  /// Parallel executors capture this on the query thread and install it
-  /// on their pool workers so morsel scans account like serial ones.
+  /// Parallel two-phase captures this on the query thread and installs
+  /// it on its pool workers so their scans account like serial ones.
   static std::atomic<uint64_t>* CurrentThreadScanCounter() {
     return tls_scan_counter_;
   }

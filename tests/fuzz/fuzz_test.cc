@@ -225,29 +225,6 @@ TEST(FuzzTest, InjectedSkipDirSyncBugIsCaughtAndShrunk) {
   EXPECT_TRUE(replay->failed) << report->repro;
 }
 
-TEST(FuzzTest, InjectedRacyMergeBugIsCaughtAndShrunk) {
-  // An unsynchronized morsel merge loses a range's results (modeled as
-  // the first range dropped). Serial execution is untouched, so only the
-  // parallel leg's serial-vs-parallel differential — run at a tiny
-  // morsel grain so even shrunk cases still split — can flag it, and the
-  // repro must replay to the same failure.
-  FuzzOptions options = FastOptions();
-  options.iterations = 60;
-  options.seed = 1;
-  options.bug = InjectedBug::kRacyMerge;
-  options.invalid_fraction = 0.0;
-  auto report = RunFuzz(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_TRUE(report->failed) << "injected racy-merge bug survived "
-                              << report->iterations_run << " iterations";
-  EXPECT_NE(report->failure.find("[parallel"), std::string::npos)
-      << report->failure;
-
-  auto replay = ReplayRepro(report->repro, /*workers=*/2);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_TRUE(replay->failed) << report->repro;
-}
-
 TEST(FuzzTest, InjectedBadCseBugIsCaught) {
   // A CSE pass that hashes selection nodes without their word operands
   // merges structurally different selections, so the IR engine returns
@@ -365,8 +342,7 @@ TEST(FuzzTest, InjectedBugNamesRoundTrip) {
                           InjectedBug::kBadCse,
                           InjectedBug::kStaleSnapshot,
                           InjectedBug::kEvictPinned,
-                          InjectedBug::kSkipDirSync,
-                          InjectedBug::kRacyMerge}) {
+                          InjectedBug::kSkipDirSync}) {
     auto parsed = InjectedBugFromName(InjectedBugName(bug));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, bug);

@@ -140,26 +140,19 @@ TEST(ExplainGoldenTest, DisabledPassesShrinkThePipeline) {
   EXPECT_NE(explained->find("-- after pushdown --"), std::string::npos);
 }
 
-TEST(EngineSelectionTest, UseIrFlagPicksTheEngine) {
+TEST(EngineSelectionTest, IndexPlansReportTheIrEngine) {
   auto system_owner = MakeSystem();
   FileQuerySystem& system = *system_owner;
-  QueryOptions ir_engine;
-  ir_engine.use_ir = true;
-  QueryOptions tree_engine;
-  tree_engine.use_ir = false;
-
-  auto ir = system.Execute(kQuery, ExecutionMode::kAuto, ir_engine);
+  auto ir = system.Execute(kQuery, ExecutionMode::kAuto, QueryOptions());
   ASSERT_TRUE(ir.ok()) << ir.status().ToString();
   EXPECT_EQ(ir->stats.engine, "ir");
   EXPECT_FALSE(ir->stats.op_timings.empty());
 
-  auto tree = system.Execute(kQuery, ExecutionMode::kAuto, tree_engine);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  EXPECT_EQ(tree->stats.engine, "tree");
-  EXPECT_TRUE(tree->stats.op_timings.empty());
-
-  EXPECT_EQ(ir->regions, tree->regions);
-  EXPECT_EQ(ir->RenderedValues(), tree->RenderedValues());
+  auto baseline =
+      system.Execute(kQuery, ExecutionMode::kBaseline, QueryOptions());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  EXPECT_EQ(ir->regions, baseline->regions);
+  EXPECT_EQ(ir->RenderedValues(), baseline->RenderedValues());
 }
 
 TEST(EngineSelectionTest, BaselineReportsNoEngine) {

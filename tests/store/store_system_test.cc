@@ -1,7 +1,7 @@
 // Engine-level tests of the disk-resident index tier: SaveStore/OpenStore
 // round trips must answer byte-identically to the in-memory indexes they
-// were saved from, across every strategy, kernel policy and parallelism
-// setting; damage must fail loudly; governance must reach into the
+// were saved from, across every strategy, kernel policy, parallelism and
+// prefetch setting; damage must fail loudly; governance must reach into the
 // buffer pool; and concurrent snapshot readers must survive eviction.
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include "qof/datagen/schemas.h"
 #include "qof/engine/index_io.h"
 #include "qof/engine/system.h"
+#include "qof/fuzz/grammar_model.h"
+#include "qof/schema/schema_text.h"
 #include "qof/store/paged_file.h"
 #include "qof/store/store_format.h"
 
@@ -422,6 +424,59 @@ TEST_F(StoreSystemTest, SnapshotReadersRaceEvictionUnderTinyPool) {
   for (auto& th : readers) th.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(StorePrefetchTest, OnAndOffMatchMemoryBaseline) {
+  // The grammar-model bench corpus (leaf + shared collection + tuple
+  // collection + recursion, Zipf-skewed words) on 256-byte pages, so the
+  // cursor kernels stream multi-page instances and prefetch hints have
+  // pages to batch. Prefetch changes I/O batching only: with it on or
+  // off, a cold disk system must answer exactly like the in-memory one.
+  BenchCorpusSpec spec;
+  spec.seed = 11;
+  spec.target_bytes = 96 << 10;
+  spec.zipf_s = 1.1;
+  spec.objects_per_doc = 128;
+  BenchCorpus corpus = MakeBenchCorpus(spec);
+  auto schema = ParseSchemaText(corpus.schema_text);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  auto make_system = [&] {
+    auto system = std::make_unique<FileQuerySystem>(*schema);
+    system->SetParallelism(1);
+    for (const auto& [name, text] : corpus.docs) {
+      EXPECT_TRUE(system->AddFile(name, text).ok());
+    }
+    return system;
+  };
+  auto mem = make_system();
+  ASSERT_TRUE(mem->BuildIndexes(IndexSpec::Full()).ok());
+  const std::string path = TempPath("prefetch.qofstore");
+  ASSERT_TRUE(mem->SaveStore(path, /*page_size=*/256).ok());
+
+  const char* const queries[] = {
+      "SELECT x FROM Obj x WHERE x.Alpha = \"zulu\"",
+      "SELECT x FROM Obj x WHERE x.Beta.ItemA CONTAINS \"apple\"",
+      "SELECT x FROM Obj x WHERE x.Gamma.ItemB.ItemBKey = \"zulu\" "
+      "OR x.Alpha = \"falcon\"",
+      "SELECT x.Alpha FROM Obj x WHERE "
+      "x.Beta.ItemA CONTAINS \"zulu\" AND x.Alpha = \"harbor\"",
+  };
+  for (const char* fql : queries) {
+    auto want = mem->Execute(fql);
+    ASSERT_TRUE(want.ok()) << fql << ": " << want.status().ToString();
+    for (bool prefetch : {true, false}) {
+      auto disk = make_system();
+      ASSERT_TRUE(disk->OpenStore(path).ok());
+      QueryOptions options;
+      options.prefetch = prefetch;
+      auto got = disk->Execute(fql, ExecutionMode::kAuto, options);
+      ASSERT_TRUE(got.ok()) << fql << ": " << got.status().ToString();
+      EXPECT_EQ(Fingerprint(*want), Fingerprint(*got))
+          << fql << (prefetch ? " pf=on" : " pf=off");
+      EXPECT_EQ(want->stats.candidates, got->stats.candidates) << fql;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -166,9 +166,8 @@ int Run(int argc, char** argv) {
       return 2;
     }
     std::cout << "\nexecution (" << result->stats.engine << " engine, "
-              << result->stats.strategy << ", " << result->stats.exec_workers
-              << " worker(s)): " << result->stats.results << " result(s) in "
-              << result->stats.micros << " us\n";
+              << result->stats.strategy << "): " << result->stats.results
+              << " result(s) in " << result->stats.micros << " us\n";
     for (const auto& [op, timing] : result->stats.op_timings) {
       std::cout << "  " << op << ": " << timing.count << " node eval(s), "
                 << timing.micros << " us";

@@ -30,7 +30,6 @@ void PrintUsage(std::ostream& out) {
          "drop-tombstone\n"
          "                        | stale-cache | bad-cse | "
          "stale-snapshot | evict-pinned | skip-dir-sync\n"
-         "                        | racy-merge\n"
          "                        | fault[:SITE[:HIT]] — fault-injection "
          "leg; SITE from\n"
          "                        --list-fault-sites (default random per "
