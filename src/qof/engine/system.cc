@@ -627,7 +627,6 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
                               const RegionSet& rhs) {
     return RunIndexJoin(corpus, cands, lhs, rhs);
   });
-  ir_exec.set_prefetch(options.prefetch);
   auto record_timings = [&] { result.stats.op_timings = ir_exec.timings(); };
 
   // Phase 1: evaluate the candidate expression on the indices. With the

@@ -46,13 +46,6 @@ struct QueryOptions {
   /// cancel the call.
   std::shared_ptr<CancelToken> cancel;
 
-  /// Let disk-tier cursor kernels emit skip-table-guided prefetch hints
-  /// so the buffer pool batches multi-page reads. Affects I/O counts
-  /// only, never results.
-  bool prefetch = true;
-
-  // Note: prefetch is an I/O hint, not a limit — it must not make a
-  // default-constructed QueryOptions count as "governed".
   bool unlimited() const {
     return deadline_ms == 0 && max_bytes == 0 && max_regions == 0 &&
            cancel == nullptr;

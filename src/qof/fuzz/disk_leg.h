@@ -19,11 +19,10 @@ namespace qof {
 /// execution:
 ///
 ///   1. every execution mode's answers are byte-identical to the
-///      in-memory baseline (the store round trip changes nothing),
-///   2. so are the answers of cold systems with prefetch on and off
-///      (batched prefetch admission may change I/O counts, never
-///      answers), and
-///   3. a forced full materialization (ExportIndexes, which pages every
+///      in-memory baseline (the store round trip changes nothing; the
+///      first query runs on a cold system, so its cursor kernels stream
+///      the instances page by page), and
+///   2. a forced full materialization (ExportIndexes, which pages every
 ///      stream in) reproduces the original system's export blob
 ///      byte-for-byte.
 ///

@@ -65,7 +65,6 @@ void IrExecutor::AddTiming(IrOp op, uint64_t micros,
   if (io != nullptr) {
     t.pages_read += io->pages_read;
     t.read_calls += io->read_calls;
-    t.prefetch_hits += io->prefetch_hits;
   }
 }
 
@@ -165,7 +164,6 @@ Result<std::optional<IrExecutor::Slot>> IrExecutor::TryCursorPath(
         std::unique_ptr<RegionCursor> cursor,
         regions_->OpenCursor(program_->nodes[load_id].name));
     if (cursor == nullptr) return std::optional<Slot>();
-    cursor->set_prefetch_allowed(prefetch_);
     if (words_->disk_resident()) {
       QOF_RETURN_IF_ERROR(words_->EnsureLoaded(tokens[0].text));
     }
@@ -197,7 +195,6 @@ Result<std::optional<IrExecutor::Slot>> IrExecutor::TryCursorPath(
       std::unique_ptr<RegionCursor> cursor,
       regions_->OpenCursor(program_->nodes[load_id].name));
   if (cursor == nullptr) return std::optional<Slot>();
-  cursor->set_prefetch_allowed(prefetch_);
   if (stats != nullptr && node.op != IrOp::kProject) {
     ++stats->simple_incl_ops;
   }

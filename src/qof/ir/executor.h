@@ -30,12 +30,8 @@ struct IrOpTiming {
   uint64_t micros = 0;
   /// Pages actually pulled from disk for this operator's cursor reads.
   uint64_t pages_read = 0;
-  /// VFS read invocations those pages took (batched prefetch makes this
-  /// much smaller than pages_read).
+  /// VFS read invocations those pages took (one per page, plus retries).
   uint64_t read_calls = 0;
-  /// Page fetches served by a frame the operator's own prefetch hints
-  /// had already admitted.
-  uint64_t prefetch_hits = 0;
 };
 
 /// Keyed by IrOpName(); std::map so renderings are deterministic.
@@ -73,10 +69,6 @@ class IrExecutor {
       const RegionSet& candidates, const RegionSet& lhs_attrs,
       const RegionSet& rhs_attrs)>;
   void SetJoinFn(JoinFn fn) { join_fn_ = std::move(fn); }
-
-  /// Per-query QueryOptions::prefetch: forwarded to every cursor the
-  /// disk fast path opens. Affects I/O batching only, never results.
-  void set_prefetch(bool prefetch) { prefetch_ = prefetch; }
 
   /// Evaluates the node `root` (a root id from the program) and returns a
   /// copy of its result. Re-entrant across roots: previously computed
@@ -133,8 +125,6 @@ class IrExecutor {
   JoinFn join_fn_;
   std::vector<Slot> slots_;
   IrOpTimings timings_;
-
-  bool prefetch_ = true;
 };
 
 }  // namespace qof

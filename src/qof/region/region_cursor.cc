@@ -7,8 +7,7 @@ namespace {
 
 /// Gallop + binary search: the first block at or after `b` whose
 /// block_last reaches `start` (nb when every remaining block falls
-/// short). Shared by IntersectCursor's decode loop and its prefetch
-/// pass, so the blocks announced are exactly the blocks visited.
+/// short).
 size_t GallopToBlock(const RegionCursor& cursor, size_t nb, size_t b,
                      uint64_t start) {
   if (b >= nb || cursor.block_last(b) >= start) return b;
@@ -35,30 +34,11 @@ size_t GallopToBlock(const RegionCursor& cursor, size_t nb, size_t b,
   return left;
 }
 
-/// Announces the marked blocks to the cursor as maximal consecutive runs
-/// — the disk cursor turns each run into one batched page read.
-void EmitPrefetchRuns(RegionCursor& cursor, const std::vector<char>& needed) {
-  size_t first = 0, len = 0;
-  for (size_t b = 0; b < needed.size(); ++b) {
-    if (needed[b]) {
-      if (len == 0) first = b;
-      ++len;
-    } else if (len != 0) {
-      cursor.PrefetchBlocks(first, len);
-      len = 0;
-    }
-  }
-  if (len != 0) cursor.PrefetchBlocks(first, len);
-}
-
 }  // namespace
 
 Result<RegionSet> MaterializeCursor(RegionCursor& cursor) {
   std::vector<Region> all;
   all.reserve(cursor.total_count());
-  if (cursor.wants_prefetch()) {
-    cursor.PrefetchBlocks(0, cursor.num_blocks());
-  }
   std::vector<Region> block;
   for (size_t b = 0; b < cursor.num_blocks(); ++b) {
     QOF_RETURN_IF_ERROR(cursor.ReadBlock(b, &block));
@@ -73,21 +53,6 @@ Result<RegionSet> IntersectCursor(const RegionSet& probe,
   const size_t nb = cursor.num_blocks();
   if (nb == 0 || probe.size() == 0) {
     return RegionSet::FromSortedUnique(std::move(out));
-  }
-  if (cursor.wants_prefetch()) {
-    // Dry-run the skip table: replay the gallop per probe and mark the
-    // block each probe start lands in. (Only the first block of an
-    // equal-start straddle is marked — the continuation blocks are
-    // decoded on demand only when the probe misses, so announcing them
-    // could read pages the real walk never touches.)
-    std::vector<char> needed(nb, 0);
-    size_t pb = 0;
-    for (const Region& p : probe) {
-      pb = GallopToBlock(cursor, nb, pb, p.start);
-      if (pb == nb) break;
-      if (cursor.block_first(pb) <= p.start) needed[pb] = 1;
-    }
-    EmitPrefetchRuns(cursor, needed);
   }
   std::vector<Region> block;
   size_t decoded = SIZE_MAX;  // which block `block` currently holds
@@ -157,21 +122,6 @@ Result<RegionSet> IncludingCursor(const RegionSet& probe,
   for (size_t b = 0; b < nb; ++b) {
     prefix_max[b + 1] = std::max(prefix_max[b], cursor.block_max_end(b));
   }
-  if (cursor.wants_prefetch()) {
-    // Dry-run the backward candidate walk — pure skip-table metadata, so
-    // the marked set is exactly the set the decode loop visits.
-    std::vector<char> needed(nb, 0);
-    for (const Region& p : probe) {
-      size_t bl = LastBlockStartingAtOrBefore(cursor, nb, p.start);
-      if (bl == SIZE_MAX) continue;
-      for (size_t b = bl + 1; b-- > 0;) {
-        if (prefix_max[b + 1] < p.end) break;
-        if (cursor.block_max_end(b) < p.end) continue;
-        needed[b] = 1;
-      }
-    }
-    EmitPrefetchRuns(cursor, needed);
-  }
   std::vector<Region> out;
   std::vector<Region> block;
   size_t decoded = SIZE_MAX;
@@ -204,24 +154,6 @@ Result<RegionSet> IncludedInCursor(const RegionSet& probe,
                                    RegionCursor& cursor) {
   const size_t nb = cursor.num_blocks();
   if (nb == 0 || probe.size() == 0) return RegionSet();
-  if (cursor.wants_prefetch()) {
-    // Dry-run of the forward walk below: for each probe, every block
-    // whose start range intersects [p.start, p.end] is decoded
-    // unconditionally, so the marked set matches the decode loop's.
-    std::vector<char> needed(nb, 0);
-    size_t pb = 0;
-    for (const Region& p : probe) {
-      size_t lo = pb;
-      while (lo < nb && cursor.block_last(lo) < p.start) ++lo;
-      pb = lo;
-      for (size_t bb = lo; bb < nb && cursor.block_first(bb) <= p.end;
-           ++bb) {
-        needed[bb] = 1;
-      }
-      if (pb == nb) break;
-    }
-    EmitPrefetchRuns(cursor, needed);
-  }
   std::vector<Region> out;
   std::vector<Region> block;
   size_t decoded = SIZE_MAX;

@@ -23,18 +23,10 @@ namespace qof {
 ///
 /// Per-cursor I/O attribution the disk implementation fills in (the
 /// in-memory cursor reports zeros): how many pages its reads pulled from
-/// disk, in how many VFS read calls, and how many of its page fetches
-/// were served by a frame its own prefetch hints admitted.
+/// disk and in how many VFS read calls.
 struct CursorIoStats {
   uint64_t pages_read = 0;
   uint64_t read_calls = 0;
-  uint64_t prefetch_hits = 0;
-
-  void Add(const CursorIoStats& other) {
-    pages_read += other.pages_read;
-    read_calls += other.read_calls;
-    prefetch_hits += other.prefetch_hits;
-  }
 };
 
 /// Cursors are single-reader: one thread walks one cursor. Blocks are
@@ -63,32 +55,11 @@ class RegionCursor {
   /// disk-tier bench reports against num_blocks().
   uint64_t blocks_decoded() const { return blocks_decoded_; }
 
-  /// True when PrefetchBlocks is worth calling — the kernels then spend
-  /// an extra metadata pass computing which blocks their skip tables say
-  /// they will decode, and announce them before decoding starts. The
-  /// in-memory cursor has no I/O to batch and returns false.
-  virtual bool wants_prefetch() const { return false; }
-
-  /// Advisory: the caller expects to decode blocks [first, first+count).
-  /// The disk implementation maps the run to its page span and hands the
-  /// buffer pool a batched-read hint; results never depend on it.
-  virtual void PrefetchBlocks(size_t first, size_t count) {
-    (void)first;
-    (void)count;
-  }
-
   /// I/O this cursor has done so far (disk implementation only).
   virtual CursorIoStats io_stats() const { return CursorIoStats{}; }
 
-  /// Per-query override (QueryOptions::prefetch): a cursor opened for a
-  /// prefetch-off query keeps the PR 9 one-page-at-a-time behavior even
-  /// when the store allows prefetch. Implementations AND this into
-  /// wants_prefetch().
-  void set_prefetch_allowed(bool allowed) { prefetch_allowed_ = allowed; }
-
  protected:
   uint64_t blocks_decoded_ = 0;
-  bool prefetch_allowed_ = true;
 };
 
 /// An in-memory cursor over a RegionSet's vector, blocked at `block_size`

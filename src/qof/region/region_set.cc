@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 
 #include "qof/util/gallop.h"
@@ -12,17 +10,8 @@
 namespace qof {
 namespace {
 
-KernelPolicy InitialKernelPolicy() {
-  const char* env = std::getenv("QOF_FORCE_KERNEL");
-  if (env != nullptr) {
-    if (std::strcmp(env, "linear") == 0) return KernelPolicy::kLinear;
-    if (std::strcmp(env, "galloping") == 0) return KernelPolicy::kGalloping;
-  }
-  return KernelPolicy::kAdaptive;
-}
-
 std::atomic<KernelPolicy>& KernelPolicyFlag() {
-  static std::atomic<KernelPolicy> policy{InitialKernelPolicy()};
+  static std::atomic<KernelPolicy> policy{KernelPolicy::kAdaptive};
   return policy;
 }
 

@@ -96,11 +96,9 @@ enum class KernelPolicy {
 /// evaluator dispatch, cost estimation, IR passes) agrees on it.
 inline constexpr size_t kGallopRatio = CostModel::kGallopRatio;
 
-/// Sets the process-wide kernel policy. The default is kAdaptive, or the
-/// value of the QOF_FORCE_KERNEL environment variable ("linear" |
-/// "galloping" | "adaptive") read once at first use — a debug knob to pin
-/// either path. Results are identical under every policy; only cost
-/// changes.
+/// Sets the process-wide kernel policy, which starts at kAdaptive. A test
+/// and bench hook to pin either path; results are identical under every
+/// policy, only cost changes.
 void SetKernelPolicy(KernelPolicy policy);
 KernelPolicy kernel_policy();
 

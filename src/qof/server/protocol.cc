@@ -23,6 +23,7 @@ std::string_view CodeToken(StatusCode code) {
     case StatusCode::kCancelled: return "cancelled";
     case StatusCode::kBudgetExhausted: return "budget-exhausted";
     case StatusCode::kUnavailable: return "unavailable";
+    case StatusCode::kDataLoss: return "data-loss";
   }
   return "internal";
 }

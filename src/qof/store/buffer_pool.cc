@@ -1,7 +1,5 @@
 #include "qof/store/buffer_pool.h"
 
-#include <algorithm>
-
 #include "qof/exec/exec_context.h"
 
 namespace qof {
@@ -71,12 +69,6 @@ Result<PageRef> BufferPool::Fetch(uint32_t page_no, FetchIo* io) {
     frame.ref_bit = true;
     ++frame.pins;
     ++stats_.hits;
-    if (frame.prefetched) {
-      // First demand use of a prefetched frame: the hint paid off.
-      frame.prefetched = false;
-      ++stats_.prefetch_hits;
-      if (io != nullptr) ++io->prefetch_hits;
-    }
     return PageRef(this, it->second);
   }
 
@@ -91,7 +83,6 @@ Result<PageRef> BufferPool::Fetch(uint32_t page_no, FetchIo* io) {
   if (frame.valid) {
     page_to_frame_.erase(frame.page_no);
     frame.valid = false;
-    frame.prefetched = false;
     ++stats_.evictions;
   }
   // One retry on a read error: transient EIO (a loose cable, a busy
@@ -141,94 +132,9 @@ Result<PageRef> BufferPool::Fetch(uint32_t page_no, FetchIo* io) {
   frame.page_no = page_no;
   frame.valid = true;
   frame.ref_bit = true;
-  frame.prefetched = false;
   frame.pins = 1;
   page_to_frame_.emplace(page_no, f);
   return PageRef(this, f);
-}
-
-void BufferPool::PrefetchHint(uint32_t first, uint32_t n, FetchIo* io) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (n == 0 || first >= file_->num_pages()) return;
-  n = std::min<uint32_t>(n, file_->num_pages() - first);
-  // Useless beyond capacity: the tail of an over-long run would evict its
-  // own head before any Fetch sees it.
-  n = std::min<uint32_t>(n, options_.capacity_pages);
-  // Prefetch I/O is governed exactly like demand I/O — a cancelled or
-  // expired call must not keep the disk busy. Advisory, so a tripped
-  // limit silently drops the hint; the demand path reports it.
-  if (const ExecContext* ctx = ExecContext::CurrentThread()) {
-    if (!ctx->Check().ok()) return;
-  }
-  std::string batch;
-  uint32_t run_first = 0, run_len = 0;
-  bool full = false;  // only pinned frames remain — stop admitting
-  auto admit_run = [&]() {
-    if (run_len == 0) return;
-    ++stats_.read_calls;
-    if (io != nullptr) ++io->read_calls;
-    Status read = file_->ReadPages(run_first, run_len, &batch);
-    if (read.ok() &&
-        batch.size() != static_cast<size_t>(run_len) * file_->page_size()) {
-      read = Status::Internal("buffer pool: short batched read");
-    }
-    if (!read.ok()) {
-      run_len = 0;
-      return;  // not admitted; the demand Fetch will retry and report
-    }
-    for (uint32_t i = 0; i < run_len; ++i) {
-      uint32_t page_no = run_first + i;
-      auto victim = PickVictimLocked();
-      if (!victim.ok()) {
-        full = true;
-        run_len = 0;
-        return;
-      }
-      Frame& frame = frames_[*victim];
-      if (frame.valid) {
-        page_to_frame_.erase(frame.page_no);
-        frame.valid = false;
-        frame.prefetched = false;
-        ++stats_.evictions;
-      }
-      frame.data.assign(batch,
-                        static_cast<size_t>(i) * file_->page_size(),
-                        file_->page_size());
-      auto header = ParsePage(frame.data, file_->page_size(), page_no);
-      if (!header.ok()) continue;  // demand Fetch will fail loudly
-      ++stats_.pages_read;
-      ++stats_.prefetch_pages;
-      stats_.bytes_read += file_->page_size();
-      if (io != nullptr) ++io->pages_read;
-      if (!touched_[page_no]) {
-        touched_[page_no] = true;
-        ++stats_.pages_touched;
-      }
-      frame.header = *header;
-      frame.page_no = page_no;
-      frame.valid = true;
-      // ref_bit stays false: an unused prefetched frame is the clock's
-      // first choice, so speculation never outcompetes the working set.
-      frame.ref_bit = false;
-      frame.prefetched = true;
-      frame.pins = 0;
-      page_to_frame_.emplace(page_no, *victim);
-    }
-    run_len = 0;
-  };
-  for (uint32_t p = first; p < first + n && !full; ++p) {
-    if (page_to_frame_.count(p) != 0) {
-      admit_run();
-      continue;
-    }
-    if (run_len == 0) {
-      run_first = p;
-      run_len = 1;
-    } else {
-      ++run_len;
-    }
-  }
-  if (!full) admit_run();
 }
 
 BufferPoolStats BufferPool::stats() const {

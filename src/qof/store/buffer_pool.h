@@ -39,27 +39,22 @@ struct BufferPoolStats {
   uint64_t pages_touched = 0;  // distinct pages ever fetched from disk
   uint64_t bytes_read = 0;     // pages_read * page_size
   uint64_t read_calls = 0;     // VFS read invocations (retries included)
-  uint64_t pages_read = 0;     // misses + prefetch_pages
-  uint64_t prefetch_pages = 0;  // pages admitted by PrefetchHint
-  uint64_t prefetch_hits = 0;   // fetches served by a prefetched frame
+  uint64_t pages_read = 0;     // equals misses: one page per demand read
+  // Always zero: every page enters the pool through a demand Fetch. Kept
+  // only because the end-to-end benchmark still reports them.
+  uint64_t prefetch_pages = 0;
+  uint64_t prefetch_hits = 0;
   uint32_t capacity_pages = 0;
   uint32_t resident_pages = 0;
   uint32_t pinned_frames = 0;
 };
 
-/// Per-call I/O attribution: a caller that passes one of these to Fetch /
-/// PrefetchHint gets its own share of the pool counters added in — exact
-/// even when concurrent queries share the pool (a stats() delta is not).
+/// Per-call I/O attribution: a caller that passes one of these to Fetch
+/// gets its own share of the pool counters added in — exact even when
+/// concurrent queries share the pool (a stats() delta is not).
 struct FetchIo {
   uint64_t read_calls = 0;
   uint64_t pages_read = 0;
-  uint64_t prefetch_hits = 0;
-
-  void Add(const FetchIo& other) {
-    read_calls += other.read_calls;
-    pages_read += other.pages_read;
-    prefetch_hits += other.prefetch_hits;
-  }
 };
 
 class BufferPool;
@@ -125,18 +120,6 @@ class BufferPool {
   /// counters.
   Result<PageRef> Fetch(uint32_t page_no, FetchIo* io = nullptr);
 
-  /// Advisory batched readahead: admits the not-yet-resident pages of
-  /// [first, first + n) as unpinned, clock-evictable frames, reading each
-  /// maximal non-resident run with one ReadPages call. Never displaces a
-  /// pinned frame (admission stops when only pinned frames remain), never
-  /// re-reads a resident page, and obeys the calling thread's governance
-  /// the same way Fetch does — a tripped deadline or cancellation makes
-  /// the hint a no-op. Failures are swallowed: a page whose batch read or
-  /// checksum fails is simply not admitted, and the demand Fetch that
-  /// actually needs it surfaces the error. `io` accumulates the read
-  /// calls and pages read on the caller's behalf.
-  void PrefetchHint(uint32_t first, uint32_t n, FetchIo* io = nullptr);
-
   BufferPoolStats stats() const;
   /// Forgets which pages have been touched and zeroes the counters (the
   /// benches measure per-query page footprints this way).
@@ -152,9 +135,6 @@ class BufferPool {
     uint32_t page_no = 0;
     bool valid = false;
     bool ref_bit = false;
-    /// Admitted by PrefetchHint and not yet pinned — the first Fetch that
-    /// lands on it counts a prefetch hit and clears the flag.
-    bool prefetched = false;
     uint32_t pins = 0;
     PageHeader header;
     std::string data;  // page_size bytes, allocated once, reused

@@ -47,31 +47,6 @@ Status PagedFile::ReadPage(uint32_t page_no, std::string* buf) const {
   return Status::OK();
 }
 
-Status PagedFile::ReadPages(uint32_t first, uint32_t n,
-                            std::string* buf) const {
-  if (n == 0) {
-    buf->clear();
-    return Status::OK();
-  }
-  if (first >= num_pages_ || n > num_pages_ - first) {
-    return Status::InvalidArgument(
-        "paged store: page run [" + std::to_string(first) + ", " +
-        std::to_string(first) + "+" + std::to_string(n) +
-        ") is out of range (file has " + std::to_string(num_pages_) +
-        " pages)");
-  }
-  Status status =
-      file_->ReadAt(static_cast<uint64_t>(first) * page_size_,
-                    static_cast<size_t>(n) * page_size_, buf);
-  if (!status.ok()) {
-    return Status::Internal("paged store: I/O error reading pages [" +
-                            std::to_string(first) + ", " +
-                            std::to_string(first + n) + ") of '" + path_ +
-                            "': " + status.message());
-  }
-  return Status::OK();
-}
-
 Status WriteFileBytes(const std::string& path, const std::string& bytes) {
   return AtomicWriteFile(DefaultVfs(), path, bytes);
 }

@@ -39,11 +39,6 @@ class PagedFile {
   /// Does not parse or verify the header — that is the buffer pool's job.
   Status ReadPage(uint32_t page_no, std::string* buf) const;
 
-  /// Reads `n` consecutive pages starting at `first` into `buf` (resized
-  /// to n * page_size) with a single VFS read — the batched path prefetch
-  /// admission uses so a 40-page posting run costs one round-trip, not 40.
-  Status ReadPages(uint32_t first, uint32_t n, std::string* buf) const;
-
  private:
   std::string path_;
   std::shared_ptr<RandomAccessFile> file_;

@@ -54,54 +54,10 @@ class StoreRegionCursorImpl : public RegionCursor {
     return header_.blocks[b].count;
   }
 
-  bool wants_prefetch() const override {
-    return store_->prefetch_ && prefetch_allowed_;
-  }
-
-  void PrefetchBlocks(size_t first, size_t count) override {
-    if (!wants_prefetch() || count == 0 ||
-        first + count > header_.blocks.size()) {
-      return;
-    }
-    // Blocks already decoded into this cursor's cache are served without
-    // touching the pool — reading their pages back in would be pure
-    // waste, so the run is split around them.
-    size_t run_first = first, run_len = 0;
-    auto emit = [&]() {
-      if (run_len == 0) return;
-      const PostingBlockMeta& lo = header_.blocks[run_first];
-      const PostingBlockMeta& hi = header_.blocks[run_first + run_len - 1];
-      uint64_t off = entry_.byte_off + entry_.header_len + lo.byte_off;
-      uint64_t len = hi.byte_off + hi.byte_len - lo.byte_off;
-      run_len = 0;
-      if (len == 0) return;
-      const SectionInfo& info =
-          store_->meta_.section(StoreSection::kPostings);
-      if (off + len > info.byte_len) return;  // damaged header; ReadBlock
-                                              // will report it
-      const uint32_t capacity = PagePayloadCapacity(store_->page_size());
-      uint32_t p0 = static_cast<uint32_t>(off / capacity);
-      uint32_t p1 = static_cast<uint32_t>((off + len - 1) / capacity);
-      store_->pool_.PrefetchHint(info.first_page + p0, p1 - p0 + 1, &io_);
-    };
-    for (size_t b = first; b < first + count; ++b) {
-      bool cached = b < cache_.size() && !cache_[b].empty();
-      if (cached) {
-        emit();
-        run_first = b + 1;
-        continue;
-      }
-      if (run_len == 0) run_first = b;
-      ++run_len;
-    }
-    emit();
-  }
-
   CursorIoStats io_stats() const override {
     CursorIoStats out;
     out.pages_read = io_.pages_read;
     out.read_calls = io_.read_calls;
-    out.prefetch_hits = io_.prefetch_hits;
     return out;
   }
 

@@ -23,10 +23,6 @@ struct PagedStoreOptions {
   uint32_t pool_pages = 256;
   /// Fault injection for the fuzz harness only — see BufferPoolOptions.
   bool inject_evict_pinned = false;
-  /// Let cursors turn skip-table dry runs into batched PrefetchHint
-  /// admissions. Off = every page is a demand ReadPage (the PR 9
-  /// behavior); results are identical either way.
-  bool prefetch = true;
 };
 
 /// Read access to a "QOFSTOR1" file: meta, fence-guided dictionary
@@ -94,7 +90,6 @@ class PagedStore {
              const PagedStoreOptions& options)
       : file_(std::move(file)),
         meta_(meta),
-        prefetch_(options.prefetch),
         pool_(&file_, BufferPoolOptions{options.pool_pages,
                                         options.inject_evict_pinned}) {}
 
@@ -126,7 +121,6 @@ class PagedStore {
 
   PagedFile file_;
   StoreMeta meta_;
-  bool prefetch_ = true;
   mutable BufferPool pool_;
   /// First key of every dict page, loaded eagerly at open.
   std::vector<std::string> region_fences_;

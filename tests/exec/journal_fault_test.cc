@@ -18,6 +18,7 @@
 #include "qof/exec/fault_injector.h"
 #include "qof/maintain/journal.h"
 #include "qof/maintain/maintainer.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
@@ -51,7 +52,7 @@ class JournalFaultTest : public ::testing::Test {
     auto schema = BibtexSchema();
     ASSERT_TRUE(schema.ok());
     schema_ = std::make_unique<StructuringSchema>(*schema);
-    path_ = ::testing::TempDir() + "qof_journal_fault_test.qofj";
+    path_ = TempPath("journal.qofj");
     std::remove(path_.c_str());
   }
 

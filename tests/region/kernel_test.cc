@@ -1,8 +1,8 @@
 // Kernel-policy tests: the galloping variants of Intersect and Difference
 // must return byte-identical sets to the linear merges under every size
-// skew, and the policy knob (SetKernelPolicy / QOF_FORCE_KERNEL) must not
-// change any result — also of ⊃, ⊂ and ι, which have one cursor kernel
-// each and ignore it.
+// skew, and the policy hook (SetKernelPolicy) must not change any
+// result — also of ⊃, ⊂ and ι, which have one cursor kernel each and
+// ignore it.
 
 #include <algorithm>
 #include <random>

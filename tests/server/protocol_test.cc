@@ -1,6 +1,7 @@
 // The qof_serve line protocol: command parsing, field escaping, and
 // response formatting (see qof/server/protocol.h for the grammar).
 
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -109,6 +110,25 @@ TEST(Format, ResponsesAreTaggedAndNewlineTerminated) {
             "ERR 2 not-found no session 2\n");
   EXPECT_EQ(FormatErr(1, Status::Unavailable("queue full\nretry")),
             "ERR 1 unavailable queue full\\nretry\n");
+}
+
+TEST(Format, EveryStatusCodeHasADistinctToken) {
+  // ERR lines name the code as their third space-separated field; a code
+  // without its own token would be reported as another one.
+  std::set<std::string> tokens;
+  const int last = static_cast<int>(StatusCode::kDataLoss);
+  for (int c = static_cast<int>(StatusCode::kInvalidArgument); c <= last;
+       ++c) {
+    const std::string line =
+        FormatErr(0, Status(static_cast<StatusCode>(c), "m"));
+    ASSERT_EQ(line.rfind("ERR 0 ", 0), 0u) << line;
+    const std::string token = line.substr(6, line.find(' ', 6) - 6);
+    EXPECT_TRUE(tokens.insert(token).second)
+        << "duplicate token '" << token << "' for code " << c;
+  }
+  EXPECT_EQ(tokens.count("ok"), 0u);
+  EXPECT_EQ(FormatErr(3, Status(StatusCode::kDataLoss, "bad page")),
+            "ERR 3 data-loss bad page\n");
 }
 
 TEST(Format, RoundTripThroughParse) {

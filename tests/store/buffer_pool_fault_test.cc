@@ -170,49 +170,5 @@ TEST_F(BufferPoolFaultTest, ConcurrentFetchesUnderInjectedFaultsAreClean) {
   EXPECT_LE(s.hits + s.misses + s.io_errors, s.fetches);
 }
 
-TEST_F(BufferPoolFaultTest, ConcurrentPrefetchRacingEvictionIsClean) {
-  // Prefetch admission racing clock eviction under a pool smaller than
-  // the file: hint threads keep admitting unpinned frames while fetch
-  // threads pin, read, and (by exhausting the 3 frames) force the clock
-  // hand over both prefetched and demand frames. Every successful pin
-  // must still observe its own page's verified bytes, and occasional
-  // injected read faults must stay absorbed or surfaced — never turn
-  // into a wrong payload. Run under TSan in the store-tsan CI leg.
-  BufferPool pool(file_.get(), BufferPoolOptions{3, false});
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&pool, t] {
-      FetchIo io;
-      for (int i = 0; i < 300; ++i) {
-        uint32_t first = static_cast<uint32_t>((i + 3 * t) % 5);
-        pool.PrefetchHint(first, 2, &io);
-      }
-    });
-  }
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([this, &pool, t] {
-      FetchIo io;
-      for (int i = 0; i < 300; ++i) {
-        if (t == 0 && i % 23 == 0) vfs_.set_fail_reads(1);
-        uint32_t page = static_cast<uint32_t>((i * 5 + t) % 6);
-        auto ref = pool.Fetch(page, &io);
-        if (ref.ok()) {
-          EXPECT_EQ(ref->payload(), "page-" + std::to_string(page));
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.pinned_frames, 0u);
-  EXPECT_EQ(s.fetches, 900u);
-  EXPECT_LE(s.resident_pages, 3u);
-  // Prefetch hits can only come from frames a hint admitted.
-  EXPECT_LE(s.prefetch_hits, s.prefetch_pages);
-  // pages_read decomposes exactly into demand misses and prefetched
-  // admissions, however the race interleaved them.
-  EXPECT_EQ(s.pages_read, s.misses + s.prefetch_pages);
-}
-
 }  // namespace
 }  // namespace qof

@@ -17,13 +17,10 @@
 #include "qof/store/paged_store.h"
 #include "qof/store/scrub.h"
 #include "qof/store/store_format.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 class ScrubTest : public ::testing::Test {
  protected:

@@ -1,7 +1,7 @@
 // Engine-level tests of the disk-resident index tier: SaveStore/OpenStore
 // round trips must answer byte-identically to the in-memory indexes they
-// were saved from, across every strategy, kernel policy, parallelism and
-// prefetch setting; damage must fail loudly; governance must reach into the
+// were saved from, across every strategy, kernel policy and parallelism;
+// damage must fail loudly; governance must reach into the
 // buffer pool; and concurrent snapshot readers must survive eviction.
 
 #include <gtest/gtest.h>
@@ -20,13 +20,10 @@
 #include "qof/schema/schema_text.h"
 #include "qof/store/paged_file.h"
 #include "qof/store/store_format.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 const char* const kQueries[] = {
     "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = \"Chang\"",
@@ -426,12 +423,12 @@ TEST_F(StoreSystemTest, SnapshotReadersRaceEvictionUnderTinyPool) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(StorePrefetchTest, OnAndOffMatchMemoryBaseline) {
+TEST(StoreColdDiskTest, GrammarModelMatchesMemoryBaseline) {
   // The grammar-model bench corpus (leaf + shared collection + tuple
   // collection + recursion, Zipf-skewed words) on 256-byte pages, so the
-  // cursor kernels stream multi-page instances and prefetch hints have
-  // pages to batch. Prefetch changes I/O batching only: with it on or
-  // off, a cold disk system must answer exactly like the in-memory one.
+  // cursor kernels stream multi-page instances one demand page at a time.
+  // Each query runs on its own cold disk system and must answer exactly
+  // like the in-memory one.
   BenchCorpusSpec spec;
   spec.seed = 11;
   spec.target_bytes = 96 << 10;
@@ -450,7 +447,7 @@ TEST(StorePrefetchTest, OnAndOffMatchMemoryBaseline) {
   };
   auto mem = make_system();
   ASSERT_TRUE(mem->BuildIndexes(IndexSpec::Full()).ok());
-  const std::string path = TempPath("prefetch.qofstore");
+  const std::string path = TempPath("grammar.qofstore");
   ASSERT_TRUE(mem->SaveStore(path, /*page_size=*/256).ok());
 
   const char* const queries[] = {
@@ -464,17 +461,12 @@ TEST(StorePrefetchTest, OnAndOffMatchMemoryBaseline) {
   for (const char* fql : queries) {
     auto want = mem->Execute(fql);
     ASSERT_TRUE(want.ok()) << fql << ": " << want.status().ToString();
-    for (bool prefetch : {true, false}) {
-      auto disk = make_system();
-      ASSERT_TRUE(disk->OpenStore(path).ok());
-      QueryOptions options;
-      options.prefetch = prefetch;
-      auto got = disk->Execute(fql, ExecutionMode::kAuto, options);
-      ASSERT_TRUE(got.ok()) << fql << ": " << got.status().ToString();
-      EXPECT_EQ(Fingerprint(*want), Fingerprint(*got))
-          << fql << (prefetch ? " pf=on" : " pf=off");
-      EXPECT_EQ(want->stats.candidates, got->stats.candidates) << fql;
-    }
+    auto disk = make_system();
+    ASSERT_TRUE(disk->OpenStore(path).ok());
+    auto got = disk->Execute(fql);
+    ASSERT_TRUE(got.ok()) << fql << ": " << got.status().ToString();
+    EXPECT_EQ(Fingerprint(*want), Fingerprint(*got)) << fql;
+    EXPECT_EQ(want->stats.candidates, got->stats.candidates) << fql;
   }
   std::remove(path.c_str());
 }

@@ -23,13 +23,10 @@
 #include "qof/store/store_index_source.h"
 #include "qof/store/store_writer.h"
 #include "qof/text/word_index.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // ---------------------------------------------------------------------------
 // Posting codec

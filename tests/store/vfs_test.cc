@@ -13,13 +13,10 @@
 #include "qof/store/fault_vfs.h"
 #include "qof/store/paged_file.h"
 #include "qof/store/vfs.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 Status WriteAll(Vfs* vfs, const std::string& path, std::string_view bytes,
                 bool sync) {

@@ -171,11 +171,9 @@ int Run(int argc, char** argv) {
     for (const auto& [op, timing] : result->stats.op_timings) {
       std::cout << "  " << op << ": " << timing.count << " node eval(s), "
                 << timing.micros << " us";
-      if (timing.pages_read != 0 || timing.read_calls != 0 ||
-          timing.prefetch_hits != 0) {
+      if (timing.pages_read != 0 || timing.read_calls != 0) {
         std::cout << "; io: " << timing.pages_read << " page(s) in "
-                  << timing.read_calls << " read call(s), "
-                  << timing.prefetch_hits << " prefetch hit(s)";
+                  << timing.read_calls << " read call(s)";
       }
       std::cout << "\n";
     }
