@@ -1,5 +1,5 @@
 // Benchmarks backing the adaptive-kernel and query-cache acceptance
-// targets: galloping vs. linear set-operation kernels across size skews
+// targets: the galloping vs. linear ∩ kernels across size skews
 // (the galloping side must win big at 1:10k and results must stay
 // byte-identical), and cold vs. warm query runs with the plan + eval
 // caches enabled. Plain driver (no google-benchmark): prints a table and
@@ -17,7 +17,6 @@
 
 namespace {
 
-using qof::KernelPolicy;
 using qof::Region;
 using qof::RegionSet;
 
@@ -37,14 +36,6 @@ RegionSet StridedSubset(uint64_t n, uint64_t stride) {
   return RegionSet::FromUnsorted(std::move(v));
 }
 
-double TimePolicy(KernelPolicy policy, int runs,
-                  const std::function<RegionSet()>& op, RegionSet* out) {
-  qof::SetKernelPolicy(policy);
-  double micros = qof_bench::MedianMicros(runs, [&] { *out = op(); });
-  qof::SetKernelPolicy(KernelPolicy::kAdaptive);
-  return micros;
-}
-
 void BenchKernels(qof_bench::JsonEmitter* emitter) {
   constexpr uint64_t kLarge = 1u << 20;  // 1M regions
   std::printf("kernels: linear vs galloping (large side: %llu regions)\n",
@@ -52,40 +43,29 @@ void BenchKernels(qof_bench::JsonEmitter* emitter) {
   std::printf("%-14s %-10s %14s %14s %9s\n", "op", "skew", "linear_us",
               "gallop_us", "speedup");
   RegionSet large = DenseSet(kLarge);
-  struct Op {
-    const char* name;
-    RegionSet (*fn)(const RegionSet&, const RegionSet&);
-  };
-  // ⊃ and ⊂ have one cursor kernel each and ignore the policy, so only
-  // ∩ has two kernels to compare here.
-  const Op ops[] = {{"intersect", [](const RegionSet& a,
-                                     const RegionSet& b) {
-                       return Intersect(a, b);
-                     }}};
-  for (const Op& op : ops) {
-    for (uint64_t skew : {uint64_t{1}, uint64_t{100}, uint64_t{10000}}) {
-      RegionSet small = StridedSubset(kLarge, skew);
-      const int runs = skew == 1 ? 5 : 15;
-      RegionSet linear_out, gallop_out;
-      double linear_us = TimePolicy(
-          KernelPolicy::kLinear, runs,
-          [&] { return op.fn(small, large); }, &linear_out);
-      double gallop_us = TimePolicy(
-          KernelPolicy::kGalloping, runs,
-          [&] { return op.fn(small, large); }, &gallop_out);
-      if (!(linear_out == gallop_out)) {
-        std::fprintf(stderr, "FATAL: %s results differ at skew 1:%llu\n",
-                     op.name, static_cast<unsigned long long>(skew));
-        std::exit(1);
-      }
-      double speedup = gallop_us > 0 ? linear_us / gallop_us : 0;
-      std::string config = "1:" + std::to_string(skew);
-      std::printf("%-14s %-10s %14.1f %14.1f %8.1fx\n", op.name,
-                  config.c_str(), linear_us, gallop_us, speedup);
-      emitter->Row(op.name, config, "linear_micros", linear_us);
-      emitter->Row(op.name, config, "gallop_micros", gallop_us);
-      emitter->Row(op.name, config, "speedup", speedup);
+  // ⊃ and ⊂ have one cursor kernel each, so only ∩ has two kernels to
+  // compare here.
+  const char* op = "intersect";
+  for (uint64_t skew : {uint64_t{1}, uint64_t{100}, uint64_t{10000}}) {
+    RegionSet small = StridedSubset(kLarge, skew);
+    const int runs = skew == 1 ? 5 : 15;
+    RegionSet linear_out, gallop_out;
+    double linear_us = qof_bench::MedianMicros(
+        runs, [&] { linear_out = qof::LinearIntersect(small, large); });
+    double gallop_us = qof_bench::MedianMicros(
+        runs, [&] { gallop_out = qof::GallopIntersect(small, large); });
+    if (!(linear_out == gallop_out)) {
+      std::fprintf(stderr, "FATAL: %s results differ at skew 1:%llu\n", op,
+                   static_cast<unsigned long long>(skew));
+      std::exit(1);
     }
+    double speedup = gallop_us > 0 ? linear_us / gallop_us : 0;
+    std::string config = "1:" + std::to_string(skew);
+    std::printf("%-14s %-10s %14.1f %14.1f %8.1fx\n", op, config.c_str(),
+                linear_us, gallop_us, speedup);
+    emitter->Row(op, config, "linear_micros", linear_us);
+    emitter->Row(op, config, "gallop_micros", gallop_us);
+    emitter->Row(op, config, "speedup", speedup);
   }
 }
 

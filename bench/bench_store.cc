@@ -33,7 +33,6 @@
 
 namespace {
 
-using qof::KernelPolicy;
 using qof::Region;
 using qof::RegionSet;
 
@@ -111,11 +110,10 @@ void BenchSkewIntersect(qof_bench::JsonEmitter* emitter) {
     RegionSet probe = StridedSubset(kLarge, skew);
     const int runs = 15;
 
-    qof::SetKernelPolicy(KernelPolicy::kGalloping);
+    // Intersect already gallops at both skews (CostModel::PreferGallop).
     RegionSet mem_out;
     double gallop_us = qof_bench::MedianMicros(
         runs, [&] { mem_out = Intersect(probe, large); });
-    qof::SetKernelPolicy(KernelPolicy::kAdaptive);
 
     // The same block-skipping kernel over an in-memory cursor with the
     // store's block geometry — isolates what the disk tier itself costs

@@ -12,20 +12,11 @@ namespace {
 
 /// Whether an exact-match selection should iterate the posting list and
 /// probe the child set, instead of iterating the child and probing the
-/// postings. The forced kernel policy pins the direction (the fuzzer
-/// cross-checks both); adaptively, posting-driven wins when the posting
-/// list is much smaller than the child.
+/// postings: posting-driven wins when the posting list is much smaller
+/// than the child.
 bool PostingDriven(size_t posting_count, size_t child_size) {
-  if (posting_count == 0) return false;
-  switch (kernel_policy()) {
-    case KernelPolicy::kGalloping:
-      return true;
-    case KernelPolicy::kLinear:
-      return false;
-    case KernelPolicy::kAdaptive:
-      break;
-  }
-  return CostModel::PreferPostingDriven(posting_count, child_size);
+  return posting_count > 0 &&
+         CostModel::PreferPostingDriven(posting_count, child_size);
 }
 
 // Every loop below walks one side in ascending order and keeps forward

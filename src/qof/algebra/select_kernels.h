@@ -34,9 +34,9 @@ struct SelectSpec {
 ///
 /// This is THE selection implementation: the tree evaluator and the IR
 /// executor both call it, so their results are byte-identical by
-/// construction. Dispatch between posting-driven and child-driven
-/// directions (σ= and STARTS have both) follows kernel_policy() and the
-/// shared CostModel table.
+/// construction. σ= and STARTS have a posting-driven and a child-driven
+/// direction; CostModel::PreferPostingDriven picks one from the posting
+/// and child sizes.
 ///
 /// Cost: the driving side (child members, or postings when
 /// posting-driven) is walked in ascending order with a forward galloping

@@ -30,10 +30,6 @@ struct CacheOptions {
   size_t max_plans = 256;
   /// LRU capacity of the eval cache, in total regions retained.
   uint64_t max_cached_regions = 1u << 20;
-  /// Test-only planted bug: the eval cache ignores epoch changes and
-  /// keeps serving entries cached under older generations (--inject
-  /// stale-cache drives this through the fuzzer).
-  bool inject_stale = false;
 
   bool any() const { return enable_plan_cache || enable_eval_cache; }
 

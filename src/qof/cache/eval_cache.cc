@@ -1,12 +1,14 @@
 #include "qof/cache/eval_cache.h"
 
+#include "qof/exec/fault_injector.h"
+
 namespace qof {
 
 std::string EvalCache::CompositeKey(const std::string& key,
                                     const CacheEpoch& epoch) const {
   // Under the planted bug entries are keyed by expression alone, so the
   // epoch check vanishes and stale answers keep flowing.
-  if (inject_stale_) return key;
+  if (PlantedBugArmed(planted_bug::kStaleCache)) return key;
   return std::to_string(epoch.build) + ':' + std::to_string(epoch.generation) +
          ':' + std::to_string(epoch.compactions) + '|' + key;
 }
@@ -30,7 +32,7 @@ void EvalCache::AdvanceEpochLocked(const CacheEpoch& epoch) {
   // Only ever move forwards: a snapshot query running under a pinned old
   // epoch must not reset "current" and prune the live state's entries.
   if (!(epoch_ < epoch)) return;
-  if (!inject_stale_) {
+  if (!PlantedBugArmed(planted_bug::kStaleCache)) {
     // Prune entries of epochs no live snapshot pins. Entries of pinned
     // epochs survive — that is the whole point of per-generation
     // retention: a mutation must not cost pinned readers their warm
@@ -109,7 +111,7 @@ void EvalCache::Unpin(const CacheEpoch& epoch) {
     // never be served again — reclaim them now rather than waiting for
     // the next epoch advance. Not an invalidation: no live query could
     // still observe these entries.
-    if (epoch != epoch_ && !inject_stale_) {
+    if (epoch != epoch_ && !PlantedBugArmed(planted_bug::kStaleCache)) {
       for (auto e = map_.begin(); e != map_.end();) {
         if (e->second.epoch == epoch) {
           regions_cached_ -= e->second.set->size();

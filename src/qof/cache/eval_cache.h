@@ -76,13 +76,12 @@ struct CacheEpoch {
 /// cache.
 class EvalCache {
  public:
-  EvalCache(uint64_t max_regions, bool inject_stale)
-      : max_regions_(max_regions), inject_stale_(inject_stale) {}
+  explicit EvalCache(uint64_t max_regions) : max_regions_(max_regions) {}
 
   /// Returns the cached set for (`epoch`, `key`), or null. An `epoch`
   /// newer than any seen so far advances the cache's notion of "current"
-  /// and prunes entries of unpinned stale epochs. Under the planted
-  /// inject_stale bug entries are keyed by expression alone — old-
+  /// and prunes entries of unpinned stale epochs. Under the armed
+  /// stale-cache planted bug entries are keyed by expression alone — old-
   /// generation entries keep being served after mutations, which the
   /// fuzzer's cache leg exists to catch (--inject stale-cache).
   std::shared_ptr<const RegionSet> Lookup(const std::string& key,
@@ -117,7 +116,6 @@ class EvalCache {
                            const CacheEpoch& epoch) const;
 
   const uint64_t max_regions_;
-  const bool inject_stale_;
   mutable std::mutex mu_;
   CacheEpoch epoch_;
   std::list<std::string> lru_;  // front = most recent (composite keys)

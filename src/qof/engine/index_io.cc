@@ -11,21 +11,14 @@
 namespace qof {
 namespace {
 
-constexpr char kMagicV1[] = "QOFIDX1\n";
-constexpr char kMagicV2[] = "QOFIDX2\n";
-constexpr char kMagicV3[] = "QOFIDX3\n";
+constexpr char kMagic[] = "QOFIDX3\n";
 constexpr size_t kMagicLen = 8;
 
-// v3 header: magic | generation u64 | payload checksum u64. The checksum
+// Header: magic | generation u64 | payload checksum u64. The checksum
 // covers everything after the header (doc table + body) but not the
 // generation, so blobs that differ only in maintenance history still
 // byte-compare after StripGeneration-style zeroing of bytes [8, 16).
-constexpr size_t kV3HeaderLen = kMagicLen + 16;
-
-bool HasMagic(std::string_view blob, const char* magic) {
-  return blob.size() >= kMagicLen &&
-         std::memcmp(blob.data(), magic, kMagicLen) == 0;
-}
+constexpr size_t kHeaderLen = kMagicLen + 16;
 
 // --- shared body (spec + regions + words + documents) ----------------------
 
@@ -151,7 +144,7 @@ Status CheckSerializable(const IndexSpec& spec) {
   return Status::OK();
 }
 
-// --- v2 document table -----------------------------------------------------
+// --- document table --------------------------------------------------------
 
 Result<std::vector<DocFingerprint>> DecodeDocTable(WireReader* reader) {
   QOF_ASSIGN_OR_RETURN(uint32_t count, reader->U32());
@@ -203,54 +196,34 @@ std::string JoinStale(const std::vector<std::string>& stale) {
   return out;
 }
 
-/// Reads the u64 checksum field of a v3 header and verifies it against
-/// the payload. A mismatch means the blob was damaged after it was
-/// written — a bit flip anywhere in the doc table or index body is
-/// caught here, before any of it is decoded.
-Status VerifyPayloadChecksum(std::string_view blob, WireReader* reader) {
-  QOF_ASSIGN_OR_RETURN(uint64_t expected, reader->U64());
-  if (blob.size() < kV3HeaderLen ||
-      Fnv1a(blob.substr(kV3HeaderLen)) != expected) {
+/// The header parse every decoder shares: checks the magic, verifies the
+/// payload checksum and reads the generation and the document table,
+/// leaving `reader` (over the whole blob) at the body. A checksum
+/// mismatch means the blob was damaged after it was written — a bit flip
+/// anywhere in the doc table or index body is caught here, before any of
+/// it is decoded.
+Result<BlobInfo> ReadHeader(std::string_view blob, WireReader* reader) {
+  if (blob.size() < kMagicLen ||
+      std::memcmp(blob.data(), kMagic, kMagicLen) != 0) {
+    return Status::InvalidArgument("not a qof index blob (bad magic)");
+  }
+  QOF_RETURN_IF_ERROR(reader->U64().status());  // the magic
+  BlobInfo info;
+  QOF_ASSIGN_OR_RETURN(info.generation, reader->U64());
+  QOF_ASSIGN_OR_RETURN(uint64_t checksum, reader->U64());
+  if (blob.size() < kHeaderLen ||
+      Fnv1a(blob.substr(kHeaderLen)) != checksum) {
     return Status::InvalidArgument(
         "index blob corrupt (payload checksum mismatch); rebuild the "
         "indexes");
   }
-  return Status::OK();
-}
-
-Result<SerializedIndexes> DeserializeV1(std::string_view blob,
-                                        std::string_view corpus_text) {
-  WireReader reader(blob.substr(kMagicLen), "index blob");
-  QOF_ASSIGN_OR_RETURN(uint64_t size, reader.U64());
-  QOF_ASSIGN_OR_RETURN(uint64_t fingerprint, reader.U64());
-  if (size != corpus_text.size() ||
-      fingerprint != CorpusFingerprint(corpus_text)) {
-    return Status::InvalidArgument(
-        "index blob was built for a different corpus "
-        "(fingerprint mismatch; v1 blobs cannot name the stale "
-        "documents); rebuild the indexes");
-  }
-  SerializedIndexes out;
-  QOF_RETURN_IF_ERROR(DecodeBody(&reader, corpus_text.size(), &out));
-  return out;
+  QOF_ASSIGN_OR_RETURN(info.docs, DecodeDocTable(reader));
+  return info;
 }
 
 }  // namespace
 
 uint64_t CorpusFingerprint(std::string_view text) { return Fnv1a(text); }
-
-Result<std::string> SerializeIndexes(const BuiltIndexes& built,
-                                     const IndexSpec& spec,
-                                     std::string_view corpus_text) {
-  QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kIndexIoSerialize));
-  QOF_RETURN_IF_ERROR(CheckSerializable(spec));
-  std::string out;
-  out.append(kMagicV1, kMagicLen);
-  PutU64(corpus_text.size(), &out);
-  PutU64(CorpusFingerprint(corpus_text), &out);
-  QOF_RETURN_IF_ERROR(AppendBody(built, spec, &out));
-  return out;
-}
 
 Result<std::string> SerializeIndexes(const BuiltIndexes& built,
                                      const IndexSpec& spec,
@@ -268,49 +241,11 @@ Result<std::string> SerializeIndexes(const BuiltIndexes& built,
   QOF_ASSIGN_OR_RETURN(std::string payload, EncodeDocTable(corpus));
   QOF_RETURN_IF_ERROR(AppendBody(built, spec, &payload));
   std::string out;
-  out.reserve(kV3HeaderLen + payload.size());
-  out.append(kMagicV3, kMagicLen);
+  out.reserve(kHeaderLen + payload.size());
+  out.append(kMagic, kMagicLen);
   PutU64(generation, &out);
   PutU64(Fnv1a(payload), &out);
   out += payload;
-  return out;
-}
-
-Result<SerializedIndexes> DeserializeIndexes(std::string_view blob,
-                                             std::string_view corpus_text) {
-  QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kIndexIoDeserialize));
-  if (HasMagic(blob, kMagicV1)) return DeserializeV1(blob, corpus_text);
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  WireReader reader(blob.substr(kMagicLen), "index blob");
-  SerializedIndexes out;
-  QOF_ASSIGN_OR_RETURN(out.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
-  QOF_ASSIGN_OR_RETURN(std::vector<DocFingerprint> docs,
-                       DecodeDocTable(&reader));
-  ImpliedLayout layout = LayoutOf(docs);
-  if (layout.total != corpus_text.size()) {
-    return Status::InvalidArgument(
-        "index blob was built for a different corpus layout (" +
-        std::to_string(layout.total) + " bytes indexed vs " +
-        std::to_string(corpus_text.size()) + " present); rebuild the "
-        "indexes");
-  }
-  std::vector<std::string> stale;
-  for (size_t i = 0; i < docs.size(); ++i) {
-    std::string_view text =
-        corpus_text.substr(layout.starts[i], docs[i].size);
-    if (Fnv1a(text) != docs[i].fnv1a) stale.push_back(docs[i].name);
-  }
-  if (!stale.empty()) {
-    return Status::InvalidArgument(
-        "index blob is stale: " + std::to_string(stale.size()) +
-        " document(s) changed since indexing: " + JoinStale(stale) +
-        "; rebuild the indexes");
-  }
-  QOF_RETURN_IF_ERROR(DecodeBody(&reader, layout.total, &out));
   return out;
 }
 
@@ -322,26 +257,18 @@ Result<SerializedIndexes> DeserializeIndexes(std::string_view blob,
     return Status::InvalidArgument(
         "corpus has tombstoned spans; compact before loading indexes");
   }
-  if (HasMagic(blob, kMagicV1)) {
-    return DeserializeV1(blob, corpus.full_text());
-  }
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  WireReader reader(blob.substr(kMagicLen), "index blob");
-  SerializedIndexes out;
-  QOF_ASSIGN_OR_RETURN(out.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
-  QOF_ASSIGN_OR_RETURN(std::vector<DocFingerprint> docs,
-                       DecodeDocTable(&reader));
-  std::vector<std::string> stale = DiagnoseStaleDocs(docs, corpus);
+  WireReader reader(blob, "index blob");
+  QOF_ASSIGN_OR_RETURN(BlobInfo header, ReadHeader(blob, &reader));
+  std::vector<std::string> stale = DiagnoseStaleDocs(header.docs, corpus);
   if (!stale.empty() && !options.allow_stale) {
     return Status::InvalidArgument(
         "index blob is stale: " + JoinStale(stale) +
         "; rebuild the indexes (or load with allow_stale)");
   }
-  QOF_RETURN_IF_ERROR(DecodeBody(&reader, LayoutOf(docs).total, &out));
+  SerializedIndexes out;
+  out.generation = header.generation;
+  QOF_RETURN_IF_ERROR(
+      DecodeBody(&reader, LayoutOf(header.docs).total, &out));
   out.stale_documents = std::move(stale);
   return out;
 }
@@ -446,42 +373,19 @@ std::string FormatStaleDocs(const std::vector<std::string>& stale) {
 
 Result<UncheckedIndexes> DeserializeIndexesUnchecked(std::string_view blob) {
   QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kIndexIoDeserialize));
-  if (HasMagic(blob, kMagicV1)) {
-    return Status::InvalidArgument(
-        "v1 index blobs carry no document table and cannot be converted; "
-        "rebuild and re-export first");
-  }
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  WireReader reader(blob.substr(kMagicLen), "index blob");
+  WireReader reader(blob, "index blob");
+  QOF_ASSIGN_OR_RETURN(BlobInfo header, ReadHeader(blob, &reader));
   UncheckedIndexes out;
-  out.version = v3 ? 3 : 2;
-  QOF_ASSIGN_OR_RETURN(out.indexes.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
-  QOF_ASSIGN_OR_RETURN(out.docs, DecodeDocTable(&reader));
+  out.indexes.generation = header.generation;
+  out.docs = std::move(header.docs);
   QOF_RETURN_IF_ERROR(
       DecodeBody(&reader, LayoutOf(out.docs).total, &out.indexes));
   return out;
 }
 
 Result<BlobInfo> ReadBlobInfo(std::string_view blob) {
-  BlobInfo info;
-  if (HasMagic(blob, kMagicV1)) {
-    info.version = 1;
-    return info;
-  }
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  info.version = v3 ? 3 : 2;
-  WireReader reader(blob.substr(kMagicLen), "index blob");
-  QOF_ASSIGN_OR_RETURN(info.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
-  QOF_ASSIGN_OR_RETURN(info.docs, DecodeDocTable(&reader));
-  return info;
+  WireReader reader(blob, "index blob");
+  return ReadHeader(blob, &reader);
 }
 
 }  // namespace qof

@@ -184,7 +184,6 @@ Status FileQuerySystem::BuildIndexes(const IndexSpec& spec) {
       spec.within);
   store_.reset();
   index_source_ = "built";
-  index_format_version_ = 0;
   ++builds_;
   ResetMaintainer(/*generation=*/0);
   // A rebuild replaces the compiler: plan-cache entries (keyed by FQL
@@ -402,8 +401,7 @@ void FileQuerySystem::SetCacheOptions(const CacheOptions& options) {
                     ? std::make_unique<PlanCache>(options.max_plans)
                     : nullptr;
   eval_cache_ = options.enable_eval_cache
-                    ? std::make_shared<EvalCache>(options.max_cached_regions,
-                                                  options.inject_stale)
+                    ? std::make_shared<EvalCache>(options.max_cached_regions)
                     : nullptr;
 }
 
@@ -864,7 +862,6 @@ Status FileQuerySystem::OpenStore(const std::string& path,
   compiler_ = std::move(compiler);
   store_ = store;
   index_source_ = "paged-store";
-  index_format_version_ = 0;
   ++builds_;
   ResetMaintainer(store->meta().generation);
   if (plan_cache_ != nullptr) plan_cache_->Clear();
@@ -879,7 +876,6 @@ FileQuerySystem::IndexStats FileQuerySystem::index_stats() const {
   IndexStats stats;
   stats.built = built_ != nullptr;
   stats.source = index_source_;
-  stats.format_version = index_format_version_;
   stats.generation =
       maintainer_ != nullptr ? maintainer_->generation() : 0;
   stats.disk_resident =
@@ -899,11 +895,8 @@ Status FileQuerySystem::ImportIndexes(std::string_view blob) {
     std::shared_ptr<BuiltIndexes> built;
     std::shared_ptr<const QueryCompiler> compiler;
     uint64_t generation = 0;
-    int version = 0;
   } staged;
   {
-    QOF_ASSIGN_OR_RETURN(BlobInfo info, ReadBlobInfo(blob));
-    staged.version = info.version;
     QOF_ASSIGN_OR_RETURN(SerializedIndexes loaded,
                          DeserializeIndexes(blob, *corpus_));
     staged.built = std::make_shared<BuiltIndexes>(std::move(loaded.indexes));
@@ -917,8 +910,7 @@ Status FileQuerySystem::ImportIndexes(std::string_view blob) {
   built_ = std::move(staged.built);
   compiler_ = std::move(staged.compiler);
   store_.reset();
-  index_source_ = "blob-v" + std::to_string(staged.version);
-  index_format_version_ = staged.version;
+  index_source_ = "blob-v3";
   ++builds_;
   ResetMaintainer(staged.generation);
   // Same reasoning as BuildIndexes: plans may describe the old spec —

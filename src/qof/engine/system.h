@@ -234,8 +234,7 @@ class FileQuerySystem {
   Result<std::string> ExplainQuery(std::string_view fql) const;
 
   /// Overrides the IR optimizer pass configuration for subsequent
-  /// queries (per-pass toggles for ablation; inject_bad_cse plants the
-  /// fuzzer's bad-cse bug).
+  /// queries (per-pass toggles for ablation).
   void SetIrOptions(const IrPlanOptions& options) { ir_options_ = options; }
   const IrPlanOptions& ir_options() const { return ir_options_; }
 
@@ -305,11 +304,8 @@ class FileQuerySystem {
   /// Provenance and health of the installed indexes.
   struct IndexStats {
     bool built = false;
-    /// "none" | "built" | "blob-v1" | "blob-v2" | "blob-v3" |
-    /// "paged-store"
+    /// "none" | "built" | "blob-v3" | "paged-store"
     std::string source = "none";
-    /// Blob format version for imports (1/2/3); 0 otherwise.
-    int format_version = 0;
     uint64_t generation = 0;
     /// True while index data still pages in from a store file.
     bool disk_resident = false;
@@ -417,7 +413,6 @@ class FileQuerySystem {
   std::shared_ptr<const PagedStore> store_;
   /// index_stats() provenance: how built_ came to be.
   std::string index_source_ = "none";
-  int index_format_version_ = 0;
   /// Counts BuildIndexes/ImportIndexes (the `build` epoch component:
   /// generations reset across rebuilds, epochs must not collide).
   uint64_t builds_ = 0;

@@ -93,13 +93,12 @@ Result<TwoPhaseResult> RunTwoPhase(const StructuringSchema& schema,
   TwoPhaseResult result;
   SchemaParser parser(&schema, ctx);
   const SelectQuery& query = plan.query;
+  std::vector<CandidateOutcome> outcomes(candidates.size());
 
   if (pool != nullptr && pool->size() > 1 && candidates.size() > 1) {
     // Parallel phase 2: each worker parses and filters candidates into
-    // its own scratch store; per-candidate outcomes are assembled in
-    // candidate order below, so results match the serial path.
+    // its own scratch store.
     std::vector<ObjectStore> scratch(static_cast<size_t>(pool->size()));
-    std::vector<CandidateOutcome> outcomes(candidates.size());
     // Carry the query thread's accounting/governance thread-locals onto
     // every worker: snapshot queries route scans into a per-query
     // counter, and the disk tier picks the ExecContext up thread-locally.
@@ -114,87 +113,47 @@ Result<TwoPhaseResult> RunTwoPhase(const StructuringSchema& schema,
                            &outcomes[i]);
         },
         ctx != nullptr ? ctx->stop_flag() : nullptr);
-    size_t complete = candidates.size();
+  } else {
+    // Serial phase 2 into the caller's store, stopping at the first
+    // failure — the slot the assembly below stops at too.
     for (size_t i = 0; i < candidates.size(); ++i) {
-      // First failing candidate in order — the same error the serial
-      // loop reports. A slot left unclaimed by an early stop re-derives
-      // the governance error that tripped the stop flag.
-      Status status = outcomes[i].status;
-      if (status.ok() && !outcomes[i].done) {
-        status = ctx != nullptr ? ctx->Check() : Status::OK();
-        if (status.ok()) {
-          status =
-              Status::Internal("candidate skipped without a recorded cause");
-        }
-      }
-      if (status.ok()) continue;
-      if (soft_fail && IsGovernanceError(status)) {
-        complete = i;
-        result.truncated = true;
-        result.interrupted = status;
-        break;
-      }
-      return status;
+      ProcessCandidate(schema, corpus, query, full_rig, parser,
+                       candidates[i], ctx, store, &outcomes[i]);
+      if (!outcomes[i].status.ok()) break;
     }
-    result.candidates_parsed = complete;
-    for (size_t i = 0; i < complete; ++i) {
-      CandidateOutcome& outcome = outcomes[i];
-      if (!outcome.keep) continue;
-      result.regions.push_back(candidates[i]);
-      result.projected.insert(
-          result.projected.end(),
-          std::make_move_iterator(outcome.projected.begin()),
-          std::make_move_iterator(outcome.projected.end()));
-    }
-    return result;
   }
 
-  for (const Region& candidate : candidates) {
-    if (ctx != nullptr) {
-      Status limit = ctx->Check();
-      if (!limit.ok()) {
-        if (!soft_fail) return limit;
-        result.truncated = true;
-        result.interrupted = limit;
-        return result;
+  // Outcomes are assembled in candidate order, so both paths report the
+  // same first error, truncation prefix and results.
+  size_t complete = candidates.size();
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    // A slot left unclaimed by an early stop re-derives the governance
+    // error that tripped the stop flag.
+    Status status = outcomes[i].status;
+    if (status.ok() && !outcomes[i].done) {
+      status = ctx != nullptr ? ctx->Check() : Status::OK();
+      if (status.ok()) {
+        status = Status::Internal("candidate skipped without a recorded cause");
       }
     }
-    QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kTwoPhaseCandidate));
-    // Parsing a candidate reads its text.
-    std::string_view text =
-        corpus.ScanText(candidate.start, candidate.end);
-    auto tree = parser.Parse(text, candidate.start, schema.view());
-    if (!tree.ok()) {
-      if (IsGovernanceError(tree.status())) {
-        if (!soft_fail) return tree.status();
-        result.truncated = true;
-        result.interrupted = tree.status();
-        return result;
-      }
-      return CandidateParseFailure(candidate, tree.status());
+    if (status.ok()) continue;
+    if (soft_fail && IsGovernanceError(status)) {
+      complete = i;
+      result.truncated = true;
+      result.interrupted = status;
+      break;
     }
-    ++result.candidates_parsed;
-    QOF_ASSIGN_OR_RETURN(ObjectId id,
-                         BuildObject(schema, corpus, **tree, store));
-    QOF_ASSIGN_OR_RETURN(const StoredObject* obj, store->Get(id));
-    Value root = Value::Ref(id).WithType(obj->class_name);
-    bool keep = true;
-    if (query.where != nullptr) {
-      QOF_ASSIGN_OR_RETURN(
-          keep, EvaluateCondition(*store, root, *query.where, full_rig,
-                                  schema.view_name()));
-    }
-    if (!keep) continue;
-    result.regions.push_back(candidate);
-    result.objects.push_back(id);
-    if (query.IsProjection()) {
-      QOF_ASSIGN_OR_RETURN(
-          std::vector<Value> values,
-          EvaluateTarget(*store, root, query.target, full_rig,
-                         schema.view_name()));
-      result.projected.insert(result.projected.end(), values.begin(),
-                              values.end());
-    }
+    return status;
+  }
+  result.candidates_parsed = complete;
+  for (size_t i = 0; i < complete; ++i) {
+    CandidateOutcome& outcome = outcomes[i];
+    if (!outcome.keep) continue;
+    result.regions.push_back(candidates[i]);
+    result.projected.insert(
+        result.projected.end(),
+        std::make_move_iterator(outcome.projected.begin()),
+        std::make_move_iterator(outcome.projected.end()));
   }
   return result;
 }

@@ -18,10 +18,6 @@ namespace qof {
 /// Output of phase 2 over candidate regions.
 struct TwoPhaseResult {
   std::vector<Region> regions;   // candidates that survived the filter
-  /// Ids of the surviving objects in the caller's store. Populated by the
-  /// serial path only: parallel workers materialize candidates in
-  /// per-worker scratch stores that are discarded on return.
-  std::vector<ObjectId> objects;
   std::vector<Value> projected;  // fully materialized, store-independent
   uint64_t candidates_parsed = 0;
   /// Soft-fail mode only: a governance limit tripped mid-phase-2 and the
@@ -36,10 +32,12 @@ struct TwoPhaseResult {
 /// object to filter out false positives. Scanned bytes are exactly the
 /// candidates' text — the saving the paper claims over whole-file scans.
 ///
-/// When `pool` is non-null with more than one worker, candidates are
-/// parsed and filtered in parallel (each worker building objects in its
-/// own scratch store); output order, surviving regions, projected values
-/// and the reported error are identical to the serial path.
+/// Serially, objects are built in `store`. When `pool` is non-null with
+/// more than one worker, candidates are parsed and filtered in parallel
+/// (each worker building objects in its own scratch store). Both paths
+/// run the same per-candidate step and assemble its outcomes in
+/// candidate order, so output order, surviving regions, projected values
+/// and the reported error are identical.
 /// `ctx` (optional) is checked per candidate and polled by ParallelFor
 /// workers, so deadlines/cancellation/budgets interrupt phase 2 promptly;
 /// with `soft_fail` a tripped limit returns the verified candidate prefix

@@ -20,6 +20,15 @@ const std::vector<std::string>& FaultSites() {
   return *kSites;
 }
 
+const std::vector<std::string>& PlantedBugs() {
+  static const std::vector<std::string>* kBugs = new std::vector<std::string>{
+      planted_bug::kDropTombstone, planted_bug::kStaleCache,
+      planted_bug::kBadCse,        planted_bug::kStaleSnapshot,
+      planted_bug::kEvictPinned,
+  };
+  return *kBugs;
+}
+
 Status FaultInjector::Fire(std::string_view site) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = observed_.find(site);
@@ -28,11 +37,21 @@ Status FaultInjector::Fire(std::string_view site) {
   } else {
     ++it->second;
   }
-  if (fired_ || spec_.site != site) return Status::OK();
-  if (++armed_site_passes_ != spec_.hit) return Status::OK();
-  fired_ = true;
+  if (spec_.site != site || !FiresNowLocked()) return Status::OK();
   return Status::Internal("injected fault at site '" + spec_.site +
                           "' (hit " + std::to_string(spec_.hit) + ")");
+}
+
+bool FaultInjector::Take(std::string_view bug) {
+  if (!Arms(bug)) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  return FiresNowLocked();
+}
+
+bool FaultInjector::FiresNowLocked() {
+  if (fired_ || ++armed_site_passes_ != spec_.hit) return false;
+  fired_ = true;
+  return true;
 }
 
 bool FaultInjector::fired() const {

@@ -35,6 +35,27 @@ inline constexpr const char* kTwoPhaseCandidate = "two_phase.candidate";
 /// random-site mode enumerate this.
 const std::vector<std::string>& FaultSites();
 
+/// Planted-bug names: deliberate defects the differential fuzzer arms
+/// (through a ScopedFaultInjector whose spec names one) to prove its legs
+/// catch them. Kept apart from FaultSites(), so a random fault site is
+/// never a planted bug. Instrumented code asks PlantedBugArmed (bugs that
+/// stay on for the whole scope) or TakePlantedBug (one-shot bugs).
+namespace planted_bug {
+/// The maintainer loses one tombstone's index splice (one-shot).
+inline constexpr const char* kDropTombstone = "drop-tombstone";
+/// The eval cache ignores index-epoch changes.
+inline constexpr const char* kStaleCache = "stale-cache";
+/// CSE hashes selections without their word operands.
+inline constexpr const char* kBadCse = "bad-cse";
+/// The query service ignores a session's pinned snapshot.
+inline constexpr const char* kStaleSnapshot = "stale-snapshot";
+/// The buffer pool evicts frames that are still pinned.
+inline constexpr const char* kEvictPinned = "evict-pinned";
+}  // namespace planted_bug
+
+/// Every planted-bug name, in a stable order.
+const std::vector<std::string>& PlantedBugs();
+
 /// Deterministic one-shot fault injection. A FaultInjector is installed
 /// process-wide (via Scoped); instrumented code consults it through
 /// MaybeInjectFault(site). The spec names a site and a hit ordinal: the
@@ -45,7 +66,7 @@ const std::vector<std::string>& FaultSites();
 class FaultInjector {
  public:
   struct Spec {
-    std::string site;   // one of FaultSites(); empty = record-only
+    std::string site;   // FaultSites() or PlantedBugs(); empty = record-only
     uint64_t hit = 1;   // 1-based ordinal of the pass that fails
   };
 
@@ -54,6 +75,11 @@ class FaultInjector {
   /// Called by MaybeInjectFault. Records the pass; fails if this is the
   /// armed site's hit-th pass and the injector has not fired yet.
   Status Fire(std::string_view site);
+
+  /// True when the spec names planted bug `bug`.
+  bool Arms(std::string_view bug) const { return spec_.site == bug; }
+  /// Called by TakePlantedBug: true on the armed bug's hit-th pass, once.
+  bool Take(std::string_view bug);
 
   bool fired() const;
   /// Passes observed per site so far (for tests asserting coverage).
@@ -64,6 +90,10 @@ class FaultInjector {
   static FaultInjector* Current();
 
  private:
+  /// Counts one pass through the armed site; true when it is the hit-th
+  /// and the injector has not fired yet.
+  bool FiresNowLocked();
+
   const Spec spec_;
   mutable std::mutex mu_;
   bool fired_ = false;
@@ -94,6 +124,21 @@ inline Status MaybeInjectFault(const char* site) {
   FaultInjector* injector = FaultInjector::Current();
   if (injector == nullptr) return Status::OK();
   return injector->Fire(site);
+}
+
+/// Branch point of a planted bug that stays on while armed: true only
+/// inside a ScopedFaultInjector naming `bug`, at one atomic load of cost
+/// otherwise.
+inline bool PlantedBugArmed(const char* bug) {
+  FaultInjector* injector = FaultInjector::Current();
+  return injector != nullptr && injector->Arms(bug);
+}
+
+/// Branch point of a one-shot planted bug: true on the armed pass only
+/// (the spec's hit-th), like a fault site.
+inline bool TakePlantedBug(const char* bug) {
+  FaultInjector* injector = FaultInjector::Current();
+  return injector != nullptr && injector->Take(bug);
 }
 
 }  // namespace qof

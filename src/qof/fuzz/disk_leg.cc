@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "qof/engine/system.h"
+#include "qof/exec/fault_injector.h"
 #include "qof/fuzz/canon.h"
 #include "qof/store/store_format.h"
 
@@ -62,7 +64,9 @@ Status CheckDiskTier(
   // a single frame, any stream crossing a page boundary triggers it.
   const bool inject = options.bug == InjectedBug::kEvictPinned;
   store_options.pool_pages = inject ? 1 : 64;
-  store_options.inject_evict_pinned = inject;
+  // Armed from open to the final export: only the store's pool reads it.
+  std::optional<ScopedFaultInjector> planted;
+  if (inject) planted.emplace(FaultInjector::Spec{planted_bug::kEvictPinned});
   // A fresh system on the store, nothing paged in yet — so the cursor
   // kernels stream the instances instead of probing materialized ones.
   std::unique_ptr<FileQuerySystem> disk = make_system();

@@ -26,8 +26,8 @@ namespace qof {
 ///      stream in) reproduces the original system's export blob
 ///      byte-for-byte.
 ///
-/// This is the leg that catches kEvictPinned
-/// (PagedStoreOptions::inject_evict_pinned), which lets the buffer pool
+/// This is the leg that catches kEvictPinned (the evict-pinned planted
+/// bug, armed from the store's open on), which lets the buffer pool
 /// steal frames that are still pinned: it runs under a pool smaller
 /// than the longest stream, so a multi-page read sees one of its pinned
 /// pages overwritten mid-assembly and decodes another page's bytes —

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "qof/datagen/bibtex_gen.h"
@@ -199,15 +200,16 @@ Status CheckMaintenance(
   for (int parallelism : {1, options.workers}) {
     std::string plabel = " p=" + std::to_string(parallelism);
     FileQuerySystem maintained(schema);
+    // One armed injector per maintained system: the tombstone drop stays
+    // one-shot for each.
+    std::optional<ScopedFaultInjector> planted;
+    if (injected) {
+      planted.emplace(FaultInjector::Spec{planted_bug::kDropTombstone});
+    }
     for (const auto& [name, text] : docs) {
       QOF_RETURN_IF_ERROR(maintained.AddFile(name, text));
     }
     maintained.SetParallelism(parallelism);
-    if (injected) {
-      MaintainOptions maintain_options;
-      maintain_options.inject_drop_tombstone = true;
-      maintained.SetMaintainOptions(maintain_options);
-    }
     IndexSpec spec = IndexSpec::Full();
     spec.parallelism = parallelism;
     QOF_RETURN_IF_ERROR(maintained.BuildIndexes(spec));
@@ -306,8 +308,9 @@ Status CheckMaintenance(
 /// byte-for-byte with an uncached one — cold, warm (the second run must
 /// be served from the caches: a plan hit and no new eval misses), after
 /// every interleaved mutation, and after a final compaction. This is the
-/// leg that catches kStaleCache (CacheOptions::inject_stale), which
-/// keeps serving entries cached under an older index epoch.
+/// leg that catches kStaleCache (the stale-cache planted bug, armed for
+/// the whole leg: only `cached` has an eval cache), which keeps serving
+/// entries cached under an older index epoch.
 Status CheckCaching(
     const StructuringSchema& schema,
     const std::vector<std::pair<std::string, std::string>>& docs,
@@ -318,6 +321,10 @@ Status CheckCaching(
     return Status::OK();
   };
 
+  std::optional<ScopedFaultInjector> planted;
+  if (options.bug == InjectedBug::kStaleCache) {
+    planted.emplace(FaultInjector::Spec{planted_bug::kStaleCache});
+  }
   FileQuerySystem plain(schema);
   FileQuerySystem cached(schema);
   for (const auto& [name, text] : docs) {
@@ -326,9 +333,7 @@ Status CheckCaching(
   }
   plain.SetParallelism(1);
   cached.SetParallelism(1);
-  CacheOptions cache_options = CacheOptions::Enabled();
-  cache_options.inject_stale = options.bug == InjectedBug::kStaleCache;
-  cached.SetCacheOptions(cache_options);
+  cached.SetCacheOptions(CacheOptions::Enabled());
   QOF_RETURN_IF_ERROR(plain.BuildIndexes(IndexSpec::Full()));
   QOF_RETURN_IF_ERROR(cached.BuildIndexes(IndexSpec::Full()));
 
@@ -465,9 +470,9 @@ std::vector<Result<RegionSet>> TreeReference(const QueryPlan& plan,
 /// the reference ExprEvaluator. With the cache on, both evaluators share
 /// one EvalCache in either order, so each is also served entries the
 /// other published — the canonical-key interop the IR design promises.
-/// This is the leg that catches kBadCse (IrPlanOptions::inject_bad_cse),
-/// whose CSE pass merges selections that differ only in their word
-/// operands.
+/// This is the leg that catches kBadCse (the bad-cse planted bug, armed
+/// around the pass pipeline), whose CSE pass merges selections that
+/// differ only in their word operands.
 Status CheckIrEquivalence(
     const StructuringSchema& schema,
     const std::vector<std::pair<std::string, std::string>>& docs,
@@ -483,12 +488,16 @@ Status CheckIrEquivalence(
   if (!plan.ok() || plan->trivially_empty || !plan->view_indexed) {
     return Status::OK();  // no index plan to evaluate
   }
-  IrPlanOptions planted;
-  planted.inject_bad_cse = options.bug == InjectedBug::kBadCse;
   IrProgram ir =
       LowerToIr(plan->candidates.get(), plan->projection.get(),
                 plan->join_lhs_attrs.get(), plan->join_rhs_attrs.get());
-  RunPasses(&ir, planted, &sys.region_index(), &sys.word_index());
+  {
+    std::optional<ScopedFaultInjector> planted;
+    if (options.bug == InjectedBug::kBadCse) {
+      planted.emplace(FaultInjector::Spec{planted_bug::kBadCse});
+    }
+    RunPasses(&ir, IrPlanOptions{}, &sys.region_index(), &sys.word_index());
+  }
   std::vector<std::pair<const char*, int>> roots = {
       {"candidates", ir.candidates}};
   if (ir.project >= 0) roots.push_back({"projection", ir.project});
@@ -506,7 +515,7 @@ Status CheckIrEquivalence(
     std::unique_ptr<EvalCache> cache;
     if (config.with_cache) {
       cache = std::make_unique<EvalCache>(
-          CacheOptions::Enabled().max_cached_regions, /*inject_stale=*/false);
+          CacheOptions::Enabled().max_cached_regions);
     }
     ExprEvaluator tree(&sys.region_index(), &sys.word_index(), &sys.corpus(),
                        DirectAlgorithm::kFast, nullptr, cache.get());

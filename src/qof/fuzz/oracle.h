@@ -9,7 +9,10 @@
 namespace qof {
 
 /// Deliberate bugs the oracle can simulate, to prove the harness catches
-/// (and the shrinker minimizes) real plan-equivalence defects:
+/// (and the shrinker minimizes) real plan-equivalence defects. The five
+/// that live in production code are armed through a ScopedFaultInjector
+/// naming a planted_bug:: entry (qof/exec/fault_injector.h) around
+/// exactly the system or call the leg plants them in:
 ///  - kRelaxDirect drops the Prop. 3.5(a) guard: the rewrite walk treats
 ///    every ⊃d as relaxable, so it can leave the legitimate rewrite
 ///    system's equivalence class and diverge from the Thm. 3.6 normal
@@ -18,27 +21,28 @@ namespace qof {
 ///    inexact plans — skipping the §6.2 filter the §6.3 condition exists
 ///    to justify.
 ///  - kDropTombstone makes the incremental maintainer lose one
-///    tombstone's index splice (MaintainOptions::inject_drop_tombstone):
+///    tombstone's index splice (planted_bug::kDropTombstone, one-shot per
+///    maintained system):
 ///    the dead document's contribution survives in the indexes, so the
 ///    maintenance leg's differential checks — and compaction's own
 ///    consistency check — must flag it.
 ///  - kStaleCache makes the eval cache ignore index-epoch changes
-///    (CacheOptions::inject_stale): entries cached before a mutation or
+///    (planted_bug::kStaleCache): entries cached before a mutation or
 ///    compaction keep being served after it, so the caching leg's
 ///    cached-vs-plain comparison across interleaved mutations must flag
 ///    the stale answers.
 ///  - kBadCse makes the IR optimizer's CSE pass hash selection nodes
-///    without their word operands (IrPlanOptions::inject_bad_cse), so
+///    without their word operands (planted_bug::kBadCse), so
 ///    structurally different selections merge; the IR leg's tree-vs-IR
 ///    differential must flag the wrong answers.
 ///  - kStaleSnapshot makes the query service ignore a session's pinned
-///    snapshot (ServiceOptions::inject_stale_snapshot): queries are
+///    snapshot (planted_bug::kStaleSnapshot): queries are
 ///    silently served from the live state, so a session that should see
 ///    its pinned generation observes other sessions' later mutations.
 ///    The interleaved-session leg's replay-at-pinned-generation
 ///    comparison must flag the divergence.
 ///  - kEvictPinned makes the paged store's buffer pool evict frames that
-///    are still pinned (PagedStoreOptions::inject_evict_pinned): a
+///    are still pinned (planted_bug::kEvictPinned): a
 ///    multi-page posting read sees one of its pinned pages overwritten
 ///    mid-assembly, so decoded streams carry another page's bytes. The
 ///    disk-tier leg — on-disk answers and a forced full materialization

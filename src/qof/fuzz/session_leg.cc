@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "qof/engine/system.h"
+#include "qof/exec/fault_injector.h"
 #include "qof/fuzz/canon.h"
 #include "qof/fuzz/rng.h"
 #include "qof/server/service.h"
@@ -101,8 +102,12 @@ Status CheckSessions(
   ServiceOptions service_options;
   service_options.workers = 2;
   service_options.max_queued = 0;  // unbounded: the schedule never rejects
-  service_options.inject_stale_snapshot =
-      options.bug == InjectedBug::kStaleSnapshot;
+  // Armed for the service's whole life (declared first, so it outlives
+  // the workers); only the service reads the stale-snapshot bug.
+  std::optional<ScopedFaultInjector> planted;
+  if (options.bug == InjectedBug::kStaleSnapshot) {
+    planted.emplace(FaultInjector::Spec{planted_bug::kStaleSnapshot});
+  }
   QueryService service(&host, service_options);
 
   constexpr int kSessions = 3;

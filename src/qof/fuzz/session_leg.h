@@ -25,8 +25,8 @@ namespace qof {
 /// Pin metadata is cross-checked too (a session's reported generation
 /// must equal the number of mutations it had observed at pin time).
 ///
-/// This is the leg that catches kStaleSnapshot
-/// (ServiceOptions::inject_stale_snapshot), which silently serves a
+/// This is the leg that catches kStaleSnapshot (the stale-snapshot
+/// planted bug, armed for the service's life), which silently serves a
 /// pinned session's queries from the live state instead of its snapshot.
 ///
 /// Same conventions as the oracle's other legs: a Status error means the

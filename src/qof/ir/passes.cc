@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "qof/exec/fault_injector.h"
 #include "qof/region/cost_model.h"
 #include "qof/text/tokenizer.h"
 
@@ -180,7 +181,8 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
   }
 }
 
-void PassCse(IrProgram* program, bool inject_bad_cse) {
+void PassCse(IrProgram* program) {
+  const bool bad_cse = PlantedBugArmed(planted_bug::kBadCse);
   std::unordered_map<std::string, int> seen;
   std::vector<int> repl(program->nodes.size());
   for (size_t i = 0; i < program->nodes.size(); ++i) {
@@ -191,7 +193,7 @@ void PassCse(IrProgram* program, bool inject_bad_cse) {
     }
     n.key = ComputeNodeKey(*program, n);
     std::string cse_key = n.key;
-    if (inject_bad_cse && n.op == IrOp::kSelect) {
+    if (bad_cse && n.op == IrOp::kSelect) {
       // Planted bug (--inject bad-cse): hash selections without their
       // word operands, merging non-identical nodes. The differential
       // fuzzer must catch the resulting wrong answers.
@@ -411,9 +413,7 @@ void RunPasses(IrProgram* program, const IrPlanOptions& options,
                std::vector<PassTrace>* trace) {
   PassManager manager;
   if (options.enable_cse) {
-    manager.Add("cse", [&](IrProgram* p) {
-      PassCse(p, options.inject_bad_cse);
-    });
+    manager.Add("cse", [](IrProgram* p) { PassCse(p); });
   }
   if (options.enable_pushdown) {
     manager.Add("pushdown",

@@ -13,15 +13,11 @@ namespace qof {
 
 /// Knobs for the optimizer pass pipeline. All passes are on by default;
 /// the per-pass switches exist for the golden tests and ablation benches.
-/// `inject_bad_cse` is a planted bug for the differential fuzzer: CSE
-/// merges selection nodes while ignoring their word operands, so two
-/// non-identical selections collapse into one.
 struct IrPlanOptions {
   bool enable_cse = true;
   bool enable_pushdown = true;
   bool enable_ordering = true;
   bool enable_fusion = true;
-  bool inject_bad_cse = false;
 };
 
 /// One recorded pipeline step: the program dump after the named pass ran
@@ -64,8 +60,9 @@ void RunPasses(IrProgram* program, const IrPlanOptions& options,
 /// Common-subexpression elimination: structurally identical nodes (equal
 /// canonical keys) merge into the lowest-id occurrence, across all of the
 /// program's roots. A shared node then evaluates once per query
-/// regardless of cache state.
-void PassCse(IrProgram* program, bool inject_bad_cse = false);
+/// regardless of cache state. The bad-cse planted bug, when armed, makes
+/// it merge selections while ignoring their word operands.
+void PassCse(IrProgram* program);
 
 /// Pushes selections toward the loads: through n-ary ∩ (into the
 /// cheapest operand), − (into the minuend) and the left operand of

@@ -68,11 +68,10 @@ void IndexMaintainer::SpliceIn(const Contribution& at_zero, TextPos start,
 }
 
 void IndexMaintainer::SpliceOut(DocId id) {
-  if (options_.inject_drop_tombstone) {
-    // Fault injection: the document gets tombstoned in the corpus but its
+  if (TakePlantedBug(planted_bug::kDropTombstone)) {
+    // Planted bug: the document gets tombstoned in the corpus but its
     // contribution survives in the indexes — exactly the state a lost
     // tombstone write would leave behind. One-shot.
-    options_.inject_drop_tombstone = false;
     return;
   }
   TextPos begin = corpus_->document_start(id);

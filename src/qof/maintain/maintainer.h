@@ -31,11 +31,6 @@ struct MaintainOptions {
   double max_dead_fraction = 0.5;
   /// Compact when more than this many documents are tombstoned.
   uint64_t max_tombstones = 64;
-
-  /// Fault injection for the fuzz harness only: pretend the tombstone of
-  /// the *next* update/remove was lost, leaving the dead document's
-  /// regions and postings in the indexes.
-  bool inject_drop_tombstone = false;
 };
 
 /// Counters describing the maintenance state. `generation` is the number
@@ -149,8 +144,8 @@ class IndexMaintainer {
   void SpliceIn(const Contribution& at_zero, TextPos start,
                 std::string_view text);
 
-  /// Erases the live document's contribution from regions and postings.
-  /// Honors (and consumes) a pending inject_drop_tombstone.
+  /// Erases the live document's contribution from regions and postings
+  /// (skipped once under the armed drop-tombstone planted bug).
   void SpliceOut(DocId id);
 
   /// Splicing mutates instances and posting runs in place — a

@@ -1,7 +1,6 @@
 #include "qof/region/region_set.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <optional>
 
@@ -10,24 +9,10 @@
 namespace qof {
 namespace {
 
-std::atomic<KernelPolicy>& KernelPolicyFlag() {
-  static std::atomic<KernelPolicy> policy{KernelPolicy::kAdaptive};
-  return policy;
-}
-
 /// True when the galloping kernel should run for operand sizes (m, n),
-/// m <= n, under the current policy.
+/// m <= n.
 bool UseGalloping(size_t small, size_t large) {
-  if (small == 0) return false;
-  switch (KernelPolicyFlag().load(std::memory_order_relaxed)) {
-    case KernelPolicy::kLinear:
-      return false;
-    case KernelPolicy::kGalloping:
-      return true;
-    case KernelPolicy::kAdaptive:
-      break;
-  }
-  return CostModel::PreferGallop(small, large);
+  return small > 0 && CostModel::PreferGallop(small, large);
 }
 
 // Sparse table for O(1) range-min queries over member end offsets. Only
@@ -72,7 +57,7 @@ class MinEndTable {
 // forward, so each search gallops from where the previous one stopped:
 // m probes into n members cost O(m log(n/m)) in searches, and no loop
 // re-searches the other operand from its start. All outputs are produced
-// in canonical order and are identical under every kernel policy.
+// in canonical order.
 
 /// First index >= `from` whose member is not before `key` canonically.
 size_t LowerBound(const std::vector<Region>& v, size_t from,
@@ -106,24 +91,6 @@ size_t SeekLowerBound(const std::vector<Region>& v, size_t pos,
       std::lower_bound(v.begin() + static_cast<long>(lo),
                        v.begin() + static_cast<long>(hi), key) -
       v.begin());
-}
-
-/// Intersection with |a| ≪ |b|: gallop each member of `a` into `b`.
-RegionSet GallopIntersect(const RegionSet& a, const RegionSet& b) {
-  std::vector<Region> out;
-  out.reserve(a.size());
-  const std::vector<Region>& bv = b.regions();
-  size_t pos = 0;
-  for (const Region& x : a) {
-    pos = LowerBound(bv, pos, x);
-    if (pos == bv.size()) break;
-    if (bv[pos] == x) {
-      assert((out.empty() || out.back() < x) &&
-             "galloping intersect broke canonical order");
-      out.push_back(x);
-    }
-  }
-  return RegionSet::FromSortedUnique(std::move(out));
 }
 
 /// Difference with |a| ≪ |b|: keep the members of `a` whose span is
@@ -384,24 +351,37 @@ RegionSet UnionAll(const std::vector<const RegionSet*>& sets) {
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
-void SetKernelPolicy(KernelPolicy policy) {
-  KernelPolicyFlag().store(policy, std::memory_order_relaxed);
-}
-
-KernelPolicy kernel_policy() {
-  return KernelPolicyFlag().load(std::memory_order_relaxed);
-}
-
 RegionSet Intersect(const RegionSet& a, const RegionSet& b) {
   const RegionSet& small = a.size() <= b.size() ? a : b;
   const RegionSet& large = a.size() <= b.size() ? b : a;
   if (UseGalloping(small.size(), large.size())) {
     return GallopIntersect(small, large);
   }
+  return LinearIntersect(a, b);
+}
+
+RegionSet LinearIntersect(const RegionSet& a, const RegionSet& b) {
   std::vector<Region> out;
-  out.reserve(small.size());
+  out.reserve(std::min(a.size(), b.size()));
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
+  return RegionSet::FromSortedUnique(std::move(out));
+}
+
+RegionSet GallopIntersect(const RegionSet& a, const RegionSet& b) {
+  std::vector<Region> out;
+  out.reserve(a.size());
+  const std::vector<Region>& bv = b.regions();
+  size_t pos = 0;
+  for (const Region& x : a) {
+    pos = LowerBound(bv, pos, x);
+    if (pos == bv.size()) break;
+    if (bv[pos] == x) {
+      assert((out.empty() || out.back() < x) &&
+             "galloping intersect broke canonical order");
+      out.push_back(x);
+    }
+  }
   return RegionSet::FromSortedUnique(std::move(out));
 }
 

@@ -73,34 +73,14 @@ class RegionSet {
   std::vector<Region> regions_;
 };
 
-/// Which merge kernel ∩ and − use, and which direction the selection
-/// kernels (select_kernels.h) iterate in. ⊃, ⊂ and ι have one cursor
-/// kernel each, which already adapts to skew, and ignore the policy.
-///
-/// The linear kernels cost O(m + n) regardless of operand skew; the
-/// galloping (exponential-search) kernels probe the small operand into
-/// the large one in O(m log(n/m)), which wins exactly when
-/// min(m, n) ≪ max(m, n) — the shape indexed containment queries produce
-/// (a handful of selected regions against a full instance).
-enum class KernelPolicy {
-  /// Per call: gallop when the size ratio crosses kGallopRatio (default).
-  kAdaptive,
-  /// Always the linear merge / full-table path.
-  kLinear,
-  /// Always the galloping path (when one exists for the operation).
-  kGalloping,
-};
-
-/// Crossover ratio for kAdaptive: gallop when small * ratio < large.
-/// Aliased from the shared CostModel table so every layer (kernels,
-/// evaluator dispatch, cost estimation, IR passes) agrees on it.
+/// Crossover ratio of the two-kernel operations: ∩ and − gallop when
+/// small * ratio < large (CostModel::PreferGallop), and the selection
+/// kernels (select_kernels.h) walk the postings instead of the child on
+/// the same rule (CostModel::PreferPostingDriven). Aliased from the
+/// shared CostModel table so every layer (kernels, evaluator dispatch,
+/// cost estimation, IR passes) agrees on it. ⊃, ⊂ and ι have one cursor
+/// kernel each, which already adapts to skew.
 inline constexpr size_t kGallopRatio = CostModel::kGallopRatio;
-
-/// Sets the process-wide kernel policy, which starts at kAdaptive. A test
-/// and bench hook to pin either path; results are identical under every
-/// policy, only cost changes.
-void SetKernelPolicy(KernelPolicy policy);
-KernelPolicy kernel_policy();
 
 /// Set-theoretic union of two region sets.
 RegionSet Union(const RegionSet& a, const RegionSet& b);
@@ -108,9 +88,19 @@ RegionSet Union(const RegionSet& a, const RegionSet& b);
 /// members over k sets, each written once, where folding Union one set
 /// at a time re-copies the growing result on every step.
 RegionSet UnionAll(const std::vector<const RegionSet*>& sets);
-/// Set-theoretic intersection (identical spans).
+/// Set-theoretic intersection (identical spans): GallopIntersect when
+/// CostModel::PreferGallop holds for the operand sizes, else
+/// LinearIntersect.
 RegionSet Intersect(const RegionSet& a, const RegionSet& b);
-/// Members of `a` whose span does not occur in `b`.
+/// The linear-merge ∩ kernel: O(m + n) regardless of operand skew.
+RegionSet LinearIntersect(const RegionSet& a, const RegionSet& b);
+/// The galloping ∩ kernel: each member of `a` gallops into `b`,
+/// O(m log(n/m)) — the win when |a| ≪ |b|, the shape indexed containment
+/// queries produce (a handful of selected regions against a full
+/// instance). Correct for any sizes.
+RegionSet GallopIntersect(const RegionSet& a, const RegionSet& b);
+/// Members of `a` whose span does not occur in `b`. Gallops `a` into `b`
+/// when CostModel::PreferGallop(|a|, |b|) holds, else merges linearly.
 RegionSet Difference(const RegionSet& a, const RegionSet& b);
 
 /// ι(R): members that contain no *other* member (paper's innermost).

@@ -4,6 +4,8 @@
 #include <future>
 #include <utility>
 
+#include "qof/exec/fault_injector.h"
+
 namespace qof {
 namespace {
 
@@ -91,7 +93,7 @@ Status QueryService::SubmitQuery(
       [this, session = std::move(session), snapshot = std::move(snapshot),
        fql = std::move(fql), effective, done = std::move(done)]() {
         SnapshotRef target = snapshot;
-        if (options_.inject_stale_snapshot) {
+        if (PlantedBugArmed(planted_bug::kStaleSnapshot)) {
           // Planted bug: serve the query from the *live* state, breaking
           // the session's repeatable-read pin.
           auto fresh = system_->AcquireSnapshot();

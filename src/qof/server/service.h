@@ -32,11 +32,6 @@ struct ServiceOptions {
   /// max_regions; zero fields impose no ceiling). Each query runs serial
   /// on its worker, so the thread budget is `workers`.
   QueryOptions limits;
-  /// Planted bug for the fuzzer (`--inject stale-snapshot`): queries run
-  /// against a freshly acquired live snapshot instead of the session's
-  /// pin, silently breaking repeatable reads. Never enable outside
-  /// fuzzing/tests.
-  bool inject_stale_snapshot = false;
 };
 
 struct ServiceStats {

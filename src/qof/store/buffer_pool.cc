@@ -1,6 +1,7 @@
 #include "qof/store/buffer_pool.h"
 
 #include "qof/exec/exec_context.h"
+#include "qof/exec/fault_injector.h"
 
 namespace qof {
 
@@ -42,12 +43,15 @@ Result<uint32_t> BufferPool::PickVictimLocked() {
     return static_cast<uint32_t>(frames_.size() - 1);
   }
   // Clock second-chance: one lap forgives ref bits, the second finds any
-  // unpinned frame; more laps cannot change the answer.
+  // unpinned frame; more laps cannot change the answer. The evict-pinned
+  // planted bug treats pinned frames as evictable, so a page can be
+  // stolen out from under a live PageRef.
+  const bool steal_pinned = PlantedBugArmed(planted_bug::kEvictPinned);
   for (size_t scanned = 0; scanned < 2 * frames_.size(); ++scanned) {
     uint32_t f = clock_hand_;
     clock_hand_ = (clock_hand_ + 1) % frames_.size();
     Frame& frame = frames_[f];
-    if (frame.pins > 0 && !options_.inject_evict_pinned) continue;
+    if (frame.pins > 0 && !steal_pinned) continue;
     if (frame.ref_bit) {
       frame.ref_bit = false;
       continue;

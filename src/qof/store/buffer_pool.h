@@ -20,11 +20,6 @@ struct BufferPoolOptions {
   /// the engine's default keeps the hot dictionary and posting pages of a
   /// working set pinned-or-resident.
   uint32_t capacity_pages = 256;
-  /// Fault injection for the fuzz harness only: the clock hand treats
-  /// pinned frames as evictable, so a page can be stolen out from under a
-  /// live PageRef — the classic buffer-manager bug the disk-tier fuzz leg
-  /// must catch as a differential mismatch or a decode error.
-  bool inject_evict_pinned = false;
 };
 
 /// Counters the store-smoke gate and `qof_store inspect` report.

@@ -21,8 +21,6 @@ namespace qof {
 struct PagedStoreOptions {
   /// Buffer-pool frames (pool bytes = pool_pages * page_size).
   uint32_t pool_pages = 256;
-  /// Fault injection for the fuzz harness only — see BufferPoolOptions.
-  bool inject_evict_pinned = false;
 };
 
 /// Read access to a "QOFSTOR1" file: meta, fence-guided dictionary
@@ -90,8 +88,7 @@ class PagedStore {
              const PagedStoreOptions& options)
       : file_(std::move(file)),
         meta_(meta),
-        pool_(&file_, BufferPoolOptions{options.pool_pages,
-                                        options.inject_evict_pinned}) {}
+        pool_(&file_, BufferPoolOptions{options.pool_pages}) {}
 
   friend class StoreRegionCursorImpl;
 

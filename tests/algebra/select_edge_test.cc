@@ -1,9 +1,9 @@
 // Boundary regressions for the selection kernels: regions shorter than
 // the word, occurrences whose tails overhang the region, and the
 // posting-driven vs region-driven directions of matches/starts agreeing
-// under every forced kernel policy. The sliced test checks every kind
-// against a brute-force oracle on a whole child and on the 2048-member
-// slices the IR hands the kernels one at a time.
+// on one small corpus. The sliced test checks every kind against a
+// brute-force oracle on a whole child and on the 2048-member slices the
+// IR hands the kernels one at a time.
 
 #include <algorithm>
 #include <random>
@@ -20,17 +20,6 @@
 
 namespace qof {
 namespace {
-
-class ScopedPolicy {
- public:
-  explicit ScopedPolicy(KernelPolicy policy) : saved_(kernel_policy()) {
-    SetKernelPolicy(policy);
-  }
-  ~ScopedPolicy() { SetKernelPolicy(saved_); }
-
- private:
-  KernelPolicy saved_;
-};
 
 class SelectEdgeTest : public ::testing::Test {
  protected:
@@ -52,6 +41,15 @@ class SelectEdgeTest : public ::testing::Test {
                            {27, 30},
                            {2, 7},
                            {13, 18}}));
+    // All's members plus 1-byte and empty spans, which no word of three
+    // or more bytes can match or start: the same answers from a child
+    // big enough to flip the kernels onto the postings.
+    std::vector<Region> padded = (*index_.Get("All"))->regions();
+    for (uint64_t p = 0; p < 30; ++p) {
+      padded.push_back({p, p});
+      padded.push_back({p, p + 1});
+    }
+    index_.Add("Padded", RegionSet::FromUnsorted(std::move(padded)));
     words_ = WordIndex::Build(corpus_);
   }
 
@@ -97,31 +95,38 @@ TEST_F(SelectEdgeTest, StartsRequiresRoomForThePrefix) {
 }
 
 TEST_F(SelectEdgeTest, MatchesAgreesAcrossKernelDirections) {
-  for (const char* expr :
-       {"matches(\"alpha\", All)", "matches(\"alp\", All)",
-        "matches(\"banana\", All)", "matches(\"zebra\", All)",
-        "starts(\"alpha\", All)", "starts(\"alp\", All)",
-        "starts(\"ban\", All)"}) {
-    RegionSet linear, posting;
-    {
-      ScopedPolicy p(KernelPolicy::kLinear);
-      linear = Eval(expr);
+  // Against All (8 members) every posting list here is too long to
+  // drive, so the kernels walk the child; against Padded (68 members) the
+  // same postings drive. Both must give the expected answers.
+  const size_t all = (*index_.Get("All"))->size();
+  const size_t padded = (*index_.Get("Padded"))->size();
+  struct Case {
+    const char* op;
+    const char* word;
+    RegionSet want;
+  };
+  const Case cases[] = {
+      {"matches", "alpha", RegionSet::FromUnsorted({{0, 5}})},
+      {"matches", "alp", RegionSet::FromUnsorted({{27, 30}})},
+      {"matches", "banana", RegionSet::FromUnsorted({{20, 26}})},
+      {"matches", "zebra", RegionSet()},
+      {"starts", "alpha", RegionSet::FromUnsorted({{0, 5}, {11, 19}})},
+      {"starts", "alp",
+       RegionSet::FromUnsorted({{0, 3}, {0, 5}, {11, 19}, {27, 30}})},
+      {"starts", "ban", RegionSet::FromUnsorted({{20, 26}})},
+  };
+  for (const Case& c : cases) {
+    const std::string call = std::string(c.op) + "(\"" + c.word + "\", ";
+    const size_t postings = std::string(c.op) == "matches"
+                                ? words_.Lookup(c.word).size()
+                                : words_.LookupPrefix(c.word).size();
+    if (postings > 0) {
+      EXPECT_FALSE(CostModel::PreferPostingDriven(postings, all)) << call;
+      EXPECT_TRUE(CostModel::PreferPostingDriven(postings, padded)) << call;
     }
-    {
-      ScopedPolicy p(KernelPolicy::kGalloping);
-      posting = Eval(expr);
-    }
-    EXPECT_EQ(linear, posting) << expr;
-    EXPECT_EQ(Eval(expr), linear) << expr;  // adaptive picks one of the two
+    EXPECT_EQ(Eval((call + "All)").c_str()), c.want) << call;
+    EXPECT_EQ(Eval((call + "Padded)").c_str()), c.want) << call;
   }
-  // Spot-check the actual answers, not just agreement.
-  ScopedPolicy p(KernelPolicy::kGalloping);
-  EXPECT_EQ(Eval("matches(\"alpha\", All)"),
-            RegionSet::FromUnsorted({{0, 5}}));
-  EXPECT_EQ(Eval("matches(\"alp\", All)"),
-            RegionSet::FromUnsorted({{27, 30}}));
-  EXPECT_EQ(Eval("starts(\"alpha\", All)"),
-            RegionSet::FromUnsorted({{0, 5}, {11, 19}}));
 }
 
 // --- sliced selections against a brute-force oracle ------------------------
@@ -267,31 +272,27 @@ TEST(SelectSliceTest, EveryKindMatchesOracleWholeAndSliced) {
   for (const SelectSpec& spec : specs) {
     expected.push_back(OracleSelect(spec, child, words, corpus));
   }
-  for (KernelPolicy policy : {KernelPolicy::kLinear, KernelPolicy::kGalloping,
-                              KernelPolicy::kAdaptive}) {
-    ScopedPolicy p(policy);
-    for (size_t k = 0; k < specs.size(); ++k) {
-      const SelectSpec& spec = specs[k];
-      const std::string label = spec.Describe("child");
-      auto whole = RunSelectKernel(spec, child, &words, &corpus, nullptr,
-                                   label);
-      ASSERT_TRUE(whole.ok()) << label << ": " << whole.status().ToString();
-      EXPECT_EQ(*whole, expected[k]) << label;
-      std::vector<Region> sliced;
-      const std::vector<Region>& v = child.regions();
-      for (size_t begin = 0; begin < v.size();
-           begin += CostModel::kFusedBatch) {
-        const size_t end = std::min(v.size(), begin + CostModel::kFusedBatch);
-        RegionSet slice = RegionSet::FromSortedUnique(
-            std::vector<Region>(v.begin() + static_cast<long>(begin),
-                                v.begin() + static_cast<long>(end)));
-        auto part = RunSelectKernel(spec, slice, &words, &corpus, nullptr,
-                                    label);
-        ASSERT_TRUE(part.ok()) << label;
-        sliced.insert(sliced.end(), part->begin(), part->end());
-      }
-      EXPECT_EQ(sliced, *whole) << label;
+  for (size_t k = 0; k < specs.size(); ++k) {
+    const SelectSpec& spec = specs[k];
+    const std::string label = spec.Describe("child");
+    auto whole = RunSelectKernel(spec, child, &words, &corpus, nullptr,
+                                 label);
+    ASSERT_TRUE(whole.ok()) << label << ": " << whole.status().ToString();
+    EXPECT_EQ(*whole, expected[k]) << label;
+    std::vector<Region> sliced;
+    const std::vector<Region>& v = child.regions();
+    for (size_t begin = 0; begin < v.size();
+         begin += CostModel::kFusedBatch) {
+      const size_t end = std::min(v.size(), begin + CostModel::kFusedBatch);
+      RegionSet slice = RegionSet::FromSortedUnique(
+          std::vector<Region>(v.begin() + static_cast<long>(begin),
+                              v.begin() + static_cast<long>(end)));
+      auto part = RunSelectKernel(spec, slice, &words, &corpus, nullptr,
+                                  label);
+      ASSERT_TRUE(part.ok()) << label;
+      sliced.insert(sliced.end(), part->begin(), part->end());
     }
+    EXPECT_EQ(sliced, *whole) << label;
   }
 }
 

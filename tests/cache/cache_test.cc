@@ -13,6 +13,7 @@
 #include "qof/cache/cache.h"
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
+#include "qof/exec/fault_injector.h"
 
 namespace qof {
 namespace {
@@ -23,7 +24,7 @@ std::shared_ptr<const RegionSet> MakeSet(std::vector<Region> v) {
 }
 
 TEST(EvalCacheTest, LookupReturnsInsertedSetUnderSameEpoch) {
-  EvalCache cache(/*max_regions=*/100, /*inject_stale=*/false);
+  EvalCache cache(/*max_regions=*/100);
   CacheEpoch epoch{1, 0};
   EXPECT_EQ(cache.Lookup("k", epoch), nullptr);
   cache.Insert("k", epoch, MakeSet({{0, 5}, {7, 9}}));
@@ -37,7 +38,7 @@ TEST(EvalCacheTest, LookupReturnsInsertedSetUnderSameEpoch) {
 }
 
 TEST(EvalCacheTest, EpochChangeFlushesEverything) {
-  EvalCache cache(100, false);
+  EvalCache cache(100);
   cache.Insert("k", CacheEpoch{1, 0}, MakeSet({{0, 5}}));
   // Generation bump.
   EXPECT_EQ(cache.Lookup("k", CacheEpoch{2, 0}), nullptr);
@@ -49,14 +50,15 @@ TEST(EvalCacheTest, EpochChangeFlushesEverything) {
 }
 
 TEST(EvalCacheTest, InjectStaleServesOldEpochEntries) {
-  EvalCache cache(100, /*inject_stale=*/true);
+  ScopedFaultInjector planted({planted_bug::kStaleCache, 1});
+  EvalCache cache(100);
   cache.Insert("k", CacheEpoch{1, 0}, MakeSet({{0, 5}}));
   // The planted bug: the entry survives the epoch change.
   EXPECT_NE(cache.Lookup("k", CacheEpoch{2, 0}), nullptr);
 }
 
 TEST(EvalCacheTest, EvictsLeastRecentlyUsedByRegionCount) {
-  EvalCache cache(/*max_regions=*/10, false);
+  EvalCache cache(/*max_regions=*/10);
   CacheEpoch epoch{1, 0};
   cache.Insert("a", epoch, MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
   cache.Insert("b", epoch, MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
@@ -71,7 +73,7 @@ TEST(EvalCacheTest, EvictsLeastRecentlyUsedByRegionCount) {
 }
 
 TEST(EvalCacheTest, RefusesSetsLargerThanTheWholeBudget) {
-  EvalCache cache(/*max_regions=*/2, false);
+  EvalCache cache(/*max_regions=*/2);
   CacheEpoch epoch{1, 0};
   cache.Insert("big", epoch, MakeSet({{0, 1}, {2, 3}, {4, 5}}));
   EXPECT_EQ(cache.Lookup("big", epoch), nullptr);
@@ -275,18 +277,17 @@ TEST_F(CacheSystemTest, DisablingCachesRestoresUncachedBehavior) {
 
 TEST_F(CacheSystemTest, InjectStaleServesPreMutationAnswers) {
   // The planted bug the fuzzer's cache leg exists to catch: with
-  // inject_stale the eval cache ignores the epoch change, so after a
+  // stale-cache armed the eval cache ignores the epoch change, so after a
   // mutation the cached system keeps answering from pre-mutation state.
-  CacheOptions bugged = CacheOptions::Enabled();
-  bugged.inject_stale = true;
-  cached_->SetCacheOptions(bugged);
+  ScopedFaultInjector planted({planted_bug::kStaleCache, 1});
+  cached_->SetCacheOptions(CacheOptions::Enabled());
   QueryResult before = Run(cached_.get());
   ASSERT_TRUE(cached_->AddFile("extra.bib", kExtraRef).ok());
   ASSERT_TRUE(plain_->AddFile("extra.bib", kExtraRef).ok());
   QueryResult stale = Run(cached_.get());
   QueryResult fresh = Run(plain_.get());
   EXPECT_EQ(stale.regions, before.regions)
-      << "inject_stale should have pinned the pre-mutation answer";
+      << "stale-cache should have pinned the pre-mutation answer";
   EXPECT_NE(stale.regions, fresh.regions)
       << "the planted bug must be observable";
 }

@@ -64,7 +64,7 @@ TEST_F(IndexIoTest, RoundTripPreservesSpec) {
   auto blob = system_->ExportIndexes();
   ASSERT_TRUE(blob.ok());
 
-  auto loaded = DeserializeIndexes(*blob, text_);
+  auto loaded = DeserializeIndexes(*blob, system_->corpus());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->spec.mode, IndexSpec::Mode::kPartial);
   EXPECT_EQ(loaded->spec.names, spec.names);
@@ -88,8 +88,8 @@ TEST_F(IndexIoTest, RejectsChangedCorpus) {
   ASSERT_TRUE(other.AddFile("gen.bib", text_ + " ").ok());
   auto s = other.ImportIndexes(*blob);
   ASSERT_FALSE(s.ok());
-  // v2 blobs carry per-document fingerprints: the error names the
-  // document that changed.
+  // Blobs carry per-document fingerprints: the error names the document
+  // that changed.
   EXPECT_NE(s.message().find("stale"), std::string::npos) << s.message();
   EXPECT_NE(s.message().find("gen.bib"), std::string::npos) << s.message();
 }
@@ -115,51 +115,67 @@ TEST_F(IndexIoTest, TruncationAtEveryByteFailsCleanly) {
   auto blob = system_->ExportIndexes();
   ASSERT_TRUE(blob.ok());
   for (size_t len = 0; len < blob->size(); ++len) {
-    auto loaded = DeserializeIndexes(blob->substr(0, len), text_);
+    auto loaded = DeserializeIndexes(blob->substr(0, len), system_->corpus());
     EXPECT_FALSE(loaded.ok()) << "prefix of " << len << " bytes loaded";
   }
+}
+
+/// Appends `v` little-endian in `bytes` bytes.
+void PutLe(uint64_t v, size_t bytes, std::string* out) {
+  for (size_t i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+/// Header bytes [16, 24) hold the checksum of everything after them;
+/// re-sealing lets a deliberately corrupted payload reach the decoder.
+void Reseal(std::string* blob) {
+  std::string checksum;
+  PutLe(CorpusFingerprint(std::string_view(*blob).substr(24)), 8, &checksum);
+  blob->replace(16, 8, checksum);
 }
 
 TEST_F(IndexIoTest, CorruptCountsAreRejectedBeforeAllocation) {
   ASSERT_TRUE(system_->BuildIndexes().ok());
   auto blob = system_->ExportIndexes();
   ASSERT_TRUE(blob.ok());
-  // Overwrite each 8-byte window with an absurd count. Whatever field
-  // the window lands on — a region count, word count, or posting count —
-  // deserialization must fail by bounds-checking the count against the
-  // bytes remaining, not by attempting a 2^60-element reserve.
+  // Overwrite each 8-byte window with an absurd count (re-sealing the
+  // checksum, which would otherwise reject the blob first). Whatever
+  // field the window lands on — a region count, word count, or posting
+  // count — deserialization must fail by bounds-checking the count
+  // against the bytes remaining, not by attempting a 2^60-element
+  // reserve.
   for (size_t at = 24; at + 8 <= blob->size();
        at += std::max<size_t>(1, blob->size() / 97)) {
     std::string corrupt = *blob;
     for (size_t i = 0; i < 8; ++i) corrupt[at + i] = '\x7f';
-    auto loaded = DeserializeIndexes(corrupt, text_);
+    Reseal(&corrupt);
+    auto loaded = DeserializeIndexes(corrupt, system_->corpus());
     // Some windows only touch region coordinates or posting payloads;
     // those may still load or fail the span check. The requirement is no
     // crash and no over-allocation, which running to completion shows.
     (void)loaded;
   }
   // The pristine blob still loads.
-  auto spec_ok = DeserializeIndexes(*blob, text_);
+  auto spec_ok = DeserializeIndexes(*blob, system_->corpus());
   ASSERT_TRUE(spec_ok.ok());
 }
 
 TEST_F(IndexIoTest, AbsurdRegionCountFailsWithCountDiagnostic) {
   // Hand-built blob claiming 2^62 regions for one name: the count check
   // must reject it against the (tiny) remaining byte budget.
-  auto put32 = [](uint32_t v, std::string* out) {
-    for (int i = 0; i < 4; ++i) {
-      out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  auto put64 = [](uint64_t v, std::string* out) {
-    for (int i = 0; i < 8; ++i) {
-      out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  std::string corpus = "x";
-  std::string blob = "QOFIDX1\n";
-  put64(corpus.size(), &blob);
-  put64(CorpusFingerprint(corpus), &blob);
+  auto put32 = [](uint32_t v, std::string* out) { PutLe(v, 4, out); };
+  auto put64 = [](uint64_t v, std::string* out) { PutLe(v, 8, out); };
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddDocument("x.txt", "x").ok());
+  std::string blob = "QOFIDX3\n";
+  put64(0, &blob);  // generation
+  put64(0, &blob);  // checksum, sealed below
+  put32(1, &blob);  // one document: x.txt, 1 byte
+  put32(5, &blob);
+  blob += "x.txt";
+  put64(1, &blob);
+  put64(CorpusFingerprint("x"), &blob);
   blob.push_back(0);  // mode: full
   blob.push_back(0);  // fold_case: off
   put32(0, &blob);    // no spec names
@@ -168,6 +184,7 @@ TEST_F(IndexIoTest, AbsurdRegionCountFailsWithCountDiagnostic) {
   put32(1, &blob);
   blob.push_back('A');
   put64(uint64_t{1} << 62, &blob);  // absurd region count
+  Reseal(&blob);
   auto loaded = DeserializeIndexes(blob, corpus);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("count"), std::string::npos)

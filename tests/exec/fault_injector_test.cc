@@ -1,6 +1,7 @@
 // FaultInjector unit coverage: deterministic one-shot firing by
-// (site, hit), scoped install/restore, and the site registry the fuzzer
-// and governance tests enumerate.
+// (site, hit), scoped install/restore, the site registry the fuzzer
+// and governance tests enumerate, and the planted-bug branches kept
+// apart from it.
 
 #include "qof/exec/fault_injector.h"
 
@@ -91,6 +92,35 @@ TEST(FaultInjectorTest, RecordOnlySpecNeverFires) {
   }
   EXPECT_FALSE(inject.injector().fired());
   EXPECT_EQ(inject.injector().observed().size(), FaultSites().size());
+}
+
+TEST(FaultInjectorTest, PlantedBugsStayOutOfTheSiteRegistry) {
+  const std::vector<std::string>& sites = FaultSites();
+  ASSERT_EQ(PlantedBugs().size(), 5u);
+  for (const std::string& bug : PlantedBugs()) {
+    EXPECT_EQ(std::find(sites.begin(), sites.end(), bug), sites.end())
+        << bug << " must not be drawn as a random fault site";
+    EXPECT_FALSE(PlantedBugArmed(bug.c_str())) << bug;
+    EXPECT_FALSE(TakePlantedBug(bug.c_str())) << bug;
+  }
+  // Arming one bug arms only that bug and fails no fault site.
+  ScopedFaultInjector planted({planted_bug::kStaleCache, 1});
+  for (const std::string& bug : PlantedBugs()) {
+    EXPECT_EQ(PlantedBugArmed(bug.c_str()), bug == planted_bug::kStaleCache)
+        << bug;
+  }
+  for (const std::string& site : sites) {
+    EXPECT_TRUE(MaybeInjectFault(site.c_str()).ok()) << site;
+  }
+  EXPECT_TRUE(PlantedBugArmed(planted_bug::kStaleCache));  // stays armed
+}
+
+TEST(FaultInjectorTest, OneShotPlantedBugTripsOnce) {
+  ScopedFaultInjector planted({planted_bug::kDropTombstone, 1});
+  EXPECT_FALSE(TakePlantedBug(planted_bug::kEvictPinned));
+  EXPECT_TRUE(TakePlantedBug(planted_bug::kDropTombstone));
+  EXPECT_TRUE(planted.injector().fired());
+  EXPECT_FALSE(TakePlantedBug(planted_bug::kDropTombstone));
 }
 
 }  // namespace

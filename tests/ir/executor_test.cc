@@ -191,7 +191,7 @@ TEST(IrExecutorTest, CacheEntriesCrossEngines) {
   auto expr = ParseRegionExpr(
       "Reference > Authors > sigma(\"Chang\", Last_Name)");
   ASSERT_TRUE(expr.ok());
-  EvalCache cache(/*max_regions=*/4096, /*inject_stale=*/false);
+  EvalCache cache(/*max_regions=*/4096);
   CacheEpoch epoch;
 
   // Tree evaluator populates the cache...

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "qof/algebra/parser.h"
+#include "qof/exec/fault_injector.h"
 #include "qof/ir/ir.h"
 #include "qof/region/region_index.h"
 #include "qof/text/corpus.h"
@@ -104,13 +105,16 @@ TEST(PassCseTest, InjectedBadCseMergesDistinctSelections) {
   // planted bug keys selects without their word, so they merge — the
   // defect the fuzzer's IR leg exists to catch.
   IrProgram sound = f.Lower("sigma(\"x\", B) | sigma(\"y\", B)");
-  PassCse(&sound, /*inject_bad_cse=*/false);
+  PassCse(&sound);
   ASSERT_EQ(sound.nodes[sound.candidates].inputs.size(), 2u);
   EXPECT_NE(sound.nodes[sound.candidates].inputs[0],
             sound.nodes[sound.candidates].inputs[1]);
 
   IrProgram bad = f.Lower("sigma(\"x\", B) | sigma(\"y\", B)");
-  PassCse(&bad, /*inject_bad_cse=*/true);
+  {
+    ScopedFaultInjector planted({planted_bug::kBadCse, 1});
+    PassCse(&bad);
+  }
   ASSERT_EQ(bad.nodes[bad.candidates].inputs.size(), 2u);
   EXPECT_EQ(bad.nodes[bad.candidates].inputs[0],
             bad.nodes[bad.candidates].inputs[1]);

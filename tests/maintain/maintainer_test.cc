@@ -10,6 +10,7 @@
 #include "qof/datagen/schemas.h"
 #include "qof/engine/index_io.h"
 #include "qof/engine/system.h"
+#include "qof/exec/fault_injector.h"
 
 namespace qof {
 namespace {
@@ -266,9 +267,12 @@ TEST_F(MaintainerTest, FailedMutationLeavesStateUntouched) {
 TEST_F(MaintainerTest, CompactDetectsDroppedTombstone) {
   MaintainOptions options;
   options.auto_compact = false;
-  options.inject_drop_tombstone = true;
   system_->SetMaintainOptions(options);
-  ASSERT_TRUE(system_->RemoveFile("a.bib").ok());
+  {
+    ScopedFaultInjector planted({planted_bug::kDropTombstone, 1});
+    ASSERT_TRUE(system_->RemoveFile("a.bib").ok());
+    EXPECT_TRUE(planted.injector().fired());
+  }
   Status s = system_->CompactIndexes();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("tombstone"), std::string::npos)

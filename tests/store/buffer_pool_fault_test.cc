@@ -49,7 +49,7 @@ class BufferPoolFaultTest : public ::testing::Test {
 };
 
 TEST_F(BufferPoolFaultTest, TransientReadErrorIsRetriedOnce) {
-  BufferPool pool(file_.get(), BufferPoolOptions{4, false});
+  BufferPool pool(file_.get(), BufferPoolOptions{4});
   vfs_.set_fail_reads(1);
   auto page = pool.Fetch(0);
   ASSERT_TRUE(page.ok()) << page.status().message();
@@ -61,7 +61,7 @@ TEST_F(BufferPoolFaultTest, TransientReadErrorIsRetriedOnce) {
 }
 
 TEST_F(BufferPoolFaultTest, PersistentReadErrorFailsAndIsNotCached) {
-  BufferPool pool(file_.get(), BufferPoolOptions{4, false});
+  BufferPool pool(file_.get(), BufferPoolOptions{4});
   vfs_.set_fail_reads(100);
   auto bad = pool.Fetch(1);
   EXPECT_FALSE(bad.ok());
@@ -88,7 +88,7 @@ TEST_F(BufferPoolFaultTest, RetryShortReadCannotCacheStaleFrame) {
   // frame buffer were not cleared per attempt, page 0's leftover image
   // would verify and be cached *as page 1*. The pool must instead
   // surface a short-read error and cache nothing.
-  BufferPool pool(file_.get(), BufferPoolOptions{1, false});
+  BufferPool pool(file_.get(), BufferPoolOptions{1});
   {
     auto warm = pool.Fetch(0);
     ASSERT_TRUE(warm.ok()) << warm.status().message();
@@ -125,7 +125,7 @@ TEST_F(BufferPoolFaultTest, ChecksumFailurePagesAreNotCached) {
   auto file = PagedFile::Open("store", kMinStorePageSize);
   ASSERT_TRUE(file.ok());
 
-  BufferPool pool(&*file, BufferPoolOptions{4, false});
+  BufferPool pool(&*file, BufferPoolOptions{4});
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto bad = pool.Fetch(2);
     ASSERT_FALSE(bad.ok());
@@ -144,7 +144,7 @@ TEST_F(BufferPoolFaultTest, ChecksumFailurePagesAreNotCached) {
 }
 
 TEST_F(BufferPoolFaultTest, ConcurrentFetchesUnderInjectedFaultsAreClean) {
-  BufferPool pool(file_.get(), BufferPoolOptions{3, false});
+  BufferPool pool(file_.get(), BufferPoolOptions{3});
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([this, &pool, t] {

@@ -1,6 +1,6 @@
 // Engine-level tests of the disk-resident index tier: SaveStore/OpenStore
 // round trips must answer byte-identically to the in-memory indexes they
-// were saved from, across every strategy, kernel policy and parallelism;
+// were saved from, across every strategy and parallelism;
 // damage must fail loudly; governance must reach into the
 // buffer pool; and concurrent snapshot readers must survive eviction.
 
@@ -14,7 +14,6 @@
 
 #include "qof/datagen/bibtex_gen.h"
 #include "qof/datagen/schemas.h"
-#include "qof/engine/index_io.h"
 #include "qof/engine/system.h"
 #include "qof/fuzz/grammar_model.h"
 #include "qof/schema/schema_text.h"
@@ -60,8 +59,6 @@ class StoreSystemTest : public ::testing::Test {
     ASSERT_TRUE(system_->AddFile("gen.bib", text_).ok());
   }
 
-  void TearDown() override { SetKernelPolicy(KernelPolicy::kAdaptive); }
-
   std::unique_ptr<FileQuerySystem> Fresh() {
     auto schema = BibtexSchema();
     auto fresh = std::make_unique<FileQuerySystem>(*schema);
@@ -85,26 +82,19 @@ TEST_F(StoreSystemTest, OnDiskAnswersMatchInMemoryEverywhere) {
   const ExecutionMode modes[] = {
       ExecutionMode::kAuto, ExecutionMode::kIndexOnly,
       ExecutionMode::kTwoPhase, ExecutionMode::kBaseline};
-  const KernelPolicy kernels[] = {KernelPolicy::kAdaptive,
-                                  KernelPolicy::kGalloping,
-                                  KernelPolicy::kLinear};
-  for (KernelPolicy kernel : kernels) {
-    SetKernelPolicy(kernel);
-    for (ExecutionMode mode : modes) {
-      for (int threads : {1, 3}) {
-        system_->SetParallelism(threads);
-        disk->SetParallelism(threads);
-        for (const char* fql : kQueries) {
-          auto mem = system_->Execute(fql, mode);
-          auto dsk = disk->Execute(fql, mode);
-          ASSERT_TRUE(mem.ok()) << fql << ": " << mem.status().ToString();
-          ASSERT_TRUE(dsk.ok()) << fql << ": " << dsk.status().ToString();
-          EXPECT_EQ(Fingerprint(*mem), Fingerprint(*dsk))
-              << fql << " mode=" << static_cast<int>(mode)
-              << " kernel=" << static_cast<int>(kernel)
-              << " threads=" << threads;
-          EXPECT_EQ(mem->stats.strategy, dsk->stats.strategy) << fql;
-        }
+  for (ExecutionMode mode : modes) {
+    for (int threads : {1, 3}) {
+      system_->SetParallelism(threads);
+      disk->SetParallelism(threads);
+      for (const char* fql : kQueries) {
+        auto mem = system_->Execute(fql, mode);
+        auto dsk = disk->Execute(fql, mode);
+        ASSERT_TRUE(mem.ok()) << fql << ": " << mem.status().ToString();
+        ASSERT_TRUE(dsk.ok()) << fql << ": " << dsk.status().ToString();
+        EXPECT_EQ(Fingerprint(*mem), Fingerprint(*dsk))
+            << fql << " mode=" << static_cast<int>(mode)
+            << " threads=" << threads;
+        EXPECT_EQ(mem->stats.strategy, dsk->stats.strategy) << fql;
       }
     }
   }
@@ -307,31 +297,16 @@ TEST_F(StoreSystemTest, IndexStatsReportProvenance) {
   auto stats = system_->index_stats();
   EXPECT_TRUE(stats.built);
   EXPECT_EQ(stats.source, "built");
-  EXPECT_EQ(stats.format_version, 0);
   EXPECT_FALSE(stats.disk_resident);
 
-  // Importing a blob records its on-disk format version.
+  // Importing a blob records its on-disk format.
   auto blob = system_->ExportIndexes();
   ASSERT_TRUE(blob.ok());
-  auto info = ReadBlobInfo(*blob);
-  ASSERT_TRUE(info.ok());
   auto disk = Fresh();
   ASSERT_TRUE(disk->ImportIndexes(*blob).ok());
   stats = disk->index_stats();
-  EXPECT_EQ(stats.format_version, info->version);
-  EXPECT_EQ(stats.source, "blob-v" + std::to_string(info->version));
+  EXPECT_EQ(stats.source, "blob-v3");
   EXPECT_FALSE(stats.disk_resident);
-
-  // A v1 blob reports version 1.
-  auto v1 = SerializeIndexes(BuiltIndexes{system_->region_index(),
-                                          system_->word_index(), 0,
-                                          system_->corpus().num_documents()},
-                             system_->index_spec(), text_);
-  ASSERT_TRUE(v1.ok());
-  auto disk1 = Fresh();
-  ASSERT_TRUE(disk1->ImportIndexes(*v1).ok());
-  EXPECT_EQ(disk1->index_stats().format_version, 1);
-  EXPECT_EQ(disk1->index_stats().source, "blob-v1");
 
   // An open store reports "paged-store" and live pool counters.
   const std::string path = TempPath("stats.qofstore");

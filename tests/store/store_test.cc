@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "qof/exec/fault_injector.h"
 #include "qof/region/region_cursor.h"
 #include "qof/region/region_index.h"
 #include "qof/region/region_set.h"
@@ -219,7 +220,7 @@ TEST(BufferPoolTest, HitsAndMissesAndPinAccounting) {
   std::string path = WriteLittleFile("pool_basic.qofstore", 8, kMinStorePageSize);
   auto file = PagedFile::Open(path, kMinStorePageSize);
   ASSERT_TRUE(file.ok()) << file.status().message();
-  BufferPool pool(&*file, BufferPoolOptions{4, false});
+  BufferPool pool(&*file, BufferPoolOptions{4});
 
   auto p0 = pool.Fetch(0);
   ASSERT_TRUE(p0.ok());
@@ -244,7 +245,7 @@ TEST(BufferPoolTest, EvictionNeverEvictsPinned) {
   std::string path = WriteLittleFile("pool_evict.qofstore", 8, kMinStorePageSize);
   auto file = PagedFile::Open(path, kMinStorePageSize);
   ASSERT_TRUE(file.ok());
-  BufferPool pool(&*file, BufferPoolOptions{2, false});
+  BufferPool pool(&*file, BufferPoolOptions{2});
 
   auto p0 = pool.Fetch(0);
   auto p1 = pool.Fetch(1);
@@ -269,7 +270,8 @@ TEST(BufferPoolTest, InjectedEvictPinnedStealsFrames) {
   std::string path = WriteLittleFile("pool_inject.qofstore", 8, kMinStorePageSize);
   auto file = PagedFile::Open(path, kMinStorePageSize);
   ASSERT_TRUE(file.ok());
-  BufferPool pool(&*file, BufferPoolOptions{2, true});
+  BufferPool pool(&*file, BufferPoolOptions{2});
+  ScopedFaultInjector planted({planted_bug::kEvictPinned, 1});
 
   auto p0 = pool.Fetch(0);
   auto p1 = pool.Fetch(1);
@@ -293,7 +295,7 @@ TEST(BufferPoolTest, ChecksumFailureFailsLoudly) {
 
   auto file = PagedFile::Open(path, kMinStorePageSize);
   ASSERT_TRUE(file.ok());
-  BufferPool pool(&*file, BufferPoolOptions{4, false});
+  BufferPool pool(&*file, BufferPoolOptions{4});
   ASSERT_TRUE(pool.Fetch(1).ok());  // intact neighbors still readable
   auto bad = pool.Fetch(2);
   EXPECT_FALSE(bad.ok());
@@ -307,7 +309,7 @@ TEST(BufferPoolTest, StatsTrackDistinctPagesAndReset) {
   std::string path = WriteLittleFile("pool_stats.qofstore", 6, kMinStorePageSize);
   auto file = PagedFile::Open(path, kMinStorePageSize);
   ASSERT_TRUE(file.ok());
-  BufferPool pool(&*file, BufferPoolOptions{2, false});
+  BufferPool pool(&*file, BufferPoolOptions{2});
   for (uint32_t round = 0; round < 3; ++round) {
     for (uint32_t p = 0; p < 4; ++p) ASSERT_TRUE(pool.Fetch(p).ok());
   }
@@ -466,7 +468,7 @@ TEST(PagedStoreTest, WordsWithPrefixMatchesInMemory) {
 TEST(PagedStoreTest, RegionCursorMaterializesIdentically) {
   Fixture f = MakeFixture(500);
   auto store = BuildAndOpen(f, "cursor.qofstore", kMinStorePageSize,
-                            PagedStoreOptions{8, false});
+                            PagedStoreOptions{8});
   ASSERT_TRUE(store.ok());
   for (const std::string& name : f.regions.Names()) {
     auto entry = (*store)->FindRegionEntry(name);
@@ -484,7 +486,7 @@ TEST(PagedStoreTest, RegionCursorMaterializesIdentically) {
 TEST(PagedStoreTest, IntersectCursorSkipsBlocks) {
   Fixture f = MakeFixture(2000);  // "reference" has 2000 regions → ~16 blocks
   auto store = BuildAndOpen(f, "skip.qofstore", kMinStorePageSize,
-                            PagedStoreOptions{16, false});
+                            PagedStoreOptions{16});
   ASSERT_TRUE(store.ok());
   auto entry = (*store)->FindRegionEntry("reference");
   ASSERT_TRUE(entry.ok() && entry->has_value());
@@ -512,7 +514,7 @@ TEST(PagedStoreTest, IntersectCursorSkipsBlocks) {
 TEST(PagedStoreTest, SelectiveReadsTouchFewPages) {
   Fixture f = MakeFixture(3000);
   auto store = BuildAndOpen(f, "touch.qofstore", kMinStorePageSize,
-                            PagedStoreOptions{64, false});
+                            PagedStoreOptions{64});
   ASSERT_TRUE(store.ok());
   (*store)->ResetPoolStats();
   auto entry = (*store)->FindWordEntry("zzz-singleton");
@@ -552,7 +554,7 @@ TEST(PagedStoreTest, CorruptPostingPageFailsLoudly) {
   std::string path = TempPath("corrupt.qofstore");
   ASSERT_TRUE(WriteFileBytes(path, damaged).ok());
 
-  auto store = PagedStore::Open(path, PagedStoreOptions{16, false});
+  auto store = PagedStore::Open(path, PagedStoreOptions{16});
   ASSERT_TRUE(store.ok()) << store.status().message();  // lazy: open succeeds
   // Some load that crosses the damaged page must fail with a checksum
   // error; everything on intact pages still answers.

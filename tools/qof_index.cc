@@ -141,11 +141,6 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
 
   QOF_ASSIGN_OR_RETURN(std::string blob, state->durable->ReadBlob());
   QOF_ASSIGN_OR_RETURN(BlobInfo info, ReadBlobInfo(blob));
-  if (info.version < 2) {
-    return Status::InvalidArgument(
-        "v1 blobs carry no document table; rebuild with 'qof_index "
-        "build'");
-  }
 
   // Re-read each indexed file; bytes that no longer match the blob's
   // fingerprint become zero-filled placeholders (synthetic documents).
@@ -303,7 +298,7 @@ Status RunInspect(const std::string& dir, SyncPolicy policy) {
   std::cout << "manifest: generation " << durable.generation() << " ("
             << durable.manifest().blob_name << " + "
             << durable.manifest().journal_name << ")\n";
-  std::cout << "blob: v" << info.version << ", " << blob.size()
+  std::cout << "blob: v3, " << blob.size()
             << " bytes, generation " << info.generation << ", "
             << info.docs.size() << " document(s)\n";
   for (const DocFingerprint& doc : info.docs) {

@@ -9,9 +9,7 @@
 //
 // The corpus is generated at startup (--schema / --entries / --seed, the
 // same generators the benchmarks use), indexes are built in full, and
-// both query caches are enabled. --inject=stale-snapshot plants the
-// fuzzer's snapshot-isolation bug (sessions silently read live state)
-// for harness validation; never use it for real serving.
+// both query caches are enabled.
 //
 // Exit codes: 0 on QUIT/EOF, 1 on usage error, 2 on startup failure.
 
@@ -50,8 +48,6 @@ void PrintUsage(std::ostream& out) {
          "off)\n"
          "  --max-regions N  per-query region-budget ceiling (default "
          "off)\n"
-         "  --inject KIND    stale-snapshot — plant the fuzzer's\n"
-         "                   snapshot-isolation bug (testing only)\n"
          "\n"
          "Protocol (one command per line on stdin):\n"
          "  OPEN | QUERY <sid> <fql> | ADD <sid> <name> <text> |\n"
@@ -204,12 +200,6 @@ int Serve(int argc, char** argv) {
       service_options.limits.max_bytes = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--max-regions")) {
       service_options.limits.max_regions = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--inject")) {
-      if (std::string(v) != "stale-snapshot") {
-        std::cerr << "unknown --inject kind: " << v << "\n";
-        return 1;
-      }
-      service_options.inject_stale_snapshot = true;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
       return 0;

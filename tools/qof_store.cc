@@ -198,8 +198,7 @@ Status RunConvert(const std::string& blob_path, const std::string& out_path,
   input.doc_count = unchecked.indexes.indexes.documents;
   QOF_ASSIGN_OR_RETURN(std::string image, BuildStoreImage(input, page_size));
   QOF_RETURN_IF_ERROR(WriteFileBytes(out_path, image));
-  std::cout << "converted v" << unchecked.version << " blob ("
-            << blob.size() << " bytes) -> " << out_path << " ("
+  std::cout << "converted v3 blob (" << blob.size() << " bytes) -> " << out_path << " ("
             << image.size() << " bytes, " << image.size() / page_size
             << " pages of " << page_size << ")\n";
   return Status::OK();
