@@ -18,15 +18,15 @@ void Row(const char* label, const qof::IndexSpec& spec, int refs) {
   qof::FileQuerySystem system(*schema);
   (void)system.AddFile("b.bib", text);
   if (!system.BuildIndexes(spec).ok()) return;
-  auto blob = system.ExportIndexes();
+  auto store = system.ExportIndexes();
   std::printf("%8d  %-34s %9llu us %11llu B (%4.1f%% of corpus) "
-              "%9zu B serialized, %llu region entries\n",
+              "%9zu B stored, %llu region entries\n",
               refs, label,
               static_cast<unsigned long long>(system.index_build_micros()),
               static_cast<unsigned long long>(system.IndexBytes()),
               100.0 * static_cast<double>(system.IndexBytes()) /
                   static_cast<double>(text.size()),
-              blob.ok() ? blob->size() : 0,
+              store.ok() ? store->size() : 0,
               static_cast<unsigned long long>(
                   system.region_index().num_regions()));
 }
@@ -36,7 +36,7 @@ void Row(const char* label, const qof::IndexSpec& spec, int refs) {
 int main() {
   std::printf("index construction cost (build once, query many)\n\n");
   std::printf("%8s  %-34s %12s %14s %22s\n", "refs", "spec", "build",
-              "memory", "serialized");
+              "memory", "stored");
   for (int refs : {1000, 5000, 20000}) {
     Row("full", qof::IndexSpec::Full(), refs);
     Row("partial {Ref, Authors, Last_Name}",

@@ -14,7 +14,7 @@ namespace {
 
 struct Fixture {
   std::unique_ptr<qof::FileQuerySystem> system;
-  std::string serial_blob;
+  std::string serial_store;
 };
 
 Fixture MakeBibtexFixture(int num_files, int refs_per_file) {
@@ -49,13 +49,13 @@ void BenchIndexBuild(Fixture* f, int num_files, int refs_per_file) {
     double micros = qof_bench::MedianMicros(3, [&] {
       if (!f->system->BuildIndexes(spec).ok()) std::abort();
     });
-    auto blob = f->system->ExportIndexes();
+    auto store = f->system->ExportIndexes();
     bool identical = true;
     if (threads == 1) {
       serial_micros = micros;
-      f->serial_blob = blob.ok() ? *blob : std::string();
+      f->serial_store = store.ok() ? *store : std::string();
     } else {
-      identical = blob.ok() && *blob == f->serial_blob;
+      identical = store.ok() && *store == f->serial_store;
     }
     std::printf("%8d %10.1f ms %8.2fx %8s\n", threads, micros / 1000.0,
                 serial_micros / micros, identical ? "yes" : "NO");

@@ -6,6 +6,7 @@
 // Build & run:  ./build/examples/document_outline
 
 #include <cstdio>
+#include <string>
 
 #include "qof/core/api.h"
 
@@ -93,22 +94,26 @@ int main() {
     }
   }
 
-  // Index persistence: export, reload into a fresh session, re-run.
-  auto blob = system.ExportIndexes();
-  if (blob.ok()) {
+  // Index persistence: save a paged store, open it in a fresh session,
+  // re-run.
+  const std::string path = "/tmp/qof-document-outline.qofstore";
+  if (system.SaveStore(path).ok()) {
     qof::FileQuerySystem fresh(*schema);
     if (fresh.AddFile("spec.outline", document).ok() &&
-        fresh.ImportIndexes(*blob).ok()) {
+        fresh.OpenStore(path).ok()) {
       auto again = fresh.Execute(
           "SELECT s FROM Sections s WHERE s.SecTitle = \"Optimization\"");
       if (again.ok()) {
         std::printf(
-            "persistence: exported %zu-byte index blob; a fresh session "
-            "answered with %llu sections without rebuilding\n",
-            blob->size(),
-            static_cast<unsigned long long>(again->stats.results));
+            "persistence: a fresh session opened the saved index store "
+            "and answered with %llu sections from %llu store pages, "
+            "without rebuilding\n",
+            static_cast<unsigned long long>(again->stats.results),
+            static_cast<unsigned long long>(
+                fresh.index_stats().pool.pages_read));
       }
     }
+    std::remove(path.c_str());
   }
   return 0;
 }

@@ -19,7 +19,7 @@ namespace qof {
 /// only cost — which the fuzz cache leg cross-checks byte-for-byte.
 struct CacheOptions {
   /// Query text → parsed AST + compiled plan. Invalidated when the
-  /// compiler changes (BuildIndexes / ImportIndexes); mutations do not
+  /// compiler changes (BuildIndexes / OpenStore); mutations do not
   /// invalidate plans, which depend only on the schema and the index
   /// spec — never on the indexed data.
   bool enable_plan_cache = false;
@@ -48,7 +48,7 @@ class PlanCache {
  public:
   struct Entry {
     SelectQuery query;
-    /// The build counter (FileQuerySystem's BuildIndexes/ImportIndexes
+    /// The build counter (FileQuerySystem's BuildIndexes/OpenStore
     /// count) the entry was parsed and compiled under. Entries are only
     /// served to executions of the same build: plans never depend on
     /// the indexed data, but they do depend on the compiler, which is

@@ -32,7 +32,7 @@ struct IndexSpec {
   /// tokenized in parallel and the per-document contributions merged in
   /// document order, so the built indexes are identical at any setting.
   /// 1 = serial (the exact pre-parallelism code path); 0 = inherit the
-  /// system's parallelism (hardware concurrency by default). A build-time
+  /// system's parallelism (one per usable CPU by default). A build-time
   /// knob only — it is not serialized with the indexes.
   int parallelism = 0;
 

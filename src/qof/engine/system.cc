@@ -10,8 +10,6 @@
 #include "qof/engine/two_phase.h"
 #include "qof/ir/ir.h"
 #include "qof/store/paged_file.h"
-#include "qof/store/store_index_source.h"
-#include "qof/store/store_writer.h"
 
 namespace qof {
 namespace {
@@ -765,105 +763,67 @@ uint64_t FileQuerySystem::IndexBytes() const {
   return built_->regions.ApproxBytes() + built_->words.ApproxBytes();
 }
 
-Result<std::string> FileQuerySystem::ExportIndexes() {
-  std::lock_guard<std::mutex> lock(state_mu_);
+Result<std::string> FileQuerySystem::EncodeStoreLocked(uint32_t page_size) {
   if (built_ == nullptr) {
     return Status::InvalidArgument("indexes not built; nothing to export");
   }
   if (corpus_->fragmented()) {
-    // Blob offsets must describe a dense layout; folding the tombstones
-    // away also makes the export canonical (byte-comparable to a fresh
+    // Store offsets must describe a dense layout; folding the tombstones
+    // away also makes the image canonical (byte-comparable to a fresh
     // build's). Same rules as CompactIndexes (whose lock we already
     // hold): readers pinned to the fragmented layout keep their copy.
     CowIfPinnedLocked();
     QOF_RETURN_IF_ERROR(maintainer_->Compact(EnsurePool(parallelism_)));
   }
-  // Serialization walks every instance and posting list; a disk-backed
-  // index must be fully paged in first (no-ops when already resident).
-  QOF_RETURN_IF_ERROR(built_->regions.EnsureResident());
-  QOF_RETURN_IF_ERROR(built_->words.EnsureResident());
-  return SerializeIndexes(*built_, spec_, *corpus_,
-                          maintainer_ != nullptr ? maintainer_->generation()
-                                                 : 0);
+  return EncodeIndexStore(
+      *built_, spec_, *corpus_,
+      maintainer_ != nullptr ? maintainer_->generation() : 0, page_size);
+}
+
+Result<std::string> FileQuerySystem::ExportIndexes() {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return EncodeStoreLocked(kDefaultPageSize);
 }
 
 Status FileQuerySystem::SaveStore(const std::string& path,
                                   uint32_t page_size) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (built_ == nullptr) {
-    return Status::InvalidArgument("indexes not built; nothing to save");
-  }
-  if (spec_.word_options.token_filter) {
-    return Status::InvalidArgument(
-        "word-index token filters are code and cannot be serialized; "
-        "rebuild instead of loading");
-  }
-  if (corpus_->fragmented()) {
-    // Store offsets must describe a dense layout, same as ExportIndexes.
-    CowIfPinnedLocked();
-    QOF_RETURN_IF_ERROR(maintainer_->Compact(EnsurePool(parallelism_)));
-  }
-  // The writer walks every instance and posting list directly.
-  QOF_RETURN_IF_ERROR(built_->regions.EnsureResident());
-  QOF_RETURN_IF_ERROR(built_->words.EnsureResident());
-  std::string spec_bytes;
-  EncodeIndexSpec(spec_, &spec_bytes);
-  QOF_ASSIGN_OR_RETURN(std::string doc_table, EncodeDocTable(*corpus_));
-  StoreWriterInput input;
-  input.regions = &built_->regions;
-  input.words = &built_->words;
-  input.spec_bytes = spec_bytes;
-  input.doc_table_bytes = doc_table;
-  input.generation =
-      maintainer_ != nullptr ? maintainer_->generation() : 0;
-  input.doc_count = built_->documents;
-  QOF_ASSIGN_OR_RETURN(std::string image, BuildStoreImage(input, page_size));
+  QOF_ASSIGN_OR_RETURN(std::string image, EncodeStoreLocked(page_size));
   return WriteFileBytes(path, image);
 }
 
 Status FileQuerySystem::OpenStore(const std::string& path,
                                   PagedStoreOptions options) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  // Staged like ImportIndexes: a damaged or stale store must leave the
-  // installed indexes fully intact and queryable.
-  QOF_ASSIGN_OR_RETURN(std::shared_ptr<const PagedStore> store,
-                       PagedStore::Open(path, options));
-  QOF_ASSIGN_OR_RETURN(std::string spec_bytes,
-                       store->ReadSection(StoreSection::kSpec));
-  QOF_ASSIGN_OR_RETURN(IndexSpec spec, DecodeIndexSpec(spec_bytes));
-  QOF_ASSIGN_OR_RETURN(std::string doc_bytes,
-                       store->ReadSection(StoreSection::kDocTable));
-  QOF_ASSIGN_OR_RETURN(std::vector<DocFingerprint> docs,
-                       DecodeDocTableBytes(doc_bytes));
+  // Staged: a damaged or stale store (or an injected index_io fault) must
+  // leave the installed indexes, spec, compiler and maintainer exactly as
+  // they were — still queryable.
+  QOF_ASSIGN_OR_RETURN(LoadedIndexStore loaded,
+                       LoadIndexStore(path, options));
   if (corpus_->fragmented()) {
     return Status::InvalidArgument(
         "corpus has tombstoned spans; compact before opening a store");
   }
-  std::vector<std::string> stale = DiagnoseStaleDocs(docs, *corpus_);
+  std::vector<std::string> stale = DiagnoseStaleDocs(loaded.docs, *corpus_);
   if (!stale.empty()) {
     return Status::InvalidArgument("store does not match the corpus: " +
                                    FormatStaleDocs(stale));
   }
-  auto built = std::make_shared<BuiltIndexes>();
-  // Register names/counts from the dictionaries; instances and posting
-  // lists stay on disk until a query touches them.
-  QOF_RETURN_IF_ERROR(built->regions.AttachSource(
-      std::make_shared<StoreRegionSource>(store)));
-  built->words =
-      WordIndex::FromEntries({}, spec.word_options.fold_case);
-  built->words.AttachSource(std::make_shared<StorePostingSource>(store));
-  built->documents = store->meta().doc_count;
+  auto built = std::make_shared<BuiltIndexes>(std::move(loaded.indexes));
   auto compiler = std::make_shared<const QueryCompiler>(
-      &full_rig_, spec.IndexedNames(schema_), schema_.view_name(),
-      spec.within);
+      &full_rig_, loaded.spec.IndexedNames(schema_), schema_.view_name(),
+      loaded.spec.within);
   // Commit: nothing past this point can fail.
-  spec_ = std::move(spec);
+  spec_ = std::move(loaded.spec);
   built_ = std::move(built);
   compiler_ = std::move(compiler);
-  store_ = store;
+  store_ = std::move(loaded.store);
   index_source_ = "paged-store";
   ++builds_;
-  ResetMaintainer(store->meta().generation);
+  ResetMaintainer(loaded.generation);
+  // Same reasoning as BuildIndexes: plans may describe the old spec —
+  // clear the plan cache; the eval cache advances to the new build's
+  // epoch, keeping only entries pinned by live snapshots.
   if (plan_cache_ != nullptr) plan_cache_->Clear();
   if (eval_cache_ != nullptr) {
     eval_cache_->AdvanceEpoch(CurrentEpochUnlocked());
@@ -883,44 +843,6 @@ FileQuerySystem::IndexStats FileQuerySystem::index_stats() const {
                             built_->words.disk_resident());
   if (store_ != nullptr) stats.pool = store_->pool_stats();
   return stats;
-}
-
-Status FileQuerySystem::ImportIndexes(std::string_view blob) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  // Stage everything the import will install before touching any member:
-  // a corrupt or stale blob (or an injected index_io fault) must leave
-  // previously installed indexes, spec, compiler and maintainer exactly
-  // as they were — still queryable.
-  struct Staged {
-    std::shared_ptr<BuiltIndexes> built;
-    std::shared_ptr<const QueryCompiler> compiler;
-    uint64_t generation = 0;
-  } staged;
-  {
-    QOF_ASSIGN_OR_RETURN(SerializedIndexes loaded,
-                         DeserializeIndexes(blob, *corpus_));
-    staged.built = std::make_shared<BuiltIndexes>(std::move(loaded.indexes));
-    staged.compiler = std::make_shared<const QueryCompiler>(
-        &full_rig_, loaded.spec.IndexedNames(schema_), schema_.view_name(),
-        loaded.spec.within);
-    staged.generation = loaded.generation;
-    // Commit: nothing past this point can fail.
-    spec_ = std::move(loaded.spec);
-  }
-  built_ = std::move(staged.built);
-  compiler_ = std::move(staged.compiler);
-  store_.reset();
-  index_source_ = "blob-v3";
-  ++builds_;
-  ResetMaintainer(staged.generation);
-  // Same reasoning as BuildIndexes: plans may describe the old spec —
-  // clear the plan cache; the eval cache advances to the new build's
-  // epoch, keeping only entries pinned by live snapshots.
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
-  if (eval_cache_ != nullptr) {
-    eval_cache_->AdvanceEpoch(CurrentEpochUnlocked());
-  }
-  return Status::OK();
 }
 
 }  // namespace qof

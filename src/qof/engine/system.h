@@ -134,7 +134,7 @@ class FileQuerySystem {
   // --- snapshot isolation (multi-client service support) ----------------
   //
   // Concurrency contract: mutations (AddFile / UpdateFile / RemoveFile /
-  // CompactIndexes / BuildIndexes / ImportIndexes) are serialized against
+  // CompactIndexes / BuildIndexes / OpenStore) are serialized against
   // each other internally and may run concurrently with any number of
   // ExecuteOnSnapshot calls. The *live* Execute/ExecuteQuery paths are
   // NOT safe against concurrent mutations — multi-client callers (see
@@ -208,7 +208,7 @@ class FileQuerySystem {
   /// compiled plan; the eval cache shares region-algebra subexpression
   /// results keyed by serialized normal form + index epoch. Enabling them
   /// never changes results — only cost. Both are invalidated here and on
-  /// BuildIndexes / ImportIndexes; the eval cache additionally retires
+  /// BuildIndexes / OpenStore; the eval cache additionally retires
   /// entries whenever the maintenance generation or compaction count
   /// moves — per epoch, so entries pinned by a live snapshot survive
   /// mutations and keep serving that snapshot's queries warm.
@@ -263,22 +263,15 @@ class FileQuerySystem {
   /// space-vs-speed tradeoff experiments.
   uint64_t IndexBytes() const;
 
-  /// Serializes the built indexes (plus their spec and maintenance
-  /// generation) to a v2 blob with per-document fingerprints. Compacts
-  /// first if mutations left tombstoned spans. Fails if indexes are not
-  /// built or the spec has a non-serializable token filter.
+  // --- index persistence: the paged store (src/qof/store/) --------------
+
+  /// The store image SaveStore would write at the default page size:
+  /// the built indexes plus their spec, per-document fingerprints and
+  /// maintenance generation. Word postings are sorted, so byte equality
+  /// of two exports stands in for index equality. Compacts first if
+  /// mutations left tombstoned spans. Fails if indexes are not built or
+  /// the spec has a non-serializable token filter.
   Result<std::string> ExportIndexes();
-
-  /// Installs previously exported indexes (v1 or v2 blobs), skipping the
-  /// parse/build step. Fails when the blob does not match the corpus —
-  /// for v2 blobs the error names the stale documents. The import is
-  /// all-or-nothing: the blob is decoded and validated into a staging
-  /// area first, and the system's indexes, spec, compiler and maintainer
-  /// are swapped only after every step succeeded — a corrupt blob leaves
-  /// previously imported (or built) indexes fully intact and queryable.
-  Status ImportIndexes(std::string_view blob);
-
-  // --- disk-resident index tier (src/qof/store/) ------------------------
 
   /// Writes the built indexes as a paged "QOFSTOR1" store file: meta
   /// page, spec and document-table sections, fenced dictionaries, and
@@ -296,15 +289,16 @@ class FileQuerySystem {
   /// pool as queries touch them. Query results are byte-identical to the
   /// in-memory indexes the store was saved from. Validates the store's
   /// document table against the corpus (the error names stale documents)
-  /// and is all-or-nothing, like ImportIndexes. Subsequent mutations
-  /// (AddFile etc.) force full residency first, after which the system
-  /// behaves exactly as after an ImportIndexes.
+  /// and is all-or-nothing: the store is opened and validated into a
+  /// staging area first, so a damaged or stale store leaves previously
+  /// installed indexes fully intact and queryable. Subsequent mutations
+  /// (AddFile etc.) force full residency first.
   Status OpenStore(const std::string& path, PagedStoreOptions options = {});
 
   /// Provenance and health of the installed indexes.
   struct IndexStats {
     bool built = false;
-    /// "none" | "built" | "blob-v3" | "paged-store"
+    /// "none" | "built" | "paged-store"
     std::string source = "none";
     uint64_t generation = 0;
     /// True while index data still pages in from a store file.
@@ -342,8 +336,12 @@ class FileQuerySystem {
   Status CheckView(const std::string& view) const;
 
   /// (Re)creates the maintainer over the current built_ + corpus_,
-  /// resuming from `generation` (non-zero after an import).
+  /// resuming from `generation` (non-zero after an OpenStore).
   void ResetMaintainer(uint64_t generation);
+
+  /// The store image of the current indexes (compacting first when the
+  /// corpus is fragmented). Caller must hold state_mu_.
+  Result<std::string> EncodeStoreLocked(uint32_t page_size);
 
   /// Clones corpus + indexes before mutating when any live snapshot pins
   /// the current state (detected by shared_ptr use counts — snapshots are
@@ -408,12 +406,12 @@ class FileQuerySystem {
   std::shared_ptr<BuiltIndexes> built_;
   std::shared_ptr<const QueryCompiler> compiler_;
   /// Set by OpenStore; the indexes' backing sources co-own it. Cleared
-  /// (here) by BuildIndexes/ImportIndexes — open cursors keep the old
+  /// (here) by BuildIndexes — open cursors keep the old
   /// store alive through their own shared_ptrs.
   std::shared_ptr<const PagedStore> store_;
   /// index_stats() provenance: how built_ came to be.
   std::string index_source_ = "none";
-  /// Counts BuildIndexes/ImportIndexes (the `build` epoch component:
+  /// Counts BuildIndexes/OpenStore (the `build` epoch component:
   /// generations reset across rebuilds, epochs must not collide).
   uint64_t builds_ = 0;
   MaintainOptions maintain_options_;

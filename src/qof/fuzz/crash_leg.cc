@@ -1,6 +1,5 @@
 #include "qof/fuzz/crash_leg.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,6 +13,7 @@
 #include "qof/maintain/journal.h"
 #include "qof/maintain/maintainer.h"
 #include "qof/store/fault_vfs.h"
+#include "qof/store/store_format.h"
 #include "qof/store/vfs.h"
 #include "qof/text/corpus.h"
 
@@ -22,27 +22,17 @@ namespace {
 
 constexpr uint64_t kNoCommit = ~uint64_t{0};
 
-/// Zeroes the maintenance-generation field (bytes [8, 16)) so blobs from
-/// different recovery depths compare byte-equal (the v3 checksum does
-/// not cover the generation; same convention as the maintenance leg).
-std::string StripGeneration(std::string blob) {
-  if (blob.size() >= 16) {
-    std::fill(blob.begin() + 8, blob.begin() + 16, '\0');
-  }
-  return blob;
-}
-
 /// Everything the I/O trace writes, precomputed once: the replayed
 /// traces differ only in where the power dies, so the in-memory side
-/// (index builds, mutation application, the checkpoint blob) is shared
+/// (index builds, mutation application, the checkpoint store) is shared
 /// across all crash points.
 struct TraceArtifacts {
-  std::string blob0;                  // generation-0 blob Create publishes
+  std::string store0;                 // generation-0 store Create publishes
   std::vector<JournalRecord> records; // one per mutation, in order
   /// Index into `records` after whose append the trace checkpoints
-  /// (compacted blob + fresh journal), exercising the manifest swing.
+  /// (compacted store + fresh journal), exercising the manifest swing.
   size_t checkpoint_after = 0;
-  std::string checkpoint_blob;
+  std::string checkpoint_store;
   uint64_t checkpoint_generation = 0;
 };
 
@@ -103,10 +93,10 @@ JournalRecord RecordFor(const MutationStep& m, uint64_t generation) {
   return record;
 }
 
-/// The canonical blob for "base docs + the first `g` mutations": applied
-/// directly, compacted, serialized. Crash recovery at any point must
+/// The canonical store image for "base docs + the first `g` mutations":
+/// applied directly, compacted, encoded. Crash recovery at any point must
 /// land on one of these — never in between.
-Result<std::string> ReferenceBlob(
+Result<std::string> ReferenceStore(
     const StructuringSchema& schema,
     const std::vector<std::pair<std::string, std::string>>& docs,
     const std::vector<MutationStep>& mutations, uint64_t g) {
@@ -116,7 +106,7 @@ Result<std::string> ReferenceBlob(
     QOF_RETURN_IF_ERROR(ApplyStep(m->maintainer.get(), mutations[i]));
   }
   QOF_RETURN_IF_ERROR(m->maintainer->Compact());
-  return SerializeIndexes(m->built, IndexSpec::Full(), m->corpus,
+  return EncodeIndexStore(m->built, IndexSpec::Full(), m->corpus,
                           m->maintainer->generation());
 }
 
@@ -130,7 +120,7 @@ uint64_t RunIoTrace(Vfs* vfs, const std::string& dir,
   // the override must cover the whole trace.
   ScopedVfs scoped(vfs);
   uint64_t floor = kNoCommit;
-  auto created = DurableIndexDir::Create(vfs, dir, artifacts.blob0,
+  auto created = DurableIndexDir::Create(vfs, dir, artifacts.store0,
                                          /*generation=*/0);
   if (!created.ok()) return floor;
   floor = 0;
@@ -139,7 +129,7 @@ uint64_t RunIoTrace(Vfs* vfs, const std::string& dir,
     floor = artifacts.records[j].generation;
     if (j == artifacts.checkpoint_after) {
       if (!created
-               ->Checkpoint(artifacts.checkpoint_blob,
+               ->Checkpoint(artifacts.checkpoint_store,
                             artifacts.checkpoint_generation)
                .ok()) {
         return floor;
@@ -167,10 +157,10 @@ Status CheckCrashConsistency(
   TraceArtifacts artifacts;
   {
     std::unique_ptr<Maintained>& m = *base;
-    auto blob0 = SerializeIndexes(m->built, IndexSpec::Full(), m->corpus,
-                                  m->maintainer->generation());
-    if (!blob0.ok()) return blob0.status();
-    artifacts.blob0 = std::move(*blob0);
+    auto store0 = EncodeIndexStore(m->built, IndexSpec::Full(), m->corpus,
+                                   m->maintainer->generation());
+    if (!store0.ok()) return store0.status();
+    artifacts.store0 = std::move(*store0);
     artifacts.checkpoint_after = c.mutations.size() / 2;
     for (size_t j = 0; j < c.mutations.size(); ++j) {
       Status applied = ApplyStep(m->maintainer.get(), c.mutations[j]);
@@ -197,10 +187,10 @@ Status CheckCrashConsistency(
           return Status::Internal(
               "crash leg: Compact() moved the generation counter");
         }
-        auto ckpt = SerializeIndexes(m->built, IndexSpec::Full(),
+        auto ckpt = EncodeIndexStore(m->built, IndexSpec::Full(),
                                      m->corpus, before);
         if (!ckpt.ok()) return ckpt.status();
-        artifacts.checkpoint_blob = std::move(*ckpt);
+        artifacts.checkpoint_store = std::move(*ckpt);
         artifacts.checkpoint_generation = before;
       }
     }
@@ -221,16 +211,16 @@ Status CheckCrashConsistency(
     total_ops = dry.op_count();
   }
 
-  // Canonical per-generation blobs, computed lazily: most crash points
+  // Canonical per-generation stores, computed lazily: most crash points
   // recover to one of a handful of generations.
   std::map<uint64_t, std::string> reference;
-  auto reference_blob = [&](uint64_t g) -> Result<std::string> {
+  auto reference_store = [&](uint64_t g) -> Result<std::string> {
     auto it = reference.find(g);
     if (it != reference.end()) return it->second;
-    QOF_ASSIGN_OR_RETURN(std::string blob,
-                         ReferenceBlob(schema, docs, c.mutations, g));
-    reference.emplace(g, blob);
-    return blob;
+    QOF_ASSIGN_OR_RETURN(std::string image,
+                         ReferenceStore(schema, docs, c.mutations, g));
+    reference.emplace(g, image);
+    return image;
   };
 
   // --- The sweep: die at every op, come back up, recover, check --------
@@ -253,7 +243,7 @@ Status CheckCrashConsistency(
     }
     vfs.CutPower(seed ^ (crash_op * 0x9e3779b97f4a7c15ull + 0xa11ceull));
 
-    // Recovery, the CLI's path: manifest → blob → journal replay.
+    // Recovery, the CLI's path: manifest → store → journal replay.
     ScopedVfs scoped(&vfs);
     auto opened = DurableIndexDir::Open(&vfs, dir);
     if (!opened.ok()) {
@@ -265,33 +255,29 @@ Status CheckCrashConsistency(
       continue;  // nothing was ever committed; an empty directory is fine
     }
 
-    auto blob = opened->ReadBlob();
-    if (!blob.ok()) {
-      return fail("committed blob unreadable: " + blob.status().ToString());
+    auto loaded = LoadIndexStore(opened->store_path());
+    if (!loaded.ok()) {
+      return fail("committed store failed to open: " +
+                  loaded.status().ToString());
     }
-    auto info = ReadBlobInfo(*blob);
-    if (!info.ok()) {
-      return fail("committed blob undecodable: " +
-                  info.status().ToString());
+    const uint64_t store_generation = opened->generation();
+    if (loaded->generation != store_generation) {
+      return fail("manifest generation " + std::to_string(store_generation) +
+                  " but the store it names carries generation " +
+                  std::to_string(loaded->generation));
     }
-    const uint64_t blob_generation = opened->generation();
-    if (info->generation != blob_generation) {
-      return fail("manifest generation " + std::to_string(blob_generation) +
-                  " but the blob it names carries generation " +
-                  std::to_string(info->generation));
-    }
-    if (blob_generation > c.mutations.size()) {
-      return fail("recovered blob from the future (generation " +
-                  std::to_string(blob_generation) + " of " +
+    if (store_generation > c.mutations.size()) {
+      return fail("recovered store from the future (generation " +
+                  std::to_string(store_generation) + " of " +
                   std::to_string(c.mutations.size()) + " mutations)");
     }
 
-    // Rebuild the corpus at the blob's generation from the known history
-    // and check every fingerprint: a committed blob may only describe
+    // Rebuild the corpus at the store's generation from the known history
+    // and check every fingerprint: a committed store may only describe
     // documents that actually existed at that generation.
     std::map<std::string, std::string> texts;
     for (const auto& [name, text] : docs) texts[name] = text;
-    for (uint64_t i = 0; i < blob_generation; ++i) {
+    for (uint64_t i = 0; i < store_generation; ++i) {
       const MutationStep& m = c.mutations[i];
       if (m.op == MutationStep::Op::kRemove) {
         texts.erase(m.name);
@@ -300,23 +286,19 @@ Status CheckCrashConsistency(
       }
     }
     Corpus corpus;
-    for (const DocFingerprint& doc : info->docs) {
+    for (const DocFingerprint& doc : loaded->docs) {
       auto it = texts.find(doc.name);
       if (it == texts.end() || it->second.size() != doc.size ||
           CorpusFingerprint(it->second) != doc.fnv1a) {
-        return fail("recovered blob names document '" + doc.name +
+        return fail("recovered store names document '" + doc.name +
                     "' with a fingerprint no generation-" +
-                    std::to_string(blob_generation) + " state ever had");
+                    std::to_string(store_generation) + " state ever had");
       }
       QOF_RETURN_IF_ERROR(
           corpus.AddDocument(doc.name, it->second).status());
     }
 
-    auto loaded = DeserializeIndexes(*blob, corpus, DeserializeOptions{});
-    if (!loaded.ok()) {
-      return fail("committed blob failed to deserialize: " +
-                  loaded.status().ToString());
-    }
+    // The maintainer pages the store in on its first write.
     MaintainOptions maintain_options;
     maintain_options.auto_compact = false;
     IndexMaintainer maintainer(&schema, &corpus, &loaded->indexes,
@@ -332,7 +314,7 @@ Status CheckCrashConsistency(
     // frame checksums admit garbage never, prefixes only.
     for (size_t k = 0; k < records->size(); ++k) {
       const JournalRecord& r = (*records)[k];
-      if (r.generation != blob_generation + k + 1 ||
+      if (r.generation != store_generation + k + 1 ||
           r.generation > c.mutations.size() ||
           r != RecordFor(c.mutations[r.generation - 1], r.generation)) {
         return fail("journal frame " + std::to_string(k) +
@@ -353,24 +335,24 @@ Status CheckCrashConsistency(
     }
 
     // The recovered state must be byte-identical (compacted, generation
-    // stripped) to a direct application of exactly `recovered` steps.
+    // aside) to a direct application of exactly `recovered` steps.
     Status compacted = maintainer.Compact();
     if (!compacted.ok()) {
       return fail("recovered state failed to compact: " +
                   compacted.ToString());
     }
-    auto recovered_blob =
-        SerializeIndexes(loaded->indexes, loaded->spec, corpus,
+    auto recovered_store =
+        EncodeIndexStore(loaded->indexes, loaded->spec, corpus,
                          maintainer.generation());
-    if (!recovered_blob.ok()) return recovered_blob.status();
-    auto expect = reference_blob(recovered);
+    if (!recovered_store.ok()) return recovered_store.status();
+    auto expect = reference_store(recovered);
     if (!expect.ok()) return expect.status();
-    if (StripGeneration(*recovered_blob) != StripGeneration(*expect)) {
+    if (!SameStoreIgnoringGeneration(*recovered_store, *expect)) {
       return fail("recovered state at generation " +
                   std::to_string(recovered) +
                   " diverges from direct application of the same " +
-                  "prefix (" + std::to_string(recovered_blob->size()) +
-                  " vs " + std::to_string(expect->size()) + " blob bytes)");
+                  "prefix (" + std::to_string(recovered_store->size()) +
+                  " vs " + std::to_string(expect->size()) + " store bytes)");
     }
   }
   return Status::OK();

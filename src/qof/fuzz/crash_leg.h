@@ -20,7 +20,7 @@ namespace qof {
 /// "comes back up" (FaultVfs::CutPower: the namespace reverts to its
 /// durable mapping, unsynced file tails survive sector-wise
 /// adversarially or rot to garbage), recovery runs the same path the
-/// qof_index CLI uses (manifest → blob → journal replay, torn tails
+/// qof_index CLI uses (manifest → store → journal replay, torn tails
 /// discarded), and the leg asserts crash consistency:
 ///
 ///   1. recovery succeeds whenever a commit was ever acknowledged — the
@@ -38,7 +38,7 @@ namespace qof {
 /// This is the leg that catches kSkipDirSync
 /// (FaultVfs::set_skip_dir_sync), which turns the parent-directory fsync
 /// after every atomic rename into a silent no-op: the rename that
-/// publishes the MANIFEST (or the blob it names) is then volatile, so a
+/// publishes the MANIFEST (or the store it names) is then volatile, so a
 /// cut after a "durable" commit rolls the directory back — surfacing as
 /// a failed recovery or a recovered generation below the durability
 /// floor, both of which the sweep flags.

@@ -13,22 +13,12 @@
 #include "qof/store/store_format.h"
 
 namespace qof {
-namespace {
 
-/// One temp store file per oracle invocation; seed + pid keep parallel
-/// fuzz runs out of each other's way.
-std::string StorePath(uint64_t seed) {
-  return "/tmp/qof-fuzz-disk-" + std::to_string(::getpid()) + "-" +
-         std::to_string(seed) + ".qofstore";
-}
+TempStoreFile::TempStoreFile(const std::string& leg, uint64_t seed)
+    : path("/tmp/qof-fuzz-" + leg + "-" + std::to_string(::getpid()) + "-" +
+           std::to_string(seed) + ".qofstore") {}
 
-/// Deletes the temp file however the leg exits.
-struct FileGuard {
-  std::string path;
-  ~FileGuard() { std::remove(path.c_str()); }
-};
-
-}  // namespace
+TempStoreFile::~TempStoreFile() { std::remove(path.c_str()); }
 
 Status CheckDiskTier(
     const StructuringSchema& schema,
@@ -50,8 +40,8 @@ Status CheckDiskTier(
     return Status::OK();  // the index legs report build failures
   }
 
-  const std::string path = StorePath(seed);
-  FileGuard guard{path};
+  TempStoreFile store_file("disk", seed);
+  const std::string& path = store_file.path;
   // 256-byte pages spread even a small corpus's posting streams over
   // several pages, so lazy paging, block skipping and (injected) pinned
   // multi-page reads all actually happen.
@@ -97,24 +87,24 @@ Status CheckDiskTier(
 
   // Force full materialization: every region instance and posting list
   // pages in (through whatever the pool does to pinned frames), and the
-  // re-export must reproduce the original blob byte-for-byte. This is
+  // re-export must reproduce the original store byte-for-byte. This is
   // the check that corners kEvictPinned even when the query above never
   // crossed a stolen frame.
-  auto mem_blob = mem->ExportIndexes();
-  if (!mem_blob.ok()) return mem_blob.status();
-  auto disk_blob = disk->ExportIndexes();
-  if (!disk_blob.ok()) {
+  auto mem_store = mem->ExportIndexes();
+  if (!mem_store.ok()) return mem_store.status();
+  auto disk_store = disk->ExportIndexes();
+  if (!disk_store.ok()) {
     *failure = "[disk/export] full materialization from the store failed: " +
-               disk_blob.status().ToString() + " (fql: " + c.fql + ")";
+               disk_store.status().ToString() + " (fql: " + c.fql + ")";
     return Status::OK();
   }
-  if (*mem_blob != *disk_blob) {
+  if (*mem_store != *disk_store) {
     *failure =
         "[disk/export] store round trip changed the index bytes: "
         "re-export from the paged store (" +
-        std::to_string(disk_blob->size()) +
+        std::to_string(disk_store->size()) +
         " bytes) differs from the in-memory export (" +
-        std::to_string(mem_blob->size()) + " bytes) (fql: " + c.fql + ")";
+        std::to_string(mem_store->size()) + " bytes) (fql: " + c.fql + ")";
     return Status::OK();
   }
   return Status::OK();

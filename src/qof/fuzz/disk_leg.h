@@ -23,7 +23,7 @@ namespace qof {
 ///      first query runs on a cold system, so its cursor kernels stream
 ///      the instances page by page), and
 ///   2. a forced full materialization (ExportIndexes, which pages every
-///      stream in) reproduces the original system's export blob
+///      stream in) reproduces the original system's exported store
 ///      byte-for-byte.
 ///
 /// This is the leg that catches kEvictPinned (the evict-pinned planted
@@ -42,6 +42,18 @@ Status CheckDiskTier(
     const std::vector<std::pair<std::string, std::string>>& docs,
     const ConcreteCase& c, const OracleOptions& options, uint64_t seed,
     std::string* failure);
+
+/// A temp store path for one leg invocation, removed however the leg
+/// exits; the leg tag, seed and pid keep parallel fuzz runs out of each
+/// other's way.
+struct TempStoreFile {
+  TempStoreFile(const std::string& leg, uint64_t seed);
+  ~TempStoreFile();
+  TempStoreFile(const TempStoreFile&) = delete;
+  TempStoreFile& operator=(const TempStoreFile&) = delete;
+
+  std::string path;
+};
 
 }  // namespace qof
 

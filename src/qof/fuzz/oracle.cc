@@ -27,6 +27,7 @@
 #include "qof/optimizer/optimizer.h"
 #include "qof/schema/rig_derivation.h"
 #include "qof/schema/schema_text.h"
+#include "qof/store/store_format.h"
 
 namespace qof {
 namespace {
@@ -141,22 +142,14 @@ std::vector<InclusionChain> EnumerateChains(const Rig& rig, uint64_t seed,
   return out;
 }
 
-/// Zeroes the maintenance-generation field (bytes [8, 16) of a v2 blob)
-/// so index blobs from different mutation histories compare byte-equal.
-std::string StripGeneration(std::string blob) {
-  if (blob.size() >= 16) {
-    std::fill(blob.begin() + 8, blob.begin() + 16, '\0');
-  }
-  return blob;
-}
-
 /// The maintenance leg: replay the case's mutation sequence through the
 /// incremental maintainer (serial and parallel) and cross-check against
 /// a from-scratch rebuild of the mutated corpus. A Status error means
 /// the harness broke its own preconditions (e.g. a shrink candidate
 /// whose mutation targets a dropped document); a filled `failure` means
 /// the maintainer violated an invariant — including compaction failures
-/// and blob divergence, which is exactly how kDropTombstone surfaces.
+/// and index-byte divergence, which is exactly how kDropTombstone
+/// surfaces.
 Status CheckMaintenance(
     const StructuringSchema& schema,
     const std::vector<std::pair<std::string, std::string>>& docs,
@@ -194,8 +187,8 @@ Status CheckMaintenance(
               failure)) {
     return Status::OK();
   }
-  auto fresh_blob = fresh.ExportIndexes();
-  if (!fresh_blob.ok()) return fresh_blob.status();
+  auto fresh_store = fresh.ExportIndexes();
+  if (!fresh_store.ok()) return fresh_store.status();
 
   for (int parallelism : {1, options.workers}) {
     std::string plabel = " p=" + std::to_string(parallelism);
@@ -289,16 +282,16 @@ Status CheckMaintenance(
       return fail("compaction" + plabel + " failed: " +
                   compacted.ToString());
     }
-    auto blob = maintained.ExportIndexes();
-    if (!blob.ok()) {
+    auto store = maintained.ExportIndexes();
+    if (!store.ok()) {
       return fail("export after compaction" + plabel + " failed: " +
-                  blob.status().ToString());
+                  store.status().ToString());
     }
-    if (StripGeneration(*blob) != StripGeneration(*fresh_blob)) {
-      return fail("compacted index blob" + plabel +
+    if (!SameStoreIgnoringGeneration(*store, *fresh_store)) {
+      return fail("compacted index store" + plabel +
                   " differs from the from-scratch build (" +
-                  std::to_string(blob->size()) + " vs " +
-                  std::to_string(fresh_blob->size()) + " bytes)");
+                  std::to_string(store->size()) + " vs " +
+                  std::to_string(fresh_store->size()) + " bytes)");
     }
   }
   return Status::OK();
@@ -715,25 +708,25 @@ Status CheckJournalFault(
     return Status::Internal("journal leg: reference compaction failed: " +
                             c3.ToString());
   }
-  auto blob2 =
-      SerializeIndexes(built2, IndexSpec::Full(), corpus2, m2.generation());
-  auto blob3 =
-      SerializeIndexes(built3, IndexSpec::Full(), corpus3, m3.generation());
-  if (!blob2.ok()) return blob2.status();
-  if (!blob3.ok()) return blob3.status();
-  if (*blob2 != *blob3) {
+  auto store2 =
+      EncodeIndexStore(built2, IndexSpec::Full(), corpus2, m2.generation());
+  auto store3 =
+      EncodeIndexStore(built3, IndexSpec::Full(), corpus3, m3.generation());
+  if (!store2.ok()) return store2.status();
+  if (!store3.ok()) return store3.status();
+  if (*store2 != *store3) {
     return fail("replayed state diverges from direct application (" +
-                std::to_string(blob2->size()) + " vs " +
-                std::to_string(blob3->size()) + " blob bytes)");
+                std::to_string(store2->size()) + " vs " +
+                std::to_string(store3->size()) + " store bytes)");
   }
   return Status::OK();
 }
 
 /// The fault-injection leg (OracleOptions::fault_site): drives the full
-/// life cycle — build, query in every mode, export/import, mutations —
+/// life cycle — build, query in every mode, save/open, mutations —
 /// with a one-shot fault armed, then verifies recovery: the system stays
 /// queryable, every surviving answer is correct, failed steps left no
-/// partial state behind, and after Compact() the index blob is
+/// partial state behind, and after Compact() the index store is
 /// byte-identical to a from-scratch rebuild of exactly the steps that
 /// succeeded.
 Result<OracleOutcome> RunFaultLeg(const ConcreteCase& c,
@@ -827,11 +820,12 @@ Result<OracleOutcome> RunFaultLeg(const ConcreteCase& c,
         }
       }
 
-      // Export / import under injection: a failed import must leave the
+      // Save / open under injection: a failed open must leave the
       // importing system intact and queryable.
-      auto blob = sys.ExportIndexes();
-      if (!blob.ok()) {
-        if (blob.status().message().empty()) {
+      TempStoreFile store_file("fault", seed);
+      Status saved = sys.SaveStore(store_file.path);
+      if (!saved.ok()) {
+        if (saved.message().empty()) {
           return fail("export failure carried no diagnostic");
         }
       } else {
@@ -839,10 +833,10 @@ Result<OracleOutcome> RunFaultLeg(const ConcreteCase& c,
         for (const auto& [name, text] : docs) {
           QOF_RETURN_IF_ERROR(importer.AddFile(name, text));
         }
-        Status imported = importer.ImportIndexes(*blob);
+        Status imported = importer.OpenStore(store_file.path);
         if (!imported.ok()) {
           if (imported.message().empty()) {
-            return fail("import failure carried no diagnostic");
+            return fail("open failure carried no diagnostic");
           }
           CanonExec got =
               Canon(importer.Execute(c.fql, ExecutionMode::kBaseline));
@@ -941,18 +935,18 @@ Result<OracleOutcome> RunFaultLeg(const ConcreteCase& c,
   if (!compacted.ok()) {
     return fail("compaction after recovery failed: " + compacted.ToString());
   }
-  auto sys_blob = sys.ExportIndexes();
-  if (!sys_blob.ok()) {
+  auto sys_store = sys.ExportIndexes();
+  if (!sys_store.ok()) {
     return fail("export after recovery failed: " +
-                sys_blob.status().ToString());
+                sys_store.status().ToString());
   }
-  auto fresh_blob = fresh.ExportIndexes();
-  if (!fresh_blob.ok()) return fresh_blob.status();
-  if (StripGeneration(*sys_blob) != StripGeneration(*fresh_blob)) {
-    return fail("post-recovery index blob differs from a from-scratch "
+  auto fresh_store = fresh.ExportIndexes();
+  if (!fresh_store.ok()) return fresh_store.status();
+  if (!SameStoreIgnoringGeneration(*sys_store, *fresh_store)) {
+    return fail("post-recovery index store differs from a from-scratch "
                 "rebuild (" +
-                std::to_string(sys_blob->size()) + " vs " +
-                std::to_string(fresh_blob->size()) + " bytes)");
+                std::to_string(sys_store->size()) + " vs " +
+                std::to_string(fresh_store->size()) + " bytes)");
   }
   // Compaction folded the corpus to the rebuild's layout, so the full
   // region comparison is now meaningful.
@@ -1185,7 +1179,7 @@ Result<OracleOutcome> RunOracle(const ConcreteCase& c,
 
   // 4. Incremental maintenance: replay the mutation sequence through the
   // maintainer and cross-check against a from-scratch rebuild, down to
-  // the post-compaction index blob bytes.
+  // the post-compaction index store bytes.
   if (!c.mutations.empty()) {
     QOF_RETURN_IF_ERROR(CheckMaintenance(schema, docs, c, options,
                                          is_projection, &outcome.failure));
@@ -1217,7 +1211,7 @@ Result<OracleOutcome> RunOracle(const ConcreteCase& c,
   // 5c. Disk-resident tier: answers served from a paged store (tiny
   // pages, lazy paging through the buffer pool) are byte-identical to
   // in-memory execution, and a forced full materialization reproduces
-  // the export blob exactly.
+  // the exported store exactly.
   QOF_RETURN_IF_ERROR(
       CheckDiskTier(schema, docs, c, options, seed, &outcome.failure));
   if (!outcome.failure.empty()) {

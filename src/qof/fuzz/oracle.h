@@ -52,7 +52,7 @@ namespace qof {
 ///  - kSkipDirSync makes the fault VFS's SyncDir a silent no-op
 ///    (FaultVfs::set_skip_dir_sync) — the classic forgot-to-fsync-the-
 ///    parent-directory durability bug: an atomic-rename commit (the
-///    MANIFEST swing, the blob it names) succeeds and is acknowledged,
+///    MANIFEST swing, the store it names) succeeds and is acknowledged,
 ///    but the rename itself is still volatile, so a power cut rolls the
 ///    directory back. The crash-sweep leg — power loss simulated after
 ///    every mutating I/O op, then recovery — must flag the cut that
@@ -84,7 +84,7 @@ struct OracleOptions {
   /// one-shot fault armed at this site (see qof/exec/fault_injector.h,
   /// FaultSites()). The leg verifies the injected failure never crashes,
   /// always surfaces a diagnosable error, leaves the system queryable,
-  /// and that after recovery the state compacts to an index blob
+  /// and that after recovery the state compacts to an index store
   /// byte-identical to a from-scratch rebuild.
   std::string fault_site;
   /// 1-based ordinal of the pass through `fault_site` that fails.
@@ -113,7 +113,7 @@ struct OracleOutcome {
 ///     to a *built* system (incremental maintenance, serial and parallel)
 ///     and cross-checked: all execution modes agree on the maintained
 ///     system, its answers match a from-scratch rebuild of the mutated
-///     corpus, and after compaction the exported index blobs are
+///     corpus, and after compaction the exported index stores are
 ///     byte-identical to the rebuild's;
 ///  5. with both query caches enabled the same query run twice returns
 ///     byte-identical answers to an uncached system (the second run

@@ -5,8 +5,8 @@
 namespace qof {
 namespace {
 
-std::string BlobName(uint64_t generation) {
-  return "blob-" + std::to_string(generation) + ".qofidx";
+std::string StoreName(uint64_t generation) {
+  return "store-" + std::to_string(generation) + ".qofstore";
 }
 
 std::string JournalName(uint64_t generation) {
@@ -36,20 +36,20 @@ Status CreateEmptyJournal(Vfs* vfs, const std::string& path) {
 
 Result<DurableIndexDir> DurableIndexDir::Create(Vfs* vfs,
                                                 const std::string& dir,
-                                                const std::string& blob,
+                                                const std::string& store,
                                                 uint64_t generation,
                                                 const Options& options) {
   QOF_RETURN_IF_ERROR(vfs->CreateDir(dir));
   DurableIndexDir out(vfs, dir, options);
-  QOF_RETURN_IF_ERROR(out.Checkpoint(blob, generation));
+  QOF_RETURN_IF_ERROR(out.Checkpoint(store, generation));
   return out;
 }
 
 Result<DurableIndexDir> DurableIndexDir::Create(Vfs* vfs,
                                                 const std::string& dir,
-                                                const std::string& blob,
+                                                const std::string& store,
                                                 uint64_t generation) {
-  return Create(vfs, dir, blob, generation, Options());
+  return Create(vfs, dir, store, generation, Options());
 }
 
 Result<DurableIndexDir> DurableIndexDir::Open(Vfs* vfs,
@@ -63,9 +63,9 @@ Result<DurableIndexDir> DurableIndexDir::Open(Vfs* vfs,
   DurableIndexDir out(vfs, dir, options);
   QOF_ASSIGN_OR_RETURN(out.manifest_,
                        ReadManifest(vfs, out.manifest_path()));
-  if (!vfs->Exists(out.blob_path())) {
-    return Status::DataLoss(out.manifest_path() + " names blob '" +
-                            out.manifest_.blob_name +
+  if (!vfs->Exists(out.store_path())) {
+    return Status::DataLoss(out.manifest_path() + " names store '" +
+                            out.manifest_.store_name +
                             "' which does not exist");
   }
   QOF_RETURN_IF_ERROR(out.RemoveStraysLocked());
@@ -78,12 +78,12 @@ Status DurableIndexDir::RemoveStraysLocked() {
   bool removed = false;
   for (const std::string& name : *entries) {
     if (name == "MANIFEST" || name == "schema" ||
-        name == manifest_.blob_name || name == manifest_.journal_name) {
+        name == manifest_.store_name || name == manifest_.journal_name) {
       continue;
     }
     // Only artifacts of an interrupted checkpoint are ours to reap;
     // anything else in the directory is left alone.
-    if (StartsWith(name, "blob-") || StartsWith(name, "journal-") ||
+    if (StartsWith(name, "store-") || StartsWith(name, "journal-") ||
         EndsWith(name, ".tmp")) {
       Status status = vfs_->Remove(dir_ + "/" + name);
       if (!status.ok() && !status.IsNotFound()) return status;
@@ -92,15 +92,6 @@ Status DurableIndexDir::RemoveStraysLocked() {
   }
   if (removed) QOF_RETURN_IF_ERROR(vfs_->SyncDir(dir_));
   return Status::OK();
-}
-
-Result<std::string> DurableIndexDir::ReadBlob() const {
-  auto blob = VfsReadFile(vfs_, blob_path());
-  if (!blob.ok() && blob.status().IsNotFound()) {
-    return Status::DataLoss("index blob '" + blob_path() +
-                            "' vanished after open");
-  }
-  return blob;
 }
 
 Result<std::vector<JournalRecord>> DurableIndexDir::ReadJournal(
@@ -136,18 +127,18 @@ Status DurableIndexDir::SyncJournal() {
   return status.ok() ? closed : status;
 }
 
-Status DurableIndexDir::Checkpoint(const std::string& blob,
+Status DurableIndexDir::Checkpoint(const std::string& store,
                                    uint64_t generation) {
   Manifest next;
   next.generation = generation;
-  next.blob_name = BlobName(generation);
+  next.store_name = StoreName(generation);
   next.journal_name = JournalName(generation);
   next.journal_offset = kJournalMagic.size();
 
   // 1 + 2: make the new pair durable under names the current manifest
   // does not reference — a crash here leaves strays, never damage.
   QOF_RETURN_IF_ERROR(
-      AtomicWriteFile(vfs_, dir_ + "/" + next.blob_name, blob));
+      AtomicWriteFile(vfs_, dir_ + "/" + next.store_name, store));
   QOF_RETURN_IF_ERROR(
       CreateEmptyJournal(vfs_, dir_ + "/" + next.journal_name));
 
@@ -158,8 +149,8 @@ Status DurableIndexDir::Checkpoint(const std::string& blob,
   // re-checkpointing a generation in place).
   Manifest old = std::exchange(manifest_, next);
   bool removed = false;
-  for (const std::string& name : {old.blob_name, old.journal_name}) {
-    if (name.empty() || name == next.blob_name ||
+  for (const std::string& name : {old.store_name, old.journal_name}) {
+    if (name.empty() || name == next.store_name ||
         name == next.journal_name) {
       continue;
     }

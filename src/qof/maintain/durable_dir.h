@@ -17,23 +17,25 @@ namespace qof {
 /// keeps, factored here so tests and the crash-sweep fuzzer leg can
 /// drive it against a FaultVfs.
 ///
-///   <dir>/MANIFEST        checksummed superblock (see store/manifest.h)
-///   <dir>/blob-<G>.qofidx serialized indexes at generation G
-///   <dir>/journal-<G>.qofj mutations applied after blob generation G
-///   <dir>/schema          schema text (written once at create)
+///   <dir>/MANIFEST            checksummed superblock (store/manifest.h)
+///   <dir>/store-<G>.qofstore  the indexes at generation G, as a paged
+///                             QOFSTOR1 store (engine/index_io.h)
+///   <dir>/journal-<G>.qofj    mutations applied after store generation G
+///   <dir>/schema              schema text (written once at create)
 ///
-/// Invariant: the MANIFEST is only ever replaced atomically, and only
-/// after the blob and journal it names are durable. Recovery therefore
-/// trusts the manifest unconditionally: read blob-G, replay journal-G's
-/// intact frames (the torn tail a crash can leave is discarded), done.
-/// Files the manifest does not name are strays from an interrupted
-/// checkpoint and are garbage-collected.
+/// The directory treats the store as opaque bytes. Invariant: the
+/// MANIFEST is only ever replaced atomically, and only after the store
+/// and journal it names are durable. Recovery therefore trusts the
+/// manifest unconditionally: open store-G, replay journal-G's intact
+/// frames (the torn tail a crash can leave is discarded), done. Files
+/// the manifest does not name are strays from an interrupted checkpoint
+/// and are garbage-collected.
 ///
 /// The checkpoint protocol (Checkpoint()):
-///   1. write blob-<G'> atomically (tmp+fsync+rename+dirsync)
+///   1. write store-<G'> atomically (tmp+fsync+rename+dirsync)
 ///   2. create an empty journal-<G'> (synced, dirsync'd)
-///   3. publish MANIFEST{G', blob-<G'>, journal-<G'>} atomically
-///   4. remove the old blob/journal, dirsync
+///   3. publish MANIFEST{G', store-<G'>, journal-<G'>} atomically
+///   4. remove the old store/journal, dirsync
 /// A crash before 3 leaves the old manifest pointing at intact old
 /// files; a crash after 3 leaves the new pair committed and at worst
 /// stray old files. Skipping any directory sync (the planted
@@ -45,30 +47,27 @@ class DurableIndexDir {
   };
 
   /// Creates `dir` (if needed) and publishes generation `generation`
-  /// with `blob` as its starting blob and a fresh empty journal.
+  /// with `store` as its starting store image and a fresh empty journal.
   /// (Overloads rather than a default argument: a nested class with
   /// member initializers cannot be default-constructed in a default
   /// argument before the enclosing class is complete.)
   static Result<DurableIndexDir> Create(Vfs* vfs, const std::string& dir,
-                                        const std::string& blob,
+                                        const std::string& store,
                                         uint64_t generation,
                                         const Options& options);
   static Result<DurableIndexDir> Create(Vfs* vfs, const std::string& dir,
-                                        const std::string& blob,
+                                        const std::string& store,
                                         uint64_t generation);
 
   /// Opens an existing directory: reads + verifies the MANIFEST and
   /// garbage-collects strays from interrupted checkpoints. Fails with
-  /// kDataLoss when the manifest (or the blob it names) is damaged or
-  /// missing.
+  /// kDataLoss when the manifest is damaged or missing, or the store it
+  /// names is missing (a damaged store fails LoadIndexStore).
   static Result<DurableIndexDir> Open(Vfs* vfs, const std::string& dir,
                                       const Options& options);
   static Result<DurableIndexDir> Open(Vfs* vfs, const std::string& dir);
 
-  /// The blob bytes the manifest points at.
-  Result<std::string> ReadBlob() const;
-
-  /// Journal records that continue the blob: the intact frames of
+  /// Journal records that continue the store: the intact frames of
   /// journal-<G>, with any torn tail repaired in place (truncated back
   /// to the last intact frame). `repaired`, when non-null, reports
   /// whether a torn tail was discarded.
@@ -83,13 +82,17 @@ class DurableIndexDir {
   /// (already synced) and kNone (caller opted out of durability).
   Status SyncJournal();
 
-  /// Runs the checkpoint protocol: publishes `blob` as generation
-  /// `generation` with a fresh empty journal, then removes the old pair.
-  Status Checkpoint(const std::string& blob, uint64_t generation);
+  /// Runs the checkpoint protocol: publishes the `store` image as
+  /// generation `generation` with a fresh empty journal, then removes
+  /// the old pair.
+  Status Checkpoint(const std::string& store, uint64_t generation);
 
   uint64_t generation() const { return manifest_.generation; }
   const Manifest& manifest() const { return manifest_; }
-  std::string blob_path() const { return dir_ + "/" + manifest_.blob_name; }
+  /// The store the manifest names (open it with LoadIndexStore).
+  std::string store_path() const {
+    return dir_ + "/" + manifest_.store_name;
+  }
   std::string journal_path() const {
     return dir_ + "/" + manifest_.journal_name;
   }

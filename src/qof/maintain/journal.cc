@@ -91,7 +91,7 @@ Status ReplayJournal(const std::vector<JournalRecord>& records,
           "journal generation " + std::to_string(record.generation) +
           " does not continue from index generation " +
           std::to_string(maintainer->generation()) +
-          " — blob and journal are from different histories");
+          " — store and journal are from different histories");
     }
     switch (record.op) {
       case JournalOp::kAdd: {

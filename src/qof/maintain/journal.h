@@ -14,9 +14,9 @@
 namespace qof {
 
 /// The maintenance journal: an append-only log of document mutations.
-/// Persisted next to a serialized index blob, it lets a session recover
-/// the current corpus state as  base blob + replay  instead of requiring
-/// a full re-serialize after every mutation.
+/// Persisted next to an index store, it lets a session recover the
+/// current corpus state as  base store + replay  instead of requiring a
+/// full re-serialize after every mutation.
 ///
 /// On-disk layout: an 8-byte magic, then one frame per record —
 ///   u32 payload_size | u64 fnv1a(payload) | payload
@@ -70,8 +70,8 @@ Result<ParsedJournal> ParseJournal(std::string_view data);
 
 /// Replays records through the maintainer in order. Each record's
 /// generation must be exactly maintainer->generation() + 1 — a gap means
-/// blob and journal are from different histories. Callers replaying onto
-/// a blob-restored corpus should disable auto-compaction first (restored
+/// store and journal are from different histories. Callers replaying onto
+/// a store-restored corpus should disable auto-compaction first (restored
 /// document bytes are placeholders; see MarkDocumentSynthetic).
 /// Mutations are atomic, so a replay aborted mid-way (error or injected
 /// "journal.replay" fault) leaves the maintainer at the state of the last

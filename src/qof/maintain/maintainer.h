@@ -59,7 +59,7 @@ struct MaintainStats {
 /// each sorted vector), and the new text is appended at the tail and its
 /// freshly parsed contribution spliced in. Tombstoned spans linger until
 /// Compact() folds live documents back into a dense layout — after which
-/// the indexes are byte-identical (under SerializeIndexes) to a
+/// the indexes are byte-identical (under EncodeIndexStore) to a
 /// from-scratch BuildIndexes of the same documents in the same order.
 ///
 /// Failed mutations (parse errors, unknown names) leave corpus and indexes
@@ -102,7 +102,7 @@ class IndexMaintainer {
   /// True when the options' thresholds say Compact() is due (and legal).
   bool NeedsCompaction() const;
 
-  /// Journal replay reconstructs corpus state from a base blob whose
+  /// Journal replay reconstructs corpus state from a base store whose
   /// document *bytes* may be unavailable (only sizes and fingerprints are
   /// stored). Such zero-filled documents are marked synthetic: their
   /// contributions are erased by span rather than by re-tokenizing, and
@@ -111,7 +111,7 @@ class IndexMaintainer {
   bool HasLiveSyntheticDocuments() const;
 
   /// Resumes the generation counter (journal replay starts from the
-  /// generation persisted in the base blob).
+  /// generation persisted in the base store).
   void set_generation(uint64_t g) { stats_.generation = g; }
   uint64_t generation() const { return stats_.generation; }
 

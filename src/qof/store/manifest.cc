@@ -9,7 +9,7 @@ namespace qof {
 std::string EncodeManifest(const Manifest& manifest) {
   std::string payload;
   PutU64(manifest.generation, &payload);
-  PutString(manifest.blob_name, &payload);
+  PutString(manifest.store_name, &payload);
   PutString(manifest.journal_name, &payload);
   PutU64(manifest.journal_offset, &payload);
 
@@ -39,7 +39,7 @@ Result<Manifest> DecodeManifest(std::string_view bytes) {
   Manifest manifest;
   auto ReadInto = [&]() -> Status {
     QOF_ASSIGN_OR_RETURN(manifest.generation, reader.U64());
-    QOF_ASSIGN_OR_RETURN(manifest.blob_name, reader.String());
+    QOF_ASSIGN_OR_RETURN(manifest.store_name, reader.String());
     QOF_ASSIGN_OR_RETURN(manifest.journal_name, reader.String());
     QOF_ASSIGN_OR_RETURN(manifest.journal_offset, reader.U64());
     if (!reader.AtEnd()) {

@@ -12,14 +12,14 @@
 namespace qof {
 
 /// The durability superblock: one tiny checksummed record naming the
-/// (blob generation, journal) pair recovery should trust. Written
+/// (store generation, journal) pair recovery should trust. Written
 /// atomically (tmp+fsync+rename+dirsync) *after* the artifacts it points
 /// at are durable, so a reader that finds manifest generation G knows
-/// blob-G and journal-G both exist and verify — the commit point of the
+/// store-G and journal-G both exist and verify — the commit point of the
 /// DurableIndexDir checkpoint protocol (see qof/maintain/durable_dir.h).
 ///
 /// On-disk layout: 8-byte magic "QOFMANI1", then
-///   u64 generation | string blob_name | string journal_name |
+///   u64 generation | string store_name | string journal_name |
 ///   u64 journal_offset
 /// followed by u64 fnv1a over that payload. A manifest that fails its
 /// checksum is kDataLoss, never a silent fallback.
@@ -27,11 +27,11 @@ namespace qof {
 inline constexpr std::string_view kManifestMagic = "QOFMANI1";
 
 struct Manifest {
-  /// Generation of the blob the manifest points at.
+  /// Generation of the index store the manifest points at.
   uint64_t generation = 0;
-  /// File name (relative to the manifest's directory) of the index blob.
-  std::string blob_name;
-  /// File name of the journal that continues the blob, empty if none.
+  /// File name (relative to the manifest's directory) of the index store.
+  std::string store_name;
+  /// File name of the journal that continues the store, empty if none.
   std::string journal_name;
   /// Bytes of the journal known durable at the last sync acknowledgment
   /// (recovery may find more — unsynced appends that survived — or less
@@ -39,7 +39,7 @@ struct Manifest {
   uint64_t journal_offset = 0;
 
   friend bool operator==(const Manifest& a, const Manifest& b) {
-    return a.generation == b.generation && a.blob_name == b.blob_name &&
+    return a.generation == b.generation && a.store_name == b.store_name &&
            a.journal_name == b.journal_name &&
            a.journal_offset == b.journal_offset;
   }

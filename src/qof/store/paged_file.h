@@ -52,7 +52,7 @@ class PagedFile {
 /// never leaves a partial image visible at the final name.
 Status WriteFileBytes(const std::string& path, const std::string& bytes);
 
-/// Reads a whole file (used for index blobs by the tools).
+/// Reads a whole file.
 Result<std::string> ReadFileBytes(const std::string& path);
 
 /// Reads the first `n` bytes of a file (fails if it is shorter) — the

@@ -110,22 +110,9 @@ class StoreRegionCursorImpl : public RegionCursor {
 
 Result<std::shared_ptr<const PagedStore>> PagedStore::Open(
     const std::string& path, PagedStoreOptions options) {
-  // Bootstrap: the meta page always fits the minimum page size, so its
-  // header and payload can be verified before the true geometry is known.
   QOF_ASSIGN_OR_RETURN(std::string prefix,
                        ReadFilePrefix(path, kMinStorePageSize));
-  QOF_ASSIGN_OR_RETURN(PageHeader header,
-                       ParsePage(prefix, kMinStorePageSize, 0));
-  if (header.type != PageType::kMeta) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not a qof paged store (page 0 is "
-                                   "not a meta page)");
-  }
-  QOF_ASSIGN_OR_RETURN(
-      StoreMeta meta,
-      DecodeStoreMeta(
-          std::string_view(prefix).substr(kPageHeaderSize,
-                                          header.payload_len)));
+  QOF_ASSIGN_OR_RETURN(StoreMeta meta, DecodeMetaPage(prefix));
   QOF_ASSIGN_OR_RETURN(PagedFile file, PagedFile::Open(path, meta.page_size));
   for (const SectionInfo& s : meta.sections) {
     if (uint64_t{s.first_page} + s.num_pages > file.num_pages()) {

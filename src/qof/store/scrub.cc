@@ -77,7 +77,8 @@ struct ScrubState {
 };
 
 /// Decodes the doc table into per-document corpus spans (the implied
-/// dense layout: 1-byte separators, as index_io's LayoutOf).
+/// dense layout: a 1-byte separator before every document but the
+/// first, as Corpus::AddDocument lays them out).
 Status DecodeDocSpans(std::string_view bytes, std::vector<DocSpan>* out) {
   WireReader reader(bytes, "store doc table");
   QOF_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
@@ -167,16 +168,7 @@ Result<ScrubState> AnalyzeStore(const std::string& path) {
   // size is inside it. A damaged meta page is reported, not thrown.
   QOF_ASSIGN_OR_RETURN(std::string head,
                        ReadFilePrefix(path, kMinStorePageSize));
-  auto meta_header = ParsePage(head, kMinStorePageSize, 0);
-  if (!meta_header.ok() || meta_header->type != PageType::kMeta) {
-    state.report.damaged_pages.push_back(
-        {0, "meta",
-         meta_header.ok() ? "page 0 is not a meta page"
-                          : meta_header.status().ToString()});
-    return state;
-  }
-  auto meta = DecodeStoreMeta(std::string_view(head).substr(
-      kPageHeaderSize, meta_header->payload_len));
+  auto meta = DecodeMetaPage(head);
   if (!meta.ok()) {
     state.report.damaged_pages.push_back({0, "meta", meta.status().ToString()});
     return state;
@@ -335,8 +327,7 @@ Result<RepairResult> RepairStore(const std::string& path) {
   if (!state.report.repairable()) {
     return Status::DataLoss(
         path + ": damage is structural (meta, spec, doc table, or "
-               "dictionary pages) — cannot repair; restore from a "
-               "blob or re-index");
+               "dictionary pages) — cannot repair; re-index");
   }
 
   // Keep every entry whose stream bytes are fully intact; drop the rest.

@@ -1,5 +1,6 @@
 #include "qof/store/store_format.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "qof/util/wire.h"
@@ -66,6 +67,34 @@ Result<StoreMeta> DecodeStoreMeta(std::string_view payload) {
     QOF_ASSIGN_OR_RETURN(meta.sections[i].byte_len, reader.U64());
   }
   return meta;
+}
+
+Result<StoreMeta> DecodeMetaPage(std::string_view head) {
+  head = head.substr(0, kMinStorePageSize);
+  QOF_ASSIGN_OR_RETURN(PageHeader header,
+                       ParsePage(head, kMinStorePageSize, 0));
+  if (header.type != PageType::kMeta) {
+    return Status::InvalidArgument(
+        "not a qof paged store (page 0 is not a meta page)");
+  }
+  return DecodeStoreMeta(head.substr(kPageHeaderSize, header.payload_len));
+}
+
+bool SameStoreIgnoringGeneration(std::string_view a, std::string_view b) {
+  auto meta_a = DecodeMetaPage(a);
+  auto meta_b = DecodeMetaPage(b);
+  if (!meta_a.ok() || !meta_b.ok()) return a == b;
+  meta_a->generation = 0;
+  meta_b->generation = 0;
+  std::string encoded_a;
+  std::string encoded_b;
+  EncodeStoreMeta(*meta_a, &encoded_a);
+  EncodeStoreMeta(*meta_b, &encoded_b);
+  if (encoded_a != encoded_b || a.size() != b.size()) return false;
+  // Equal metas carry equal page sizes, so both bodies start at the same
+  // offset (clamped: a truncated image may end inside its meta page).
+  const size_t body = std::min<size_t>(meta_a->page_size, a.size());
+  return a.substr(body) == b.substr(body);
 }
 
 }  // namespace qof

@@ -23,7 +23,8 @@ namespace qof {
 /// Meta page payload:
 ///   8 bytes  magic "QOFSTOR1"
 ///   u32      page_size
-///   u64      generation        (maintenance generation, as in QOFIDX3)
+///   u64      generation        (maintenance generation: mutations the
+///                               indexes reflect since their last build)
 ///   u64      doc_count
 ///   u64      universe_size     (|union of region instances|, persisted so
 ///                               cost estimates never force a full load)
@@ -31,8 +32,9 @@ namespace qof {
 ///   u64      total_regions
 ///   u64      distinct_words
 ///   u64      total_postings
-///   u64      body_bytes        (uncompressed v3-body-equivalent bytes of
-///                               the postings payload, for ratio reporting)
+///   u64      body_bytes        (16 bytes per region plus 8 per posting:
+///                               the postings payload before block
+///                               compression, for ratio reporting)
 ///   u8       section count (7)
 ///   per section: u8 id, u32 first_page, u32 num_pages, u64 byte_len
 ///
@@ -97,6 +99,18 @@ struct StoreMeta {
 
 void EncodeStoreMeta(const StoreMeta& meta, std::string* out);
 Result<StoreMeta> DecodeStoreMeta(std::string_view payload);
+
+/// Verifies and decodes the meta page from a store's first
+/// kMinStorePageSize bytes (`head` may be longer): the meta page always
+/// fits the minimum page size, so it is checked before the true page
+/// size — which is inside it — is known.
+Result<StoreMeta> DecodeMetaPage(std::string_view head);
+
+/// True when two store images are byte-identical apart from the
+/// maintenance generation on their meta pages, so saves of the same
+/// indexes from different mutation histories compare equal. Images whose
+/// meta page does not decode compare as raw bytes.
+bool SameStoreIgnoringGeneration(std::string_view a, std::string_view b);
 
 }  // namespace qof
 

@@ -204,8 +204,9 @@ Result<std::string> BuildStoreImage(const StoreWriterInput& input,
   meta.region_names = region_names.size();
   meta.body_bytes += meta.total_regions * 16;
 
-  // Word postings, sorted — the store is canonical for the same reason
-  // the v3 blob is (byte comparison stands in for index equality).
+  // Word postings, sorted: the posting map iterates in an unspecified
+  // order, and a canonical image lets byte comparison stand in for index
+  // equality.
   std::vector<std::pair<const std::string*, const std::vector<TextPos>*>>
       words;
   words.reserve(input.words->num_distinct_words());

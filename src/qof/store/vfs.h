@@ -62,7 +62,7 @@ class WritableFile {
 };
 
 /// The storage substrate every on-disk artifact goes through: the paged
-/// store, index blobs, journals, manifests, and the CLIs all do their
+/// store, journals, manifests, and the CLIs all do their
 /// I/O via a Vfs so tests and the crash-sweep fuzzer leg can substitute
 /// FaultVfs (fault_vfs.h) and make every failure injectable.
 class Vfs {

@@ -11,8 +11,8 @@
 namespace qof {
 
 /// Little-endian wire primitives shared by every on-disk format in the
-/// system (index blobs, the maintenance journal). Strings are encoded as
-/// u32 length + raw bytes.
+/// system (the paged index store, the maintenance journal, the manifest).
+/// Strings are encoded as u32 length + raw bytes.
 
 void PutU64(uint64_t v, std::string* out);
 void PutU32(uint32_t v, std::string* out);
@@ -25,8 +25,9 @@ void PutString(std::string_view s, std::string* out);
 /// block-compressed posting format.
 void PutVarint(uint64_t v, std::string* out);
 
-/// FNV-1a over arbitrary bytes. Used as the corpus/document fingerprint in
-/// index blobs and as the per-record checksum in the journal.
+/// FNV-1a over arbitrary bytes. Used as the document fingerprint in index
+/// stores, as the store's per-page checksum and as the per-record
+/// checksum in the journal.
 uint64_t Fnv1a(std::string_view bytes);
 
 /// Sequential decoder over a byte buffer. Every accessor fails with
@@ -34,9 +35,9 @@ uint64_t Fnv1a(std::string_view bytes);
 /// past the end.
 class WireReader {
  public:
-  /// `what` names the container in error messages ("index blob",
+  /// `what` names the container in error messages ("index spec",
   /// "journal record", ...).
-  explicit WireReader(std::string_view data, std::string what = "blob")
+  WireReader(std::string_view data, std::string what)
       : data_(data), what_(std::move(what)) {}
 
   Result<uint64_t> U64();

@@ -14,6 +14,7 @@
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
 #include "qof/exec/fault_injector.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
@@ -235,10 +236,10 @@ TEST_F(CacheSystemTest, RebuildAndImportFlushBothCaches) {
   EXPECT_GT(cached_->cache_stats().invalidations, before.invalidations);
   ExpectAgree();
 
-  auto blob = plain_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
+  const std::string path = TempPath("plain.qofstore");
+  ASSERT_TRUE(plain_->SaveStore(path).ok());
   CacheStats mid = cached_->cache_stats();
-  ASSERT_TRUE(cached_->ImportIndexes(*blob).ok());
+  ASSERT_TRUE(cached_->OpenStore(path).ok());
   EXPECT_GT(cached_->cache_stats().invalidations, mid.invalidations);
   ExpectAgree();
 }

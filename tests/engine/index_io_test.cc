@@ -1,10 +1,17 @@
 #include "qof/engine/index_io.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "qof/datagen/bibtex_gen.h"
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
+#include "qof/store/paged_file.h"
+#include "qof/store/store_format.h"
+#include "qof/store/store_writer.h"
+#include "qof/util/wire.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
@@ -26,6 +33,15 @@ class IndexIoTest : public ::testing::Test {
     ASSERT_TRUE(system_->AddFile("gen.bib", text_).ok());
   }
 
+  /// Saves the built indexes under a per-test temp name.
+  std::string Save(const std::string& name,
+                   uint32_t page_size = kDefaultPageSize) {
+    std::string path = TempPath(name);
+    Status saved = system_->SaveStore(path, page_size);
+    EXPECT_TRUE(saved.ok()) << saved.ToString();
+    return path;
+  }
+
   std::string text_;
   std::unique_ptr<FileQuerySystem> system_;
 };
@@ -34,16 +50,14 @@ TEST_F(IndexIoTest, RoundTripPreservesAnswers) {
   ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
   auto before = system_->Execute(kFlagship);
   ASSERT_TRUE(before.ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  EXPECT_GT(blob->size(), 1000u);
+  const std::string path = Save("roundtrip.qofstore");
 
-  // A fresh system over the same corpus imports the blob and answers
+  // A fresh system over the same corpus opens the store and answers
   // identically, without ever parsing for index construction.
   auto schema = BibtexSchema();
   FileQuerySystem fresh(*schema);
   ASSERT_TRUE(fresh.AddFile("gen.bib", text_).ok());
-  ASSERT_TRUE(fresh.ImportIndexes(*blob).ok());
+  ASSERT_TRUE(fresh.OpenStore(path).ok());
   EXPECT_TRUE(fresh.indexes_built());
   auto after = fresh.Execute(kFlagship);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -61,15 +75,22 @@ TEST_F(IndexIoTest, RoundTripPreservesSpec) {
   spec.within["Last_Name"] = "Authors";
   spec.word_options.fold_case = true;
   ASSERT_TRUE(system_->BuildIndexes(spec).ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
+  const std::string path = Save("spec.qofstore");
 
-  auto loaded = DeserializeIndexes(*blob, system_->corpus());
+  auto loaded = LoadIndexStore(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->spec.mode, IndexSpec::Mode::kPartial);
   EXPECT_EQ(loaded->spec.names, spec.names);
   EXPECT_EQ(loaded->spec.within, spec.within);
   EXPECT_TRUE(loaded->spec.word_options.fold_case);
+  EXPECT_EQ(loaded->generation, 0u);
+  ASSERT_EQ(loaded->docs.size(), 1u);
+  EXPECT_EQ(loaded->docs[0],
+            (DocFingerprint{"gen.bib", text_.size(),
+                            CorpusFingerprint(text_)}));
+  EXPECT_TRUE(DiagnoseStaleDocs(loaded->docs, system_->corpus()).empty());
+  ASSERT_TRUE(loaded->indexes.regions.EnsureResident().ok());
+  ASSERT_TRUE(loaded->indexes.words.EnsureResident().ok());
   EXPECT_EQ(loaded->indexes.regions.num_names(),
             system_->region_index().num_names());
   EXPECT_EQ(loaded->indexes.regions.num_regions(),
@@ -80,115 +101,153 @@ TEST_F(IndexIoTest, RoundTripPreservesSpec) {
 
 TEST_F(IndexIoTest, RejectsChangedCorpus) {
   ASSERT_TRUE(system_->BuildIndexes().ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
+  const std::string path = Save("changed.qofstore");
 
   auto schema = BibtexSchema();
   FileQuerySystem other(*schema);
   ASSERT_TRUE(other.AddFile("gen.bib", text_ + " ").ok());
-  auto s = other.ImportIndexes(*blob);
+  auto s = other.OpenStore(path);
   ASSERT_FALSE(s.ok());
-  // Blobs carry per-document fingerprints: the error names the document
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  // Stores carry per-document fingerprints: the error names the document
   // that changed.
-  EXPECT_NE(s.message().find("stale"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("modified"), std::string::npos) << s.message();
   EXPECT_NE(s.message().find("gen.bib"), std::string::npos) << s.message();
 }
 
 TEST_F(IndexIoTest, RejectsGarbage) {
   ASSERT_TRUE(system_->BuildIndexes().ok());
-  EXPECT_FALSE(system_->ImportIndexes("not an index").ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
-  // Truncation at every eighth of the blob fails cleanly.
+  const std::string garbage = TempPath("garbage.qofstore");
+  ASSERT_TRUE(WriteFileBytes(garbage, "not an index").ok());
+  EXPECT_FALSE(system_->OpenStore(garbage).ok());
+  auto image = ReadFileBytes(Save("garbage-source.qofstore"));
+  ASSERT_TRUE(image.ok());
+  // Truncation at every eighth of the store fails cleanly.
+  const std::string cut = TempPath("garbage-cut.qofstore");
   for (size_t frac = 1; frac < 8; ++frac) {
-    std::string truncated = blob->substr(0, blob->size() * frac / 8);
-    EXPECT_FALSE(system_->ImportIndexes(truncated).ok()) << frac;
+    ASSERT_TRUE(
+        WriteFileBytes(cut, image->substr(0, image->size() * frac / 8)).ok());
+    EXPECT_FALSE(system_->OpenStore(cut).ok()) << frac;
   }
   // Trailing junk is rejected too.
-  EXPECT_FALSE(system_->ImportIndexes(*blob + "x").ok());
+  ASSERT_TRUE(WriteFileBytes(cut, *image + "x").ok());
+  EXPECT_FALSE(system_->OpenStore(cut).ok());
 }
 
-TEST_F(IndexIoTest, TruncationAtEveryByteFailsCleanly) {
-  // Exhaustive truncation: every prefix of the blob must be rejected
-  // with a Status, never a crash or a silent partial load.
-  ASSERT_TRUE(system_->BuildIndexes().ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
-  for (size_t len = 0; len < blob->size(); ++len) {
-    auto loaded = DeserializeIndexes(blob->substr(0, len), system_->corpus());
-    EXPECT_FALSE(loaded.ok()) << "prefix of " << len << " bytes loaded";
-  }
-}
-
-/// Appends `v` little-endian in `bytes` bytes.
-void PutLe(uint64_t v, size_t bytes, std::string* out) {
-  for (size_t i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-/// Header bytes [16, 24) hold the checksum of everything after them;
-/// re-sealing lets a deliberately corrupted payload reach the decoder.
-void Reseal(std::string* blob) {
+/// Recomputes page `page`'s payload checksum, so a deliberately
+/// corrupted payload reaches the decoders instead of failing the page
+/// check first.
+void ResealPage(std::string* image, size_t page, size_t page_size) {
+  const size_t at = page * page_size;
+  WireReader reader(std::string_view(*image).substr(at + 4, 4), "header");
+  auto payload_len = reader.U32();
+  ASSERT_TRUE(payload_len.ok());
   std::string checksum;
-  PutLe(CorpusFingerprint(std::string_view(*blob).substr(24)), 8, &checksum);
-  blob->replace(16, 8, checksum);
+  PutU64(Fnv1a(std::string_view(*image).substr(at + kPageHeaderSize,
+                                               *payload_len)),
+         &checksum);
+  image->replace(at + 8, 8, checksum);
 }
 
 TEST_F(IndexIoTest, CorruptCountsAreRejectedBeforeAllocation) {
   ASSERT_TRUE(system_->BuildIndexes().ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
-  // Overwrite each 8-byte window with an absurd count (re-sealing the
-  // checksum, which would otherwise reject the blob first). Whatever
-  // field the window lands on — a region count, word count, or posting
-  // count — deserialization must fail by bounds-checking the count
-  // against the bytes remaining, not by attempting a 2^60-element
-  // reserve.
-  for (size_t at = 24; at + 8 <= blob->size();
-       at += std::max<size_t>(1, blob->size() / 97)) {
-    std::string corrupt = *blob;
+  // Small pages: meta, fences, dictionaries and streams span many pages.
+  auto image = ReadFileBytes(Save("counts.qofstore", kMinStorePageSize));
+  ASSERT_TRUE(image.ok());
+  // Overwrite 8-byte payload windows with absurd counts (re-sealing the
+  // page checksum, which would otherwise reject the page first). Whatever
+  // field the window lands on — a section extent, a dictionary entry
+  // count, a stream's block count or posting count — loading and paging
+  // in must fail by bounds-checking the count against the bytes
+  // remaining, not by attempting a 2^60-element reserve.
+  const std::string corrupt_path = TempPath("counts-corrupt.qofstore");
+  for (size_t at = kPageHeaderSize; at + 8 <= image->size();
+       at += std::max<size_t>(1, image->size() / 97)) {
+    const size_t page = at / kMinStorePageSize;
+    const size_t in_page = at % kMinStorePageSize;
+    if (in_page < kPageHeaderSize || in_page + 8 > kMinStorePageSize) {
+      continue;
+    }
+    std::string corrupt = *image;
     for (size_t i = 0; i < 8; ++i) corrupt[at + i] = '\x7f';
-    Reseal(&corrupt);
-    auto loaded = DeserializeIndexes(corrupt, system_->corpus());
-    // Some windows only touch region coordinates or posting payloads;
-    // those may still load or fail the span check. The requirement is no
-    // crash and no over-allocation, which running to completion shows.
-    (void)loaded;
+    ResealPage(&corrupt, page, kMinStorePageSize);
+    ASSERT_TRUE(WriteFileBytes(corrupt_path, corrupt).ok());
+    auto loaded = LoadIndexStore(corrupt_path);
+    // Some windows only touch region coordinates, posting payloads or
+    // zero padding; those may still load. The requirement is no crash and
+    // no over-allocation, which running to completion shows.
+    if (loaded.ok()) {
+      (void)loaded->indexes.regions.EnsureResident();
+      (void)loaded->indexes.words.EnsureResident();
+    }
   }
-  // The pristine blob still loads.
-  auto spec_ok = DeserializeIndexes(*blob, system_->corpus());
-  ASSERT_TRUE(spec_ok.ok());
+  // The pristine store still loads.
+  auto pristine = LoadIndexStore(TempPath("counts.qofstore"));
+  ASSERT_TRUE(pristine.ok());
+  EXPECT_TRUE(pristine->indexes.regions.EnsureResident().ok());
 }
 
 TEST_F(IndexIoTest, AbsurdRegionCountFailsWithCountDiagnostic) {
-  // Hand-built blob claiming 2^62 regions for one name: the count check
-  // must reject it against the (tiny) remaining byte budget.
-  auto put32 = [](uint32_t v, std::string* out) { PutLe(v, 4, out); };
-  auto put64 = [](uint64_t v, std::string* out) { PutLe(v, 8, out); };
+  // Hand-built store whose one region instance claims 2^62 regions: the
+  // stream header's count check must reject it when the instance pages
+  // in, against the (tiny) stream behind it.
   Corpus corpus;
   ASSERT_TRUE(corpus.AddDocument("x.txt", "x").ok());
-  std::string blob = "QOFIDX3\n";
-  put64(0, &blob);  // generation
-  put64(0, &blob);  // checksum, sealed below
-  put32(1, &blob);  // one document: x.txt, 1 byte
-  put32(5, &blob);
-  blob += "x.txt";
-  put64(1, &blob);
-  put64(CorpusFingerprint("x"), &blob);
-  blob.push_back(0);  // mode: full
-  blob.push_back(0);  // fold_case: off
-  put32(0, &blob);    // no spec names
-  put32(0, &blob);    // no within entries
-  put32(1, &blob);    // one region name
-  put32(1, &blob);
-  blob.push_back('A');
-  put64(uint64_t{1} << 62, &blob);  // absurd region count
-  Reseal(&blob);
-  auto loaded = DeserializeIndexes(blob, corpus);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("count"), std::string::npos)
-      << loaded.status().message();
+  std::string spec;
+  EncodeIndexSpec(IndexSpec::Full(), &spec);
+  auto doc_table = EncodeDocTable(corpus);
+  ASSERT_TRUE(doc_table.ok());
+  const uint64_t absurd = uint64_t{1} << 62;
+  RawStreamEntry entry;
+  entry.key = "A";
+  PutVarint(absurd, &entry.stream);  // stream total
+  PutVarint(1, &entry.stream);       // one block:
+  for (uint64_t field : {0, 0, 1, 1, 1}) {
+    PutVarint(field, &entry.stream);  // first, span, end excess, count, bytes
+  }
+  entry.header_len = entry.stream.size();
+  entry.stream.push_back('\0');  // the block's one byte
+  entry.count = absurd;
+  StoreMeta meta;
+  meta.doc_count = 1;
+  auto image = BuildStoreImageFromRaw(meta, spec, *doc_table, {entry}, {});
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  const std::string path = TempPath("absurd.qofstore");
+  ASSERT_TRUE(WriteFileBytes(path, *image).ok());
+
+  auto loaded = LoadIndexStore(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Status paged_in = loaded->indexes.regions.EnsureResident();
+  ASSERT_FALSE(paged_in.ok());
+  EXPECT_NE(paged_in.message().find("count"), std::string::npos)
+      << paged_in.message();
+}
+
+TEST_F(IndexIoTest, SameStoreIgnoresOnlyTheGeneration) {
+  ASSERT_TRUE(system_->BuildIndexes().ok());
+  auto loaded = LoadIndexStore(Save("generation.qofstore"));
+  ASSERT_TRUE(loaded.ok());
+  auto at0 = EncodeIndexStore(loaded->indexes, loaded->spec,
+                              system_->corpus(), 0);
+  auto at5 = EncodeIndexStore(loaded->indexes, loaded->spec,
+                              system_->corpus(), 5);
+  ASSERT_TRUE(at0.ok());
+  ASSERT_TRUE(at5.ok());
+  EXPECT_NE(*at0, *at5);
+  EXPECT_TRUE(SameStoreIgnoringGeneration(*at0, *at5));
+
+  // Any other difference still counts: one more document...
+  BibtexGenOptions more;
+  more.num_references = 2;
+  more.seed = 7;
+  ASSERT_TRUE(system_->AddFile("more.bib", GenerateBibtex(more)).ok());
+  auto grown = system_->ExportIndexes();
+  ASSERT_TRUE(grown.ok());
+  EXPECT_FALSE(SameStoreIgnoringGeneration(*at0, *grown));
+  // ...or one flipped byte past the meta page.
+  std::string flipped = *at0;
+  flipped[flipped.size() - 1] ^= 0x01;
+  EXPECT_FALSE(SameStoreIgnoringGeneration(*at0, flipped));
 }
 
 TEST_F(IndexIoTest, ExportRequiresBuiltIndexes) {
@@ -199,9 +258,9 @@ TEST_F(IndexIoTest, TokenFilterIsNotSerializable) {
   IndexSpec spec;
   spec.word_options.token_filter = [](const WordToken&) { return true; };
   ASSERT_TRUE(system_->BuildIndexes(spec).ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_FALSE(blob.ok());
-  EXPECT_TRUE(blob.status().IsInvalidArgument());
+  auto store = system_->ExportIndexes();
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsInvalidArgument());
 }
 
 TEST_F(IndexIoTest, FingerprintIsStable) {

@@ -49,9 +49,9 @@ std::string BuildAndExport(FileQuerySystem* system, IndexSpec spec,
                            int parallelism) {
   spec.parallelism = parallelism;
   EXPECT_TRUE(system->BuildIndexes(spec).ok());
-  auto blob = system->ExportIndexes();
-  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
-  return blob.ok() ? *blob : std::string();
+  auto store = system->ExportIndexes();
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return store.ok() ? *store : std::string();
 }
 
 void ExpectByteIdenticalBuilds(const Result<StructuringSchema>& schema,
@@ -59,11 +59,11 @@ void ExpectByteIdenticalBuilds(const Result<StructuringSchema>& schema,
                                const IndexSpec& spec) {
   auto serial = MakeSystem(schema, "f", files);
   auto parallel = MakeSystem(schema, "f", files);
-  std::string serial_blob = BuildAndExport(serial.get(), spec, 1);
-  std::string parallel_blob =
+  std::string serial_store = BuildAndExport(serial.get(), spec, 1);
+  std::string parallel_store =
       BuildAndExport(parallel.get(), spec, kThreads);
-  ASSERT_FALSE(serial_blob.empty());
-  EXPECT_EQ(serial_blob, parallel_blob);
+  ASSERT_FALSE(serial_store.empty());
+  EXPECT_EQ(serial_store, parallel_store);
   EXPECT_EQ(serial->region_index().num_regions(),
             parallel->region_index().num_regions());
   EXPECT_EQ(serial->word_index().num_postings(),

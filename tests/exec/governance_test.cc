@@ -1,10 +1,11 @@
 // End-to-end resource governance on FileQuerySystem: deadlines, byte and
 // region budgets, cooperative cancellation, the fallback ladder with its
 // explanatory notes, soft-fail truncation, fault injection at every
-// registered site, and the all-or-nothing ImportIndexes staging (see
+// registered site, and the all-or-nothing OpenStore staging (see
 // DESIGN.md, "Resource governance & failure model").
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +18,9 @@
 #include "qof/engine/system.h"
 #include "qof/exec/exec_context.h"
 #include "qof/exec/fault_injector.h"
+#include "qof/store/paged_file.h"
+#include "qof/store/store_format.h"
+#include "temp_path.h"
 
 namespace qof {
 namespace {
@@ -256,7 +260,7 @@ TEST_F(GovernanceTest, ForcedStrategiesSurfaceInjectedFaults) {
   }
 }
 
-TEST(ImportStagingTest, CorruptBlobLeavesPreviousIndexesIntact) {
+TEST(ImportStagingTest, CorruptStoreLeavesPreviousIndexesIntact) {
   auto schema = BibtexSchema();
   ASSERT_TRUE(schema.ok());
   FileQuerySystem system(*schema);
@@ -268,16 +272,25 @@ TEST(ImportStagingTest, CorruptBlobLeavesPreviousIndexesIntact) {
   auto reference = system.Execute(kExactFql);
   ASSERT_TRUE(reference.ok());
 
-  auto blob = system.ExportIndexes();
-  ASSERT_TRUE(blob.ok());
+  const std::string path = TempPath("good.qofstore");
+  ASSERT_TRUE(system.SaveStore(path).ok());
+  auto image = ReadFileBytes(path);
+  ASSERT_TRUE(image.ok());
 
-  // Truncated and bit-flipped blobs must both fail the import and leave
-  // the in-memory indexes untouched (staging struct, swap on success).
-  std::string truncated = blob->substr(0, blob->size() / 2);
-  EXPECT_FALSE(system.ImportIndexes(truncated).ok());
-  std::string flipped = *blob;
-  flipped[flipped.size() / 2] ^= 0x5a;
-  EXPECT_FALSE(system.ImportIndexes(flipped).ok());
+  // Truncated and bit-flipped stores must both fail the open and leave
+  // the in-memory indexes untouched (staging, swap on success). The flip
+  // lands in the document table, which the open reads.
+  auto meta = DecodeMetaPage(*image);
+  ASSERT_TRUE(meta.ok());
+  const std::string bad = TempPath("bad.qofstore");
+  ASSERT_TRUE(WriteFileBytes(bad, image->substr(0, image->size() / 2)).ok());
+  EXPECT_FALSE(system.OpenStore(bad).ok());
+  std::string flipped = *image;
+  flipped[size_t{meta->section(StoreSection::kDocTable).first_page} *
+              meta->page_size +
+          kPageHeaderSize + 2] ^= 0x5a;
+  ASSERT_TRUE(WriteFileBytes(bad, flipped).ok());
+  EXPECT_FALSE(system.OpenStore(bad).ok());
 
   for (ExecutionMode mode :
        {ExecutionMode::kAuto, ExecutionMode::kIndexOnly,
@@ -286,9 +299,10 @@ TEST(ImportStagingTest, CorruptBlobLeavesPreviousIndexesIntact) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->regions, reference->regions);
   }
+  EXPECT_EQ(system.index_stats().source, "built");
 
-  // A clean import still works after the failed attempts.
-  EXPECT_TRUE(system.ImportIndexes(*blob).ok());
+  // A clean open still works after the failed attempts.
+  EXPECT_TRUE(system.OpenStore(path).ok());
   auto again = system.Execute(kExactFql);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->regions, reference->regions);
@@ -305,18 +319,42 @@ TEST(ImportStagingTest, InjectedDeserializeFaultBehavesLikeCorruption) {
   ASSERT_TRUE(system.BuildIndexes().ok());
   auto reference = system.Execute(kExactFql);
   ASSERT_TRUE(reference.ok());
-  auto blob = system.ExportIndexes();
-  ASSERT_TRUE(blob.ok());
+  const std::string path = TempPath("store.qofstore");
+  ASSERT_TRUE(system.SaveStore(path).ok());
 
   {
     ScopedFaultInjector inject({fault_site::kIndexIoDeserialize, 1});
-    Status s = system.ImportIndexes(*blob);
+    Status s = system.OpenStore(path);
     ASSERT_FALSE(s.ok());
     EXPECT_TRUE(inject.injector().fired());
   }
   auto r = system.Execute(kExactFql);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->regions, reference->regions);
+  EXPECT_EQ(system.index_stats().source, "built");
+}
+
+TEST(ImportStagingTest, InjectedSerializeFaultFailsOnlyTheSave) {
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok());
+  FileQuerySystem system(*schema);
+  BibtexGenOptions gen;
+  gen.num_references = 30;
+  ASSERT_TRUE(system.AddFile("a.bib", GenerateBibtex(gen)).ok());
+  ASSERT_TRUE(system.BuildIndexes().ok());
+  const std::string path = TempPath("store.qofstore");
+  std::remove(path.c_str());  // a previous run's file
+  {
+    ScopedFaultInjector inject({fault_site::kIndexIoSerialize, 1});
+    Status s = system.SaveStore(path);
+    ASSERT_FALSE(s.ok());
+    EXPECT_FALSE(s.message().empty());
+    EXPECT_TRUE(inject.injector().fired());
+  }
+  // Nothing was written, and the next save succeeds.
+  EXPECT_FALSE(ReadFileBytes(path).ok());
+  EXPECT_TRUE(system.SaveStore(path).ok());
+  EXPECT_TRUE(system.OpenStore(path).ok());
 }
 
 TEST(GovernedMaintenanceTest, DeadlineAbortsMutationAtomically) {

@@ -143,13 +143,13 @@ TEST_F(JournalFaultTest, RecoveryAfterTornAppendReplaysCleanly) {
   ASSERT_TRUE(direct->maintainer->RemoveDocument("b.bib").ok());
   ASSERT_TRUE(replayed->maintainer->Compact().ok());
   ASSERT_TRUE(direct->maintainer->Compact().ok());
-  auto replayed_blob = SerializeIndexes(replayed->built, IndexSpec::Full(),
-                                        replayed->corpus, 3);
-  auto direct_blob = SerializeIndexes(direct->built, IndexSpec::Full(),
-                                      direct->corpus, 3);
-  ASSERT_TRUE(replayed_blob.ok());
-  ASSERT_TRUE(direct_blob.ok());
-  EXPECT_EQ(*replayed_blob, *direct_blob);
+  auto replayed_store = EncodeIndexStore(replayed->built, IndexSpec::Full(),
+                                         replayed->corpus, 3);
+  auto direct_store = EncodeIndexStore(direct->built, IndexSpec::Full(),
+                                       direct->corpus, 3);
+  ASSERT_TRUE(replayed_store.ok());
+  ASSERT_TRUE(direct_store.ok());
+  EXPECT_EQ(*replayed_store, *direct_store);
 }
 
 TEST_F(JournalFaultTest, InjectedReplayAbortStopsAtRecordBoundary) {
@@ -178,13 +178,13 @@ TEST_F(JournalFaultTest, InjectedReplayAbortStopsAtRecordBoundary) {
   ASSERT_TRUE(direct->maintainer->RemoveDocument("b.bib").ok());
   ASSERT_TRUE(m->maintainer->Compact().ok());
   ASSERT_TRUE(direct->maintainer->Compact().ok());
-  auto resumed_blob =
-      SerializeIndexes(m->built, IndexSpec::Full(), m->corpus, 3);
-  auto direct_blob = SerializeIndexes(direct->built, IndexSpec::Full(),
-                                      direct->corpus, 3);
-  ASSERT_TRUE(resumed_blob.ok());
-  ASSERT_TRUE(direct_blob.ok());
-  EXPECT_EQ(*resumed_blob, *direct_blob);
+  auto resumed_store =
+      EncodeIndexStore(m->built, IndexSpec::Full(), m->corpus, 3);
+  auto direct_store = EncodeIndexStore(direct->built, IndexSpec::Full(),
+                                       direct->corpus, 3);
+  ASSERT_TRUE(resumed_store.ok());
+  ASSERT_TRUE(direct_store.ok());
+  EXPECT_EQ(*resumed_store, *direct_store);
 }
 
 }  // namespace

@@ -249,7 +249,7 @@ TEST(FuzzTest, InjectedBadCseBugIsCaught) {
 
 TEST(FuzzTest, MutationSequencesHoldInvariants) {
   // Every case gets a mutation sequence: incremental maintenance must
-  // match a from-scratch rebuild, down to the compacted blob bytes.
+  // match a from-scratch rebuild, down to the compacted store bytes.
   FuzzOptions options = FastOptions();
   options.iterations = 40;
   options.seed = 21;

@@ -1,8 +1,9 @@
 // The crash-consistent index directory: checkpoint protocol, recovery,
 // stray garbage collection, torn-tail journal repair, typed data-loss
-// errors for damaged manifests/blobs, and a unit-scale crash sweep
+// errors for damaged manifests/stores, and a unit-scale crash sweep
 // proving the old-or-new guarantee op by op (the fuzz leg does the same
-// at scale with real index blobs).
+// at scale with real index stores). The directory treats the store as
+// opaque bytes, so these tests publish short strings.
 
 #include <cstdint>
 #include <string>
@@ -30,15 +31,15 @@ JournalRecord MakeRecord(uint64_t generation, const std::string& name) {
 
 TEST(DurableIndexDirTest, CreatePublishesManifestBlobAndJournal) {
   FaultVfs vfs;
-  auto dir = DurableIndexDir::Create(&vfs, "idx", "blob bytes", 0);
+  auto dir = DurableIndexDir::Create(&vfs, "idx", "store bytes", 0);
   ASSERT_TRUE(dir.ok()) << dir.status().ToString();
   EXPECT_EQ(dir->generation(), 0u);
   EXPECT_TRUE(vfs.Exists("idx/MANIFEST"));
-  EXPECT_TRUE(vfs.Exists("idx/blob-0.qofidx"));
+  EXPECT_TRUE(vfs.Exists("idx/store-0.qofstore"));
   EXPECT_TRUE(vfs.Exists("idx/journal-0.qofj"));
-  auto blob = dir->ReadBlob();
-  ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(*blob, "blob bytes");
+  auto store = VfsReadFile(&vfs, dir->store_path());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(*store, "store bytes");
   auto journal = vfs.PeekFile("idx/journal-0.qofj");
   ASSERT_TRUE(journal.ok());
   EXPECT_EQ(*journal, JournalHeader());
@@ -48,14 +49,14 @@ TEST(DurableIndexDirTest, CreateSurvivesImmediatePowerCut) {
   // Create() returns success only once everything is durable: a cut the
   // instant it returns must recover the exact published state.
   FaultVfs vfs;
-  ASSERT_TRUE(DurableIndexDir::Create(&vfs, "idx", "blob bytes", 0).ok());
+  ASSERT_TRUE(DurableIndexDir::Create(&vfs, "idx", "store bytes", 0).ok());
   vfs.CutPower(7);
   auto reopened = DurableIndexDir::Open(&vfs, "idx");
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened->generation(), 0u);
-  auto blob = reopened->ReadBlob();
-  ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(*blob, "blob bytes");
+  auto store = VfsReadFile(&vfs, reopened->store_path());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(*store, "store bytes");
   auto records = reopened->ReadJournal();
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records->empty());
@@ -90,13 +91,13 @@ TEST(DurableIndexDirTest, CheckpointSwingsManifestAndReapsOldPair) {
   }
   ASSERT_TRUE(dir->Checkpoint("v1", 1).ok());
   EXPECT_EQ(dir->generation(), 1u);
-  EXPECT_TRUE(vfs.Exists("idx/blob-1.qofidx"));
+  EXPECT_TRUE(vfs.Exists("idx/store-1.qofstore"));
   EXPECT_TRUE(vfs.Exists("idx/journal-1.qofj"));
-  EXPECT_FALSE(vfs.Exists("idx/blob-0.qofidx"));
+  EXPECT_FALSE(vfs.Exists("idx/store-0.qofstore"));
   EXPECT_FALSE(vfs.Exists("idx/journal-0.qofj"));
-  auto blob = dir->ReadBlob();
-  ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(*blob, "v1");
+  auto store = VfsReadFile(&vfs, dir->store_path());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(*store, "v1");
   // The new journal starts empty: the checkpointed records are gone.
   auto records = dir->ReadJournal();
   ASSERT_TRUE(records.ok());
@@ -107,8 +108,8 @@ TEST(DurableIndexDirTest, OpenReapsStraysFromInterruptedCheckpoint) {
   FaultVfs vfs;
   ASSERT_TRUE(DurableIndexDir::Create(&vfs, "idx", "v0", 0).ok());
   // Plant the debris a checkpoint crash can leave: an unreferenced
-  // blob/journal pair and a temp file.
-  ASSERT_TRUE(AtomicWriteFile(&vfs, "idx/blob-9.qofidx", "stray").ok());
+  // store/journal pair and a temp file.
+  ASSERT_TRUE(AtomicWriteFile(&vfs, "idx/store-9.qofstore", "stray").ok());
   ASSERT_TRUE(AtomicWriteFile(&vfs, "idx/journal-9.qofj", "stray").ok());
   {
     auto out = vfs.OpenWrite("idx/MANIFEST.tmp", /*truncate=*/true);
@@ -118,11 +119,11 @@ TEST(DurableIndexDirTest, OpenReapsStraysFromInterruptedCheckpoint) {
   }
   auto reopened = DurableIndexDir::Open(&vfs, "idx");
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_FALSE(vfs.Exists("idx/blob-9.qofidx"));
+  EXPECT_FALSE(vfs.Exists("idx/store-9.qofstore"));
   EXPECT_FALSE(vfs.Exists("idx/journal-9.qofj"));
   EXPECT_FALSE(vfs.Exists("idx/MANIFEST.tmp"));
   // The committed state is untouched.
-  EXPECT_TRUE(vfs.Exists("idx/blob-0.qofidx"));
+  EXPECT_TRUE(vfs.Exists("idx/store-0.qofstore"));
   EXPECT_TRUE(vfs.Exists("idx/journal-0.qofj"));
 }
 
@@ -229,7 +230,7 @@ TEST(DurableIndexDirTest, CorruptManifestIsDataLoss) {
 TEST(DurableIndexDirTest, MissingBlobIsDataLoss) {
   FaultVfs vfs;
   ASSERT_TRUE(DurableIndexDir::Create(&vfs, "idx", "b", 0).ok());
-  ASSERT_TRUE(vfs.Remove("idx/blob-0.qofidx").ok());
+  ASSERT_TRUE(vfs.Remove("idx/store-0.qofstore").ok());
   auto reopened = DurableIndexDir::Open(&vfs, "idx");
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsDataLoss())
@@ -277,8 +278,8 @@ TEST(DurableIndexDirTest, CrashSweepRecoversOldOrNewAtEveryOp) {
       EXPECT_EQ(floor, -1) << reopened.status().ToString();
       continue;
     }
-    auto blob = reopened->ReadBlob();
-    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    auto store = VfsReadFile(&vfs, reopened->store_path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
     auto records = reopened->ReadJournal();
     ASSERT_TRUE(records.ok()) << records.status().ToString();
 
@@ -287,7 +288,7 @@ TEST(DurableIndexDirTest, CrashSweepRecoversOldOrNewAtEveryOp) {
     if (generation == 0) {
       // Pre-checkpoint state: the checkpoint must not have been acked.
       EXPECT_LE(floor, 1);
-      EXPECT_EQ(*blob, "v0");
+      EXPECT_EQ(*store, "v0");
       ASSERT_LE(records->size(), 1u);
       if (floor >= 1) {
         // Append-1 was acknowledged durable: its record must be there.
@@ -295,14 +296,16 @@ TEST(DurableIndexDirTest, CrashSweepRecoversOldOrNewAtEveryOp) {
         EXPECT_EQ((*records)[0], MakeRecord(1, "a.txt"));
       }
     } else {
-      EXPECT_EQ(*blob, "v1");
+      EXPECT_EQ(*store, "v1");
       ASSERT_LE(records->size(), 1u);
       if (floor >= 3) {
         ASSERT_EQ(records->size(), 1u);
         EXPECT_EQ((*records)[0], MakeRecord(2, "b.txt"));
       }
     }
-    if (floor >= 2) EXPECT_EQ(generation, 1u);
+    if (floor >= 2) {
+      EXPECT_EQ(generation, 1u);
+    }
   }
 }
 

@@ -139,13 +139,13 @@ TEST_F(JournalReplayTest, ReplayReproducesDirectMutations) {
 
   ASSERT_TRUE(replayed->maintainer->Compact().ok());
   ASSERT_TRUE(direct->maintainer->Compact().ok());
-  auto replayed_blob = SerializeIndexes(replayed->built, IndexSpec::Full(),
-                                        replayed->corpus, 3);
-  auto direct_blob = SerializeIndexes(direct->built, IndexSpec::Full(),
-                                      direct->corpus, 3);
-  ASSERT_TRUE(replayed_blob.ok());
-  ASSERT_TRUE(direct_blob.ok());
-  EXPECT_EQ(*replayed_blob, *direct_blob);
+  auto replayed_store = EncodeIndexStore(replayed->built, IndexSpec::Full(),
+                                         replayed->corpus, 3);
+  auto direct_store = EncodeIndexStore(direct->built, IndexSpec::Full(),
+                                       direct->corpus, 3);
+  ASSERT_TRUE(replayed_store.ok());
+  ASSERT_TRUE(direct_store.ok());
+  EXPECT_EQ(*replayed_store, *direct_store);
 }
 
 TEST_F(JournalReplayTest, ReplayRejectsGenerationGap) {
@@ -167,7 +167,7 @@ TEST_F(JournalReplayTest, ReplayStopsOnFailedRecord) {
 }
 
 TEST_F(JournalReplayTest, SyntheticDocumentsBlockCompactionUntilDead) {
-  // Journal replay onto a blob-restored corpus zero-fills document bytes
+  // Journal replay onto a store-restored corpus zero-fills document bytes
   // it does not have. Such documents must not be folded into a compacted
   // layout — but once the journal replaces or removes them, compaction
   // proceeds.

@@ -8,9 +8,9 @@
 
 #include "qof/datagen/bibtex_gen.h"
 #include "qof/datagen/schemas.h"
-#include "qof/engine/index_io.h"
 #include "qof/engine/system.h"
 #include "qof/exec/fault_injector.h"
+#include "qof/store/store_format.h"
 
 namespace qof {
 namespace {
@@ -31,13 +31,6 @@ std::string MakeRef(const std::string& key, const std::string& author,
          "  ADDRESS = \"A\",\n  PAGES = \"1--2\",\n"
          "  REFERRED = \"\",\n  KEYWORDS = \"k\",\n"
          "  ABSTRACT = \"x\"\n}\n";
-}
-
-/// The generation field occupies bytes [8, 16) of a v2 blob; zeroing it
-/// lets blobs from different maintenance histories byte-compare.
-std::string StripGeneration(std::string blob) {
-  for (size_t i = 8; i < 16 && i < blob.size(); ++i) blob[i] = '\0';
-  return blob;
 }
 
 class MaintainerTest : public ::testing::Test {
@@ -83,12 +76,12 @@ class MaintainerTest : public ::testing::Test {
   void ExpectMatchesRebuildAfterCompaction() {
     auto fresh = FreshRebuild();
     ASSERT_TRUE(system_->CompactIndexes().ok());
-    auto maintained_blob = system_->ExportIndexes();
-    auto fresh_blob = fresh->ExportIndexes();
-    ASSERT_TRUE(maintained_blob.ok()) << maintained_blob.status().ToString();
-    ASSERT_TRUE(fresh_blob.ok()) << fresh_blob.status().ToString();
-    EXPECT_EQ(StripGeneration(*maintained_blob),
-              StripGeneration(*fresh_blob));
+    auto maintained_store = system_->ExportIndexes();
+    auto fresh_store = fresh->ExportIndexes();
+    ASSERT_TRUE(maintained_store.ok())
+        << maintained_store.status().ToString();
+    ASSERT_TRUE(fresh_store.ok()) << fresh_store.status().ToString();
+    EXPECT_TRUE(SameStoreIgnoringGeneration(*maintained_store, *fresh_store));
   }
 
   /// Asserts query *values* match a fresh rebuild right now, without
@@ -181,7 +174,7 @@ TEST_F(MaintainerTest, RemoveLastDocumentKeepsNamesRegistered) {
 
 TEST_F(MaintainerTest, ParallelMaintenanceIsByteIdentical) {
   // The same mutation sequence under parallelism 1 and N must produce
-  // identical blobs (compaction rebases region sets and posting lists on
+  // identical stores (compaction rebases region sets and posting lists on
   // the pool).
   auto run = [](int parallelism) {
     auto schema = BibtexSchema();
@@ -200,9 +193,9 @@ TEST_F(MaintainerTest, ParallelMaintenanceIsByteIdentical) {
             .ok());
     EXPECT_TRUE(sys.RemoveFile("b.bib").ok());
     EXPECT_TRUE(sys.CompactIndexes().ok());
-    auto blob = sys.ExportIndexes();
-    EXPECT_TRUE(blob.ok());
-    return blob.ok() ? *blob : std::string();
+    auto store = sys.ExportIndexes();
+    EXPECT_TRUE(store.ok());
+    return store.ok() ? *store : std::string();
   };
   EXPECT_EQ(run(1), run(4));
 }
@@ -285,13 +278,13 @@ TEST_F(MaintainerTest, ExportCompactsFragmentedCorpus) {
   system_->SetMaintainOptions(options);
   ASSERT_TRUE(system_->RemoveFile("b.bib").ok());
   EXPECT_GT(system_->maintain_stats().tombstones, 0u);
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto store = system_->ExportIndexes();
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ(system_->maintain_stats().tombstones, 0u);
-  // The exported blob equals a fresh rebuild's.
-  auto fresh_blob = FreshRebuild()->ExportIndexes();
-  ASSERT_TRUE(fresh_blob.ok());
-  EXPECT_EQ(StripGeneration(*blob), StripGeneration(*fresh_blob));
+  // The exported store equals a fresh rebuild's.
+  auto fresh_store = FreshRebuild()->ExportIndexes();
+  ASSERT_TRUE(fresh_store.ok());
+  EXPECT_TRUE(SameStoreIgnoringGeneration(*store, *fresh_store));
 }
 
 TEST_F(MaintainerTest, ManyGenerationsConverge) {

@@ -140,8 +140,12 @@ TEST(GovernanceConcurrency, CancelActiveLeavesOtherSessionsRunning) {
   });
   for (int i = 0; i < 30; ++i) {
     auto r = service.Query(*victim, kProbeFql);
-    if (i % 3 == 0) ASSERT_TRUE(service.CancelActive(*victim).ok());
-    if (!r.ok()) EXPECT_TRUE(r.status().IsCancelled());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(service.CancelActive(*victim).ok());
+    }
+    if (!r.ok()) {
+      EXPECT_TRUE(r.status().IsCancelled());
+    }
   }
   stop.store(true);
   bystander_thread.join();

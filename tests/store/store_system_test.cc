@@ -204,7 +204,7 @@ TEST_F(StoreSystemTest, DamagedHeaderLeavesPriorIndexesInstalled) {
   auto image = ReadFileBytes(path);
   ASSERT_TRUE(image.ok());
   // Damage the meta page: OpenStore must fail and the built indexes must
-  // keep answering (all-or-nothing, like ImportIndexes).
+  // keep answering (all-or-nothing).
   std::string damaged = *image;
   damaged[kPageHeaderSize + 10] ^= 0x01;
   const std::string bad_path = TempPath("header-damaged.qofstore");
@@ -213,6 +213,33 @@ TEST_F(StoreSystemTest, DamagedHeaderLeavesPriorIndexesInstalled) {
   auto before = system_->Execute(kQueries[0]);
   ASSERT_TRUE(before.ok());
   EXPECT_FALSE(system_->OpenStore(bad_path).ok());
+  auto after = system_->Execute(kQueries[0]);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(Fingerprint(*before), Fingerprint(*after));
+  EXPECT_EQ(system_->index_stats().source, "built");
+}
+
+TEST_F(StoreSystemTest, TruncatedStoreFailsCleanlyAndKeepsPriorIndexes) {
+  // A store cut at every page boundary, and once mid-page per page, must
+  // fail OpenStore with a typed error — never a crash or a half-installed
+  // index — and the built indexes keep answering.
+  ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
+  const std::string path = TempPath("whole.qofstore");
+  ASSERT_TRUE(system_->SaveStore(path).ok());
+  auto image = ReadFileBytes(path);
+  ASSERT_TRUE(image.ok());
+  auto before = system_->Execute(kQueries[0]);
+  ASSERT_TRUE(before.ok());
+
+  const std::string cut_path = TempPath("cut.qofstore");
+  for (size_t start = 0; start < image->size(); start += kDefaultPageSize) {
+    for (size_t len : {start, start + kDefaultPageSize / 2}) {
+      ASSERT_TRUE(WriteFileBytes(cut_path, image->substr(0, len)).ok());
+      Status s = system_->OpenStore(cut_path);
+      ASSERT_FALSE(s.ok()) << "a " << len << "-byte prefix opened";
+      EXPECT_TRUE(s.IsInvalidArgument() || s.IsDataLoss()) << s.ToString();
+    }
+  }
   auto after = system_->Execute(kQueries[0]);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(Fingerprint(*before), Fingerprint(*after));
@@ -275,18 +302,19 @@ TEST_F(StoreSystemTest, MutationsForceResidencyAndKeepAnswering) {
 
 TEST_F(StoreSystemTest, ExportAfterOpenMatchesOriginalExport) {
   ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
+  auto exported = system_->ExportIndexes();
+  ASSERT_TRUE(exported.ok());
   const std::string path = TempPath("reexport.qofstore");
   ASSERT_TRUE(system_->SaveStore(path).ok());
 
-  // Open the store, force everything resident via export: the blob must
+  // Open the store, force everything resident via export: the image must
   // be byte-identical to the one the original in-memory system wrote.
   auto disk = Fresh();
   ASSERT_TRUE(disk->OpenStore(path).ok());
-  auto reblob = disk->ExportIndexes();
-  ASSERT_TRUE(reblob.ok()) << reblob.status().ToString();
-  EXPECT_EQ(*blob, *reblob) << "paged round trip changed the index bytes";
+  auto reexport = disk->ExportIndexes();
+  ASSERT_TRUE(reexport.ok()) << reexport.status().ToString();
+  EXPECT_EQ(*exported, *reexport)
+      << "paged round trip changed the index bytes";
 }
 
 TEST_F(StoreSystemTest, IndexStatsReportProvenance) {
@@ -297,15 +325,6 @@ TEST_F(StoreSystemTest, IndexStatsReportProvenance) {
   auto stats = system_->index_stats();
   EXPECT_TRUE(stats.built);
   EXPECT_EQ(stats.source, "built");
-  EXPECT_FALSE(stats.disk_resident);
-
-  // Importing a blob records its on-disk format.
-  auto blob = system_->ExportIndexes();
-  ASSERT_TRUE(blob.ok());
-  auto disk = Fresh();
-  ASSERT_TRUE(disk->ImportIndexes(*blob).ok());
-  stats = disk->index_stats();
-  EXPECT_EQ(stats.source, "blob-v3");
   EXPECT_FALSE(stats.disk_resident);
 
   // An open store reports "paged-store" and live pool counters.

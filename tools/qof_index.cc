@@ -1,34 +1,35 @@
-// On-disk index maintenance driver: builds a v2 index blob over a set of
-// files and keeps it current across mutations via the append-only
-// maintenance journal (see src/qof/maintain/ and DESIGN.md, "Index
-// maintenance" and "Durability & failure model"). State on disk is a
-// crash-consistent DurableIndexDir:
+// On-disk index maintenance driver: builds full indexes over a set of
+// files as a paged index store and keeps them current across mutations
+// via the append-only maintenance journal (see src/qof/maintain/ and
+// DESIGN.md, "Index maintenance" and "Durability & failure model").
+// State on disk is a crash-consistent DurableIndexDir:
 //
-//   MANIFEST           checksummed superblock naming the committed
-//                      (generation, blob, journal) triple
-//   blob-<G>.qofidx    the serialized base blob (spec + indexes + per-doc
-//                      fingerprints + generation G)
-//   journal-<G>.qofj   mutations applied since blob generation G
-//   schema             the canned schema kind the corpus parses under
+//   MANIFEST             checksummed superblock naming the committed
+//                        (generation, store, journal) triple
+//   store-<G>.qofstore   the base indexes as a QOFSTOR1 paged store
+//                        (spec + indexes + per-doc fingerprints +
+//                        generation G; see src/qof/engine/index_io.h)
+//   journal-<G>.qofj     mutations applied since store generation G
+//   schema               the canned schema kind the corpus parses under
 //
 // Mutations (`add`, `update`, `remove`) reconstruct the maintainer as
-// base blob + journal replay, apply the change incrementally — only the
-// touched file is re-parsed — and append one journal frame; the blob is
+// base store + journal replay, apply the change incrementally — only the
+// touched file is re-parsed — and append one journal frame; the store is
 // rewritten only by `build` and `compact`, via the manifest checkpoint
-// protocol (new blob + empty journal durable first, manifest swing as
+// protocol (new store + empty journal durable first, manifest swing as
 // the commit point, old pair reaped after). Every write is fsync'd and
 // every rename is followed by a parent-directory fsync, so a crash or
 // power cut at any instant leaves either the old committed state or the
 // new one — never a torn mix. `--sync-policy batch|none` trades that
 // per-append durability for throughput.
 //
-// Files whose bytes changed (or vanished) since the blob was written
+// Files whose bytes changed (or vanished) since the store was written
 // load as synthetic placeholders: queries on their old content would be
 // wrong, so `inspect` flags them and `compact` refuses until they are
 // updated or removed.
 //
 // Exit codes: 0 = success, 1 = usage error, 2 = data error (unreadable
-// state, parse failure, bad blob), 3 = deadline or resource limit
+// state, parse failure, damaged store), 3 = deadline or resource limit
 // exceeded (--timeout-ms / --max-bytes).
 
 #include <cstdint>
@@ -36,7 +37,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "qof/datagen/schemas.h"
@@ -59,15 +59,15 @@ void PrintUsage(std::ostream& out) {
   out << "usage: qof_index <command> --index DIR [args]\n"
          "  build --schema KIND --index DIR FILE...   parse FILEs, build "
          "full indexes,\n"
-         "                                            write blob + empty "
+         "                                            write store + empty "
          "journal\n"
          "  add --index DIR FILE...      index new files incrementally\n"
          "  update --index DIR FILE...   re-index changed files "
          "incrementally\n"
          "  remove --index DIR NAME...   drop files from the indexes\n"
-         "  compact --index DIR          fold tombstones, rewrite blob, "
+         "  compact --index DIR          fold tombstones, rewrite store, "
          "reset journal\n"
-         "  inspect --index DIR          show blob, journal and "
+         "  inspect --index DIR          show store, journal and "
          "maintenance state\n"
          "KIND is a canned schema: bibtex | mail | log | outline\n"
          "options:\n"
@@ -99,21 +99,22 @@ std::string SchemaPath(const std::string& dir) { return dir + "/schema"; }
 
 ThreadPool* SharedPool() {
   static ThreadPool* pool = [] {
-    unsigned n = std::thread::hardware_concurrency();
+    int n = EffectiveParallelism(0);
     return n > 1 ? new ThreadPool(n) : nullptr;
   }();
   return pool;
 }
 
-/// The maintainer state reconstructed from disk: base blob + journal
+/// The maintainer state reconstructed from disk: base store + journal
 /// replay over a corpus re-read from the indexed files.
 struct State {
   std::unique_ptr<DurableIndexDir> durable;
   std::unique_ptr<StructuringSchema> schema;
   std::string schema_kind;
   Corpus corpus;
-  BuiltIndexes built;
-  IndexSpec spec;
+  /// The base store, attached lazily; the maintainer pages it in on its
+  /// first write.
+  LoadedIndexStore loaded;
   std::unique_ptr<IndexMaintainer> maintainer;
   std::vector<std::string> synthetic_names;  // placeholder-backed docs
   size_t journal_records = 0;
@@ -139,13 +140,15 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
   QOF_ASSIGN_OR_RETURN(StructuringSchema schema, SchemaByKind(kind));
   state->schema = std::make_unique<StructuringSchema>(std::move(schema));
 
-  QOF_ASSIGN_OR_RETURN(std::string blob, state->durable->ReadBlob());
-  QOF_ASSIGN_OR_RETURN(BlobInfo info, ReadBlobInfo(blob));
+  QOF_ASSIGN_OR_RETURN(state->loaded,
+                       LoadIndexStore(state->durable->store_path()));
 
-  // Re-read each indexed file; bytes that no longer match the blob's
+  // Re-read each indexed file; bytes that no longer match the store's
   // fingerprint become zero-filled placeholders (synthetic documents).
+  // The store's offsets describe its own document table, which the
+  // corpus rebuilt here follows row for row.
   std::vector<DocId> synthetic;
-  for (const DocFingerprint& doc : info.docs) {
+  for (const DocFingerprint& doc : state->loaded.docs) {
     auto text = ReadFile(doc.name);
     bool matches = text.ok() && text->size() == doc.size &&
                    CorpusFingerprint(*text) == doc.fnv1a;
@@ -159,19 +162,12 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
     }
   }
 
-  DeserializeOptions options;
-  options.allow_stale = true;  // placeholders fail the fingerprint check
-  QOF_ASSIGN_OR_RETURN(SerializedIndexes loaded,
-                       DeserializeIndexes(blob, state->corpus, options));
-  state->built = std::move(loaded.indexes);
-  state->spec = loaded.spec;
-
   MaintainOptions maintain_options;
-  maintain_options.auto_compact = false;  // blob rewrites are explicit
+  maintain_options.auto_compact = false;  // store rewrites are explicit
   state->maintainer = std::make_unique<IndexMaintainer>(
-      state->schema.get(), &state->corpus, &state->built, state->spec,
-      maintain_options);
-  state->maintainer->set_generation(loaded.generation);
+      state->schema.get(), &state->corpus, &state->loaded.indexes,
+      state->loaded.spec, maintain_options);
+  state->maintainer->set_generation(state->loaded.generation);
   for (DocId id : synthetic) state->maintainer->MarkDocumentSynthetic(id);
 
   QOF_ASSIGN_OR_RETURN(
@@ -204,11 +200,11 @@ Status RunBuild(const std::string& dir, const std::string& kind,
       BuiltIndexes built,
       BuildIndexes(schema, corpus, IndexSpec::Full(), SharedPool(), ctx));
   QOF_ASSIGN_OR_RETURN(
-      std::string blob,
-      SerializeIndexes(built, IndexSpec::Full(), corpus, /*generation=*/0));
+      std::string store,
+      EncodeIndexStore(built, IndexSpec::Full(), corpus, /*generation=*/0));
   DurableIndexDir::Options durable_options;
   durable_options.sync_policy = policy;
-  QOF_RETURN_IF_ERROR(DurableIndexDir::Create(DefaultVfs(), dir, blob,
+  QOF_RETURN_IF_ERROR(DurableIndexDir::Create(DefaultVfs(), dir, store,
                                               /*generation=*/0,
                                               durable_options)
                           .status());
@@ -216,8 +212,8 @@ Status RunBuild(const std::string& dir, const std::string& kind,
       AtomicWriteFile(DefaultVfs(), SchemaPath(dir), kind + "\n"));
   std::cout << "indexed " << files.size() << " file(s): "
             << built.regions.num_regions() << " regions, "
-            << built.words.num_postings() << " postings, blob "
-            << blob.size() << " bytes\n";
+            << built.words.num_postings() << " postings, store "
+            << store.size() << " bytes\n";
   return Status::OK();
 }
 
@@ -279,13 +275,13 @@ Status RunCompact(const std::string& dir, SyncPolicy policy) {
   uint64_t dead = state->maintainer->stats().dead_bytes;
   QOF_RETURN_IF_ERROR(state->maintainer->Compact(SharedPool()));
   QOF_ASSIGN_OR_RETURN(
-      std::string blob,
-      SerializeIndexes(state->built, state->spec, state->corpus,
-                       state->maintainer->generation()));
+      std::string store,
+      EncodeIndexStore(state->loaded.indexes, state->loaded.spec,
+                       state->corpus, state->maintainer->generation()));
   QOF_RETURN_IF_ERROR(
-      state->durable->Checkpoint(blob, state->maintainer->generation()));
+      state->durable->Checkpoint(store, state->maintainer->generation()));
   std::cout << "compacted: reclaimed " << dead
-            << " dead byte(s); blob rewritten at generation "
+            << " dead byte(s); store rewritten at generation "
             << state->maintainer->generation() << ", journal reset\n";
   return Status::OK();
 }
@@ -293,17 +289,23 @@ Status RunCompact(const std::string& dir, SyncPolicy policy) {
 Status RunInspect(const std::string& dir, SyncPolicy policy) {
   QOF_ASSIGN_OR_RETURN(DurableIndexDir durable,
                        DurableIndexDir::Open(DefaultVfs(), dir));
-  QOF_ASSIGN_OR_RETURN(std::string blob, durable.ReadBlob());
-  QOF_ASSIGN_OR_RETURN(BlobInfo info, ReadBlobInfo(blob));
+  QOF_ASSIGN_OR_RETURN(LoadedIndexStore loaded,
+                       LoadIndexStore(durable.store_path()));
   std::cout << "manifest: generation " << durable.generation() << " ("
-            << durable.manifest().blob_name << " + "
+            << durable.manifest().store_name << " + "
             << durable.manifest().journal_name << ")\n";
-  std::cout << "blob: v3, " << blob.size()
-            << " bytes, generation " << info.generation << ", "
-            << info.docs.size() << " document(s)\n";
-  for (const DocFingerprint& doc : info.docs) {
+  std::cout << "store: " << loaded.store->num_pages() << " pages of "
+            << loaded.store->page_size() << " bytes, generation "
+            << loaded.generation << ", " << loaded.docs.size()
+            << " document(s)\n";
+  for (const DocFingerprint& doc : loaded.docs) {
     std::cout << "  " << doc.name << "  " << doc.size << " bytes\n";
   }
+  // Page every instance and posting list in: the buffer pool verifies
+  // each page's checksum as it reads it, so damage anywhere in the store
+  // fails here.
+  QOF_RETURN_IF_ERROR(loaded.indexes.regions.EnsureResident());
+  QOF_RETURN_IF_ERROR(loaded.indexes.words.EnsureResident());
 
   bool repaired = false;
   QOF_ASSIGN_OR_RETURN(std::vector<JournalRecord> records,

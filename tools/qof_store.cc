@@ -1,15 +1,13 @@
-// Paged-store utility: inspects "QOFSTOR1" files (page census, fill
-// factors, compression ratio, full checksum verification), converts
-// serialized index blobs (see src/qof/engine/index_io.h) into the paged
-// format without needing the original files — the blob's document table
-// rides along, so a store produced here is byte-identical to one the
-// engine saves from the same indexes (SaveStore) — and audits/salvages
-// damaged stores (`scrub` names the index instances and documents a
-// damaged page touches; `repair` rebuilds the store from its surviving
-// streams, quarantining the damaged original).
+// Paged-store utility: inspects "QOFSTOR1" files — the one format
+// indexes persist in, written by FileQuerySystem::SaveStore and kept in
+// qof_index directories (store-<G>.qofstore) — reporting page census,
+// fill factors, compression ratio and a full checksum pass, and
+// audits/salvages damaged stores (`scrub` names the index instances and
+// documents a damaged page touches; `repair` rebuilds the store from its
+// surviving streams, quarantining the damaged original).
 //
 // Exit codes: 0 = success, 1 = usage error, 2 = data error (unreadable
-// file, damaged pages, unconvertible blob).
+// file, damaged pages).
 
 #include <cstdint>
 #include <iomanip>
@@ -18,14 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "qof/engine/index_io.h"
 #include "qof/store/page.h"
 #include "qof/store/paged_file.h"
 #include "qof/store/scrub.h"
 #include "qof/store/store_format.h"
-#include "qof/store/store_writer.h"
 #include "qof/util/result.h"
-#include "qof/util/wire.h"
 
 namespace qof {
 namespace {
@@ -37,9 +32,6 @@ void PrintUsage(std::ostream& out) {
          "                                factors, compression ratio, and "
          "a\n"
          "                                checksum pass over every page\n"
-         "  convert BLOB STORE            rewrite a v2/v3 index blob "
-         "(.qofidx)\n"
-         "                                as a paged store file\n"
          "  scrub STORE                   audit every page; map damage "
          "to\n"
          "                                sections, index instances and "
@@ -50,13 +42,6 @@ void PrintUsage(std::ostream& out) {
          "                                surviving streams (original "
          "kept\n"
          "                                as STORE.quarantined)\n"
-         "options:\n"
-         "  --page-size N    store page size for convert (default "
-      << kDefaultPageSize
-      << ",\n"
-         "                   multiple of "
-      << kMinStorePageSize
-      << ")\n"
          "exit codes: 0 ok, 1 usage, 2 data error\n";
 }
 
@@ -84,15 +69,7 @@ Status RunInspect(const std::string& path) {
   // page size is inside it.
   QOF_ASSIGN_OR_RETURN(std::string head,
                        ReadFilePrefix(path, kMinStorePageSize));
-  QOF_ASSIGN_OR_RETURN(PageHeader meta_header,
-                       ParsePage(head, kMinStorePageSize, 0));
-  if (meta_header.type != PageType::kMeta) {
-    return Status::InvalidArgument(path + ": page 0 is not a meta page");
-  }
-  QOF_ASSIGN_OR_RETURN(
-      StoreMeta meta,
-      DecodeStoreMeta(std::string_view(head).substr(
-          kPageHeaderSize, meta_header.payload_len)));
+  QOF_ASSIGN_OR_RETURN(StoreMeta meta, DecodeMetaPage(head));
 
   QOF_ASSIGN_OR_RETURN(PagedFile file, PagedFile::Open(path, meta.page_size));
   std::cout << path << ": " << file.num_pages() << " pages of "
@@ -170,40 +147,6 @@ Status RunInspect(const std::string& path) {
                                  " damaged page(s)");
 }
 
-Status RunConvert(const std::string& blob_path, const std::string& out_path,
-                  uint32_t page_size) {
-  QOF_ASSIGN_OR_RETURN(std::string blob, ReadFileBytes(blob_path));
-  QOF_ASSIGN_OR_RETURN(UncheckedIndexes unchecked,
-                       DeserializeIndexesUnchecked(blob));
-
-  std::string spec_bytes;
-  EncodeIndexSpec(unchecked.indexes.spec, &spec_bytes);
-  // Re-encode the document table from the blob's fingerprints — same
-  // wire rows EncodeDocTable emits from a live corpus, so the image
-  // matches what the engine's SaveStore writes for these indexes.
-  std::string doc_table;
-  PutU32(static_cast<uint32_t>(unchecked.docs.size()), &doc_table);
-  for (const DocFingerprint& doc : unchecked.docs) {
-    PutString(doc.name, &doc_table);
-    PutU64(doc.size, &doc_table);
-    PutU64(doc.fnv1a, &doc_table);
-  }
-
-  StoreWriterInput input;
-  input.regions = &unchecked.indexes.indexes.regions;
-  input.words = &unchecked.indexes.indexes.words;
-  input.spec_bytes = spec_bytes;
-  input.doc_table_bytes = doc_table;
-  input.generation = unchecked.indexes.generation;
-  input.doc_count = unchecked.indexes.indexes.documents;
-  QOF_ASSIGN_OR_RETURN(std::string image, BuildStoreImage(input, page_size));
-  QOF_RETURN_IF_ERROR(WriteFileBytes(out_path, image));
-  std::cout << "converted v3 blob (" << blob.size() << " bytes) -> " << out_path << " ("
-            << image.size() << " bytes, " << image.size() / page_size
-            << " pages of " << page_size << ")\n";
-  return Status::OK();
-}
-
 Status RunScrub(const std::string& path) {
   QOF_ASSIGN_OR_RETURN(ScrubReport report, ScrubStore(path));
   std::cout << FormatScrubReport(report);
@@ -249,14 +192,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  uint32_t page_size = qof::kDefaultPageSize;
   std::vector<std::string> args;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--page-size" && i + 1 < argc) {
-      page_size =
-          static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (!arg.empty() && arg[0] == '-') {
+    if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unrecognized option: " << arg << "\n";
       qof::PrintUsage(std::cerr);
       return 1;
@@ -272,12 +211,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     status = qof::RunInspect(args[0]);
-  } else if (command == "convert") {
-    if (args.size() != 2) {
-      std::cerr << "convert wants a blob file and an output path\n";
-      return 1;
-    }
-    status = qof::RunConvert(args[0], args[1], page_size);
   } else if (command == "scrub") {
     if (args.size() != 1) {
       std::cerr << "scrub wants exactly one store file\n";
