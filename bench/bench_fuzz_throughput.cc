@@ -30,7 +30,6 @@ void BM_OracleIteration(benchmark::State& state) {
   options.invalid_fraction = 0.0;
   qof::OracleOptions oracle;
   oracle.workers = 2;
-  oracle.max_chains = static_cast<size_t>(state.range(0));
   int i = 0;
   for (auto _ : state) {
     qof::ConcreteCase c =
@@ -43,8 +42,7 @@ void BM_OracleIteration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_OracleIteration)->Arg(20)->Arg(160)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OracleIteration)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

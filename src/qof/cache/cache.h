@@ -16,7 +16,7 @@ namespace qof {
 
 /// Knobs for the two query caches (see FileQuerySystem::SetCacheOptions).
 /// Both caches are off by default: enabling them never changes results —
-/// only cost — which the fuzz cache leg cross-checks byte-for-byte.
+/// only cost — which the fuzzer's cache rows cross-check byte-for-byte.
 struct CacheOptions {
   /// Query text → parsed AST + compiled plan. Invalidated when the
   /// compiler changes (BuildIndexes / OpenStore); mutations do not

@@ -83,7 +83,7 @@ class EvalCache {
   /// and prunes entries of unpinned stale epochs. Under the armed
   /// stale-cache planted bug entries are keyed by expression alone — old-
   /// generation entries keep being served after mutations, which the
-  /// fuzzer's cache leg exists to catch (--inject stale-cache).
+  /// fuzzer's cache rows exist to catch (--inject stale-cache).
   std::shared_ptr<const RegionSet> Lookup(const std::string& key,
                                           const CacheEpoch& epoch);
 

@@ -11,9 +11,9 @@ namespace {
 ChainSelection Degrade(const ChainSelection& sel) {
   if (sel.kind == ExprKind::kSelectStartsWith ||
       sel.kind == ExprKind::kSelectContainsPrefix) {
-    return ChainSelection{ExprKind::kSelectContainsPrefix, sel.word};
+    return ChainSelection{ExprKind::kSelectContainsPrefix, sel.word, {}, 0};
   }
-  return ChainSelection{ExprKind::kSelectContains, sel.word};
+  return ChainSelection{ExprKind::kSelectContains, sel.word, {}, 0};
 }
 
 }  // namespace

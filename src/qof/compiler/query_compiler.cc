@@ -23,9 +23,9 @@ Result<ChainSelection> SelectionForEquality(const std::string& literal) {
   }
   if (tokens.size() == 1 && tokens[0].start == 0 &&
       tokens[0].end == trimmed.size()) {
-    return ChainSelection{ExprKind::kSelectMatches, trimmed};
+    return ChainSelection{ExprKind::kSelectMatches, trimmed, {}, 0};
   }
-  return ChainSelection{ExprKind::kSelectPhrase, trimmed};
+  return ChainSelection{ExprKind::kSelectPhrase, trimmed, {}, 0};
 }
 
 RegionExprPtr UnionAll(std::vector<RegionExprPtr> exprs) {
@@ -159,7 +159,8 @@ Result<QueryCompiler::Leaf> QueryCompiler::CompileCondition(
       // phrase containment (first-word anchor + verifying scan).
       ChainSelection sel{ExprKind::kSelectContains,
                          tokens.size() == 1 ? std::string(tokens[0].text)
-                                            : trimmed};
+                                            : trimmed,
+                         {}, 0};
       return CompilePathLeaf(cond.path(), sel, notes);
     }
     case Condition::Kind::kStartsWith: {
@@ -172,7 +173,7 @@ Result<QueryCompiler::Leaf> QueryCompiler::CompileCondition(
             "STARTS expects a single word prefix, got: \"" +
             cond.literal() + "\"");
       }
-      ChainSelection sel{ExprKind::kSelectStartsWith, trimmed};
+      ChainSelection sel{ExprKind::kSelectStartsWith, trimmed, {}, 0};
       return CompilePathLeaf(cond.path(), sel, notes);
     }
     case Condition::Kind::kEqualsPath: {

@@ -12,14 +12,23 @@
 namespace qof {
 
 /// A query execution reduced to what the differential checks compare.
-/// Shared by the oracle's in-process legs (oracle.cc) and the session
-/// leg (session_leg.cc), which compares service answers against replays.
+/// Shared by the matrix (matrix.cc), the IR differential (oracle.cc) and
+/// the session check (session_leg.cc), which compares service answers
+/// against replays.
 struct CanonExec {
   bool ok = false;
   std::string error;
   std::vector<Region> regions;       // sorted
   std::vector<std::string> values;   // RenderedValues (already sorted)
 };
+
+/// Sorts regions by (start, end): the order CanonExec compares in.
+inline void SortRegions(std::vector<Region>& regions) {
+  std::sort(regions.begin(), regions.end(),
+            [](const Region& a, const Region& b) {
+              return a.start != b.start ? a.start < b.start : a.end < b.end;
+            });
+}
 
 inline CanonExec Canon(const Result<QueryResult>& r) {
   CanonExec out;
@@ -29,10 +38,7 @@ inline CanonExec Canon(const Result<QueryResult>& r) {
   }
   out.ok = true;
   out.regions = r->regions;
-  std::sort(out.regions.begin(), out.regions.end(),
-            [](const Region& a, const Region& b) {
-              return a.start != b.start ? a.start < b.start : a.end < b.end;
-            });
+  SortRegions(out.regions);
   out.values = r->RenderedValues();
   return out;
 }

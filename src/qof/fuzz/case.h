@@ -1,17 +1,25 @@
 #ifndef QOF_FUZZ_CASE_H_
 #define QOF_FUZZ_CASE_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "qof/fuzz/grammar_model.h"
 #include "qof/fuzz/query_gen.h"
+#include "qof/maintain/journal.h"
+#include "qof/schema/structuring_schema.h"
+#include "qof/util/result.h"
 
 namespace qof {
 
-/// One corpus mutation applied after the indexes are built — the
-/// incremental-maintenance leg replays these through
+/// A corpus as (document name, text) pairs, in physical order.
+using CaseDocs = std::vector<std::pair<std::string, std::string>>;
+
+/// One corpus mutation applied after the indexes are built — every row
+/// of the oracle's configuration matrix replays these through
 /// FileQuerySystem::{Add,Update,Remove}File and cross-checks against a
 /// from-scratch rebuild. Steps are stored fully concrete (the generator
 /// renders the text up front) so repro files replay byte-identically
@@ -40,7 +48,7 @@ struct ConcreteCase {
   int canned_entries = 0;
 
   std::string schema_text;
-  std::vector<std::pair<std::string, std::string>> docs;
+  CaseDocs docs;
 
   std::string fql;
   /// False for the invalid-query class: the parser may reject fql (with a
@@ -50,7 +58,7 @@ struct ConcreteCase {
 
   std::vector<std::vector<std::string>> subsets;
 
-  /// Applied in order by the maintenance leg; empty skips that leg.
+  /// Applied in order after the build; empty skips the mutation steps.
   std::vector<MutationStep> mutations;
 };
 
@@ -74,6 +82,42 @@ struct FuzzCase {
   /// silently change them. The shrinker drops steps instead.
   std::vector<MutationStep> mutations;
 };
+
+/// The journal record a mutation step becomes when it produces
+/// `generation` — the one conversion the journal and crash legs use to
+/// apply steps through the production ReplayJournal.
+JournalRecord JournalRecordFor(const MutationStep& step, uint64_t generation);
+
+/// The document list after `steps`, in the maintainer's append-at-tail
+/// physical order: an update moves its document to the tail, exactly as
+/// the corpus re-appends replaced text. A from-scratch build of this
+/// list is the ground truth a mutated system compacts to.
+CaseDocs LiveDocsAfter(CaseDocs docs, const std::vector<MutationStep>& steps);
+
+/// One canned datagen corpus kind, everything the generator and the
+/// oracle need about it in one row.
+struct CannedCorpus {
+  const char* kind;      // "bibtex" | "mail" | "log" | "outline"
+  const char* doc_name;  // the one document a canned case starts with
+  const char* view_node;
+  const char* view_name;  // the alias used in FROM clauses
+  std::vector<std::string> literals;
+  Result<StructuringSchema> (*schema)();
+  /// The case's document for (canned_seed, canned_entries).
+  std::string (*corpus)(uint32_t seed, int entries);
+  /// A small document (one or two entries) for one mutation step.
+  std::string (*mutation)(uint32_t seed, int entries);
+};
+
+/// The canned corpora, in the generator's pick order.
+const std::vector<CannedCorpus>& CannedCorpora();
+/// The row named `kind`, or nullptr (random-schema cases have none).
+const CannedCorpus* FindCannedCorpus(std::string_view kind);
+
+/// The case's schema and documents: parsed from the case's text, or
+/// regenerated from its canned row.
+Result<StructuringSchema> MaterializeSchema(const ConcreteCase& c);
+Result<CaseDocs> MaterializeDocs(const ConcreteCase& c);
 
 /// Renders the model to the concrete triple (schema text, documents,
 /// FQL). Deterministic: the same case always concretizes to the same

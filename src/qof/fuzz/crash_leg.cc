@@ -45,9 +45,8 @@ struct Maintained {
   std::unique_ptr<IndexMaintainer> maintainer;
 };
 
-Result<std::unique_ptr<Maintained>> BuildBase(
-    const StructuringSchema& schema,
-    const std::vector<std::pair<std::string, std::string>>& docs) {
+Result<std::unique_ptr<Maintained>> BuildBase(const StructuringSchema& schema,
+                                              const CaseDocs& docs) {
   auto m = std::make_unique<Maintained>();
   for (const auto& [name, text] : docs) {
     QOF_RETURN_IF_ERROR(m->corpus.AddDocument(name, text).status());
@@ -61,50 +60,19 @@ Result<std::unique_ptr<Maintained>> BuildBase(
   return m;
 }
 
-Status ApplyStep(IndexMaintainer* maintainer, const MutationStep& m) {
-  switch (m.op) {
-    case MutationStep::Op::kAdd:
-      return maintainer->AddDocument(m.name, m.text).status();
-    case MutationStep::Op::kUpdate:
-      return maintainer->UpdateDocument(m.name, m.text).status();
-    case MutationStep::Op::kRemove:
-      return maintainer->RemoveDocument(m.name);
-  }
-  return Status::Internal("unreachable mutation op");
-}
-
-JournalRecord RecordFor(const MutationStep& m, uint64_t generation) {
-  JournalRecord record;
-  record.generation = generation;
-  record.name = m.name;
-  switch (m.op) {
-    case MutationStep::Op::kAdd:
-      record.op = JournalOp::kAdd;
-      record.text = m.text;
-      break;
-    case MutationStep::Op::kUpdate:
-      record.op = JournalOp::kUpdate;
-      record.text = m.text;
-      break;
-    case MutationStep::Op::kRemove:
-      record.op = JournalOp::kRemove;
-      break;
-  }
-  return record;
-}
-
-/// The canonical store image for "base docs + the first `g` mutations":
-/// applied directly, compacted, encoded. Crash recovery at any point must
-/// land on one of these — never in between.
-Result<std::string> ReferenceStore(
-    const StructuringSchema& schema,
-    const std::vector<std::pair<std::string, std::string>>& docs,
-    const std::vector<MutationStep>& mutations, uint64_t g) {
+/// The canonical store image for "base docs + the first `g` records":
+/// replayed fault-free, compacted, encoded. Crash recovery at any point
+/// must land on one of these — never in between.
+Result<std::string> ReferenceStore(const StructuringSchema& schema,
+                                   const CaseDocs& docs,
+                                   const std::vector<JournalRecord>& records,
+                                   uint64_t g) {
   QOF_ASSIGN_OR_RETURN(std::unique_ptr<Maintained> m,
                        BuildBase(schema, docs));
-  for (uint64_t i = 0; i < g; ++i) {
-    QOF_RETURN_IF_ERROR(ApplyStep(m->maintainer.get(), mutations[i]));
-  }
+  QOF_RETURN_IF_ERROR(ReplayJournal(
+      std::vector<JournalRecord>(records.begin(),
+                                 records.begin() + static_cast<long>(g)),
+      m->maintainer.get()));
   QOF_RETURN_IF_ERROR(m->maintainer->Compact());
   return EncodeIndexStore(m->built, IndexSpec::Full(), m->corpus,
                           m->maintainer->generation());
@@ -142,8 +110,7 @@ uint64_t RunIoTrace(Vfs* vfs, const std::string& dir,
 }  // namespace
 
 Status CheckCrashConsistency(
-    const StructuringSchema& schema,
-    const std::vector<std::pair<std::string, std::string>>& docs,
+    const StructuringSchema& schema, const CaseDocs& docs,
     const ConcreteCase& c, const OracleOptions& options, uint64_t seed,
     std::string* failure) {
   if (c.mutations.empty()) return Status::OK();
@@ -152,9 +119,15 @@ Status CheckCrashConsistency(
   const std::string dir = "idx";
 
   // --- Precompute the trace (shared across every crash point) ----------
-  auto base = BuildBase(schema, docs);
-  if (!base.ok()) return Status::OK();  // the index legs report this
+  // Each step becomes its journal record once; the trace appends them and
+  // every in-memory application replays them through ReplayJournal.
   TraceArtifacts artifacts;
+  std::vector<JournalRecord>& records = artifacts.records;
+  for (size_t j = 0; j < c.mutations.size(); ++j) {
+    records.push_back(JournalRecordFor(c.mutations[j], j + 1));
+  }
+  auto base = BuildBase(schema, docs);
+  if (!base.ok()) return Status::OK();  // the matrix reports this
   {
     std::unique_ptr<Maintained>& m = *base;
     auto store0 = EncodeIndexStore(m->built, IndexSpec::Full(), m->corpus,
@@ -162,24 +135,16 @@ Status CheckCrashConsistency(
     if (!store0.ok()) return store0.status();
     artifacts.store0 = std::move(*store0);
     artifacts.checkpoint_after = c.mutations.size() / 2;
-    for (size_t j = 0; j < c.mutations.size(); ++j) {
-      Status applied = ApplyStep(m->maintainer.get(), c.mutations[j]);
+    for (size_t j = 0; j < records.size(); ++j) {
+      Status applied = ReplayJournal({records[j]}, m->maintainer.get());
       if (!applied.ok()) {
         // A shrink artifact (a dropped add orphaned a later step), not a
-        // finding — mirror the maintenance leg and refuse the case.
+        // finding — refuse the case, as the matrix does.
         return Status::Internal("crash leg: mutation " +
                                 std::to_string(j) + " (" +
                                 c.mutations[j].name +
                                 ") failed: " + applied.ToString());
       }
-      if (m->maintainer->generation() != j + 1) {
-        return Status::Internal(
-            "crash leg: generation did not track mutations (" +
-            std::to_string(m->maintainer->generation()) + " after " +
-            std::to_string(j + 1) + " steps)");
-      }
-      artifacts.records.push_back(
-          RecordFor(c.mutations[j], m->maintainer->generation()));
       if (j == artifacts.checkpoint_after) {
         uint64_t before = m->maintainer->generation();
         QOF_RETURN_IF_ERROR(m->maintainer->Compact());
@@ -218,7 +183,7 @@ Status CheckCrashConsistency(
     auto it = reference.find(g);
     if (it != reference.end()) return it->second;
     QOF_ASSIGN_OR_RETURN(std::string image,
-                         ReferenceStore(schema, docs, c.mutations, g));
+                         ReferenceStore(schema, docs, records, g));
     reference.emplace(g, image);
     return image;
   };
@@ -305,24 +270,24 @@ Status CheckCrashConsistency(
                                loaded->spec, maintain_options);
     maintainer.set_generation(loaded->generation);
 
-    auto records = opened->ReadJournal();
-    if (!records.ok()) {
+    auto surviving = opened->ReadJournal();
+    if (!surviving.ok()) {
       return fail("committed journal unreadable: " +
-                  records.status().ToString());
+                  surviving.status().ToString());
     }
     // Surviving frames must be real appended records, in order — the
     // frame checksums admit garbage never, prefixes only.
-    for (size_t k = 0; k < records->size(); ++k) {
-      const JournalRecord& r = (*records)[k];
+    for (size_t k = 0; k < surviving->size(); ++k) {
+      const JournalRecord& r = (*surviving)[k];
       if (r.generation != store_generation + k + 1 ||
           r.generation > c.mutations.size() ||
-          r != RecordFor(c.mutations[r.generation - 1], r.generation)) {
+          r != records[r.generation - 1]) {
         return fail("journal frame " + std::to_string(k) +
                     " (generation " + std::to_string(r.generation) +
                     ") is not the record that was appended");
       }
     }
-    Status replayed = ReplayJournal(*records, &maintainer);
+    Status replayed = ReplayJournal(*surviving, &maintainer);
     if (!replayed.ok()) {
       return fail("journal replay failed: " + replayed.ToString());
     }

@@ -48,7 +48,7 @@ namespace qof {
 /// filled `failure` means a crash point violated an invariant.
 Status CheckCrashConsistency(
     const StructuringSchema& schema,
-    const std::vector<std::pair<std::string, std::string>>& docs,
+    const CaseDocs& docs,
     const ConcreteCase& c, const OracleOptions& options, uint64_t seed,
     std::string* failure);
 

@@ -3,14 +3,10 @@
 #include <set>
 #include <vector>
 
-#include "qof/datagen/bibtex_gen.h"
-#include "qof/datagen/log_gen.h"
-#include "qof/datagen/mail_gen.h"
-#include "qof/datagen/outline_gen.h"
-#include "qof/datagen/schemas.h"
 #include "qof/datagen/seed.h"
 #include "qof/engine/index_spec.h"
 #include "qof/exec/fault_injector.h"
+#include "qof/fuzz/matrix.h"
 #include "qof/fuzz/repro.h"
 #include "qof/fuzz/rng.h"
 #include "qof/fuzz/shrink.h"
@@ -24,31 +20,6 @@ namespace {
 uint64_t IterationSeed(const FuzzOptions& options, int i) {
   return (options.seed + 1) * 0x9e3779b97f4a7c15ull ^
          (static_cast<uint64_t>(i) * 0xbf58476d1ce4e5b9ull);
-}
-
-struct CannedInfo {
-  const char* kind;
-  const char* view_node;
-  const char* view_name;  // the alias used in FROM clauses
-  std::vector<std::string> literals;
-};
-
-const std::vector<CannedInfo>& CannedCorpora() {
-  static const std::vector<CannedInfo> kCanned = {
-      {"bibtex", "Reference", "References", {"Chang", "Chang", "systems"}},
-      {"mail", "Message", "Messages", {"Chang", "Dana", "meeting"}},
-      {"log", "Entry", "Entrys", {"ERROR", "INFO", "session"}},
-      {"outline", "Section", "Sections",
-       {"Optimization", "Optimization", "prose"}},
-  };
-  return kCanned;
-}
-
-Result<StructuringSchema> CannedSchema(const std::string& kind) {
-  if (kind == "bibtex") return BibtexSchema();
-  if (kind == "mail") return MailSchema();
-  if (kind == "log") return LogSchema();
-  return OutlineSchema();
 }
 
 /// Random index subsets over the schema's indexable names. The view is
@@ -71,47 +42,6 @@ std::vector<std::vector<std::string>> MakeSubsets(
   return out;
 }
 
-std::string CannedDocName(const std::string& kind) {
-  if (kind == "bibtex") return "corpus.bib";
-  if (kind == "mail") return "corpus.mbox";
-  if (kind == "log") return "corpus.log";
-  return "corpus.outline";
-}
-
-/// A small document that parses under the canned schema: one or two
-/// entries from the matching datagen generator with a derived seed.
-std::string CannedMutationText(const std::string& kind, uint32_t seed,
-                               int entries) {
-  if (kind == "bibtex") {
-    BibtexGenOptions o;
-    o.num_references = entries;
-    o.seed = seed;
-    o.probe_author_rate = 0.3;
-    return GenerateBibtex(o);
-  }
-  if (kind == "mail") {
-    MailGenOptions o;
-    o.num_messages = entries;
-    o.seed = seed;
-    o.probe_sender_rate = 0.3;
-    return GenerateMailbox(o);
-  }
-  if (kind == "log") {
-    LogGenOptions o;
-    o.num_entries = entries * 2;
-    o.seed = seed;
-    o.error_rate = 0.2;
-    o.num_sessions = 2;
-    return GenerateLog(o);
-  }
-  OutlineGenOptions o;
-  o.num_top_sections = entries;
-  o.seed = seed;
-  o.max_depth = 2;
-  o.probe_title_rate = 0.25;
-  return GenerateOutline(o);
-}
-
 /// Renders one document's worth of content for a mutation step. Texts
 /// are concrete from here on: they parse under the schema by
 /// construction, and occasionally come back empty (the update-to-empty
@@ -119,8 +49,8 @@ std::string CannedMutationText(const std::string& kind, uint32_t seed,
 std::string MutationText(FuzzRng& rng, const FuzzCase& fuzz_case,
                          uint32_t step_seed) {
   if (rng.Chance(0.1)) return "";
-  if (!fuzz_case.canned.empty()) {
-    return CannedMutationText(fuzz_case.canned, step_seed, rng.Range(1, 2));
+  if (const CannedCorpus* canned = FindCannedCorpus(fuzz_case.canned)) {
+    return canned->mutation(step_seed, rng.Range(1, 2));
   }
   CorpusModel content;
   content.doc_objects = {rng.Range(1, 3)};
@@ -138,8 +68,8 @@ std::string MutationText(FuzzRng& rng, const FuzzCase& fuzz_case,
 void GenerateMutations(FuzzRng& rng, const FuzzOptions& options, int i,
                        FuzzCase* fuzz_case) {
   std::vector<std::string> live;
-  if (!fuzz_case->canned.empty()) {
-    live.push_back(CannedDocName(fuzz_case->canned));
+  if (const CannedCorpus* canned = FindCannedCorpus(fuzz_case->canned)) {
+    live.push_back(canned->doc_name);
   } else {
     for (size_t d = 0; d < fuzz_case->corpus.doc_objects.size(); ++d) {
       live.push_back("doc" + std::to_string(d) + ".txt");
@@ -190,8 +120,8 @@ FuzzCase GenerateCase(const FuzzOptions& options, int i) {
   Result<StructuringSchema> schema = Status::NotFound("unset");
 
   if (rng.Chance(options.canned_fraction)) {
-    const CannedInfo& info = rng.Pick(CannedCorpora());
-    Result<StructuringSchema> canned = CannedSchema(info.kind);
+    const CannedCorpus& info = rng.Pick(CannedCorpora());
+    Result<StructuringSchema> canned = info.schema();
     if (canned.ok()) {
       fuzz_case.canned = info.kind;
       fuzz_case.canned_seed =
@@ -225,8 +155,7 @@ FuzzCase GenerateCase(const FuzzOptions& options, int i) {
     Rig rig = DeriveFullRig(*schema);
     fuzz_case.query = GenerateQuery(rng, rig, view_node, view_name,
                                     literals, options.query_gen);
-    fuzz_case.subsets =
-        MakeSubsets(rng, *schema, view_node, options.subsets_per_case);
+    fuzz_case.subsets = MakeSubsets(rng, *schema, view_node, kCaseSubsets);
     if (rng.Chance(options.mutation_fraction)) {
       GenerateMutations(rng, options, i, &fuzz_case);
     }
@@ -259,7 +188,6 @@ Result<FuzzReport> RunFuzz(const FuzzOptions& options) {
   OracleOptions oracle_options;
   oracle_options.bug = options.bug;
   oracle_options.workers = options.workers;
-  oracle_options.max_chains = options.max_chains;
 
   for (int i = 0; i < options.iterations; ++i) {
     FuzzCase fuzz_case = GenerateCase(options, i);

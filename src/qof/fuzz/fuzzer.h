@@ -21,28 +21,23 @@ struct FuzzOptions {
   /// Fraction of cases run against a canned datagen corpus (bibtex, mail,
   /// log, outline) instead of a random schema.
   double canned_fraction = 0.2;
-  /// Random index subsets tried per case, beyond the always-run
-  /// baseline/full-index legs.
-  int subsets_per_case = 2;
   /// Fraction of cases that get a post-build mutation sequence (random
-  /// adds/updates/removes replayed through the incremental maintainer and
-  /// cross-checked against a from-scratch rebuild).
+  /// adds/updates/removes every matrix row replays and cross-checks
+  /// against a from-scratch rebuild).
   double mutation_fraction = 0.35;
   /// Longest mutation sequence the generator appends.
   int max_mutations = 4;
   InjectedBug bug = InjectedBug::kNone;
-  /// Fault-injection mode: "" runs the normal differential legs; a site
-  /// name from FaultSites() arms that site every iteration; "random"
-  /// draws a fresh (site, hit) pair per iteration. Either way the oracle
-  /// runs its fault leg instead of the differential legs (see
-  /// OracleOptions::fault_site).
+  /// Fault-injection mode: "" runs the differential checks; a site name
+  /// from FaultSites() arms that site every iteration; "random" draws a
+  /// fresh (site, hit) pair per iteration. Either way the oracle runs its
+  /// fault leg instead (see OracleOptions::fault_site).
   std::string fault_site;
   /// Hit ordinal for a fixed fault site; 0 draws 1..3 per iteration.
   uint64_t fault_hit = 0;
   bool shrink = true;
   int shrink_budget = 200;
   int workers = 4;
-  size_t max_chains = 160;
   SchemaGenOptions schema_gen;
   QueryGenOptions query_gen;
 };

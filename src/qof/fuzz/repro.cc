@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "qof/exec/fault_injector.h"
+
 namespace qof {
 namespace {
 
@@ -25,40 +27,32 @@ std::vector<std::string> SplitWords(const std::string& line) {
 
 }  // namespace
 
+const std::vector<InjectedBugEntry>& InjectedBugs() {
+  static const std::vector<InjectedBugEntry> kBugs = {
+      {InjectedBug::kNone, "none"},
+      {InjectedBug::kRelaxDirect, "relax-direct"},
+      {InjectedBug::kExactSkip, "exact-skip"},
+      {InjectedBug::kDropTombstone, planted_bug::kDropTombstone},
+      {InjectedBug::kStaleCache, planted_bug::kStaleCache},
+      {InjectedBug::kBadCse, planted_bug::kBadCse},
+      {InjectedBug::kStaleSnapshot, planted_bug::kStaleSnapshot},
+      {InjectedBug::kEvictPinned, planted_bug::kEvictPinned},
+      {InjectedBug::kSkipDirSync, "skip-dir-sync"},
+  };
+  return kBugs;
+}
+
 std::string InjectedBugName(InjectedBug bug) {
-  switch (bug) {
-    case InjectedBug::kNone:
-      return "none";
-    case InjectedBug::kRelaxDirect:
-      return "relax-direct";
-    case InjectedBug::kExactSkip:
-      return "exact-skip";
-    case InjectedBug::kDropTombstone:
-      return "drop-tombstone";
-    case InjectedBug::kStaleCache:
-      return "stale-cache";
-    case InjectedBug::kBadCse:
-      return "bad-cse";
-    case InjectedBug::kStaleSnapshot:
-      return "stale-snapshot";
-    case InjectedBug::kEvictPinned:
-      return "evict-pinned";
-    case InjectedBug::kSkipDirSync:
-      return "skip-dir-sync";
+  for (const InjectedBugEntry& entry : InjectedBugs()) {
+    if (entry.bug == bug) return entry.name;
   }
   return "none";
 }
 
 Result<InjectedBug> InjectedBugFromName(std::string_view name) {
-  if (name == "none") return InjectedBug::kNone;
-  if (name == "relax-direct") return InjectedBug::kRelaxDirect;
-  if (name == "exact-skip") return InjectedBug::kExactSkip;
-  if (name == "drop-tombstone") return InjectedBug::kDropTombstone;
-  if (name == "stale-cache") return InjectedBug::kStaleCache;
-  if (name == "bad-cse") return InjectedBug::kBadCse;
-  if (name == "stale-snapshot") return InjectedBug::kStaleSnapshot;
-  if (name == "evict-pinned") return InjectedBug::kEvictPinned;
-  if (name == "skip-dir-sync") return InjectedBug::kSkipDirSync;
+  for (const InjectedBugEntry& entry : InjectedBugs()) {
+    if (name == entry.name) return entry.bug;
+  }
   return Status::InvalidArgument("unknown injected bug name: " +
                                  std::string(name));
 }

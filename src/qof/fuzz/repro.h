@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "qof/fuzz/case.h"
 #include "qof/fuzz/oracle.h"
@@ -17,7 +18,7 @@ struct ReproFile {
   InjectedBug bug = InjectedBug::kNone;
   /// Fault-injection directive: when non-empty the replay runs the
   /// oracle's fault leg with this site/hit instead of the differential
-  /// legs (serialized as an `inject-fault:` line).
+  /// checks (serialized as an `inject-fault:` line).
   std::string fault_site;
   uint64_t fault_hit = 1;
   uint64_t seed = 0;
@@ -27,7 +28,7 @@ struct ReproFile {
 ///
 ///   qof-fuzz-repro v1
 ///   seed: 42
-///   inject: none | relax-direct | exact-skip | drop-tombstone
+///   inject: none | relax-direct | ...  -- an InjectedBugs() name
 ///   inject-fault: journal.append 2      -- fault-leg cases only
 ///   expect-valid: 1
 ///   canned: bibtex 7 4                  -- canned cases only
@@ -39,7 +40,7 @@ struct ReproFile {
 ///   doc corpus-0.txt <<END
 ///   ...document text...
 ///   END
-///   mutate add extra-0.txt <<END      -- maintenance-leg mutations,
+///   mutate add extra-0.txt <<END      -- mutation steps,
 ///   ...document text...                  in application order
 ///   END
 ///   mutate remove doc0.txt
@@ -54,6 +55,16 @@ Result<ReproFile> ParseRepro(std::string_view text);
 
 /// Parses a repro and runs it through the oracle.
 Result<OracleOutcome> ReplayRepro(std::string_view text, int workers);
+
+/// One injected bug and its `--inject` / repro name.
+struct InjectedBugEntry {
+  InjectedBug bug;
+  const char* name;
+};
+
+/// Every InjectedBug value with its name, in enum order; the five
+/// production-resident bugs reuse their planted_bug:: names.
+const std::vector<InjectedBugEntry>& InjectedBugs();
 
 std::string InjectedBugName(InjectedBug bug);
 Result<InjectedBug> InjectedBugFromName(std::string_view name);

@@ -10,25 +10,12 @@
 #include "qof/engine/system.h"
 #include "qof/exec/fault_injector.h"
 #include "qof/fuzz/canon.h"
+#include "qof/fuzz/matrix.h"
 #include "qof/fuzz/rng.h"
 #include "qof/server/service.h"
 
 namespace qof {
 namespace {
-
-/// Applies one mutation step to a system; shared by the service host
-/// (through the service) replay path.
-Status ApplyStep(FileQuerySystem& system, const MutationStep& m) {
-  switch (m.op) {
-    case MutationStep::Op::kAdd:
-      return system.AddFile(m.name, m.text);
-    case MutationStep::Op::kUpdate:
-      return system.UpdateFile(m.name, m.text);
-    case MutationStep::Op::kRemove:
-      return system.RemoveFile(m.name);
-  }
-  return Status::Internal("unreachable mutation op");
-}
 
 /// Ground truth per generation: a fresh single-threaded system built
 /// from the original docs with the first `k` mutations replayed
@@ -40,7 +27,7 @@ Status ApplyStep(FileQuerySystem& system, const MutationStep& m) {
 class ReplayOracle {
  public:
   ReplayOracle(const StructuringSchema& schema,
-               const std::vector<std::pair<std::string, std::string>>& docs,
+               const CaseDocs& docs,
                const ConcreteCase& c)
       : schema_(schema), docs_(docs), c_(c),
         expected_(c.mutations.size() + 1) {}
@@ -57,7 +44,7 @@ class ReplayOracle {
     replay.SetParallelism(1);
     QOF_RETURN_IF_ERROR(replay.BuildIndexes(IndexSpec::Full()));
     for (size_t i = 0; i < k; ++i) {
-      Status applied = ApplyStep(replay, c_.mutations[i]);
+      Status applied = ApplyMutation(replay, c_.mutations[i]);
       if (!applied.ok()) {
         return Status::Internal("session replay: mutation " +
                                 std::to_string(i) + " (" +
@@ -71,7 +58,7 @@ class ReplayOracle {
 
  private:
   const StructuringSchema& schema_;
-  const std::vector<std::pair<std::string, std::string>>& docs_;
+  const CaseDocs& docs_;
   const ConcreteCase& c_;
   std::vector<std::optional<CanonExec>> expected_;
 };
@@ -80,7 +67,7 @@ class ReplayOracle {
 
 Status CheckSessions(
     const StructuringSchema& schema,
-    const std::vector<std::pair<std::string, std::string>>& docs,
+    const CaseDocs& docs,
     const ConcreteCase& c, const OracleOptions& options, uint64_t seed,
     std::string* failure) {
   auto fail = [&](const std::string& what) {

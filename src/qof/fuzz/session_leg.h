@@ -34,7 +34,7 @@ namespace qof {
 /// means the isolation invariant was violated.
 Status CheckSessions(
     const StructuringSchema& schema,
-    const std::vector<std::pair<std::string, std::string>>& docs,
+    const CaseDocs& docs,
     const ConcreteCase& c, const OracleOptions& options, uint64_t seed,
     std::string* failure);
 

@@ -205,7 +205,7 @@ Status PagedStore::ReadStreamRangePinned(StoreSection section, uint64_t off,
   // Assembled only after every pin is held: with the injected
   // evict-pinned bug, a later fetch can steal an earlier pinned frame,
   // and these reads then see the stolen frame's bytes — the corruption
-  // the disk-tier fuzz leg exists to catch.
+  // the fuzzer's store rows exist to catch.
   size_t in_page = off % capacity;
   if (pins->size() == 1) {
     std::string_view payload = (*pins)[0].payload();

@@ -33,7 +33,7 @@ class PathMapperTest : public ::testing::Test {
 TEST_F(PathMapperTest, PlainAttributePathIsAllDirect) {
   auto mapped = MapPathToChains(
       rig_, "Reference", Path("r.Authors.Name.Last_Name"),
-      ChainSelection{ExprKind::kSelectMatches, "Chang"});
+      ChainSelection{ExprKind::kSelectMatches, "Chang", {}, 0});
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_EQ(mapped->alternatives.size(), 1u);
   const InclusionChain& chain = mapped->alternatives[0];
@@ -51,7 +51,7 @@ TEST_F(PathMapperTest, NoSelectionLocatesAttribute) {
 TEST_F(PathMapperTest, WildStarBecomesPlainInclusion) {
   auto mapped = MapPathToChains(
       rig_, "Reference", Path("r.*X.Last_Name"),
-      ChainSelection{ExprKind::kSelectMatches, "Chang"});
+      ChainSelection{ExprKind::kSelectMatches, "Chang", {}, 0});
   ASSERT_TRUE(mapped.ok());
   ASSERT_EQ(mapped->alternatives.size(), 1u);
   EXPECT_EQ(mapped->alternatives[0].ToString(),

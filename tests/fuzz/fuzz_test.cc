@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+
+#include "qof/fuzz/matrix.h"
 #include "qof/fuzz/repro.h"
 #include "qof/fuzz/shrink.h"
 
@@ -11,7 +15,6 @@ namespace {
 FuzzOptions FastOptions() {
   FuzzOptions options;
   options.workers = 2;
-  options.max_chains = 60;  // keep the convergence check cheap in tests
   return options;
 }
 
@@ -105,7 +108,7 @@ TEST(FuzzTest, InjectedExactSkipBugIsCaught) {
 
 TEST(FuzzTest, InjectedDropTombstoneBugIsCaught) {
   // Losing one tombstone's index splice leaves the dead document's
-  // contribution in the indexes. The maintenance leg must flag it —
+  // contribution in the indexes. A mutated row must flag it —
   // either as a differential mismatch against the baseline scan or as
   // compaction's own consistency check firing.
   FuzzOptions options = FastOptions();
@@ -129,9 +132,9 @@ TEST(FuzzTest, InjectedDropTombstoneBugIsCaught) {
 
 TEST(FuzzTest, InjectedStaleCacheBugIsCaught) {
   // An eval cache that ignores index-epoch changes keeps serving
-  // answers computed before a mutation. The caching leg's cached-vs-
-  // uncached comparison across interleaved mutations must flag it, and
-  // the written repro must replay to the same failure.
+  // answers computed before a mutation. A cache row's post-mutation
+  // check against its own baseline scan must flag it, and the written
+  // repro must replay to the same failure.
   FuzzOptions options = FastOptions();
   options.iterations = 60;
   options.seed = 1;
@@ -142,7 +145,7 @@ TEST(FuzzTest, InjectedStaleCacheBugIsCaught) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_TRUE(report->failed) << "injected stale-cache bug survived "
                               << report->iterations_run << " iterations";
-  EXPECT_NE(report->failure.find("[cache"), std::string::npos)
+  EXPECT_NE(report->failure.find("/cache-on/"), std::string::npos)
       << report->failure;
 
   auto replay = ReplayRepro(report->repro, /*workers=*/2);
@@ -177,10 +180,9 @@ TEST(FuzzTest, InjectedStaleSnapshotBugIsCaughtAndShrunk) {
 TEST(FuzzTest, InjectedEvictPinnedBugIsCaughtAndShrunk) {
   // A buffer pool that evicts pinned frames overwrites pages mid-read:
   // a multi-page posting stream assembled under a one-frame pool decodes
-  // another page's bytes. The disk-tier leg's on-disk-vs-in-memory
-  // cross-checks (queries plus the forced-materialization export
-  // comparison) must flag it, and the repro must replay to the same
-  // failure.
+  // another page's bytes. A store row's checks (queries plus the export
+  // after compaction, which pages every stream in) must flag it, and the
+  // repro must replay to the same failure.
   FuzzOptions options = FastOptions();
   options.iterations = 60;
   options.seed = 1;
@@ -190,7 +192,7 @@ TEST(FuzzTest, InjectedEvictPinnedBugIsCaughtAndShrunk) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_TRUE(report->failed) << "injected evict-pinned bug survived "
                               << report->iterations_run << " iterations";
-  EXPECT_NE(report->failure.find("[disk"), std::string::npos)
+  EXPECT_NE(report->failure.find("/store/"), std::string::npos)
       << report->failure;
 
   auto replay = ReplayRepro(report->repro, /*workers=*/2);
@@ -335,19 +337,57 @@ TEST(FuzzTest, ShrinkerReductionsShrinkTheCase) {
 }
 
 TEST(FuzzTest, InjectedBugNamesRoundTrip) {
-  for (InjectedBug bug : {InjectedBug::kNone, InjectedBug::kRelaxDirect,
-                          InjectedBug::kExactSkip,
-                          InjectedBug::kDropTombstone,
-                          InjectedBug::kStaleCache,
-                          InjectedBug::kBadCse,
-                          InjectedBug::kStaleSnapshot,
-                          InjectedBug::kEvictPinned,
-                          InjectedBug::kSkipDirSync}) {
-    auto parsed = InjectedBugFromName(InjectedBugName(bug));
+  std::set<std::string> names;
+  for (const InjectedBugEntry& entry : InjectedBugs()) {
+    EXPECT_TRUE(names.insert(entry.name).second) << entry.name;
+    EXPECT_EQ(InjectedBugName(entry.bug), entry.name);
+    auto parsed = InjectedBugFromName(entry.name);
     ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, bug);
+    EXPECT_EQ(*parsed, entry.bug);
   }
+  // Every enum value has an entry, kNone through kSkipDirSync.
+  EXPECT_EQ(InjectedBugs().size(),
+            static_cast<size_t>(InjectedBug::kSkipDirSync) + 1);
   EXPECT_FALSE(InjectedBugFromName("no-such-bug").ok());
+}
+
+TEST(FuzzTest, MatrixRowsCoverEveryAxisPair) {
+  // Each row's value on the four axes: index (full, subset 0, subset 1),
+  // storage, caches and parallelism.
+  constexpr int kAxes = 4;
+  const int domain[kAxes] = {1 + kCaseSubsets, 2, 2, 2};
+  auto values = [](const MatrixRow& row) {
+    return std::array<int, kAxes>{row.subset + 1, row.store ? 1 : 0,
+                                  row.cache ? 1 : 0, row.parallel ? 1 : 0};
+  };
+  auto covers_every_pair = [&](const std::vector<MatrixRow>& rows) {
+    for (int a = 0; a < kAxes; ++a) {
+      for (int b = a + 1; b < kAxes; ++b) {
+        for (int va = 0; va < domain[a]; ++va) {
+          for (int vb = 0; vb < domain[b]; ++vb) {
+            bool seen = false;
+            for (const MatrixRow& row : rows) {
+              seen = seen || (values(row)[a] == va && values(row)[b] == vb);
+            }
+            if (!seen) return false;
+          }
+        }
+      }
+    }
+    return true;
+  };
+  const std::vector<MatrixRow>& rows = MatrixRows();
+  EXPECT_TRUE(covers_every_pair(rows));
+  // Row 0 is the reference row the fault leg runs on (but for the
+  // index_io.* sites, which need a store row).
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(values(rows[0]), (std::array<int, kAxes>{0, 0, 0, 0}));
+  // Every row is needed: dropping any one loses a pair.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<MatrixRow> fewer = rows;
+    fewer.erase(fewer.begin() + static_cast<long>(i));
+    EXPECT_FALSE(covers_every_pair(fewer)) << "row " << i << " is redundant";
+  }
 }
 
 }  // namespace

@@ -22,14 +22,17 @@ void PrintUsage(std::ostream& out) {
          "  --seed N              master seed (default 1)\n"
          "  --invalid-fraction F  mutated-query fraction (default 0.15)\n"
          "  --canned-fraction F   canned-corpus fraction (default 0.2)\n"
-         "  --subsets N           index subsets per case (default 2)\n"
          "  --mutation-fraction F mutation-sequence fraction (default "
          "0.35)\n"
-         "  --workers N           parallel leg worker count (default 4)\n"
-         "  --inject KIND         none | relax-direct | exact-skip | "
-         "drop-tombstone\n"
-         "                        | stale-cache | bad-cse | "
-         "stale-snapshot | evict-pinned | skip-dir-sync\n"
+         "  --workers N           worker count of the parallel matrix rows "
+         "(default 4)\n"
+         "  --inject KIND         ";
+  const char* separator = "";
+  for (const qof::InjectedBugEntry& entry : qof::InjectedBugs()) {
+    out << separator << entry.name;
+    separator = " | ";
+  }
+  out << "\n"
          "                        | fault[:SITE[:HIT]] — fault-injection "
          "leg; SITE from\n"
          "                        --list-fault-sites (default random per "
@@ -78,8 +81,6 @@ int main(int argc, char** argv) {
       options.invalid_fraction = f;
     } else if (arg == "--canned-fraction" && ParseDouble(next(), &f)) {
       options.canned_fraction = f;
-    } else if (arg == "--subsets" && ParseInt(next(), &n)) {
-      options.subsets_per_case = static_cast<int>(n);
     } else if (arg == "--mutation-fraction" && ParseDouble(next(), &f)) {
       options.mutation_fraction = f;
     } else if (arg == "--workers" && ParseInt(next(), &n)) {

@@ -116,7 +116,9 @@ struct State {
   /// first write.
   LoadedIndexStore loaded;
   std::unique_ptr<IndexMaintainer> maintainer;
-  std::vector<std::string> synthetic_names;  // placeholder-backed docs
+  /// Documents loaded as placeholders (their bytes on disk no longer
+  /// match the store); journal replay may since have replaced them.
+  std::vector<DocId> synthetic;
   size_t journal_records = 0;
   bool journal_repaired = false;  // a torn tail was discarded
 };
@@ -147,7 +149,6 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
   // fingerprint become zero-filled placeholders (synthetic documents).
   // The store's offsets describe its own document table, which the
   // corpus rebuilt here follows row for row.
-  std::vector<DocId> synthetic;
   for (const DocFingerprint& doc : state->loaded.docs) {
     auto text = ReadFile(doc.name);
     bool matches = text.ok() && text->size() == doc.size &&
@@ -156,10 +157,7 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
         DocId id,
         state->corpus.AddDocument(
             doc.name, matches ? *text : std::string(doc.size, '\0')));
-    if (!matches) {
-      synthetic.push_back(id);
-      state->synthetic_names.push_back(doc.name);
-    }
+    if (!matches) state->synthetic.push_back(id);
   }
 
   MaintainOptions maintain_options;
@@ -168,7 +166,9 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
       state->schema.get(), &state->corpus, &state->loaded.indexes,
       state->loaded.spec, maintain_options);
   state->maintainer->set_generation(state->loaded.generation);
-  for (DocId id : synthetic) state->maintainer->MarkDocumentSynthetic(id);
+  for (DocId id : state->synthetic) {
+    state->maintainer->MarkDocumentSynthetic(id);
+  }
 
   QOF_ASSIGN_OR_RETURN(
       std::vector<JournalRecord> records,
@@ -331,8 +331,11 @@ Status RunInspect(const std::string& dir, SyncPolicy policy) {
             << stats.live_documents << " live document(s), "
             << stats.tombstones << " tombstone(s), " << stats.dead_bytes
             << " dead byte(s)\n";
-  for (const std::string& name : (*state)->synthetic_names) {
-    std::cout << "  stale on disk: " << name
+  // Only placeholders the journal did not replace or remove are stale.
+  const Corpus& corpus = (*state)->corpus;
+  for (DocId id : (*state)->synthetic) {
+    if (!corpus.is_live(id)) continue;
+    std::cout << "  stale on disk: " << corpus.document_name(id)
               << " (update or remove before compacting)\n";
   }
   if ((*state)->maintainer->NeedsCompaction()) {
