@@ -1,12 +1,10 @@
-// Benchmarks backing the adaptive-kernel and query-cache acceptance
-// targets: the galloping vs. linear ∩ kernels across size skews
-// (the galloping side must win big at 1:10k and results must stay
-// byte-identical), and cold vs. warm query runs with the plan + eval
-// caches enabled. Plain driver (no google-benchmark): prints a table and
-// writes the JSON rows the CI bench-smoke gate checks.
+// The adaptive ∩ kernels: galloping vs. linear merge across size skews
+// (the galloping side must win big at 1:10k, and results must stay
+// byte-identical — the program exits 1 if they differ). Plain program (no
+// google-benchmark): prints a table and writes JSON rows.
 //
-// Usage: bench_cache_kernels [--json <path>]
-//   default path: BENCH_cache_kernels.json in the current directory.
+// Usage: bench_kernels [--json <path>]
+//   default path: BENCH_kernels.json in the current directory.
 
 #include <cstdio>
 #include <cstdlib>
@@ -69,66 +67,13 @@ void BenchKernels(qof_bench::JsonEmitter* emitter) {
   }
 }
 
-void BenchCache(qof_bench::JsonEmitter* emitter) {
-  constexpr const char* kFlagship =
-      "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "
-      "\"Chang\"";
-  constexpr int kRefs = 20000;
-  std::printf("\ncache: cold vs warm (corpus: %d references)\n", kRefs);
-  std::printf("%-14s %14s %14s %9s\n", "config", "cold_us", "warm_us",
-              "speedup");
-  qof::FileQuerySystem& system =
-      qof_bench::BibtexSystem(kRefs, qof::IndexSpec::Full(), "full");
-
-  auto run = [&] {
-    auto result = system.Execute(kFlagship);
-    if (!result.ok()) {
-      std::fprintf(stderr, "FATAL: query failed: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    return std::move(*result);
-  };
-
-  system.SetCacheOptions(qof::CacheOptions{});
-  qof::QueryResult uncached = run();
-
-  // Cold: every iteration starts from freshly-reset caches.
-  qof::QueryResult cold_result;
-  double cold_us = qof_bench::MedianMicros(15, [&] {
-    system.SetCacheOptions(qof::CacheOptions::Enabled());
-    cold_result = run();
-  });
-
-  // Warm: caches stay populated across iterations.
-  system.SetCacheOptions(qof::CacheOptions::Enabled());
-  run();  // populate
-  qof::QueryResult warm_result;
-  double warm_us =
-      qof_bench::MedianMicros(25, [&] { warm_result = run(); });
-  system.SetCacheOptions(qof::CacheOptions{});
-
-  if (warm_result.regions != cold_result.regions ||
-      warm_result.regions != uncached.regions) {
-    std::fprintf(stderr, "FATAL: cached results differ from uncached\n");
-    std::exit(1);
-  }
-  double speedup = warm_us > 0 ? cold_us / warm_us : 0;
-  std::printf("%-14s %14.1f %14.1f %8.1fx\n", "flagship", cold_us,
-              warm_us, speedup);
-  emitter->Row("cache", "flagship", "cold_micros", cold_us);
-  emitter->Row("cache", "flagship", "warm_micros", warm_us);
-  emitter->Row("cache", "flagship", "speedup", speedup);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = qof_bench::ExtractJsonArg(&argc, argv);
-  if (json_path.empty()) json_path = "BENCH_cache_kernels.json";
+  if (json_path.empty()) json_path = "BENCH_kernels.json";
   qof_bench::JsonEmitter emitter(json_path);
   BenchKernels(&emitter);
-  BenchCache(&emitter);
   emitter.Flush();
   std::printf("\nwrote %s\n", json_path.c_str());
   return 0;

@@ -41,7 +41,7 @@ std::string TempPath(const char* name) {
 }
 
 /// `n` disjoint regions spaced so subsets at any stride stay non-trivial
-/// (same layout as bench_cache_kernels, so the two benches are
+/// (same layout as bench_kernels, so the two benches are
 /// comparable).
 RegionSet DenseSet(uint64_t n) {
   std::vector<Region> v;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "qof/algebra/cost_model.h"
 #include "qof/algebra/select_kernels.h"
 #include "qof/exec/fault_injector.h"
 #include "qof/util/string_util.h"

@@ -20,14 +20,6 @@ bool EvalCache::IsPinnedLocked(const CacheEpoch& epoch) const {
   return false;
 }
 
-void EvalCache::ErasePlainLocked(const std::string& composite) {
-  auto it = map_.find(composite);
-  if (it == map_.end()) return;
-  regions_cached_ -= it->second.set->size();
-  lru_.erase(it->second.lru_it);
-  map_.erase(it);
-}
-
 void EvalCache::AdvanceEpochLocked(const CacheEpoch& epoch) {
   // Only ever move forwards: a snapshot query running under a pinned old
   // epoch must not reset "current" and prune the live state's entries.
@@ -141,15 +133,6 @@ void EvalCache::EvictIfNeededLocked() {
     ++stats_.eval_evictions;
   }
   stats_.eval_regions_cached = regions_cached_;
-}
-
-void EvalCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  lru_.clear();
-  regions_cached_ = 0;
-  stats_.eval_regions_cached = 0;
-  ++stats_.invalidations;
 }
 
 CacheStats EvalCache::stats() const {

@@ -104,12 +104,10 @@ class EvalCache {
   /// flush without waiting for the next query).
   void AdvanceEpoch(const CacheEpoch& epoch);
 
-  void Clear();
   CacheStats stats() const;
 
  private:
   void AdvanceEpochLocked(const CacheEpoch& epoch);
-  void ErasePlainLocked(const std::string& composite);
   bool IsPinnedLocked(const CacheEpoch& epoch) const;
   void EvictIfNeededLocked();
   std::string CompositeKey(const std::string& key,

@@ -239,10 +239,18 @@ Result<std::string> FileQuerySystem::Explain(std::string_view fql) const {
   }
   out += "strategy:  " + strategy + "\n";
 
-  CostEstimator estimator(&built_->regions, &built_->words);
   out += "candidates: " + plan.candidates->ToString() + "\n";
-  auto est = estimator.Estimate(*plan.candidates);
-  if (est.ok()) out += "            " + est->ToString() + "\n";
+  // The cost figures the optimizer passes read, taken on the lowering
+  // before any pass runs: n-ary ∪/∩ cost like their left fold.
+  IrProgram lowered =
+      LowerToIr(plan.candidates.get(), nullptr, nullptr, nullptr);
+  AnnotateIrCosts(&lowered, &built_->regions, &built_->words);
+  const IrNode& root = lowered.nodes[lowered.candidates];
+  out += "            ~" +
+         std::to_string(static_cast<long long>(root.est_cardinality)) +
+         " regions, ~" +
+         std::to_string(static_cast<long long>(root.est_work)) +
+         " work units\n";
   if (plan.projection != nullptr) {
     out += "projection: " + plan.projection->ToString() + "\n";
   }
@@ -258,7 +266,7 @@ Result<std::string> FileQuerySystem::Explain(std::string_view fql) const {
 }
 
 Result<std::string> FileQuerySystem::ExplainQuery(
-    std::string_view fql) const {
+    std::string_view fql, const IrPlanOptions& passes) const {
   QOF_ASSIGN_OR_RETURN(std::string out, Explain(fql));
   QOF_ASSIGN_OR_RETURN(QueryPlan plan, Plan(fql));
   if (plan.trivially_empty || !plan.view_indexed) return out;
@@ -266,7 +274,7 @@ Result<std::string> FileQuerySystem::ExplainQuery(
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
   std::vector<PassTrace> trace;
-  RunPasses(&ir, ir_options_, &built_->regions, &built_->words, &trace);
+  RunPasses(&ir, passes, &built_->regions, &built_->words, &trace);
   out += "\nIR pipeline:\n";
   for (const PassTrace& step : trace) {
     out += "-- after " + step.name + " --\n" + step.dump;
@@ -274,39 +282,44 @@ Result<std::string> FileQuerySystem::ExplainQuery(
   return out;
 }
 
+Result<std::shared_ptr<const PlanCache::Entry>> FileQuerySystem::ParseCached(
+    std::string_view fql, uint64_t build) {
+  // Plans depend only on the schema and the index spec, never on the
+  // indexed data, so mutations need not invalidate them. PlanCache is
+  // internally locked, so concurrent snapshot queries can share it.
+  std::string key;
+  if (plan_cache_ != nullptr) {
+    key.assign(fql);
+    auto hit = plan_cache_->Lookup(key);
+    if (hit != nullptr && hit->build == build) return hit;
+  }
+  auto entry = std::make_shared<PlanCache::Entry>();
+  QOF_ASSIGN_OR_RETURN(entry->query, ParseFql(fql));
+  entry->build = build;
+  if (plan_cache_ != nullptr) plan_cache_->Insert(key, entry);
+  return std::shared_ptr<const PlanCache::Entry>(std::move(entry));
+}
+
 Result<QueryResult> FileQuerySystem::Execute(std::string_view fql,
                                              ExecutionMode mode,
                                              const QueryOptions& options) {
-  if (plan_cache_ != nullptr) {
-    std::string key(fql);
-    auto hit = plan_cache_->Lookup(key);
-    if (hit != nullptr && hit->build == builds_) {
-      // Parse and (when present) compile both skipped. Plans depend only
-      // on the schema and the index spec, never on the indexed data, so
-      // mutations need not invalidate them. The build stamp rejects the
-      // one unsound case: an entry a snapshot query of a superseded
-      // build published after the rebuild cleared the cache.
-      return ExecuteQueryImpl(hit->query, mode, options, &key, hit->plan);
-    }
-    QOF_ASSIGN_OR_RETURN(SelectQuery query, ParseFql(fql));
-    // Publish the parse right away (plan still null); the impl replaces
-    // the entry with the compiled plan attached once it compiles — which
-    // baseline-mode executions never do.
-    auto entry = std::make_shared<PlanCache::Entry>();
-    entry->query = query;
-    entry->build = builds_;
-    plan_cache_->Insert(key, std::move(entry));
-    return ExecuteQueryImpl(query, mode, options, &key, nullptr);
-  }
-  QOF_ASSIGN_OR_RETURN(SelectQuery query, ParseFql(fql));
-  return ExecuteQueryImpl(query, mode, options, nullptr, nullptr);
-}
-
-Result<QueryResult> FileQuerySystem::ExecuteQuery(
-    const SelectQuery& query, ExecutionMode mode,
-    const QueryOptions& options) {
-  // Pre-parsed queries have no text to key the plan cache by.
-  return ExecuteQueryImpl(query, mode, options, nullptr, nullptr);
+  QOF_ASSIGN_OR_RETURN(auto parsed, ParseCached(fql, builds_));
+  ExecSurface surface;
+  surface.corpus = corpus_.get();
+  surface.built = built_.get();
+  surface.compiler = compiler_.get();
+  surface.epoch = CurrentEpochUnlocked();
+  surface.maintain =
+      maintainer_ != nullptr ? maintainer_->stats() : MaintainStats{};
+  surface.maintained = maintainer_ != nullptr;
+  surface.eval_cache = eval_cache_.get();
+  // Two-phase candidate verification runs on the system pool.
+  surface.pool = EnsurePool(EffectiveParallelism(parallelism_));
+  // The live path owns the corpus counter (no concurrent readers by
+  // contract — see AcquireSnapshot's concurrency notes).
+  corpus_->ResetBytesRead();
+  return ExecuteWithSurface(surface, parsed->query, mode, options, fql,
+                            parsed->plan);
 }
 
 Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
@@ -338,35 +351,7 @@ Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
 Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
     const IndexSnapshot& snapshot, std::string_view fql,
     ExecutionMode mode, const QueryOptions& options) {
-  // The plan cache serves snapshot queries of the *current* build: the
-  // build stamp on each entry keeps a snapshot that outlived a rebuild
-  // from using plans compiled by the newer compiler (and vice versa).
-  // PlanCache is internally locked, so concurrent snapshot queries can
-  // share it.
-  PlanCache* plans = plan_cache_.get();
-  std::string key;
-  std::shared_ptr<const PlanCache::Entry> hit;
-  if (plans != nullptr) {
-    key.assign(fql);
-    hit = plans->Lookup(key);
-    if (hit != nullptr && hit->build != snapshot.epoch.build) {
-      hit = nullptr;
-    }
-  }
-  SelectQuery query;
-  std::shared_ptr<const QueryPlan> cached_plan;
-  if (hit != nullptr) {
-    query = hit->query;
-    cached_plan = hit->plan;
-  } else {
-    QOF_ASSIGN_OR_RETURN(query, ParseFql(fql));
-    if (plans != nullptr) {
-      auto entry = std::make_shared<PlanCache::Entry>();
-      entry->query = query;
-      entry->build = snapshot.epoch.build;
-      plans->Insert(key, entry);
-    }
-  }
+  QOF_ASSIGN_OR_RETURN(auto parsed, ParseCached(fql, snapshot.epoch.build));
   // Per-query byte accounting: the snapshot's corpus is shared with
   // other concurrent queries (and possibly the live state), so its
   // member counter can't be reset — route this thread's scanning into a
@@ -388,9 +373,8 @@ Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
   // pool (ParallelFor is not reentrant across callers): they run serial.
   surface.pool = nullptr;
   surface.scan_counter = &scanned;
-  return ExecuteWithSurface(surface, query, mode, options,
-                            plans != nullptr ? &key : nullptr,
-                            std::move(cached_plan));
+  return ExecuteWithSurface(surface, parsed->query, mode, options, fql,
+                            parsed->plan);
 }
 
 void FileQuerySystem::SetCacheOptions(const CacheOptions& options) {
@@ -450,32 +434,9 @@ Result<QueryResult> FileQuerySystem::RunBaselinePlan(
   return result;
 }
 
-Result<QueryResult> FileQuerySystem::ExecuteQueryImpl(
-    const SelectQuery& query, ExecutionMode mode,
-    const QueryOptions& options, const std::string* plan_key,
-    std::shared_ptr<const QueryPlan> cached_plan) {
-  ExecSurface surface;
-  surface.corpus = corpus_.get();
-  surface.built = built_.get();
-  surface.compiler = compiler_.get();
-  surface.epoch = CurrentEpochUnlocked();
-  surface.maintain =
-      maintainer_ != nullptr ? maintainer_->stats() : MaintainStats{};
-  surface.maintained = maintainer_ != nullptr;
-  surface.eval_cache = eval_cache_.get();
-  // Two-phase candidate verification runs on the system pool.
-  surface.pool = EnsurePool(EffectiveParallelism(parallelism_));
-  // The live path owns the corpus counter (no concurrent readers by
-  // contract — see AcquireSnapshot's concurrency notes).
-  corpus_->ResetBytesRead();
-  return ExecuteWithSurface(surface, query, mode, options, plan_key,
-                            std::move(cached_plan));
-}
-
 Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
     const ExecSurface& surface, const SelectQuery& query,
-    ExecutionMode mode, const QueryOptions& options,
-    const std::string* plan_key,
+    ExecutionMode mode, const QueryOptions& options, std::string_view fql,
     std::shared_ptr<const QueryPlan> cached_plan) {
   QOF_RETURN_IF_ERROR(CheckView(query.view));
 
@@ -529,12 +490,12 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
     QOF_ASSIGN_OR_RETURN(QueryPlan compiled,
                          surface.compiler->Compile(query));
     plan_ptr = std::make_shared<const QueryPlan>(std::move(compiled));
-    if (plan_key != nullptr && plan_cache_ != nullptr) {
+    if (plan_cache_ != nullptr) {
       auto entry = std::make_shared<PlanCache::Entry>();
       entry->query = query;
       entry->build = surface.epoch.build;
       entry->plan = plan_ptr;
-      plan_cache_->Insert(*plan_key, std::move(entry));
+      plan_cache_->Insert(std::string(fql), std::move(entry));
     }
   }
   const QueryPlan& plan = *plan_ptr;
@@ -615,7 +576,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   IrProgram ir =
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
-  RunPasses(&ir, ir_options_, &surface.built->regions,
+  RunPasses(&ir, IrPlanOptions{}, &surface.built->regions,
             &surface.built->words);
   IrExecutor ir_exec(&ir, &surface.built->regions, &surface.built->words,
                      surface.corpus, ctx, surface.eval_cache, surface.epoch);

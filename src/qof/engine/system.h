@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "qof/algebra/cost_model.h"
 #include "qof/algebra/evaluator.h"
 #include "qof/cache/cache.h"
 #include "qof/compiler/query_compiler.h"
@@ -136,8 +135,8 @@ class FileQuerySystem {
   // Concurrency contract: mutations (AddFile / UpdateFile / RemoveFile /
   // CompactIndexes / BuildIndexes / OpenStore) are serialized against
   // each other internally and may run concurrently with any number of
-  // ExecuteOnSnapshot calls. The *live* Execute/ExecuteQuery paths are
-  // NOT safe against concurrent mutations — multi-client callers (see
+  // ExecuteOnSnapshot calls. The *live* Execute path is NOT safe
+  // against concurrent mutations — multi-client callers (see
   // qof/server/) route every query through a snapshot.
 
   /// Pins the current corpus + indexes + compiler as an immutable
@@ -199,9 +198,6 @@ class FileQuerySystem {
   Result<QueryResult> Execute(std::string_view fql,
                               ExecutionMode mode = ExecutionMode::kAuto,
                               const QueryOptions& options = {});
-  Result<QueryResult> ExecuteQuery(const SelectQuery& query,
-                                   ExecutionMode mode,
-                                   const QueryOptions& options = {});
 
   /// Installs (or disables, with a default-constructed CacheOptions) the
   /// two query caches. The plan cache maps FQL text to its parsed AST and
@@ -230,13 +226,10 @@ class FileQuerySystem {
   /// program and its dump after every pass (CSE, pushdown, ordering,
   /// fusion), each node annotated with cost estimates. Deterministic for
   /// a given system state — the qof_explain tool and the golden test
-  /// print it verbatim.
-  Result<std::string> ExplainQuery(std::string_view fql) const;
-
-  /// Overrides the IR optimizer pass configuration for subsequent
-  /// queries (per-pass toggles for ablation).
-  void SetIrOptions(const IrPlanOptions& options) { ir_options_ = options; }
-  const IrPlanOptions& ir_options() const { return ir_options_; }
+  /// print it verbatim. `passes` changes only the printed pipeline
+  /// (dropping a pass drops its step); queries always run every pass.
+  Result<std::string> ExplainQuery(std::string_view fql,
+                                   const IrPlanOptions& passes = {}) const;
 
   /// Accepts "<View>" and "<View>s" ("Reference", "References") plus any
   /// alias registered here.
@@ -350,7 +343,7 @@ class FileQuerySystem {
   /// Caller must hold state_mu_.
   void CowIfPinnedLocked();
 
-  /// The baseline plan body, shared by ExecuteQuery(kBaseline) and the
+  /// The baseline plan body, shared by kBaseline executions and the
   /// auto-mode fallback (which has already parsed and view-checked the
   /// query, so it must not pay for either again). Does not reset the
   /// corpus byte counter: the caller owns it, so bytes accumulate across
@@ -360,21 +353,23 @@ class FileQuerySystem {
                                       const ExecContext* ctx,
                                       bool soft_fail);
 
-  /// Live-state entry: builds the surface from members, resets the corpus
-  /// byte counter, delegates to ExecuteWithSurface. `plan_key` (the FQL
-  /// text, non-null only when the plan cache is on) lets the compiled
-  /// plan be published back to the cache; `cached_plan` skips compilation
-  /// when the lookup already produced one.
-  Result<QueryResult> ExecuteQueryImpl(
-      const SelectQuery& query, ExecutionMode mode,
-      const QueryOptions& options, const std::string* plan_key,
-      std::shared_ptr<const QueryPlan> cached_plan);
+  /// Parses `fql` through the plan cache, serving only entries stamped
+  /// with `build` (the live build for Execute, the pinned one for a
+  /// snapshot): plans depend on the compiler, which each build replaces,
+  /// and a snapshot can outlive a rebuild. A hit skips parsing, and
+  /// compiling too once a plan is attached; a miss parses and publishes
+  /// the parse (plan still null) for ExecuteWithSurface to complete.
+  /// With the plan cache off this only parses.
+  Result<std::shared_ptr<const PlanCache::Entry>> ParseCached(
+      std::string_view fql, uint64_t build);
 
   /// The strategy ladder itself, parameterized by the surface it reads.
+  /// A compiled plan is published back to the plan cache under `fql`
+  /// when the cache is on; `cached_plan` skips compilation when the
+  /// lookup already produced one.
   Result<QueryResult> ExecuteWithSurface(
       const ExecSurface& surface, const SelectQuery& query,
-      ExecutionMode mode, const QueryOptions& options,
-      const std::string* plan_key,
+      ExecutionMode mode, const QueryOptions& options, std::string_view fql,
       std::shared_ptr<const QueryPlan> cached_plan);
 
   /// The epoch eval-cache entries are keyed under right now. Reads
@@ -417,7 +412,6 @@ class FileQuerySystem {
   MaintainOptions maintain_options_;
   std::unique_ptr<IndexMaintainer> maintainer_;
   CacheOptions cache_options_;
-  IrPlanOptions ir_options_;
   std::unique_ptr<PlanCache> plan_cache_;
   std::shared_ptr<EvalCache> eval_cache_;
   std::set<std::string> view_aliases_;

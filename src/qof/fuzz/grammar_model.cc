@@ -210,30 +210,6 @@ int SchemaModel::NumProductions() const {
   return n;
 }
 
-std::vector<std::string> SchemaModel::SinkNames() const {
-  std::vector<std::string> out;
-  for (const FieldSpec& f : fields) {
-    if (f.kind == FieldSpec::Kind::kLeaf) out.push_back(f.name);
-  }
-  for (int si : UsedSubs()) {
-    const SubSpec& s = subs[si];
-    if (s.tuple) {
-      out.push_back(s.KeyName());
-      out.push_back(s.ValName());
-    } else {
-      out.push_back(s.name);
-    }
-  }
-  return out;
-}
-
-bool SchemaModel::HasRecursion() const {
-  for (const FieldSpec& f : fields) {
-    if (f.kind == FieldSpec::Kind::kRecurse) return true;
-  }
-  return false;
-}
-
 SchemaModel GenerateSchemaModel(FuzzRng& rng,
                                 const SchemaGenOptions& options) {
   SchemaModel model;

@@ -66,13 +66,6 @@ struct SchemaModel {
   /// one (or three, for tuples) per *referenced* sub.
   int NumProductions() const;
 
-  /// Non-terminals whose rule is a token rule — the RIG's sink nodes.
-  /// Query paths end here: a sink's region text equals its flattened
-  /// database value, so every plan kind renders projections identically.
-  std::vector<std::string> SinkNames() const;
-
-  bool HasRecursion() const;
-
   /// Sub indexes actually referenced by some kSet field.
   std::vector<int> UsedSubs() const;
 };

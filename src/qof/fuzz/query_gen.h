@@ -51,8 +51,10 @@ struct QueryGenOptions {
 };
 
 /// Emits a query whose paths are random walks on `rig` from the view
-/// node, ending at sink non-terminals (see SchemaModel::SinkNames for
-/// why), with occasional *X / ?X wildcards and off-schema attributes.
+/// node, ending at sink non-terminals (token rules, whose region text
+/// equals their flattened database value, so every plan kind renders
+/// projections identically), with occasional *X / ?X wildcards and
+/// off-schema attributes.
 QueryModel GenerateQuery(FuzzRng& rng, const Rig& rig,
                          const std::string& view_node,
                          const std::string& view_name,

@@ -56,8 +56,8 @@ struct IrNode {
   std::vector<int> inputs;
   std::vector<IrStage> stages;  // kFusedChain
   std::string key;
-  // Cost annotations (CostEstimator formulas over the shared CostModel
-  // table); negative until AnnotateIrCosts runs.
+  // Cost annotations (AnnotateIrCosts over the shared CostModel table);
+  // negative until AnnotateIrCosts runs.
   double est_cardinality = -1;
   double est_work = -1;
 };

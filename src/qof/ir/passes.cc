@@ -102,8 +102,8 @@ Est InclusionEst(const Est& l, const Est& r, IrOp op,
 
 void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
                      const WordIndex* words) {
-  // Mirrors CostEstimator::Estimate over the flattened form: n-ary nodes
-  // cost like the left-fold of the binary operator they replaced.
+  // Bottom-up over the topological order: n-ary nodes cost like the
+  // left-fold of the binary operator they replaced.
   std::vector<Est> est(program->nodes.size());
   for (size_t i = 0; i < program->nodes.size(); ++i) {
     IrNode& n = program->nodes[i];

@@ -81,8 +81,11 @@ void PassOrderOperands(IrProgram* program, const RegionIndex* regions,
 /// single kFusedChain nodes executed over batched region runs.
 void PassFuse(IrProgram* program);
 
-/// Annotates every node with CostEstimator-equivalent cardinality/work
-/// estimates over the shared CostModel table.
+/// Annotates every node with cardinality/work estimates over the shared
+/// CostModel table — the system's one cost model: the size-refined
+/// expression ordering of §3.2 (Def. 3.4) that the passes and Explain
+/// read. Unknown names estimate as empty; n-ary ∪/∩/− cost like the
+/// left fold of the binary operator they replaced.
 void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
                      const WordIndex* words);
 

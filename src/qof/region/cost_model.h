@@ -8,11 +8,12 @@
 namespace qof {
 
 /// One shared table of size-ratio dispatch constants, used by the region
-/// kernels, the tree evaluator's adaptive selection dispatch, the
-/// CostEstimator, and the IR optimizer passes. Keeping the thresholds in
-/// a single place guarantees the layers agree on *when* the asymmetric
-/// (galloping / posting-driven) paths win, so a plan the optimizer costs
-/// one way cannot execute another way.
+/// kernels, the tree evaluator's adaptive selection dispatch, and the IR
+/// cost annotation (AnnotateIrCosts) that the optimizer passes and
+/// Explain read. Keeping the thresholds in a single place guarantees the
+/// layers agree on *when* the asymmetric (galloping / posting-driven)
+/// paths win, so a plan the optimizer costs one way cannot execute
+/// another way.
 struct CostModel {
   /// Crossover ratio for the adaptive set kernels: gallop when
   /// small * kGallopRatio < large (probing the small operand into the

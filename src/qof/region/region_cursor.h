@@ -45,7 +45,6 @@ class RegionCursor {
   /// skip on: a block with max_end < p.end cannot hold a region that
   /// encloses p, however early its starts are.
   virtual uint64_t block_max_end(size_t b) const = 0;
-  virtual uint32_t block_count(size_t b) const = 0;
 
   /// Decodes block `b` into `out` (cleared first). The expensive step —
   /// the kernels call it only for blocks whose bounds survive skipping.
@@ -90,10 +89,6 @@ class VectorRegionCursor : public RegionCursor {
       max_end = std::max(max_end, (*regions_)[i].end);
     }
     return max_end;
-  }
-  uint32_t block_count(size_t b) const override {
-    size_t end = std::min<size_t>((b + 1) * block_size_, regions_->size());
-    return static_cast<uint32_t>(end - b * block_size_);
   }
   Status ReadBlock(size_t b, std::vector<Region>* out) override {
     size_t begin = b * block_size_;

@@ -78,8 +78,8 @@ class RegionSet {
 /// kernels (select_kernels.h) walk the postings instead of the child on
 /// the same rule (CostModel::PreferPostingDriven). Aliased from the
 /// shared CostModel table so every layer (kernels, evaluator dispatch,
-/// cost estimation, IR passes) agrees on it. ⊃, ⊂ and ι have one cursor
-/// kernel each, which already adapts to skew.
+/// the IR cost annotation and passes) agrees on it. ⊃, ⊂ and ι have one
+/// cursor kernel each, which already adapts to skew.
 inline constexpr size_t kGallopRatio = CostModel::kGallopRatio;
 
 /// Set-theoretic union of two region sets.

@@ -227,14 +227,6 @@ Result<uint64_t> QueryService::SessionGeneration(uint64_t session_id) const {
   return session->pinned_generation();
 }
 
-Result<CacheEpoch> QueryService::SessionEpoch(uint64_t session_id) const {
-  std::shared_ptr<ClientSession> session = FindSession(session_id);
-  if (session == nullptr) {
-    return Status::NotFound("no session " + std::to_string(session_id));
-  }
-  return session->pinned_epoch();
-}
-
 Result<uint64_t> QueryService::SessionQueryCount(uint64_t session_id) const {
   std::shared_ptr<ClientSession> session = FindSession(session_id);
   if (session == nullptr) {

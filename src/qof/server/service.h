@@ -110,9 +110,8 @@ class QueryService {
   /// Cancels the session's in-flight queries (cross-thread safe).
   Status CancelActive(uint64_t session_id);
 
-  /// The generation / epoch the session's queries currently see.
+  /// The generation the session's queries currently see.
   Result<uint64_t> SessionGeneration(uint64_t session_id) const;
-  Result<CacheEpoch> SessionEpoch(uint64_t session_id) const;
   Result<uint64_t> SessionQueryCount(uint64_t session_id) const;
 
   ServiceStats stats() const;

@@ -47,11 +47,6 @@ class ClientSession {
     return snapshot_->maintain.generation;
   }
 
-  CacheEpoch pinned_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return snapshot_->epoch;
-  }
-
   /// The token queries submitted right now carry (unless the caller
   /// supplied its own). CancelActive swaps in a fresh token, so
   /// cancellation hits exactly the queries in flight at that moment.

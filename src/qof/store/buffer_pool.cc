@@ -7,8 +7,6 @@ namespace qof {
 
 PageType PageRef::type() const { return pool_->frames_[frame_].header.type; }
 
-uint32_t PageRef::page_no() const { return pool_->frames_[frame_].page_no; }
-
 std::string_view PageRef::payload() const {
   const BufferPool::Frame& f = pool_->frames_[frame_];
   return std::string_view(f.data.data() + kPageHeaderSize,

@@ -79,7 +79,6 @@ class PageRef {
 
   bool valid() const { return pool_ != nullptr; }
   PageType type() const;
-  uint32_t page_no() const;
   /// The page's payload bytes (checksum already verified at fetch).
   std::string_view payload() const;
 

@@ -50,9 +50,6 @@ class StoreRegionCursorImpl : public RegionCursor {
   uint64_t block_max_end(size_t b) const override {
     return header_.blocks[b].max_end;
   }
-  uint32_t block_count(size_t b) const override {
-    return header_.blocks[b].count;
-  }
 
   CursorIoStats io_stats() const override {
     CursorIoStats out;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "qof/datagen/schemas.h"
+#include "qof/ir/ir.h"
+#include "qof/ir/passes.h"
 
 namespace qof {
 namespace {
@@ -327,6 +329,7 @@ TEST_F(SystemTest, ExecuteWithoutIndexesNeedsBaseline) {
   auto schema = BibtexSchema();
   FileQuerySystem fresh(*schema);
   ASSERT_TRUE(fresh.AddFile("refs.bib", kRefs).ok());
+  EXPECT_EQ(fresh.index_build_micros(), 0u);
   auto r = fresh.Execute("SELECT r FROM References r");
   EXPECT_FALSE(r.ok());
   auto base =
@@ -404,14 +407,32 @@ TEST_F(SystemTest, MultipleFilesActAsOneView) {
 }
 
 TEST_F(SystemTest, ExplainDescribesPlan) {
-  auto text = system_->Explain(
+  const char* fql =
       "SELECT r FROM References r "
-      "WHERE r.Authors.Name.Last_Name = \"Chang\"");
+      "WHERE r.Authors.Name.Last_Name = \"Chang\"";
+  auto text = system_->Explain(fql);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("index-only"), std::string::npos) << *text;
   EXPECT_NE(text->find("candidates:"), std::string::npos);
   EXPECT_NE(text->find("work units"), std::string::npos);
   EXPECT_NE(text->find("exact:      yes"), std::string::npos);
+
+  // The figures are the cost annotation of the candidates root in the
+  // lowering before any optimizer pass runs.
+  auto plan = system_->Plan(fql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  IrProgram ir =
+      LowerToIr(plan->candidates.get(), nullptr, nullptr, nullptr);
+  AnnotateIrCosts(&ir, &system_->region_index(), &system_->word_index());
+  const IrNode& root = ir.nodes[ir.candidates];
+  ASSERT_GT(root.est_work, 0);
+  const std::string figures =
+      "~" + std::to_string(static_cast<long long>(root.est_cardinality)) +
+      " regions, ~" +
+      std::to_string(static_cast<long long>(root.est_work)) +
+      " work units\n";
+  EXPECT_NE(text->find("            " + figures), std::string::npos)
+      << *text << "want: " << figures;
 
   auto join = system_->Explain(
       "SELECT r FROM References r "
@@ -427,6 +448,7 @@ TEST_F(SystemTest, ExplainDescribesPlan) {
 
 TEST_F(SystemTest, IndexBytesSmallerForPartial) {
   uint64_t full = system_->IndexBytes();
+  EXPECT_GT(system_->index_build_micros(), 0u);
   ASSERT_TRUE(system_
                   ->BuildIndexes(IndexSpec::Partial(
                       {"Reference", "Key", "Last_Name"}))

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "qof/fuzz/matrix.h"
+#include "qof/fuzz/query_gen.h"
 #include "qof/fuzz/repro.h"
 #include "qof/fuzz/shrink.h"
 
@@ -59,6 +60,19 @@ TEST(FuzzTest, GeneratedCasesAreDeterministic) {
     EXPECT_EQ(a.fql, b.fql);
     EXPECT_EQ(a.subsets, b.subsets);
   }
+}
+
+TEST(FuzzTest, AtomCountCountsEveryWhereLeaf) {
+  // The shrinker's size bound reads AtomCount, so it must see atoms
+  // under every AND / OR / NOT.
+  QueryNode atom;
+  QueryNode negated{QueryNode::Kind::kNot, {}, {atom}};
+  QueryNode either{QueryNode::Kind::kOr, {}, {atom, negated}};
+  QueryModel model;
+  model.where = QueryNode{QueryNode::Kind::kAnd, {}, {atom, either}};
+  EXPECT_EQ(model.AtomCount(), 3);
+  model.where.reset();
+  EXPECT_EQ(model.AtomCount(), 0);
 }
 
 TEST(FuzzTest, InjectedRelaxDirectBugIsCaughtAndShrunkSmall) {

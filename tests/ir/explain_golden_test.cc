@@ -132,8 +132,7 @@ TEST(ExplainGoldenTest, DisabledPassesShrinkThePipeline) {
   IrPlanOptions options;
   options.enable_fusion = false;
   options.enable_cse = false;
-  system.SetIrOptions(options);
-  auto explained = system.ExplainQuery(kQuery);
+  auto explained = system.ExplainQuery(kQuery, options);
   ASSERT_TRUE(explained.ok());
   EXPECT_EQ(explained->find("-- after cse --"), std::string::npos);
   EXPECT_EQ(explained->find("-- after fuse --"), std::string::npos);

@@ -34,6 +34,9 @@ TEST(DurableIndexDirTest, CreatePublishesManifestBlobAndJournal) {
   auto dir = DurableIndexDir::Create(&vfs, "idx", "store bytes", 0);
   ASSERT_TRUE(dir.ok()) << dir.status().ToString();
   EXPECT_EQ(dir->generation(), 0u);
+  EXPECT_EQ(dir->manifest().generation, 0u);
+  EXPECT_EQ(dir->manifest().store_name, "store-0.qofstore");
+  EXPECT_EQ(dir->manifest().journal_name, "journal-0.qofj");
   EXPECT_TRUE(vfs.Exists("idx/MANIFEST"));
   EXPECT_TRUE(vfs.Exists("idx/store-0.qofstore"));
   EXPECT_TRUE(vfs.Exists("idx/journal-0.qofj"));
@@ -79,6 +82,40 @@ TEST(DurableIndexDirTest, AppendedRecordsSurvivePowerCutUnderAlways) {
   ASSERT_EQ(records->size(), 2u);
   EXPECT_EQ((*records)[0], MakeRecord(1, "a.txt"));
   EXPECT_EQ((*records)[1], MakeRecord(2, "b.txt"));
+}
+
+TEST(DurableIndexDirTest, SyncedRecordsSurvivePowerCutUnderBatch) {
+  // Under kBatch an append is durable only after the next SyncJournal.
+  // Every seed picks a different subset of unsynced sectors to survive
+  // the cut; the synced frames must survive all of them, and whatever
+  // survives of the unsynced third frame is either whole or repaired
+  // away as a torn tail.
+  DurableIndexDir::Options batch;
+  batch.sync_policy = SyncPolicy::kBatch;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    FaultVfs vfs;
+    auto dir = DurableIndexDir::Create(&vfs, "idx", "b", 0, batch);
+    ASSERT_TRUE(dir.ok()) << dir.status().ToString();
+    {
+      ScopedVfs scoped(&vfs);
+      ASSERT_TRUE(dir->Append(MakeRecord(1, "a.txt")).ok());
+      ASSERT_TRUE(dir->Append(MakeRecord(2, "b.txt")).ok());
+      ASSERT_TRUE(dir->SyncJournal().ok());
+      ASSERT_TRUE(dir->Append(MakeRecord(3, "c.txt")).ok());
+    }
+    vfs.CutPower(seed);
+    auto reopened = DurableIndexDir::Open(&vfs, "idx", batch);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto records = reopened->ReadJournal();
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    ASSERT_GE(records->size(), 2u) << "seed " << seed;
+    ASSERT_LE(records->size(), 3u) << "seed " << seed;
+    EXPECT_EQ((*records)[0], MakeRecord(1, "a.txt"));
+    EXPECT_EQ((*records)[1], MakeRecord(2, "b.txt"));
+    if (records->size() == 3) {
+      EXPECT_EQ((*records)[2], MakeRecord(3, "c.txt"));
+    }
+  }
 }
 
 TEST(DurableIndexDirTest, CheckpointSwingsManifestAndReapsOldPair) {

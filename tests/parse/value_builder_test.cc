@@ -4,6 +4,7 @@
 
 #include "qof/datagen/schemas.h"
 #include "qof/db/evaluator.h"
+#include "qof/schema/schema_text.h"
 
 namespace qof {
 namespace {
@@ -136,6 +137,34 @@ TEST_F(ValueBuilderTest, ObjectActionWithoutStoreFails) {
   auto value = BuildValue(*schema_, corpus_, *tree_, nullptr);
   ASSERT_FALSE(value.ok());
   EXPECT_TRUE(value.status().IsInvalidArgument());
+}
+
+TEST(ValueBuilderListTest, CollectListKeepsDocumentOrder) {
+  // "collect list" in the schema text builds a list: elements stay in
+  // document order with duplicates, where "collect set" would sort them.
+  auto schema = ParseSchemaText(R"qq(
+    schema L root File view Item;
+    File ::= (Item)*             => collect set;
+    Item ::= "[" (Word / ",")+ "]" => collect list;
+    Word ::= word;
+  )qq");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddDocument("d", "[pear, apple, pear, fig]").ok());
+  SchemaParser parser(&*schema);
+  auto tree = parser.ParseDocument(corpus.full_text(), 0);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ObjectStore store;
+  auto file = BuildValue(*schema, corpus, **tree, &store);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->kind(), Value::Kind::kSet);
+  ASSERT_EQ(file->elements().size(), 1u);
+  const Value& item = file->elements()[0];
+  ASSERT_EQ(item.kind(), Value::Kind::kList);
+  std::vector<std::string> words;
+  for (const Value& w : item.elements()) words.push_back(w.str());
+  EXPECT_EQ(words,
+            (std::vector<std::string>{"pear", "apple", "pear", "fig"}));
 }
 
 }  // namespace

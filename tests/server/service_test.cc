@@ -56,6 +56,7 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, SessionLifecycleAndStats) {
   QueryService service(system_.get());
+  EXPECT_EQ(service.system(), system_.get());
   auto a = service.OpenSession();
   auto b = service.OpenSession();
   ASSERT_TRUE(a.ok() && b.ok());

@@ -147,5 +147,59 @@ TEST_F(ScrubTest, UnreadableMetaPageIsReportedNotThrown) {
   EXPECT_FALSE(report->repairable());
 }
 
+TEST(ScrubDocsTest, DamagedPostingsBlockNamesTheDocumentsItCovers) {
+  // Three documents of 128 references each: the Reference instance is
+  // three posting blocks (128 entries a block), block k holding exactly
+  // document k's references. Damage inside the last block's bytes must
+  // name c.bib and never a.bib, whose block lies a whole block away.
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok());
+  FileQuerySystem system(*schema);
+  BibtexGenOptions gen;
+  gen.num_references = 128;
+  for (const char* name : {"a.bib", "b.bib", "c.bib"}) {
+    ASSERT_TRUE(system.AddFile(name, GenerateBibtex(gen)).ok());
+  }
+  ASSERT_TRUE(system.BuildIndexes(IndexSpec::Full()).ok());
+  auto references = system.region_index().Get("Reference");
+  ASSERT_TRUE(references.ok());
+  ASSERT_EQ((*references)->size(), 384u);
+  const std::string path = TempPath("docs.qofstore");
+  ASSERT_TRUE(system.SaveStore(path, /*page_size=*/256).ok());
+
+  uint32_t victim = 0;
+  {
+    auto store = PagedStore::Open(path, {});
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto entry = (*store)->FindRegionEntry("Reference");
+    ASSERT_TRUE(entry.ok() && entry->has_value());
+    const PagedStore::DictEntry& e = **entry;
+    const uint64_t body = e.byte_len - e.header_len;
+    // A page's worth of payload is well under a third of the body, so the
+    // page holding the body's 5/6 point lies inside the last block.
+    const uint32_t capacity = PagePayloadCapacity(256);
+    ASSERT_GT(body, 6u * capacity);
+    const uint64_t target = e.byte_off + e.header_len + body * 5 / 6;
+    victim = (*store)->meta().section(StoreSection::kPostings).first_page +
+             static_cast<uint32_t>(target / capacity);
+  }
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string damaged = *bytes;
+  damaged[victim * 256 + kPageHeaderSize + 7] ^= 0x11;
+  ASSERT_TRUE(WriteFileBytes(path, damaged).ok());
+
+  auto report = ScrubStore(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const InstanceDamage* reference = nullptr;
+  for (const InstanceDamage& d : report->damaged_instances) {
+    if (!d.is_word && d.key == "Reference") reference = &d;
+  }
+  ASSERT_NE(reference, nullptr) << FormatScrubReport(*report);
+  ASSERT_TRUE(reference->docs_known);
+  EXPECT_EQ(reference->docs, (std::vector<std::string>{"c.bib"}))
+      << FormatScrubReport(*report);
+}
+
 }  // namespace
 }  // namespace qof

@@ -220,6 +220,8 @@ TEST(BufferPoolTest, HitsAndMissesAndPinAccounting) {
   std::string path = WriteLittleFile("pool_basic.qofstore", 8, kMinStorePageSize);
   auto file = PagedFile::Open(path, kMinStorePageSize);
   ASSERT_TRUE(file.ok()) << file.status().message();
+  EXPECT_EQ(file->num_pages(), 8u);
+  EXPECT_EQ(file->file_bytes(), 8u * kMinStorePageSize);
   BufferPool pool(&*file, BufferPoolOptions{4});
 
   auto p0 = pool.Fetch(0);

@@ -33,7 +33,8 @@ void PrintUsage(std::ostream& out) {
          "  --execute       also run the query (auto mode) and print the\n"
          "                  per-operator IR timing counters\n"
          "  --no-cse | --no-pushdown | --no-order | --no-fuse\n"
-         "                  disable individual optimizer passes\n"
+         "                  leave a pass out of the printed pipeline\n"
+         "                  (--execute still runs every pass)\n"
          "exit codes: 0 ok, 1 usage, 2 data/query error\n";
 }
 
@@ -69,7 +70,7 @@ int Run(int argc, char** argv) {
   std::string schema_file;
   std::string fql;
   bool execute = false;
-  IrPlanOptions ir_options;
+  IrPlanOptions passes;
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
@@ -104,13 +105,13 @@ int Run(int argc, char** argv) {
     } else if (arg == "--execute") {
       execute = true;
     } else if (arg == "--no-cse") {
-      ir_options.enable_cse = false;
+      passes.enable_cse = false;
     } else if (arg == "--no-pushdown") {
-      ir_options.enable_pushdown = false;
+      passes.enable_pushdown = false;
     } else if (arg == "--no-order") {
-      ir_options.enable_ordering = false;
+      passes.enable_ordering = false;
     } else if (arg == "--no-fuse") {
-      ir_options.enable_fusion = false;
+      passes.enable_fusion = false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unrecognized option: " << arg << "\n";
       PrintUsage(std::cerr);
@@ -132,7 +133,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
   FileQuerySystem system(*schema);
-  system.SetIrOptions(ir_options);
   for (const std::string& path : files) {
     std::string contents;
     if (!ReadFile(path, &contents)) {
@@ -152,7 +152,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  auto explanation = system.ExplainQuery(fql);
+  auto explanation = system.ExplainQuery(fql, passes);
   if (!explanation.ok()) {
     std::cerr << explanation.status().ToString() << "\n";
     return 2;
