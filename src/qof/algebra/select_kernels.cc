@@ -21,9 +21,9 @@ bool PostingDriven(size_t posting_count, size_t child_size) {
 
 // Every loop below walks one side in ascending order and keeps forward
 // cursors into the other, galloping from where the previous search
-// stopped (see GallopForward). The IR calls a kernel once per fused
-// batch, so each call's cursors start at the front and reach their
-// first position in O(log n).
+// stopped (see GallopForward). Each call's cursors start at the front
+// and reach their first position in O(log n), so a child that begins
+// mid-list costs no linear skip.
 
 /// First posting index >= `from` at or after position `pos`.
 size_t PostingAtOrAfter(const std::vector<TextPos>& postings, size_t from,

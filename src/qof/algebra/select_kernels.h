@@ -43,9 +43,9 @@ struct SelectSpec {
 /// cursor into the other side, so C members against P postings cost
 /// O(C log(P/C + 1)) in searches plus O(1) per member for CONTAINS,
 /// HASPREFIX, ATLEAST, σ=, STARTS and phrase σ. NEAR and phrase CONTAINS
-/// also scan the first word's occurrences inside each member. A call on
-/// one slice of a child (the IR's fused batches) reaches its first
-/// cursor position in O(log P).
+/// also scan the first word's occurrences inside each member. A child
+/// whose members start mid-list (a slice of a larger set) reaches its
+/// first cursor position in O(log P).
 ///
 /// `words` must be non-null; `corpus` may be null unless the spec needs
 /// phrase verification. Text bytes read during phrase verification are

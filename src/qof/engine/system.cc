@@ -9,6 +9,7 @@
 #include "qof/engine/join.h"
 #include "qof/engine/two_phase.h"
 #include "qof/ir/ir.h"
+#include "qof/ir/passes.h"
 #include "qof/store/paged_file.h"
 
 namespace qof {
@@ -219,6 +220,10 @@ Result<QueryPlan> FileQuerySystem::Plan(std::string_view fql) const {
 
 Result<std::string> FileQuerySystem::Explain(std::string_view fql) const {
   QOF_ASSIGN_OR_RETURN(QueryPlan plan, Plan(fql));
+  return ExplainPlan(plan);
+}
+
+std::string FileQuerySystem::ExplainPlan(const QueryPlan& plan) const {
   std::string out = "query:     " + plan.query.ToString() + "\n";
   if (plan.trivially_empty) {
     out += "strategy:  empty (Prop. 3.3: no conforming file has results)\n";
@@ -265,16 +270,15 @@ Result<std::string> FileQuerySystem::Explain(std::string_view fql) const {
   return out;
 }
 
-Result<std::string> FileQuerySystem::ExplainQuery(
-    std::string_view fql, const IrPlanOptions& passes) const {
-  QOF_ASSIGN_OR_RETURN(std::string out, Explain(fql));
+Result<std::string> FileQuerySystem::ExplainQuery(std::string_view fql) const {
   QOF_ASSIGN_OR_RETURN(QueryPlan plan, Plan(fql));
+  std::string out = ExplainPlan(plan);
   if (plan.trivially_empty || !plan.view_indexed) return out;
   IrProgram ir =
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
   std::vector<PassTrace> trace;
-  RunPasses(&ir, passes, &built_->regions, &built_->words, &trace);
+  RunPasses(&ir, &built_->regions, &built_->words, &trace);
   out += "\nIR pipeline:\n";
   for (const PassTrace& step : trace) {
     out += "-- after " + step.name + " --\n" + step.dump;
@@ -314,7 +318,7 @@ Result<QueryResult> FileQuerySystem::Execute(std::string_view fql,
   surface.maintained = maintainer_ != nullptr;
   surface.eval_cache = eval_cache_.get();
   // Two-phase candidate verification runs on the system pool.
-  surface.pool = EnsurePool(EffectiveParallelism(parallelism_));
+  surface.pool = EnsurePool(parallelism_);
   // The live path owns the corpus counter (no concurrent readers by
   // contract — see AcquireSnapshot's concurrency notes).
   corpus_->ResetBytesRead();
@@ -576,8 +580,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   IrProgram ir =
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
-  RunPasses(&ir, IrPlanOptions{}, &surface.built->regions,
-            &surface.built->words);
+  RunPasses(&ir, &surface.built->regions, &surface.built->words);
   IrExecutor ir_exec(&ir, &surface.built->regions, &surface.built->words,
                      surface.corpus, ctx, surface.eval_cache, surface.epoch);
   ir_exec.SetJoinFn([&corpus](const RegionSet& cands, const RegionSet& lhs,

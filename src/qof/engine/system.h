@@ -17,7 +17,6 @@
 #include "qof/engine/snapshot.h"
 #include "qof/exec/exec_context.h"
 #include "qof/ir/executor.h"
-#include "qof/ir/passes.h"
 #include "qof/maintain/maintainer.h"
 #include "qof/query/parser.h"
 #include "qof/schema/rig_derivation.h"
@@ -224,12 +223,11 @@ class FileQuerySystem {
 
   /// Explain() plus the IR optimizer pipeline: the lowered dataflow
   /// program and its dump after every pass (CSE, pushdown, ordering,
-  /// fusion), each node annotated with cost estimates. Deterministic for
-  /// a given system state — the qof_explain tool and the golden test
-  /// print it verbatim. `passes` changes only the printed pipeline
-  /// (dropping a pass drops its step); queries always run every pass.
-  Result<std::string> ExplainQuery(std::string_view fql,
-                                   const IrPlanOptions& passes = {}) const;
+  /// annotation), each node annotated with cost estimates. The last dump
+  /// is the program Execute() runs for this query. Deterministic for a
+  /// given system state — the qof_explain tool and the golden test print
+  /// it verbatim.
+  Result<std::string> ExplainQuery(std::string_view fql) const;
 
   /// Accepts "<View>" and "<View>s" ("Reference", "References") plus any
   /// alias registered here.
@@ -302,6 +300,9 @@ class FileQuerySystem {
   IndexStats index_stats() const;
 
  private:
+  /// Explain()'s report for an already compiled plan.
+  std::string ExplainPlan(const QueryPlan& plan) const;
+
   /// Everything one query execution reads, bundled so the same body
   /// serves the live state (members) and a pinned snapshot. When
   /// `scan_counter` is set, byte accounting for the whole execution is

@@ -169,7 +169,7 @@ Status CheckIrEquivalence(
     if (options.bug == InjectedBug::kBadCse) {
       planted.emplace(FaultInjector::Spec{planted_bug::kBadCse});
     }
-    RunPasses(&ir, IrPlanOptions{}, &sys.region_index(), &sys.word_index());
+    RunPasses(&ir, &sys.region_index(), &sys.word_index());
   }
   std::vector<std::pair<const char*, int>> roots = {
       {"candidates", ir.candidates}};

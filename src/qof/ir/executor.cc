@@ -6,7 +6,6 @@
 
 #include "qof/algebra/select_kernels.h"
 #include "qof/exec/fault_injector.h"
-#include "qof/region/cost_model.h"
 #include "qof/region/region_cursor.h"
 #include "qof/text/tokenizer.h"
 
@@ -228,8 +227,6 @@ Result<IrExecutor::Slot> IrExecutor::ComputeNode(int id, EvalStats* stats) {
     inputs.push_back(set);
   }
 
-  if (node.op == IrOp::kFusedChain) return ComputeFused(node, stats);
-
   const Clock::time_point start = Clock::now();
   Slot out;
   switch (node.op) {
@@ -306,78 +303,10 @@ Result<IrExecutor::Slot> IrExecutor::ComputeNode(int id, EvalStats* stats) {
       break;
     }
     case IrOp::kLoad:
-    case IrOp::kFusedChain:
       return Status::Internal("unreachable IR op in ComputeNode");
   }
   AddTiming(node.op, MicrosSince(start));
   return out;
-}
-
-Result<IrExecutor::Slot> IrExecutor::ComputeFused(const IrNode& node,
-                                                  EvalStats* stats) {
-  const RegionSet& source = slots_[node.inputs[0]].set();
-  const std::vector<std::string> stage_keys =
-      FusedStageKeys(*program_, node);
-  // Each stage is one logical operator however many batches run it.
-  if (stats != nullptr) {
-    for (const IrStage& stage : node.stages) {
-      if (stage.kind == IrStage::Kind::kSelect) {
-        ++stats->select_ops;
-      } else {
-        ++stats->simple_incl_ops;
-      }
-    }
-  }
-  const Clock::time_point start = Clock::now();
-
-  std::vector<Region> out;
-  const size_t batch_size = CostModel::kFusedBatch;
-  const std::vector<Region>& members = source.regions();
-  // An empty source still runs one (empty) batch so stage validation
-  // errors (bad selection parameters) surface exactly as unfused.
-  size_t begin = 0;
-  do {
-    if (ctx_ != nullptr) QOF_RETURN_IF_ERROR(ctx_->Check());
-    const size_t end = std::min(members.size(), begin + batch_size);
-    RegionSet current = RegionSet::FromSortedUnique(
-        std::vector<Region>(members.begin() + begin, members.begin() + end));
-    for (size_t j = 0; j < node.stages.size(); ++j) {
-      const IrStage& stage = node.stages[j];
-      switch (stage.kind) {
-        case IrStage::Kind::kSelect: {
-          uint64_t scanned = 0;
-          QOF_ASSIGN_OR_RETURN(
-              std::vector<Region> kept,
-              RunSelectKernel(stage.select, current, words_, corpus_,
-                              &scanned, stage_keys[j]));
-          if (stats != nullptr) stats->bytes_scanned += scanned;
-          current = RegionSet::FromSortedUnique(std::move(kept));
-          break;
-        }
-        case IrStage::Kind::kIncluding:
-          current = Including(current, slots_[stage.rhs].set());
-          break;
-        case IrStage::Kind::kIncluded:
-          current = IncludedIn(current, slots_[stage.rhs].set());
-          break;
-      }
-      // Per stage per batch; summed over batches this equals exactly
-      // what the unfused chain would have charged per stage.
-      QOF_RETURN_IF_ERROR(Charge(stats, current));
-    }
-    out.insert(out.end(), current.regions().begin(),
-               current.regions().end());
-    begin = end;
-  } while (begin < members.size());
-
-  Slot result;
-  // Every stage keeps a canonically-ordered subset of its batch and the
-  // batches partition the source in canonical order, so the
-  // concatenation is already sorted and unique. No final re-charge: the
-  // last stage's per-batch charges sum to this set's size.
-  result.owned = RegionSet::FromSortedUnique(std::move(out));
-  AddTiming(node.op, MicrosSince(start));
-  return result;
 }
 
 }  // namespace qof

@@ -104,7 +104,6 @@ class IrExecutor {
   /// regions land in. Returns nullopt when inapplicable (the caller then
   /// computes the node normally); results are byte-identical either way.
   Result<std::optional<Slot>> TryCursorPath(int id, EvalStats* stats);
-  Result<Slot> ComputeFused(const IrNode& node, EvalStats* stats);
   Status Charge(EvalStats* stats, const RegionSet& produced) const;
 
   /// True when `node` matches TryCursorPath's statically decidable

@@ -18,19 +18,6 @@ std::string FoldKey(const IrProgram& p, const std::vector<int>& inputs,
   return acc;
 }
 
-std::string StageKey(const IrProgram& p, const IrStage& stage,
-                     std::string acc) {
-  switch (stage.kind) {
-    case IrStage::Kind::kSelect:
-      return stage.select.Describe(acc);
-    case IrStage::Kind::kIncluding:
-      return "(" + acc + " > " + p.nodes[stage.rhs].key + ")";
-    case IrStage::Kind::kIncluded:
-      return "(" + acc + " < " + p.nodes[stage.rhs].key + ")";
-  }
-  return acc;
-}
-
 }  // namespace
 
 std::string ComputeNodeKey(const IrProgram& p, const IrNode& n) {
@@ -61,14 +48,6 @@ std::string ComputeNodeKey(const IrProgram& p, const IrNode& n) {
              p.nodes[n.inputs[1]].key + ")";
     case IrOp::kSelect:
       return n.select.Describe(p.nodes[n.inputs[0]].key);
-    case IrOp::kFusedChain: {
-      // The composition of the stages over the source — identical to the
-      // serialization of the chain before fusion, so a fused node still
-      // shares EvalCache entries with its unfused (or tree) equivalent.
-      std::string acc = p.nodes[n.inputs[0]].key;
-      for (const IrStage& stage : n.stages) acc = StageKey(p, stage, acc);
-      return acc;
-    }
     case IrOp::kProject:
       return "project(" + p.nodes[n.inputs[0]].key + ", " +
              p.nodes[n.inputs[1]].key + ")";
@@ -78,17 +57,6 @@ std::string ComputeNodeKey(const IrProgram& p, const IrNode& n) {
              ")";
   }
   return "<invalid>";
-}
-
-std::vector<std::string> FusedStageKeys(const IrProgram& program,
-                                        const IrNode& node) {
-  std::vector<std::string> out;
-  std::string acc = program.nodes[node.inputs[0]].key;
-  for (const IrStage& stage : node.stages) {
-    acc = StageKey(program, stage, acc);
-    out.push_back(acc);
-  }
-  return out;
 }
 
 const char* IrOpName(IrOp op) {
@@ -115,8 +83,6 @@ const char* IrOpName(IrOp op) {
       return "directly-included";
     case IrOp::kSelect:
       return "select";
-    case IrOp::kFusedChain:
-      return "fuse";
     case IrOp::kProject:
       return "project";
     case IrOp::kJoin:
@@ -144,24 +110,6 @@ std::string IrProgram::Dump() const {
       case IrOp::kSelect:
         out += " " + n.select.Describe(Ref(n.inputs[0]));
         break;
-      case IrOp::kFusedChain: {
-        out += " " + Ref(n.inputs[0]);
-        for (const IrStage& stage : n.stages) {
-          out += " :: ";
-          switch (stage.kind) {
-            case IrStage::Kind::kSelect:
-              out += stage.select.Describe("_");
-              break;
-            case IrStage::Kind::kIncluding:
-              out += "(_ > " + Ref(stage.rhs) + ")";
-              break;
-            case IrStage::Kind::kIncluded:
-              out += "(_ < " + Ref(stage.rhs) + ")";
-              break;
-          }
-        }
-        break;
-      }
       default:
         for (int input : n.inputs) out += " " + Ref(input);
         break;
@@ -209,9 +157,6 @@ void Canonicalize(IrProgram* program) {
   for (int old_id : order) {
     IrNode n = std::move(program->nodes[old_id]);
     for (int& input : n.inputs) input = remap[input];
-    for (IrStage& stage : n.stages) {
-      if (stage.rhs >= 0) stage.rhs = remap[stage.rhs];
-    }
     nodes.push_back(std::move(n));
   }
   program->nodes = std::move(nodes);

@@ -12,9 +12,9 @@ namespace qof {
 
 /// Operators of the dataflow query IR. The tree algebra's binary ∪/∩/−
 /// flatten into n-ary nodes during lowering; everything else maps 1:1,
-/// plus three engineering ops: kFusedChain (a pipeline of per-member
-/// stages the fusion pass created), kProject (the engine's index-only
-/// projection root) and kJoin (the engine's index-assisted join root).
+/// plus two engine ops: kProject (the engine's index-only projection
+/// root) and kJoin (the engine's index-assisted join root). Every node is
+/// one operator.
 enum class IrOp {
   kLoad,        // region-index instance by name
   kUnion,       // n-ary ∪ (left-fold of the binary op)
@@ -27,23 +27,11 @@ enum class IrOp {
   kDirectlyIncluding,   // ⊃d
   kDirectlyIncluded,    // ⊂d
   kSelect,      // one SelectSpec over inputs[0]
-  kFusedChain,  // per-member stage pipeline over inputs[0]
   kProject,     // IncludedIn(inputs[0] = attrs, inputs[1] = candidates)
   kJoin,        // index join over {candidates, lhs attrs, rhs attrs}
 };
 
 const char* IrOpName(IrOp op);
-
-/// One stage of a fused chain. Every fusable stage is a per-member
-/// predicate on its input set (selection, or containment against a fixed
-/// right operand), which is what makes batched execution sound: a member
-/// survives the stage independently of the other members.
-struct IrStage {
-  enum class Kind { kSelect, kIncluding, kIncluded };
-  Kind kind = Kind::kSelect;
-  SelectSpec select;  // kSelect only
-  int rhs = -1;       // kIncluding/kIncluded: node id of the right operand
-};
 
 /// One IR node. `inputs` refer to lower node ids (the program is kept in
 /// topological order); `key` is the node's canonical serialization —
@@ -54,7 +42,6 @@ struct IrNode {
   std::string name;    // kLoad
   SelectSpec select;   // kSelect
   std::vector<int> inputs;
-  std::vector<IrStage> stages;  // kFusedChain
   std::string key;
   // Cost annotations (AnnotateIrCosts over the shared CostModel table);
   // negative until AnnotateIrCosts runs.
@@ -83,11 +70,6 @@ struct IrProgram {
 /// Canonical serialization of one node given its inputs' keys (which must
 /// be current). Exposed for passes that rewrite nodes incrementally.
 std::string ComputeNodeKey(const IrProgram& program, const IrNode& node);
-
-/// The composed serialization after each stage of a kFusedChain node (the
-/// last entry equals the node's key). Used for per-stage error messages.
-std::vector<std::string> FusedStageKeys(const IrProgram& program,
-                                        const IrNode& node);
 
 /// Recomputes every node's canonical key bottom-up. Passes that rewire
 /// nodes call this before comparing or caching keys.

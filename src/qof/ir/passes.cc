@@ -31,21 +31,6 @@ bool CorpusFreeSelect(const SelectSpec& spec) {
   }
 }
 
-/// A selection the fusion pass may turn into a fused-chain stage: the
-/// corpus-free per-member kinds over the word index alone.
-bool FusableSelect(const SelectSpec& spec) {
-  switch (spec.kind) {
-    case ExprKind::kSelectMatches:
-      return Tokenizer::Tokenize(spec.word).size() == 1;
-    case ExprKind::kSelectStartsWith:
-    case ExprKind::kSelectNear:
-    case ExprKind::kSelectAtLeast:
-      return true;
-    default:
-      return false;
-  }
-}
-
 double LoadCardinality(const RegionIndex* regions, const std::string& name) {
   // Count-only: estimating a disk-backed load must not materialize it
   // (the whole point of the lazy tier is that planning is I/O-free).
@@ -144,22 +129,6 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
       case IrOp::kDirectlyIncluded:
         e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]], n.op, regions);
         break;
-      case IrOp::kFusedChain: {
-        e = est[n.inputs[0]];
-        for (const IrStage& stage : n.stages) {
-          switch (stage.kind) {
-            case IrStage::Kind::kSelect:
-              e = SelectEst(e, stage.select, words);
-              break;
-            case IrStage::Kind::kIncluding:
-            case IrStage::Kind::kIncluded:
-              e = InclusionEst(e, est[stage.rhs], IrOp::kIncluding,
-                               regions);
-              break;
-          }
-        }
-        break;
-      }
       case IrOp::kProject:
         e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]],
                          IrOp::kIncluded, regions);
@@ -188,9 +157,6 @@ void PassCse(IrProgram* program) {
   for (size_t i = 0; i < program->nodes.size(); ++i) {
     IrNode& n = program->nodes[i];
     for (int& input : n.inputs) input = repl[input];
-    for (IrStage& stage : n.stages) {
-      if (stage.rhs >= 0) stage.rhs = repl[stage.rhs];
-    }
     n.key = ComputeNodeKey(*program, n);
     std::string cse_key = n.key;
     if (bad_cse && n.op == IrOp::kSelect) {
@@ -304,8 +270,8 @@ bool PushdownSweep(IrProgram* p) {
         break;
       }
       default:
-        // Loads, ι/ω (whole-set semantics), other selections, fused
-        // chains: the selection stays put.
+        // Loads, ι/ω (whole-set semantics), other selections: the
+        // selection stays put.
         break;
     }
   }
@@ -345,92 +311,20 @@ void PassOrderOperands(IrProgram* program, const RegionIndex* regions,
   Canonicalize(program);
 }
 
-void PassFuse(IrProgram* program) {
-  // Consumer counts decide which intermediates may disappear into a
-  // chain: only single-use, non-root nodes (a shared or rooted node must
-  // stay materialized — fusing it would recompute it per consumer).
-  std::vector<int> consumers(program->nodes.size(), 0);
-  for (const IrNode& n : program->nodes) {
-    for (int input : n.inputs) ++consumers[input];
-  }
-  std::vector<char> is_root(program->nodes.size(), 0);
-  for (int root : {program->candidates, program->projection,
-                   program->project, program->join_lhs, program->join_rhs,
-                   program->join}) {
-    if (root >= 0) is_root[root] = 1;
-  }
-  auto fusable = [&](int id) {
-    const IrNode& n = program->nodes[id];
-    if (n.op == IrOp::kIncluding || n.op == IrOp::kIncluded) return true;
-    return n.op == IrOp::kSelect && FusableSelect(n.select);
+void RunPasses(IrProgram* program, const RegionIndex* regions,
+               const WordIndex* words, std::vector<PassTrace>* trace) {
+  auto record = [&](const char* name) {
+    if (trace != nullptr) trace->push_back({name, program->Dump()});
   };
-  std::vector<char> absorbed(program->nodes.size(), 0);
-  for (int i = static_cast<int>(program->nodes.size()) - 1; i >= 0; --i) {
-    if (absorbed[i] || !fusable(i)) continue;
-    // Walk down the chain of single-use fusable ops below the top node.
-    std::vector<int> chain = {i};
-    int cursor = program->nodes[i].inputs[0];
-    while (fusable(cursor) && consumers[cursor] == 1 && !is_root[cursor]) {
-      chain.push_back(cursor);
-      cursor = program->nodes[cursor].inputs[0];
-    }
-    if (chain.size() < 2) continue;
-    // chain holds top→bottom; stages run bottom→top over source `cursor`.
-    IrNode fused;
-    fused.op = IrOp::kFusedChain;
-    fused.inputs.push_back(cursor);
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const IrNode& link = program->nodes[*it];
-      IrStage stage;
-      if (link.op == IrOp::kSelect) {
-        stage.kind = IrStage::Kind::kSelect;
-        stage.select = link.select;
-      } else {
-        stage.kind = link.op == IrOp::kIncluding ? IrStage::Kind::kIncluding
-                                                 : IrStage::Kind::kIncluded;
-        stage.rhs = link.inputs[1];
-        fused.inputs.push_back(link.inputs[1]);
-      }
-      fused.stages.push_back(std::move(stage));
-      if (*it != chain.front()) absorbed[*it] = 1;
-    }
-    program->nodes[i] = std::move(fused);
-  }
-  Canonicalize(program);
-}
-
-void PassManager::Run(IrProgram* program,
-                      std::vector<PassTrace>* trace) const {
-  if (trace != nullptr) trace->push_back({"lower", program->Dump()});
-  for (const Entry& entry : passes_) {
-    entry.pass(program);
-    if (trace != nullptr) trace->push_back({entry.name, program->Dump()});
-  }
-}
-
-void RunPasses(IrProgram* program, const IrPlanOptions& options,
-               const RegionIndex* regions, const WordIndex* words,
-               std::vector<PassTrace>* trace) {
-  PassManager manager;
-  if (options.enable_cse) {
-    manager.Add("cse", [](IrProgram* p) { PassCse(p); });
-  }
-  if (options.enable_pushdown) {
-    manager.Add("pushdown",
-                [&](IrProgram* p) { PassPushdown(p, regions, words); });
-  }
-  if (options.enable_ordering) {
-    manager.Add("order",
-                [&](IrProgram* p) { PassOrderOperands(p, regions, words); });
-  }
-  if (options.enable_fusion) {
-    manager.Add("fuse", [](IrProgram* p) { PassFuse(p); });
-  }
-  // Final annotation so dumps and --explain show the costs the executor
-  // will actually see.
-  manager.Add("annotate",
-              [&](IrProgram* p) { AnnotateIrCosts(p, regions, words); });
-  manager.Run(program, trace);
+  record("lower");
+  PassCse(program);
+  record("cse");
+  PassPushdown(program, regions, words);
+  record("pushdown");
+  PassOrderOperands(program, regions, words);
+  record("order");
+  AnnotateIrCosts(program, regions, words);
+  record("annotate");
 }
 
 }  // namespace qof

@@ -1,7 +1,6 @@
 #ifndef QOF_IR_PASSES_H_
 #define QOF_IR_PASSES_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,15 +10,6 @@
 
 namespace qof {
 
-/// Knobs for the optimizer pass pipeline. All passes are on by default;
-/// the per-pass switches exist for the golden tests and ablation benches.
-struct IrPlanOptions {
-  bool enable_cse = true;
-  bool enable_pushdown = true;
-  bool enable_ordering = true;
-  bool enable_fusion = true;
-};
-
 /// One recorded pipeline step: the program dump after the named pass ran
 /// ("lower" records the pre-pass state).
 struct PassTrace {
@@ -27,32 +17,16 @@ struct PassTrace {
   std::string dump;
 };
 
-/// Runs small composable passes over an IrProgram in registration order,
-/// canonicalizing (topo order, dead-node removal, fresh keys) after each
-/// one and optionally recording per-pass dumps for --explain and goldens.
-class PassManager {
- public:
-  void Add(std::string name, std::function<void(IrProgram*)> pass) {
-    passes_.push_back({std::move(name), std::move(pass)});
-  }
-
-  void Run(IrProgram* program, std::vector<PassTrace>* trace) const;
-
- private:
-  struct Entry {
-    std::string name;
-    std::function<void(IrProgram*)> pass;
-  };
-  std::vector<Entry> passes_;
-};
-
-/// The standard pipeline: cse → pushdown → order → fuse, honoring
-/// `options`. `regions`/`words` feed the cost annotations (null is
-/// allowed: every cardinality then estimates as zero and ordering falls
-/// back to the deterministic key tie-break). Cost annotations are
-/// refreshed after the last pass so dumps and --explain stay annotated.
-void RunPasses(IrProgram* program, const IrPlanOptions& options,
-               const RegionIndex* regions, const WordIndex* words,
+/// The one pass pipeline, always run in full: cse → pushdown → order →
+/// annotate. Each pass leaves the program canonical (topological order,
+/// no dead nodes, fresh keys). `regions`/`words` feed the cost
+/// annotations (null is allowed: every cardinality then estimates as zero
+/// and ordering falls back to the deterministic key tie-break). The final
+/// annotate step refreshes the costs so dumps and --explain show the
+/// estimates of the program that runs. With `trace`, records the lowered
+/// program ("lower") and the dump after each pass.
+void RunPasses(IrProgram* program, const RegionIndex* regions,
+               const WordIndex* words,
                std::vector<PassTrace>* trace = nullptr);
 
 // --- individual passes (exposed for the per-pass golden tests) ---------
@@ -76,10 +50,6 @@ void PassPushdown(IrProgram* program, const RegionIndex* regions,
 /// tie-break, so the left-fold keeps intermediates small.
 void PassOrderOperands(IrProgram* program, const RegionIndex* regions,
                        const WordIndex* words);
-
-/// Fuses chains of per-member stages (fusable selections, ⊃, ⊂) into
-/// single kFusedChain nodes executed over batched region runs.
-void PassFuse(IrProgram* program);
 
 /// Annotates every node with cardinality/work estimates over the shared
 /// CostModel table — the system's one cost model: the size-refined

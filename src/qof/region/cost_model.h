@@ -33,11 +33,6 @@ struct CostModel {
     return probes * (1.0 + std::log2(1.0 + universe / probes));
   }
 
-  /// Region-run batch size for fused IR kernels: stages of a fused chain
-  /// are applied per batch so intermediates stay cache-resident without
-  /// changing results (every fused stage is a per-member predicate).
-  static constexpr size_t kFusedBatch = 2048;
-
   /// Below this many total attribute regions (both join sides summed) the
   /// nested-loop join's lower constant factor beats the sort-merge join's
   /// sort; at or above it, sort both sides once and merge linearly.

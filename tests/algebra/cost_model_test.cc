@@ -20,7 +20,6 @@ TEST(SharedCostModel, ConstantsArePinned) {
   // edit here, not as an unexplained benchmark shift.
   EXPECT_EQ(CostModel::kGallopRatio, 16u);
   EXPECT_DOUBLE_EQ(CostModel::kDirectFactor, 4.0);
-  EXPECT_EQ(CostModel::kFusedBatch, 2048u);
   EXPECT_EQ(CostModel::kSortMergeJoinMinPairs, 64u);
 }
 

@@ -214,8 +214,9 @@ SelectSpec Spec(ExprKind kind, std::string word, uint64_t param = 0,
 TEST(SelectSliceTest, EveryKindMatchesOracleWholeAndSliced) {
   // ~6000 words from a vocabulary of shared prefixes, eight to a line.
   // The child holds every word, every line, every two-word span and a
-  // zero-length span at each word start, so it is far larger than one
-  // fused batch and mixes nesting with overlap.
+  // zero-length span at each word start, so it spans many slices and
+  // mixes nesting with overlap. The sliced half runs each kernel on
+  // children whose members start mid-list.
   const std::vector<std::string> vocab = {"alpha", "alp",  "alphabet",
                                           "beta",  "banana", "band",
                                           "gamma", "delta"};
@@ -246,7 +247,8 @@ TEST(SelectSliceTest, EveryKindMatchesOracleWholeAndSliced) {
   ASSERT_TRUE(corpus.AddDocument("t", text).ok());
   WordIndex words = WordIndex::Build(corpus);
   RegionSet child = RegionSet::FromUnsorted(std::move(members));
-  ASSERT_GT(child.size(), 4 * CostModel::kFusedBatch);
+  constexpr size_t kSlice = 2048;
+  ASSERT_GT(child.size(), 4 * kSlice);
 
   const std::vector<SelectSpec> specs = {
       Spec(ExprKind::kSelectMatches, "alpha"),
@@ -281,9 +283,8 @@ TEST(SelectSliceTest, EveryKindMatchesOracleWholeAndSliced) {
     EXPECT_EQ(*whole, expected[k]) << label;
     std::vector<Region> sliced;
     const std::vector<Region>& v = child.regions();
-    for (size_t begin = 0; begin < v.size();
-         begin += CostModel::kFusedBatch) {
-      const size_t end = std::min(v.size(), begin + CostModel::kFusedBatch);
+    for (size_t begin = 0; begin < v.size(); begin += kSlice) {
+      const size_t end = std::min(v.size(), begin + kSlice);
       RegionSet slice = RegionSet::FromSortedUnique(
           std::vector<Region>(v.begin() + static_cast<long>(begin),
                               v.begin() + static_cast<long>(end)));

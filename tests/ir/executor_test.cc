@@ -20,6 +20,31 @@
 namespace qof {
 namespace {
 
+// How a test optimizes the lowered program before executing it.
+using Optimize = void (*)(IrProgram*, const RegionIndex*,
+                          const WordIndex*);
+
+void Lowered(IrProgram*, const RegionIndex*, const WordIndex*) {}
+
+void FullPipeline(IrProgram* p, const RegionIndex* regions,
+                  const WordIndex* words) {
+  RunPasses(p, regions, words);
+}
+
+void CseOnly(IrProgram* p, const RegionIndex*, const WordIndex*) {
+  PassCse(p);
+}
+
+void PushdownOnly(IrProgram* p, const RegionIndex* regions,
+                  const WordIndex* words) {
+  PassPushdown(p, regions, words);
+}
+
+void OrderOnly(IrProgram* p, const RegionIndex* regions,
+               const WordIndex* words) {
+  PassOrderOperands(p, regions, words);
+}
+
 // Mirrors the evaluator test's paper-shaped corpus: two references with
 // authors/editors/names, giving nesting for ι/ω/⊃d and word collisions
 // ("Chang" as author and editor) for selections.
@@ -67,11 +92,13 @@ class ExecFixture {
     words_ = WordIndex::Build(corpus_);
   }
 
-  // Evaluates `text` on both engines (optimized IR vs. tree) and expects
-  // identical regions; returns the shared answer.
+  // Evaluates `text` on both engines (IR vs. tree) and expects identical
+  // regions; returns the shared answer. `optimize` rewrites the lowered
+  // program before it runs: the full pipeline by default, one pass, or
+  // nothing (Lowered) for the tree reshaped into n-ary nodes.
   RegionSet Both(const char* text, EvalStats* tree_stats = nullptr,
                  EvalStats* ir_stats = nullptr,
-                 const IrPlanOptions& options = {}) {
+                 Optimize optimize = FullPipeline) {
     auto expr = ParseRegionExpr(text);
     EXPECT_TRUE(expr.ok()) << expr.status().ToString();
     ExprEvaluator tree(&index_, &words_, &corpus_);
@@ -81,7 +108,7 @@ class ExecFixture {
     keep_.push_back(*expr);
     IrProgram p =
         LowerToIr(keep_.back().get(), nullptr, nullptr, nullptr);
-    RunPasses(&p, options, &index_, &words_);
+    optimize(&p, &index_, &words_);
     IrExecutor exec(&p, &index_, &words_, &corpus_);
     auto got = exec.EvaluateRoot(p.candidates, ir_stats);
     EXPECT_TRUE(got.ok()) << got.status().ToString();
@@ -145,23 +172,23 @@ TEST(IrExecutorTest, AgreesWithTreeOnABattery) {
       "Last_Name < Name < Authors",
       "(Reference & Reference) | (Authors - Editors)",
   };
-  for (const char* text : exprs) f.Both(text);
+  // Each pass on its own keeps the answer, as does the whole pipeline.
+  const std::pair<const char*, Optimize> pipelines[] = {
+      {"lowered", Lowered},
+      {"cse", CseOnly},
+      {"pushdown", PushdownOnly},
+      {"order", OrderOnly},
+      {"full", FullPipeline},
+  };
+  for (const auto& [name, optimize] : pipelines) {
+    SCOPED_TRACE(name);
+    for (const char* text : exprs) f.Both(text, nullptr, nullptr, optimize);
+  }
 }
 
-TEST(IrExecutorTest, StatsMatchTreeEvaluator) {
-  ExecFixture f;
-  // With every optimization off, the IR program is the tree reshaped;
-  // governance counters must agree exactly.
-  IrPlanOptions off;
-  off.enable_cse = false;
-  off.enable_pushdown = false;
-  off.enable_ordering = false;
-  off.enable_fusion = false;
-  EvalStats tree, ir;
-  f.Both(
-      "(Reference > Authors > sigma(\"Chang\", Last_Name)) | "
-      "(Reference > Editors > sigma(\"Chang\", Last_Name))",
-      &tree, &ir, off);
+// Governance counters agree exactly when both engines run the same
+// operators over the same intermediates.
+void ExpectStatsParity(const EvalStats& tree, const EvalStats& ir) {
   EXPECT_EQ(tree.set_ops, ir.set_ops);
   EXPECT_EQ(tree.select_ops, ir.select_ops);
   EXPECT_EQ(tree.simple_incl_ops, ir.simple_incl_ops);
@@ -170,20 +197,56 @@ TEST(IrExecutorTest, StatsMatchTreeEvaluator) {
   EXPECT_EQ(tree.max_intermediate, ir.max_intermediate);
 }
 
-TEST(IrExecutorTest, FusedChainMatchesUnfused) {
+TEST(IrExecutorTest, StatsMatchTreeEvaluator) {
   ExecFixture f;
-  IrPlanOptions fused;
-  IrPlanOptions unfused;
-  unfused.enable_fusion = false;
-  EvalStats with, without;
-  const char* text =
-      "sigma(\"Chang\", starts(\"Cha\", Last_Name < Name))";
-  RegionSet a = f.Both(text, nullptr, &with, fused);
-  RegionSet b = f.Both(text, nullptr, &without, unfused);
-  EXPECT_EQ(a.regions(), b.regions());
-  // Charging parity: the fused chain charges per stage per batch, which
-  // sums to the unfused totals.
-  EXPECT_EQ(with.regions_produced, without.regions_produced);
+  // Unoptimized, the IR program is the tree reshaped.
+  EvalStats tree, ir;
+  f.Both(
+      "(Reference > Authors > sigma(\"Chang\", Last_Name)) | "
+      "(Reference > Editors > sigma(\"Chang\", Last_Name))",
+      &tree, &ir, Lowered);
+  ExpectStatsParity(tree, ir);
+}
+
+TEST(IrExecutorTest, CseAndOrderKeepStatsParity) {
+  ExecFixture f;
+  // Nothing to merge: CSE leaves the tree's operators and intermediates.
+  EvalStats tree, ir;
+  f.Both("(Name < Authors) | (Name < Editors)", &tree, &ir, CseOnly);
+  ExpectStatsParity(tree, ir);
+  // Ordering swaps the two ∪ operands (σ estimates below Reference);
+  // a two-operand fold charges the same either way.
+  EvalStats tree2, ir2;
+  f.Both("Reference | sigma(\"Corliss\", Last_Name)", &tree2, &ir2,
+         OrderOnly);
+  ExpectStatsParity(tree2, ir2);
+}
+
+TEST(IrExecutorTest, CseEvaluatesASharedSubexpressionOnce) {
+  ExecFixture f;
+  EvalStats tree, ir;
+  f.Both(
+      "(Authors > sigma(\"Chang\", Last_Name)) | "
+      "(Authors > sigma(\"Chang\", Last_Name))",
+      &tree, &ir, CseOnly);
+  EXPECT_EQ(tree.select_ops, 2u);
+  EXPECT_EQ(ir.select_ops, 1u);
+  EXPECT_EQ(tree.simple_incl_ops, 2u);
+  EXPECT_EQ(ir.simple_incl_ops, 1u);
+  EXPECT_EQ(tree.set_ops, ir.set_ops);
+}
+
+TEST(IrExecutorTest, PushdownKeepsOperatorCountsAndShrinksIntermediates) {
+  ExecFixture f;
+  // σ moves below ⊂ onto Last_Name: the same operators run, but ⊂ sees
+  // one Smith instead of all three author last names.
+  EvalStats tree, ir;
+  f.Both("sigma(\"Smith\", Last_Name < Authors)", &tree, &ir,
+         PushdownOnly);
+  EXPECT_EQ(tree.select_ops, ir.select_ops);
+  EXPECT_EQ(tree.simple_incl_ops, ir.simple_incl_ops);
+  EXPECT_EQ(tree.set_ops, ir.set_ops);
+  EXPECT_LT(ir.regions_produced, tree.regions_produced);
 }
 
 TEST(IrExecutorTest, CacheEntriesCrossEngines) {
@@ -205,12 +268,6 @@ TEST(IrExecutorTest, CacheEntriesCrossEngines) {
   // ...and the IR executor is served from it: node keys are the same
   // canonical serialization, so the composite root is a hit.
   IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
-  IrPlanOptions off;
-  off.enable_cse = false;
-  off.enable_pushdown = false;
-  off.enable_ordering = false;
-  off.enable_fusion = false;
-  RunPasses(&p, off, &f.index(), &f.words());
   IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus(), nullptr,
                   &cache, epoch);
   EvalStats served;
@@ -231,8 +288,7 @@ TEST(IrExecutorTest, SlotsMemoizeAcrossRoots) {
   ASSERT_TRUE(proj.ok());
   IrProgram p =
       LowerToIr(cand->get(), proj->get(), nullptr, nullptr);
-  IrPlanOptions options;
-  RunPasses(&p, options, &f.index(), &f.words());
+  RunPasses(&p, &f.index(), &f.words());
   IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus());
   EvalStats stats;
   auto candidates = exec.EvaluateRoot(p.candidates, &stats);
@@ -260,8 +316,7 @@ TEST(IrExecutorTest, GovernanceBudgetsTripLikeTree) {
   options.max_regions = 2;  // far below the intermediates produced
   ExecContext ctx(options);
   IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
-  IrPlanOptions plan;
-  RunPasses(&p, plan, &f.index(), &f.words());
+  RunPasses(&p, &f.index(), &f.words());
   IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus(), &ctx);
   auto r = exec.EvaluateRoot(p.candidates);
   ASSERT_FALSE(r.ok());
@@ -273,8 +328,7 @@ TEST(IrExecutorTest, UnknownNameFailsLikeTree) {
   auto expr = ParseRegionExpr("Nonexistent & Reference");
   ASSERT_TRUE(expr.ok());
   IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
-  IrPlanOptions options;
-  RunPasses(&p, options, &f.index(), &f.words());
+  RunPasses(&p, &f.index(), &f.words());
   IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus());
   auto r = exec.EvaluateRoot(p.candidates);
   ASSERT_FALSE(r.ok());
@@ -291,8 +345,7 @@ TEST(IrExecutorTest, JoinRootUsesTheInstalledJoinFn) {
   ASSERT_TRUE(rhs.ok());
   IrProgram p =
       LowerToIr(cand->get(), nullptr, lhs->get(), rhs->get());
-  IrPlanOptions options;
-  RunPasses(&p, options, &f.index(), &f.words());
+  RunPasses(&p, &f.index(), &f.words());
   IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus());
 
   // Without a join function the kJoin root must fail loudly.
@@ -316,8 +369,7 @@ TEST(IrExecutorTest, PerOperatorTimingsAreRecorded) {
       "Reference > Authors > sigma(\"Chang\", Last_Name)");
   ASSERT_TRUE(expr.ok());
   IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
-  IrPlanOptions options;
-  RunPasses(&p, options, &f.index(), &f.words());
+  RunPasses(&p, &f.index(), &f.words());
   IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus());
   ASSERT_TRUE(exec.EvaluateRoot(p.candidates).ok());
   const IrOpTimings& timings = exec.timings();

@@ -5,6 +5,8 @@
 
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
+#include "qof/ir/ir.h"
+#include "qof/ir/passes.h"
 
 namespace qof {
 namespace {
@@ -108,14 +110,6 @@ TEST(ExplainGoldenTest, PipelineSectionGolden) {
             "%4 = including %1 %3  ; card~2 work~17\n"
             "%5 = including %0 %4  ; card~2 work~23\n"
             "roots: candidates=%5\n"
-            "-- after fuse --\n"
-            "%0 = load Reference  ; card~2 work~2\n"
-            "%1 = load Authors  ; card~2 work~2\n"
-            "%2 = load Last_Name  ; card~5 work~5\n"
-            "%3 = select sigma(\"Chang\", %2)  ; card~3 work~10\n"
-            "%4 = including %1 %3  ; card~2 work~17\n"
-            "%5 = including %0 %4  ; card~2 work~23\n"
-            "roots: candidates=%5\n"
             "-- after annotate --\n"
             "%0 = load Reference  ; card~2 work~2\n"
             "%1 = load Authors  ; card~2 work~2\n"
@@ -126,17 +120,21 @@ TEST(ExplainGoldenTest, PipelineSectionGolden) {
             "roots: candidates=%5\n");
 }
 
-TEST(ExplainGoldenTest, DisabledPassesShrinkThePipeline) {
+TEST(ExplainGoldenTest, LastDumpIsTheProgramExecuteRuns) {
   auto system_owner = MakeSystem();
   FileQuerySystem& system = *system_owner;
-  IrPlanOptions options;
-  options.enable_fusion = false;
-  options.enable_cse = false;
-  auto explained = system.ExplainQuery(kQuery, options);
-  ASSERT_TRUE(explained.ok());
-  EXPECT_EQ(explained->find("-- after cse --"), std::string::npos);
-  EXPECT_EQ(explained->find("-- after fuse --"), std::string::npos);
-  EXPECT_NE(explained->find("-- after pushdown --"), std::string::npos);
+  auto explained = system.ExplainQuery(kQuery);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  // Execute lowers the compiled plan and runs the one pass pipeline.
+  auto plan = system.Plan(kQuery);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  IrProgram ir =
+      LowerToIr(plan->candidates.get(), plan->projection.get(),
+                plan->join_lhs_attrs.get(), plan->join_rhs_attrs.get());
+  RunPasses(&ir, &system.region_index(), &system.word_index());
+  size_t at = explained->rfind("-- after ");
+  ASSERT_NE(at, std::string::npos) << *explained;
+  EXPECT_EQ(explained->substr(at), "-- after annotate --\n" + ir.Dump());
 }
 
 TEST(EngineSelectionTest, IndexPlansReportTheIrEngine) {

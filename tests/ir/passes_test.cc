@@ -217,76 +217,25 @@ TEST(PassOrderTest, KeyBreaksTies) {
   EXPECT_EQ(p.nodes[root.inputs[2]].name, "Zr");
 }
 
-TEST(PassFuseTest, SelectChainFusesGolden) {
-  PassFixture f;
-  IrProgram p = f.Lower("sigma(\"x\", sigma(\"y\", C))");
-  PassFuse(&p);
-  EXPECT_EQ(p.Dump(),
-            "%0 = load C\n"
-            "%1 = fuse %0 :: sigma(\"y\", _) :: sigma(\"x\", _)\n"
-            "roots: candidates=%1\n");
-  // The fused node keeps the chain's canonical key, so it still shares
-  // cache entries with the unfused plan.
-  IrProgram unfused = f.Lower("sigma(\"x\", sigma(\"y\", C))");
-  EXPECT_EQ(p.nodes[p.candidates].key,
-            unfused.nodes[unfused.candidates].key);
-}
-
-TEST(PassFuseTest, ContainmentStagesFuseWithSelects) {
-  PassFixture f;
-  IrProgram p = f.Lower("sigma(\"x\", (B > A) )");
-  PassFuse(&p);
-  const IrNode& root = p.nodes[p.candidates];
-  ASSERT_EQ(root.op, IrOp::kFusedChain);
-  ASSERT_EQ(root.stages.size(), 2u);
-  EXPECT_EQ(root.stages[0].kind, IrStage::Kind::kIncluding);
-  EXPECT_EQ(root.stages[1].kind, IrStage::Kind::kSelect);
-}
-
-TEST(PassFuseTest, SharedNodesStayMaterialized) {
-  PassFixture f;
-  // sigma("y", C) feeds two consumers; fusing it into either chain would
-  // recompute it, so it must survive as its own node.
-  IrProgram p =
-      f.Lower("sigma(\"x\", sigma(\"y\", C)) | (sigma(\"y\", C) & A)");
-  PassCse(&p);
-  PassFuse(&p);
-  bool saw_shared_select = false;
-  for (const IrNode& n : p.nodes) {
-    saw_shared_select |= n.op == IrOp::kSelect;
-  }
-  EXPECT_TRUE(saw_shared_select) << p.Dump();
-}
-
 TEST(PassPipelineTest, FullPipelineIsDeterministic) {
   PassFixture f;
-  IrPlanOptions options;
   IrProgram a = f.Lower("sigma(\"x\", C & A) | sigma(\"x\", C & A)");
   IrProgram b = f.Lower("sigma(\"x\", C & A) | sigma(\"x\", C & A)");
   std::vector<PassTrace> trace_a, trace_b;
-  RunPasses(&a, options, f.index(), f.words(), &trace_a);
-  RunPasses(&b, options, f.index(), f.words(), &trace_b);
+  RunPasses(&a, f.index(), f.words(), &trace_a);
+  RunPasses(&b, f.index(), f.words(), &trace_b);
   ASSERT_EQ(trace_a.size(), trace_b.size());
   for (size_t i = 0; i < trace_a.size(); ++i) {
     EXPECT_EQ(trace_a[i].name, trace_b[i].name);
     EXPECT_EQ(trace_a[i].dump, trace_b[i].dump);
   }
-  // lower + cse + pushdown + order + fuse + annotate.
-  EXPECT_EQ(trace_a.size(), 6u);
-}
-
-TEST(PassPipelineTest, DisabledPassesAreSkipped) {
-  PassFixture f;
-  IrPlanOptions options;
-  options.enable_cse = false;
-  options.enable_fusion = false;
-  IrProgram p = f.Lower("sigma(\"x\", C & A)");
-  std::vector<PassTrace> trace;
-  RunPasses(&p, options, f.index(), f.words(), &trace);
-  ASSERT_EQ(trace.size(), 4u);  // lower, pushdown, order, annotate
-  EXPECT_EQ(trace[1].name, "pushdown");
-  EXPECT_EQ(trace[2].name, "order");
-  EXPECT_EQ(trace[3].name, "annotate");
+  // The one fixed pipeline, one step per pass; the last step is the
+  // program the executor runs.
+  std::vector<std::string> names;
+  for (const PassTrace& step : trace_a) names.push_back(step.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"lower", "cse", "pushdown",
+                                             "order", "annotate"}));
+  EXPECT_EQ(trace_a.back().dump, a.Dump());
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // indexes, and prints the compiler's plan explanation followed by the
 // dataflow IR pipeline — the program dump (with per-node cardinality and
 // work estimates) after lowering and after each optimizer pass (see
-// DESIGN.md, "Query IR & pass pipeline"). With --execute it also runs
+// DESIGN.md, "Query IR & pass pipeline"). The pipeline is fixed, so the
+// last dump is the program the query runs. With --execute it also runs
 // the query and prints the per-operator IR timing counters.
 //
 // Exit codes: 0 = success, 1 = usage error, 2 = data/query error.
@@ -16,7 +17,6 @@
 
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
-#include "qof/ir/passes.h"
 #include "qof/schema/schema_text.h"
 #include "qof/util/result.h"
 
@@ -31,10 +31,8 @@ void PrintUsage(std::ostream& out) {
          "                  schema in the text format of schema_text.h\n"
          "  --query FQL     the SELECT query to explain\n"
          "  --execute       also run the query (auto mode) and print the\n"
-         "                  per-operator IR timing counters\n"
-         "  --no-cse | --no-pushdown | --no-order | --no-fuse\n"
-         "                  leave a pass out of the printed pipeline\n"
-         "                  (--execute still runs every pass)\n"
+         "                  per-operator IR timing counters (it runs the\n"
+         "                  program of the last pipeline dump)\n"
          "exit codes: 0 ok, 1 usage, 2 data/query error\n";
 }
 
@@ -70,7 +68,6 @@ int Run(int argc, char** argv) {
   std::string schema_file;
   std::string fql;
   bool execute = false;
-  IrPlanOptions passes;
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
@@ -104,14 +101,6 @@ int Run(int argc, char** argv) {
       fql = value;
     } else if (arg == "--execute") {
       execute = true;
-    } else if (arg == "--no-cse") {
-      passes.enable_cse = false;
-    } else if (arg == "--no-pushdown") {
-      passes.enable_pushdown = false;
-    } else if (arg == "--no-order") {
-      passes.enable_ordering = false;
-    } else if (arg == "--no-fuse") {
-      passes.enable_fusion = false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unrecognized option: " << arg << "\n";
       PrintUsage(std::cerr);
@@ -152,7 +141,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  auto explanation = system.ExplainQuery(fql, passes);
+  auto explanation = system.ExplainQuery(fql);
   if (!explanation.ok()) {
     std::cerr << explanation.status().ToString() << "\n";
     return 2;
