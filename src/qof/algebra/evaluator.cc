@@ -148,6 +148,9 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalDirect(
     const RegionExpr& expr, const RegionSet& left, const RegionSet& right,
     EvalStats* stats) const {
   if (stats) ++stats->direct_incl_ops;
+  // Always the whole universe, never the RIG-narrowed separator tables the
+  // IR executor probes: this evaluator is the oracle that path is checked
+  // against (the fuzzer's IR leg).
   // ⊃d consults the indexed universe and its parent table; a disk-backed
   // index must materialize every instance first, and an I/O failure has
   // to surface here (Universe() itself is infallible and would answer

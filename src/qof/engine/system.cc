@@ -58,7 +58,9 @@ std::vector<std::string> QueryResult::RenderedValues() const {
 }
 
 FileQuerySystem::FileQuerySystem(StructuringSchema schema)
-    : schema_(std::move(schema)), full_rig_(DeriveFullRig(schema_)) {
+    : schema_(std::move(schema)),
+      full_rig_(DeriveFullRig(schema_)),
+      same_span_rig_(DeriveSameSpanRig(schema_)) {
   const std::string& view = schema_.view_name();
   view_aliases_.insert(view);
   view_aliases_.insert(view + "s");
@@ -249,6 +251,8 @@ std::string FileQuerySystem::ExplainPlan(const QueryPlan& plan) const {
   // before any pass runs: n-ary ∪/∩ cost like their left fold.
   IrProgram lowered =
       LowerToIr(plan.candidates.get(), nullptr, nullptr, nullptr);
+  const SeparatorFacts facts = separator_facts();
+  AssignSeparators(&lowered, &built_->regions, &facts);
   AnnotateIrCosts(&lowered, &built_->regions, &built_->words);
   const IrNode& root = lowered.nodes[lowered.candidates];
   out += "            ~" +
@@ -278,7 +282,8 @@ Result<std::string> FileQuerySystem::ExplainQuery(std::string_view fql) const {
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
   std::vector<PassTrace> trace;
-  RunPasses(&ir, &built_->regions, &built_->words, &trace);
+  const SeparatorFacts facts = separator_facts();
+  RunPasses(&ir, &built_->regions, &built_->words, &facts, &trace);
   out += "\nIR pipeline:\n";
   for (const PassTrace& step : trace) {
     out += "-- after " + step.name + " --\n" + step.dump;
@@ -580,7 +585,8 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   IrProgram ir =
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
-  RunPasses(&ir, &surface.built->regions, &surface.built->words);
+  const SeparatorFacts facts = separator_facts();
+  RunPasses(&ir, &surface.built->regions, &surface.built->words, &facts);
   IrExecutor ir_exec(&ir, &surface.built->regions, &surface.built->words,
                      surface.corpus, ctx, surface.eval_cache, surface.epoch);
   ir_exec.SetJoinFn([&corpus](const RegionSet& cands, const RegionSet& lhs,

@@ -17,6 +17,7 @@
 #include "qof/engine/snapshot.h"
 #include "qof/exec/exec_context.h"
 #include "qof/ir/executor.h"
+#include "qof/ir/passes.h"
 #include "qof/maintain/maintainer.h"
 #include "qof/query/parser.h"
 #include "qof/schema/rig_derivation.h"
@@ -241,6 +242,11 @@ class FileQuerySystem {
 
   const StructuringSchema& schema() const { return schema_; }
   const Rig& full_rig() const { return full_rig_; }
+  /// What RunPasses reads to narrow ⊃d/⊂d separators (schema facts
+  /// only, so valid for the life of the system).
+  SeparatorFacts separator_facts() const {
+    return {&full_rig_, &same_span_rig_};
+  }
   const Corpus& corpus() const { return *corpus_; }
   bool indexes_built() const { return built_ != nullptr; }
   const RegionIndex& region_index() const { return built_->regions; }
@@ -388,6 +394,7 @@ class FileQuerySystem {
 
   StructuringSchema schema_;
   Rig full_rig_;
+  Rig same_span_rig_;
   /// Serializes mutations and state publication (corpus_/built_/
   /// compiler_/maintainer_ swaps, snapshot pinning) — see the
   /// concurrency contract above AcquireSnapshot(). Mutable so const

@@ -169,7 +169,8 @@ Status CheckIrEquivalence(
     if (options.bug == InjectedBug::kBadCse) {
       planted.emplace(FaultInjector::Spec{planted_bug::kBadCse});
     }
-    RunPasses(&ir, &sys.region_index(), &sys.word_index());
+    const SeparatorFacts facts = sys.separator_facts();
+    RunPasses(&ir, &sys.region_index(), &sys.word_index(), &facts);
   }
   std::vector<std::pair<const char*, int>> roots = {
       {"candidates", ir.candidates}};

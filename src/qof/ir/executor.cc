@@ -273,20 +273,37 @@ Result<IrExecutor::Slot> IrExecutor::ComputeNode(int id, EvalStats* stats) {
       QOF_RETURN_IF_ERROR(Charge(stats, out.owned));
       break;
     case IrOp::kDirectlyIncluding:
-    case IrOp::kDirectlyIncluded:
+    case IrOp::kDirectlyIncluded: {
       if (stats != nullptr) ++stats->direct_incl_ops;
-      // Disk-backed indexes materialize every instance for the universe;
-      // surface I/O errors before the infallible Universe() call.
+      // Pages every instance in, though a separator table reads only its
+      // own names: resident instances send later selections to the
+      // in-memory kernels, while instances left on disk route them
+      // through the block-cursor path, which the grammar-disk benchmark
+      // measured as slower (ROADMAP, disk-tier item). Also surfaces I/O
+      // errors before the infallible Universe() call.
       QOF_RETURN_IF_ERROR(regions_->EnsureResident());
-      out.owned = node.op == IrOp::kDirectlyIncluding
-                      ? DirectlyIncluding(*inputs[0], *inputs[1],
-                                          regions_->Universe(),
-                                          regions_->Parents())
-                      : DirectlyIncluded(*inputs[0], *inputs[1],
-                                         regions_->Universe(),
-                                         regions_->Parents());
+      const bool including = node.op == IrOp::kDirectlyIncluding;
+      // A zero-length probe can sit on a sibling's boundary, inside
+      // regions that are not its parse ancestors, where the RIG's paths
+      // say nothing: such probes take the universe.
+      const RegionSet& probed = including ? *inputs[1] : *inputs[0];
+      std::shared_ptr<const SeparatorTable> table;
+      if (!node.separators.empty() &&
+          std::none_of(probed.begin(), probed.end(),
+                       [](const Region& q) { return q.length() == 0; })) {
+        QOF_ASSIGN_OR_RETURN(table, regions_->Separators(node.separators));
+      }
+      const RegionSet& universe =
+          table != nullptr ? table->regions : regions_->Universe();
+      const ParentTable& parents =
+          table != nullptr ? table->parents : regions_->Parents();
+      out.owned =
+          including
+              ? DirectlyIncluding(*inputs[0], *inputs[1], universe, parents)
+              : DirectlyIncluded(*inputs[0], *inputs[1], universe, parents);
       QOF_RETURN_IF_ERROR(Charge(stats, out.owned));
       break;
+    }
     case IrOp::kProject:
       // The engine's index-only projection rung: attrs within candidates,
       // uncharged, like every engine rung.

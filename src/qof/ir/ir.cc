@@ -114,10 +114,20 @@ std::string IrProgram::Dump() const {
         for (int input : n.inputs) out += " " + Ref(input);
         break;
     }
+    std::string note_sep = "  ; ";
     if (n.est_cardinality >= 0) {
-      out += "  ; card~" +
+      out += note_sep + "card~" +
              std::to_string(static_cast<long long>(n.est_cardinality)) +
              " work~" + std::to_string(static_cast<long long>(n.est_work));
+      note_sep = "; ";
+    }
+    if (n.op == IrOp::kDirectlyIncluding || n.op == IrOp::kDirectlyIncluded) {
+      out += note_sep + "seps=";
+      if (n.separators.empty()) out += "universe";
+      for (size_t k = 0; k < n.separators.size(); ++k) {
+        out += (k == 0 ? "{" : ",") + n.separators[k];
+      }
+      if (!n.separators.empty()) out += "}";
     }
     out += "\n";
   }

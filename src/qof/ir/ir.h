@@ -43,6 +43,10 @@ struct IrNode {
   SelectSpec select;   // kSelect
   std::vector<int> inputs;
   std::string key;
+  /// kDirectlyIncluding/kDirectlyIncluded: the sorted names whose regions
+  /// can separate the operands (AssignSeparators); the probe walks their
+  /// SeparatorTable. Empty probes the whole universe.
+  std::vector<std::string> separators;
   // Cost annotations (AnnotateIrCosts over the shared CostModel table);
   // negative until AnnotateIrCosts runs.
   double est_cardinality = -1;
@@ -63,7 +67,8 @@ struct IrProgram {
 
   /// Deterministic textual form (goldens, --explain): one `%id = op ...`
   /// line per node plus a roots line; cost annotations appended when
-  /// present.
+  /// present, and each ⊃d/⊂d node's separators (`seps={A,B}` or
+  /// `seps=universe`).
   std::string Dump() const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <unordered_map>
 
 #include "qof/exec/fault_injector.h"
@@ -64,8 +65,9 @@ Est SelectEst(const Est& child, const SelectSpec& spec,
   return est;
 }
 
-/// `op` is one of ⊃ ⊂ ⊃d ⊂d.
+/// `op` is one of ⊃ ⊂ ⊃d ⊂d; `separators` are a ⊃d/⊂d node's.
 Est InclusionEst(const Est& l, const Est& r, IrOp op,
+                 const std::vector<std::string>& separators,
                  const RegionIndex* regions) {
   Est est;
   est.card = std::min(l.card, r.card);
@@ -73,17 +75,97 @@ Est InclusionEst(const Est& l, const Est& r, IrOp op,
   const bool direct =
       op == IrOp::kDirectlyIncluding || op == IrOp::kDirectlyIncluded;
   if (direct && regions != nullptr) {
-    // ⊃d probes each right member into the universe, ⊂d each left.
+    // ⊃d probes each right member into the separator table (or the
+    // universe), ⊂d each left.
+    double table = 0;
+    if (separators.empty()) {
+      table = static_cast<double>(regions->UniverseSize());
+    } else {
+      for (const std::string& name : separators) {
+        table += LoadCardinality(regions, name);
+      }
+    }
     double probes = op == IrOp::kDirectlyIncluding ? r.card : l.card;
-    merge += CostModel::DirectProbeWork(
-        probes, static_cast<double>(regions->UniverseSize()));
+    merge += CostModel::DirectProbeWork(probes, table);
     merge *= CostModel::kDirectFactor;
   }
   est.work = l.work + r.work + merge;
   return est;
 }
 
+/// The region name every member of node `id`'s result carries, or ""
+/// when there is none: these operators keep a subset of their first
+/// input, a union only of its inputs.
+std::string OperandName(const IrProgram& p, int id) {
+  const IrNode& n = p.nodes[id];
+  switch (n.op) {
+    case IrOp::kLoad:
+      return n.name;
+    case IrOp::kSelect:
+    case IrOp::kIncluding:
+    case IrOp::kIncluded:
+    case IrOp::kDirectlyIncluding:
+    case IrOp::kDirectlyIncluded:
+    case IrOp::kIntersect:
+    case IrOp::kDifference:
+    case IrOp::kInnermost:
+    case IrOp::kOutermost:
+      return OperandName(p, n.inputs[0]);
+    case IrOp::kUnion: {
+      std::string name = OperandName(p, n.inputs[0]);
+      for (size_t k = 1; k < n.inputs.size(); ++k) {
+        if (OperandName(p, n.inputs[k]) != name) return "";
+      }
+      return name;
+    }
+    case IrOp::kProject:
+    case IrOp::kJoin:
+      break;
+  }
+  return "";
+}
+
+/// Separators for an `outer` region directly including an `inner` one;
+/// empty for the universe. See AssignSeparators.
+std::vector<std::string> SeparatorsFor(const std::string& outer,
+                                       const std::string& inner,
+                                       const RegionIndex& regions,
+                                       const SeparatorFacts& facts) {
+  const Rig& rig = *facts.full_rig;
+  const Rig::NodeId x = rig.FindNode(outer);
+  const Rig::NodeId y = rig.FindNode(inner);
+  if (x == Rig::kInvalidNode || y == Rig::kInvalidNode || !regions.Has(outer)) {
+    return {};
+  }
+  const Rig& same = *facts.same_span_rig;
+  const bool shares_span =
+      same.Reachable(same.FindNode(outer), same.FindNode(inner));
+  std::set<std::string> names = {outer};
+  for (Rig::NodeId n : rig.Between(x, y, !shares_span)) {
+    if (regions.Has(rig.name(n))) names.insert(rig.name(n));
+  }
+  if (names.size() >= regions.num_names()) return {};
+  return {names.begin(), names.end()};
+}
+
 }  // namespace
+
+void AssignSeparators(IrProgram* program, const RegionIndex* regions,
+                      const SeparatorFacts* facts) {
+  for (IrNode& n : program->nodes) {
+    if (n.op != IrOp::kDirectlyIncluding && n.op != IrOp::kDirectlyIncluded) {
+      continue;
+    }
+    n.separators.clear();
+    if (regions == nullptr || facts == nullptr) continue;
+    // ⊃d keeps left members enclosing right ones; ⊂d the reverse.
+    const bool including = n.op == IrOp::kDirectlyIncluding;
+    n.separators = SeparatorsFor(
+        OperandName(*program, n.inputs[including ? 0 : 1]),
+        OperandName(*program, n.inputs[including ? 1 : 0]), *regions,
+        *facts);
+  }
+}
 
 void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
                      const WordIndex* words) {
@@ -127,11 +209,12 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
       case IrOp::kIncluded:
       case IrOp::kDirectlyIncluding:
       case IrOp::kDirectlyIncluded:
-        e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]], n.op, regions);
+        e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]], n.op,
+                         n.separators, regions);
         break;
       case IrOp::kProject:
         e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]],
-                         IrOp::kIncluded, regions);
+                         IrOp::kIncluded, n.separators, regions);
         break;
       case IrOp::kJoin: {
         const Est& c = est[n.inputs[0]];
@@ -263,7 +346,7 @@ bool PushdownSweep(IrProgram* p) {
       case IrOp::kDirectlyIncluded: {
         // Results are drawn from the left operand, so the member filter
         // commutes with the containment test (and with ⊃d/⊂d, whose
-        // separators come from the index universe, not the operands).
+        // separators depend on the operands' names, which it keeps).
         std::vector<int> inputs = operands;
         inputs[0] = make_select(operands[0]);
         rewrite_as_child_with(std::move(inputs));
@@ -312,7 +395,8 @@ void PassOrderOperands(IrProgram* program, const RegionIndex* regions,
 }
 
 void RunPasses(IrProgram* program, const RegionIndex* regions,
-               const WordIndex* words, std::vector<PassTrace>* trace) {
+               const WordIndex* words, const SeparatorFacts* facts,
+               std::vector<PassTrace>* trace) {
   auto record = [&](const char* name) {
     if (trace != nullptr) trace->push_back({name, program->Dump()});
   };
@@ -323,6 +407,7 @@ void RunPasses(IrProgram* program, const RegionIndex* regions,
   record("pushdown");
   PassOrderOperands(program, regions, words);
   record("order");
+  AssignSeparators(program, regions, facts);
   AnnotateIrCosts(program, regions, words);
   record("annotate");
 }

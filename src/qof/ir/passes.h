@@ -6,9 +6,20 @@
 
 #include "qof/ir/ir.h"
 #include "qof/region/region_index.h"
+#include "qof/rig/rig.h"
 #include "qof/text/word_index.h"
 
 namespace qof {
+
+/// The schema facts AssignSeparators reads; both are required.
+struct SeparatorFacts {
+  /// The full RIG (DeriveFullRig): every region in the index is a parse
+  /// node, so a region strictly between two others has its name on a RIG
+  /// path between theirs.
+  const Rig* full_rig = nullptr;
+  /// DeriveSameSpanRig of the same schema.
+  const Rig* same_span_rig = nullptr;
+};
 
 /// One recorded pipeline step: the program dump after the named pass ran
 /// ("lower" records the pre-pass state).
@@ -22,11 +33,12 @@ struct PassTrace {
 /// no dead nodes, fresh keys). `regions`/`words` feed the cost
 /// annotations (null is allowed: every cardinality then estimates as zero
 /// and ordering falls back to the deterministic key tie-break). The final
-/// annotate step refreshes the costs so dumps and --explain show the
-/// estimates of the program that runs. With `trace`, records the lowered
-/// program ("lower") and the dump after each pass.
+/// annotate step assigns each ⊃d/⊂d node its separators from `facts`
+/// (null narrows nothing) and refreshes the costs, so dumps and --explain
+/// show the program that runs. With `trace`, records the lowered program
+/// ("lower") and the dump after each pass.
 void RunPasses(IrProgram* program, const RegionIndex* regions,
-               const WordIndex* words,
+               const WordIndex* words, const SeparatorFacts* facts = nullptr,
                std::vector<PassTrace>* trace = nullptr);
 
 // --- individual passes (exposed for the per-pass golden tests) ---------
@@ -51,11 +63,30 @@ void PassPushdown(IrProgram* program, const RegionIndex* regions,
 void PassOrderOperands(IrProgram* program, const RegionIndex* regions,
                        const WordIndex* words);
 
+/// Narrows each ⊃d/⊂d node's separators (paper §3). A region can lie
+/// strictly between an outer region of name X and an inner one of name Y
+/// only if its name is on a full-RIG path X ⇝ N ⇝ Y, so the node records
+/// X plus every indexed N on such a path, and the executor probes their
+/// SeparatorTable instead of the universe, as Thm 3.6 narrows ⊃d to ⊃ at
+/// compile time. Paths may skip returning through X unless an X region
+/// can share its span with a Y region below it (a same-span path X ⇝ Y):
+/// an X region strictly in between is then itself a separator. It is
+/// indexed even under a §7 context restriction, since it lies below an
+/// indexed X region and so inside that region's context. An operand's name is its leftmost
+/// load's through select, ⊃, ⊂, ⊃d, ⊂d, ∩, −, ω and ι, or that shared by
+/// every input of a union. A node keeps the universe (empty separators)
+/// when either operand has no single name, a name is not in the RIG, or
+/// the set would be every indexed name.
+void AssignSeparators(IrProgram* program, const RegionIndex* regions,
+                      const SeparatorFacts* facts);
+
 /// Annotates every node with cardinality/work estimates over the shared
 /// CostModel table — the system's one cost model: the size-refined
 /// expression ordering of §3.2 (Def. 3.4) that the passes and Explain
 /// read. Unknown names estimate as empty; n-ary ∪/∩/− cost like the
-/// left fold of the binary operator they replaced.
+/// left fold of the binary operator they replaced. A ⊃d/⊂d probe is
+/// sized by its separators' instance counts (no I/O), or by the
+/// universe's size when it has none.
 void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
                      const WordIndex* words);
 

@@ -13,6 +13,7 @@ void RegionIndex::CopyFrom(const RegionIndex& other) {
   universe_valid_ = other.universe_valid_;
   parents_ = other.parents_;
   parents_valid_ = other.parents_valid_;
+  separator_tables_ = other.separator_tables_;
   source_ = other.source_;
   unloaded_ = other.unloaded_;
 }
@@ -209,6 +210,30 @@ const ParentTable& RegionIndex::Parents() const {
 bool RegionIndex::has_parents() const {
   std::lock_guard<std::mutex> lock(universe_mu_);
   return parents_valid_;
+}
+
+Result<std::shared_ptr<const SeparatorTable>> RegionIndex::Separators(
+    const std::vector<std::string>& names) const {
+  // Only the named instances are paged in; the pointers Get() hands out
+  // stay valid for the life of the index.
+  std::vector<const RegionSet*> instances;
+  for (const std::string& name : names) {
+    Result<const RegionSet*> set = Get(name);
+    if (set.ok()) {
+      instances.push_back(*set);
+    } else if (!set.status().IsNotFound()) {
+      return set.status();
+    }
+  }
+  std::lock_guard<std::mutex> lock(universe_mu_);
+  std::shared_ptr<const SeparatorTable>& table = separator_tables_[names];
+  if (table == nullptr) {
+    auto built = std::make_shared<SeparatorTable>();
+    built->regions = UnionAll(instances);
+    built->parents = BuildParentTable(built->regions);
+    table = std::move(built);
+  }
+  return table;
 }
 
 std::vector<const RegionSet*> RegionIndex::AllExcept(

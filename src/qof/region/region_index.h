@@ -16,10 +16,19 @@
 
 namespace qof {
 
+/// The union of a set of instances and its parent table: what a ⊃d/⊂d
+/// probe walks once the RIG has narrowed its separators to those names
+/// (ir/passes.h), in place of the universe.
+struct SeparatorTable {
+  RegionSet regions;
+  ParentTable parents;
+};
+
 /// An *instance* of a region index (paper §3.1): a mapping from region
 /// names R1..Rn to sets of regions. The union of all instances is the
 /// "universe" of indexed regions, which defines direct inclusion (⊃d/⊂d:
-/// no *indexed* region strictly in between).
+/// no *indexed* region strictly in between); a probe whose separators the
+/// RIG narrows walks the union of just those instances (Separators()).
 ///
 /// Disk-resident mode: AttachSource() hands the index a backing
 /// RegionSource (the paged store). Instances then materialize lazily on
@@ -47,6 +56,7 @@ class RegionIndex {
         universe_valid_(other.universe_valid_),
         parents_(std::move(other.parents_)),
         parents_valid_(other.parents_valid_),
+        separator_tables_(std::move(other.separator_tables_)),
         source_(std::move(other.source_)),
         unloaded_(std::move(other.unloaded_)) {}
   RegionIndex& operator=(RegionIndex&& other) noexcept {
@@ -55,6 +65,7 @@ class RegionIndex {
     universe_valid_ = other.universe_valid_;
     parents_ = std::move(other.parents_);
     parents_valid_ = other.parents_valid_;
+    separator_tables_ = std::move(other.separator_tables_);
     source_ = std::move(other.source_);
     unloaded_ = std::move(other.unloaded_);
     return *this;
@@ -141,6 +152,14 @@ class RegionIndex {
   /// True while a parent table for the current universe is cached.
   bool has_parents() const;
 
+  /// The SeparatorTable of `names` (sorted, duplicate-free; unregistered
+  /// names contribute nothing). Built on first use and cached per set
+  /// until the next mutation; copies share the cached tables, which are
+  /// immutable. Pages in only the named instances, so it fails only on
+  /// their I/O or corruption. Thread-safety as Universe().
+  Result<std::shared_ptr<const SeparatorTable>> Separators(
+      const std::vector<std::string>& names) const;
+
   /// All instances except `excluded` — the paper's "I − {S}" used by the
   /// layered ⊃d program.
   std::vector<const RegionSet*> AllExcept(std::string_view excluded) const;
@@ -159,10 +178,12 @@ class RegionIndex {
   /// Copy assignment's body: takes both of `other`'s cache locks.
   void CopyFrom(const RegionIndex& other);
 
-  /// Drops the cached universe and its parent table.
+  /// Drops the cached universe, its parent table and every separator
+  /// table: each mutator calls this.
   void InvalidateUniverse() {
     universe_valid_ = false;
     parents_valid_ = false;
+    separator_tables_.clear();
   }
 
   /// Mutable: Get() materializes lazily under lazy_mu_. Node-based, so
@@ -178,6 +199,10 @@ class RegionIndex {
   /// universe is.
   mutable ParentTable parents_;
   mutable bool parents_valid_ = false;
+  /// Separators() cache, keyed by name set; guarded by universe_mu_.
+  mutable std::map<std::vector<std::string>,
+                   std::shared_ptr<const SeparatorTable>>
+      separator_tables_;
 
   /// Backing source; null for a fully in-memory index. Set once before
   /// the index is shared, never reassigned by const paths (readers may

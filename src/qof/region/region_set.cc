@@ -318,37 +318,56 @@ RegionSet Union(const RegionSet& a, const RegionSet& b) {
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
-RegionSet UnionAll(const std::vector<const RegionSet*>& sets) {
-  // k-way merge: a min-heap holds one cursor per non-empty input, keyed
-  // by the member it points at; each output step pops the least member,
-  // skips it when it repeats the last output, and pushes the cursor back.
+namespace {
+
+/// k-way merge: a min-heap holds one cursor per non-empty input, keyed by
+/// the member it points at; each step pops the least member, passes it to
+/// `emit` unless it repeats the previous one, and pushes the cursor back.
+template <typename Emit>
+void MergeDistinct(const std::vector<const RegionSet*>& sets, Emit&& emit) {
   struct Cursor {
     const Region* at;
     const Region* end;
   };
   auto later = [](const Cursor& a, const Cursor& b) { return *b.at < *a.at; };
   std::vector<Cursor> heap;
-  size_t total = 0;
   for (const RegionSet* set : sets) {
     if (set->empty()) continue;
     heap.push_back({set->regions().data(),
                     set->regions().data() + set->size()});
-    total += set->size();
   }
   std::make_heap(heap.begin(), heap.end(), later);
-  std::vector<Region> out;
-  out.reserve(total);
+  const Region* last = nullptr;
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), later);
     Cursor& c = heap.back();
-    if (out.empty() || out.back() < *c.at) out.push_back(*c.at);
+    if (last == nullptr || *last < *c.at) {
+      last = c.at;
+      emit(*c.at);
+    }
     if (++c.at == c.end) {
       heap.pop_back();
     } else {
       std::push_heap(heap.begin(), heap.end(), later);
     }
   }
+}
+
+}  // namespace
+
+RegionSet UnionAll(const std::vector<const RegionSet*>& sets) {
+  size_t total = 0;
+  for (const RegionSet* set : sets) total += set->size();
+  std::vector<Region> out;
+  out.reserve(total);
+  MergeDistinct(sets, [&out](const Region& r) { out.push_back(r); });
   return RegionSet::FromSortedUnique(std::move(out));
+}
+
+uint64_t UnionAllSize(const std::vector<const RegionSet*>& sets) {
+  uint64_t n = 0;
+  MergeDistinct(sets, [&n](const Region&) { ++n; });
+  return n;
 }
 
 RegionSet Intersect(const RegionSet& a, const RegionSet& b) {

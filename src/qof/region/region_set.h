@@ -88,6 +88,8 @@ RegionSet Union(const RegionSet& a, const RegionSet& b);
 /// members over k sets, each written once, where folding Union one set
 /// at a time re-copies the growing result on every step.
 RegionSet UnionAll(const std::vector<const RegionSet*>& sets);
+/// UnionAll(sets).size() by the same merge, counting instead of writing.
+uint64_t UnionAllSize(const std::vector<const RegionSet*>& sets);
 /// Set-theoretic intersection (identical spans): GallopIntersect when
 /// CostModel::PreferGallop holds for the operand sizes, else
 /// LinearIntersect.

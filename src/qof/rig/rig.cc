@@ -110,6 +110,22 @@ bool Rig::EveryPathThrough(NodeId i, NodeId k, NodeId j) const {
   return !ReachSet(i, avoid_j)[k];
 }
 
+std::vector<Rig::NodeId> Rig::Between(NodeId outer, NodeId inner,
+                                      bool avoid_outer) const {
+  std::function<bool(NodeId)> interior_ok;
+  if (avoid_outer) interior_ok = [outer](NodeId v) { return v != outer; };
+  // N is interior to the whole path, so it too must pass the predicate;
+  // N != outer covers it.
+  std::vector<bool> from_outer = ReachSet(outer, interior_ok);
+  std::vector<NodeId> out;
+  for (NodeId n = 0; n < static_cast<NodeId>(names_.size()); ++n) {
+    if (n != outer && from_outer[n] && ReachSet(n, interior_ok)[inner]) {
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
 int Rig::PathMultiplicity(
     NodeId from, NodeId to,
     const std::function<bool(NodeId)>& interior_ok) const {

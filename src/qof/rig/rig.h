@@ -65,6 +65,14 @@ class Rig {
   /// deleting j disconnects i from k. Trivially true when j is i or k.
   bool EveryPathThrough(NodeId i, NodeId k, NodeId j) const;
 
+  /// Nodes N other than `outer` on some path outer ⇝ N ⇝ inner, both legs
+  /// of length >= 1; with `avoid_outer`, only paths whose interior never
+  /// returns to `outer`. Only regions of these names can lie strictly
+  /// between an `outer` region and an `inner` region inside it, so they
+  /// are the candidate separators of a direct-inclusion test (paper §3).
+  std::vector<NodeId> Between(NodeId outer, NodeId inner,
+                              bool avoid_outer) const;
+
   /// Number of distinct paths of length >= 1 from `from` to `to` whose
   /// *interior* nodes all satisfy `interior_ok`, saturated at 2:
   /// 0 = none, 1 = exactly one, 2 = more than one (including infinitely

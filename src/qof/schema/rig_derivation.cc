@@ -1,8 +1,15 @@
 #include "qof/schema/rig_derivation.h"
 
+#include <algorithm>
+
 namespace qof {
 
-Rig DeriveFullRig(const StructuringSchema& schema) {
+namespace {
+
+/// One node per non-terminal and an edge (A, B) for each non-terminal B
+/// of A's rule, for the rules `keep` accepts.
+template <typename Keep>
+Rig RuleGraph(const StructuringSchema& schema, Keep&& keep) {
   Rig rig;
   const Grammar& g = schema.grammar();
   for (size_t i = 0; i < g.num_symbols(); ++i) {
@@ -10,12 +17,30 @@ Rig DeriveFullRig(const StructuringSchema& schema) {
   }
   for (size_t i = 0; i < g.num_symbols(); ++i) {
     SymbolId lhs = static_cast<SymbolId>(i);
-    if (!g.HasRule(lhs)) continue;
+    if (!g.HasRule(lhs) || !keep(g.RuleFor(lhs))) continue;
     for (SymbolId child : g.RuleChildren(lhs)) {
       rig.AddEdge(g.SymbolName(lhs), g.SymbolName(child));
     }
   }
   return rig;
+}
+
+}  // namespace
+
+Rig DeriveFullRig(const StructuringSchema& schema) {
+  return RuleGraph(schema, [](const RuleBody&) { return true; });
+}
+
+Rig DeriveSameSpanRig(const StructuringSchema& schema) {
+  return RuleGraph(schema, [](const RuleBody& body) {
+    const auto* seq = std::get_if<SequenceBody>(&body);
+    return seq == nullptr ||
+           std::none_of(seq->elements.begin(), seq->elements.end(),
+                        [](const GrammarElement& e) {
+                          return e.kind == GrammarElement::Kind::kLiteral &&
+                                 !e.literal.empty();
+                        });
+  });
 }
 
 Rig DerivePartialRig(const Rig& full_rig,

@@ -15,6 +15,15 @@ namespace qof {
 /// directly include a B region under full indexing.
 Rig DeriveFullRig(const StructuringSchema& schema);
 
+/// The sub-graph of the full RIG whose edges (A, B) let an A region share
+/// its exact span with a B child: A's rule is a repetition (one item
+/// spans the whole) or a sequence with no non-empty literal of its own.
+/// A sequence with a literal always spans that literal's bytes, which no
+/// child does. Direct inclusion is blind to equal spans, so the separator
+/// analysis (ir/passes.h) must not rely on an A region between the two
+/// ends of a path when this graph has a path from A to the inner name.
+Rig DeriveSameSpanRig(const StructuringSchema& schema);
+
 /// Derives the RIG of a partial index (paper §6.1): nodes are the indexed
 /// names; edge (A, B) iff the full RIG has a path A ⇝ B whose interior
 /// nodes are all unindexed.

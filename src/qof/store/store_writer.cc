@@ -181,7 +181,6 @@ Result<std::string> BuildStoreImage(const StoreWriterInput& input,
   meta.page_size = page_size;
   meta.generation = input.generation;
   meta.doc_count = input.doc_count;
-  meta.universe_size = input.regions->Universe().size();
 
   // Region instances, sorted by name, streams concatenated into the
   // postings payload.
@@ -189,9 +188,12 @@ Result<std::string> BuildStoreImage(const StoreWriterInput& input,
   std::vector<std::string> region_names = input.regions->Names();
   std::vector<DictRecord> region_records;
   region_records.reserve(region_names.size());
+  std::vector<const RegionSet*> instances;
+  instances.reserve(region_names.size());
   for (const std::string& name : region_names) {
     auto set = input.regions->Get(name);
     if (!set.ok()) return set.status();
+    instances.push_back(*set);
     DictRecord r;
     r.key = &name;
     r.byte_off = postings.size();
@@ -202,6 +204,8 @@ Result<std::string> BuildStoreImage(const StoreWriterInput& input,
     meta.total_regions += r.count;
   }
   meta.region_names = region_names.size();
+  // Counted, not materialized: the universe itself is never built here.
+  meta.universe_size = UnionAllSize(instances);
   meta.body_bytes += meta.total_regions * 16;
 
   // Word postings, sorted: the posting map iterates in an unspecified

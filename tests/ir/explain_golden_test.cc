@@ -7,6 +7,7 @@
 #include "qof/engine/system.h"
 #include "qof/ir/ir.h"
 #include "qof/ir/passes.h"
+#include "qof/schema/schema_text.h"
 
 namespace qof {
 namespace {
@@ -131,10 +132,66 @@ TEST(ExplainGoldenTest, LastDumpIsTheProgramExecuteRuns) {
   IrProgram ir =
       LowerToIr(plan->candidates.get(), plan->projection.get(),
                 plan->join_lhs_attrs.get(), plan->join_rhs_attrs.get());
-  RunPasses(&ir, &system.region_index(), &system.word_index());
+  const SeparatorFacts facts = system.separator_facts();
+  RunPasses(&ir, &system.region_index(), &system.word_index(), &facts);
   size_t at = explained->rfind("-- after ");
   ASSERT_NE(at, std::string::npos) << *explained;
   EXPECT_EQ(explained->substr(at), "-- after annotate --\n" + ir.Dump());
+}
+
+// The grammar model's benchmark schema, where Obj nests through Nest, so
+// x.Alpha compiles to ⊃d: the annotate step narrows its separators.
+constexpr char kGrammarSchema[] =
+    "schema Fuzz root File view Obj;\n"
+    "File ::= (Obj)* => collect set;\n"
+    "Obj ::= \"obj{\" \"f1<\" Alpha \">\" \"f2<\" Beta \">\" \"f3<\" Gamma "
+    "\">\" \"f4<\" Nest \">\" \"}\" => object Obj(Alpha: $1, Beta: $2, "
+    "Gamma: $3, Nest: $4);\n"
+    "Alpha ::= word;\n"
+    "Beta ::= \"(\" (ItemA / \";\")+ \")\" => collect set;\n"
+    "Gamma ::= \"(\" (ItemB / \";\")+ \")\" => collect set;\n"
+    "Nest ::= \"{\" (Obj)* \"}\" => collect set;\n"
+    "ItemA ::= until(\";\", \")\");\n"
+    "ItemB ::= ItemBKey \"=\" ItemBVal => tuple(ItemBKey: $1, ItemBVal: $2);\n"
+    "ItemBKey ::= word;\n"
+    "ItemBVal ::= until(\";\", \")\");\n";
+
+TEST(ExplainGoldenTest, DirectInclusionShowsItsSeparators) {
+  auto schema = ParseSchemaText(kGrammarSchema);
+  ASSERT_TRUE(schema.ok()) << schema.status().message();
+  FileQuerySystem system(*schema);
+  ASSERT_TRUE(system
+                  .AddFile("objs.txt",
+                           "obj{f1<zulu>f2<(a;b)>f3<(k=v)>f4<{obj{f1<alpha>"
+                           "f2<(c)>f3<(x=y)>f4<{}>}}>}\n"
+                           "obj{f1<zulu>f2<(zulu)>f3<(k=zulu)>f4<{}>}\n")
+                  .ok());
+  ASSERT_TRUE(system.BuildIndexes(IndexSpec::Full()).ok());
+  auto explained =
+      system.ExplainQuery("SELECT x FROM Obj x WHERE x.Alpha = \"zulu\"");
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  // The plan line costs the probe over {Obj}, not the universe.
+  EXPECT_NE(explained->find("~3 regions, ~57 work units"), std::string::npos)
+      << *explained;
+  size_t at = explained->find("-- after order --");
+  ASSERT_NE(at, std::string::npos) << *explained;
+  EXPECT_EQ(explained->substr(at),
+            "-- after order --\n"
+            "%0 = load Obj  ; card~3 work~3\n"
+            "%1 = load Alpha  ; card~3 work~3\n"
+            "%2 = select sigma(\"zulu\", %1)  ; card~3 work~6\n"
+            "%3 = directly-including %0 %2  ; card~3 work~85; seps=universe\n"
+            "roots: candidates=%3\n"
+            "-- after annotate --\n"
+            "%0 = load Obj  ; card~3 work~3\n"
+            "%1 = load Alpha  ; card~3 work~3\n"
+            "%2 = select sigma(\"zulu\", %1)  ; card~3 work~6\n"
+            "%3 = directly-including %0 %2  ; card~3 work~57; seps={Obj}\n"
+            "roots: candidates=%3\n");
+  auto result =
+      system.Execute("SELECT x FROM Obj x WHERE x.Alpha = \"zulu\"");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->regions.size(), 2u);
 }
 
 TEST(EngineSelectionTest, IndexPlansReportTheIrEngine) {

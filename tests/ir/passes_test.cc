@@ -222,8 +222,8 @@ TEST(PassPipelineTest, FullPipelineIsDeterministic) {
   IrProgram a = f.Lower("sigma(\"x\", C & A) | sigma(\"x\", C & A)");
   IrProgram b = f.Lower("sigma(\"x\", C & A) | sigma(\"x\", C & A)");
   std::vector<PassTrace> trace_a, trace_b;
-  RunPasses(&a, f.index(), f.words(), &trace_a);
-  RunPasses(&b, f.index(), f.words(), &trace_b);
+  RunPasses(&a, f.index(), f.words(), nullptr, &trace_a);
+  RunPasses(&b, f.index(), f.words(), nullptr, &trace_b);
   ASSERT_EQ(trace_a.size(), trace_b.size());
   for (size_t i = 0; i < trace_a.size(); ++i) {
     EXPECT_EQ(trace_a[i].name, trace_b[i].name);

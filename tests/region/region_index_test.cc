@@ -225,5 +225,143 @@ TEST(RegionIndexParentsTest, StoreBackedIndexAndSaveStore) {
   ExpectFreshParents(disk);
 }
 
+// --- separator-table cache -------------------------------------------------
+
+std::shared_ptr<const SeparatorTable> Seps(
+    const RegionIndex& idx, const std::vector<std::string>& names) {
+  auto table = idx.Separators(names);
+  EXPECT_TRUE(table.ok()) << table.status().message();
+  return table.ok() ? *table : nullptr;
+}
+
+// The cached table must be the one a fresh build over the current
+// instances gives.
+void ExpectFreshSeparators(const RegionIndex& idx,
+                           const std::vector<std::string>& names) {
+  std::vector<const RegionSet*> instances;
+  for (const std::string& name : names) {
+    if (idx.Has(name)) instances.push_back(*idx.Get(name));
+  }
+  auto table = Seps(idx, names);
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->regions, UnionAll(instances));
+  EXPECT_EQ(table->parents, BuildParentTable(table->regions));
+}
+
+TEST(RegionIndexSeparatorsTest, CachedPerNameSet) {
+  RegionIndex idx = ParentFixture();
+  auto ref = Seps(idx, {"Authors", "Reference"});
+  EXPECT_EQ(ref->regions, RS({{0, 100}, {10, 40}}));
+  EXPECT_EQ(ref->parents, (ParentTable{kNoParent, 0}));
+  EXPECT_EQ(Seps(idx, {"Authors", "Reference"}), ref);
+  EXPECT_NE(Seps(idx, {"Reference"}), ref);
+  // Unregistered names contribute nothing; the universe is never built.
+  EXPECT_EQ(Seps(idx, {"Missing", "Name"})->regions, RS({{12, 30}}));
+  EXPECT_FALSE(idx.has_parents());
+  // The narrowed probe: Authors directly includes Name once Reference and
+  // Authors are the only separators, as it does over the universe.
+  EXPECT_EQ(DirectlyIncluding(**idx.Get("Authors"), **idx.Get("Name"),
+                              ref->regions, ref->parents),
+            RS({{10, 40}}));
+}
+
+TEST(RegionIndexSeparatorsTest, DroppedByAdd) {
+  RegionIndex idx = ParentFixture();
+  auto before = Seps(idx, {"Name"});
+  idx.Add("Name", RS({{60, 70}}));
+  EXPECT_NE(Seps(idx, {"Name"}), before);
+  ExpectFreshSeparators(idx, {"Name"});
+}
+
+TEST(RegionIndexSeparatorsTest, DroppedByEraseSpan) {
+  RegionIndex idx = ParentFixture();
+  auto before = Seps(idx, {"Authors", "Reference"});
+  EXPECT_EQ(idx.EraseSpan(200, 300), 0u);  // erasing nothing keeps it
+  EXPECT_EQ(Seps(idx, {"Authors", "Reference"}), before);
+  EXPECT_EQ(idx.EraseSpan(10, 40), 2u);
+  EXPECT_EQ(Seps(idx, {"Authors", "Reference"})->regions, RS({{0, 100}}));
+  ExpectFreshSeparators(idx, {"Authors", "Reference"});
+}
+
+TEST(RegionIndexSeparatorsTest, DroppedByInsertDocRegions) {
+  RegionIndex idx = ParentFixture();
+  Seps(idx, {"Name", "Reference"});
+  idx.InsertDocRegions({{"Reference", {{100, 150}}}, {"Name", {{110, 120}}}});
+  EXPECT_EQ(Seps(idx, {"Name", "Reference"})->regions,
+            RS({{0, 100}, {12, 30}, {100, 150}, {110, 120}}));
+  ExpectFreshSeparators(idx, {"Name", "Reference"});
+}
+
+TEST(RegionIndexSeparatorsTest, DroppedByAttachSource) {
+  RegionIndex stored;
+  stored.Add("Late", RS({{20, 25}}));
+  WordIndex words;
+  StoreWriterInput input;
+  input.regions = &stored;
+  input.words = &words;
+  auto image = BuildStoreImage(input, kMinStorePageSize);
+  ASSERT_TRUE(image.ok()) << image.status().message();
+  const std::string path = ::testing::TempDir() + "/separators.qofstore";
+  ASSERT_TRUE(WriteFileBytes(path, *image).ok());
+  auto store = PagedStore::Open(path, {});
+  ASSERT_TRUE(store.ok()) << store.status().message();
+
+  RegionIndex idx = ParentFixture();
+  EXPECT_EQ(Seps(idx, {"Late", "Reference"})->regions, RS({{0, 100}}));
+  ASSERT_TRUE(
+      idx.AttachSource(std::make_shared<StoreRegionSource>(*store)).ok());
+  EXPECT_EQ(Seps(idx, {"Late", "Reference"})->regions,
+            RS({{0, 100}, {20, 25}}));
+  ExpectFreshSeparators(idx, {"Late", "Reference"});
+}
+
+TEST(RegionIndexSeparatorsTest, CopiesShareAndAssignmentReplaces) {
+  RegionIndex idx = ParentFixture();
+  auto table = Seps(idx, {"Reference"});
+  // Copy-on-write clones share the immutable table.
+  RegionIndex copy(idx);
+  EXPECT_EQ(Seps(copy, {"Reference"}), table);
+  RegionIndex moved(std::move(copy));
+  EXPECT_EQ(Seps(moved, {"Reference"}), table);
+
+  // Assigning over an index that cached a table for the same names must
+  // not leave that stale table behind.
+  RegionIndex other;
+  other.Add("Reference", RS({{500, 600}}));
+  EXPECT_EQ(Seps(other, {"Reference"})->regions, RS({{500, 600}}));
+  other = idx;
+  EXPECT_EQ(Seps(other, {"Reference"}), table);
+  ExpectFreshSeparators(other, {"Reference"});
+
+  RegionIndex target;
+  target.Add("Reference", RS({{700, 800}}));
+  Seps(target, {"Reference"});
+  RegionIndex source;
+  source.Add("Reference", RS({{1, 2}}));
+  target = std::move(source);
+  EXPECT_EQ(Seps(target, {"Reference"})->regions, RS({{1, 2}}));
+  ExpectFreshSeparators(target, {"Reference"});
+
+  // A mutated clone drops its own tables without touching the original's.
+  RegionIndex writer(idx);
+  writer.Add("Reference", RS({{200, 300}}));
+  EXPECT_EQ(Seps(idx, {"Reference"}), table);
+  ExpectFreshSeparators(writer, {"Reference"});
+}
+
+TEST(RegionIndexSeparatorsTest, ConcurrentFirstUse) {
+  // Snapshot readers share one immutable index; their first ⊃d nodes
+  // race to build the same table, and all must get the one cached.
+  RegionIndex idx = ParentFixture();
+  std::vector<std::shared_ptr<const SeparatorTable>> seen(4);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    readers.emplace_back([&, t] { seen[t] = *idx.Separators({"Authors"}); });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (const auto& table : seen) EXPECT_EQ(table, seen[0]);
+  ExpectFreshSeparators(idx, {"Authors"});
+}
+
 }  // namespace
 }  // namespace qof

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "qof/region/region_set.h"
+#include "region/direct_oracle.h"
 
 namespace qof {
 namespace {
@@ -69,52 +70,6 @@ RegionSet OracleOutermost(const RegionSet& r) {
       }
     }
     if (!has_outer) out.push_back(a);
-  }
-  return RegionSet::FromUnsorted(std::move(out));
-}
-
-// r ⊃d s by the paper's definition: r strictly contains s and no universe
-// member lies strictly between them.
-RegionSet OracleDirectlyIncluding(const RegionSet& r, const RegionSet& s,
-                                  const RegionSet& universe) {
-  std::vector<Region> out;
-  for (const Region& a : r) {
-    for (const Region& b : s) {
-      if (!a.StrictlyContains(b)) continue;
-      bool blocked = false;
-      for (const Region& t : universe) {
-        if (a.StrictlyContains(t) && t.StrictlyContains(b)) {
-          blocked = true;
-          break;
-        }
-      }
-      if (!blocked) {
-        out.push_back(a);
-        break;
-      }
-    }
-  }
-  return RegionSet::FromUnsorted(std::move(out));
-}
-
-RegionSet OracleDirectlyIncluded(const RegionSet& r, const RegionSet& s,
-                                 const RegionSet& universe) {
-  std::vector<Region> out;
-  for (const Region& a : r) {
-    for (const Region& b : s) {
-      if (!b.StrictlyContains(a)) continue;
-      bool blocked = false;
-      for (const Region& t : universe) {
-        if (b.StrictlyContains(t) && t.StrictlyContains(a)) {
-          blocked = true;
-          break;
-        }
-      }
-      if (!blocked) {
-        out.push_back(a);
-        break;
-      }
-    }
   }
   return RegionSet::FromUnsorted(std::move(out));
 }

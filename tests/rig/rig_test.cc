@@ -1,5 +1,9 @@
 #include "qof/rig/rig.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace qof {
@@ -177,6 +181,44 @@ TEST(RigTest, PathMultiplicityCyclesAreMany) {
   // A->B, A->B->B, A->B->B->B, ... infinitely many.
   EXPECT_EQ(g.PathMultiplicity(g.FindNode("A"), g.FindNode("B"), all), 2);
   EXPECT_EQ(g.PathMultiplicity(g.FindNode("A"), g.FindNode("C"), all), 2);
+}
+
+std::vector<std::string> NamesOf(const Rig& g,
+                                 const std::vector<Rig::NodeId>& ids) {
+  std::vector<std::string> out;
+  for (Rig::NodeId id : ids) out.push_back(g.name(id));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(RigTest, BetweenListsInteriorNamesOfOuterToInnerPaths) {
+  Rig g = BibRig();
+  auto id = [&g](const char* name) { return g.FindNode(name); };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(NamesOf(g, g.Between(id("Reference"), id("Last_Name"), true)),
+            (Names{"Authors", "Editors", "Name"}));
+  EXPECT_TRUE(g.Between(id("Name"), id("Last_Name"), true).empty());
+  EXPECT_TRUE(g.Between(id("Reference"), id("Key"), false).empty());
+  // Unrelated names have no path between them.
+  EXPECT_TRUE(g.Between(id("Key"), id("Name"), false).empty());
+}
+
+TEST(RigTest, BetweenCanSkipPathsBackThroughTheOuterName) {
+  // Obj -> Alpha, Obj -> Nest -> Obj (the grammar model's recursion).
+  Rig g;
+  g.AddEdge("Obj", "Alpha");
+  g.AddEdge("Obj", "Nest");
+  g.AddEdge("Nest", "Obj");
+  auto id = [&g](const char* name) { return g.FindNode(name); };
+  using Names = std::vector<std::string>;
+  EXPECT_TRUE(g.Between(id("Obj"), id("Alpha"), true).empty());
+  EXPECT_EQ(NamesOf(g, g.Between(id("Obj"), id("Alpha"), false)),
+            Names{"Nest"});
+  EXPECT_TRUE(g.Between(id("Nest"), id("Obj"), true).empty());
+  EXPECT_EQ(NamesOf(g, g.Between(id("Nest"), id("Obj"), false)),
+            Names{"Obj"});
+  EXPECT_EQ(NamesOf(g, g.Between(id("Obj"), id("Obj"), true)),
+            Names{"Nest"});
 }
 
 TEST(RigTest, ToDotContainsNodesAndEdges) {

@@ -28,6 +28,22 @@ TEST(RigDerivationTest, FullRigMatchesPaperDiagram) {
   EXPECT_FALSE(rig.HasEdge("Name", "Authors"));
 }
 
+TEST(RigDerivationTest, SameSpanRigKeepsOnlyLiteralFreeRules) {
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok());
+  Rig same = DeriveSameSpanRig(*schema);
+  // A repetition with one item, and Name ::= First_Name Last_Name with an
+  // empty first name, span exactly their child.
+  EXPECT_TRUE(same.HasEdge("Ref_Set", "Reference"));
+  EXPECT_TRUE(same.HasEdge("Name", "First_Name"));
+  EXPECT_TRUE(same.HasEdge("Name", "Last_Name"));
+  // Rules with literals of their own span bytes no child does.
+  EXPECT_FALSE(same.HasEdge("Reference", "Authors"));
+  EXPECT_FALSE(same.HasEdge("Authors", "Name"));
+  EXPECT_FALSE(same.HasEdge("Keywords", "Keyword"));
+  EXPECT_EQ(same.num_nodes(), DeriveFullRig(*schema).num_nodes());
+}
+
 TEST(RigDerivationTest, PartialRigMatchesPaperSection61) {
   // §6.1: Ip = {Reference, Key, Last_Name} gives
   //   Reference -> Key, Reference -> Last_Name.

@@ -360,9 +360,7 @@ Fixture MakeFixture(size_t scale) {
   return f;
 }
 
-Result<std::shared_ptr<const PagedStore>> BuildAndOpen(
-    const Fixture& f, const std::string& name, uint32_t page_size,
-    PagedStoreOptions options = {}) {
+StoreWriterInput InputFor(const Fixture& f) {
   StoreWriterInput input;
   input.regions = &f.regions;
   input.words = &f.words;
@@ -370,7 +368,14 @@ Result<std::shared_ptr<const PagedStore>> BuildAndOpen(
   input.doc_table_bytes = f.doc_table;
   input.generation = 7;
   input.doc_count = 42;
-  QOF_ASSIGN_OR_RETURN(std::string image, BuildStoreImage(input, page_size));
+  return input;
+}
+
+Result<std::shared_ptr<const PagedStore>> BuildAndOpen(
+    const Fixture& f, const std::string& name, uint32_t page_size,
+    PagedStoreOptions options = {}) {
+  QOF_ASSIGN_OR_RETURN(std::string image,
+                       BuildStoreImage(InputFor(f), page_size));
   std::string path = TempPath(name);
   QOF_RETURN_IF_ERROR(WriteFileBytes(path, image));
   return PagedStore::Open(path, options);
@@ -397,6 +402,29 @@ TEST(PagedStoreTest, MetaAndSectionsRoundTrip) {
     ASSERT_TRUE(dt.ok());
     EXPECT_EQ(*dt, f.doc_table);
   }
+}
+
+TEST(PagedStoreTest, UniverseSizeIsCountedNotMaterialized) {
+  // The writer counts the universe with a k-way merge of the instances;
+  // the image is byte-identical to one written from an index whose
+  // universe is materialized, and carries the same size.
+  Fixture fresh = MakeFixture(50);
+  Fixture warmed = MakeFixture(50);
+  // A second name over the same spans: the count must not double them.
+  for (Fixture* f : {&fresh, &warmed}) {
+    f->regions.Add("alias", **f->regions.Get("title"));
+  }
+  const uint64_t universe = warmed.regions.Universe().size();
+  auto counted = BuildStoreImage(InputFor(fresh), kMinStorePageSize);
+  auto materialized = BuildStoreImage(InputFor(warmed), kMinStorePageSize);
+  ASSERT_TRUE(counted.ok()) << counted.status().message();
+  ASSERT_TRUE(materialized.ok()) << materialized.status().message();
+  EXPECT_EQ(*counted, *materialized);
+  auto store = BuildAndOpen(fresh, "universe_size.qofstore",
+                            kMinStorePageSize);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  EXPECT_EQ((*store)->meta().universe_size, universe);
+  EXPECT_EQ(universe, 100u);
 }
 
 TEST(PagedStoreTest, RejectsBadPageSize) {

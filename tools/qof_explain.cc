@@ -2,7 +2,8 @@
 // from a schema text file (the format ParseSchemaText accepts), builds full
 // indexes, and prints the compiler's plan explanation followed by the
 // dataflow IR pipeline — the program dump (with per-node cardinality and
-// work estimates) after lowering and after each optimizer pass (see
+// work estimates, and each ⊃d/⊂d node's separators) after lowering and
+// after each optimizer pass (see
 // DESIGN.md, "Query IR & pass pipeline"). The pipeline is fixed, so the
 // last dump is the program the query runs. With --execute it also runs
 // the query and prints the per-operator IR timing counters.
