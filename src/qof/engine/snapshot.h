@@ -12,12 +12,14 @@
 namespace qof {
 
 /// A generation-stamped immutable view of one index state, pinned by a
-/// reader (see FileQuerySystem::AcquireSnapshot). While any snapshot
-/// holds these shared_ptrs, a mutation arriving at the system clones
-/// corpus + indexes and mutates the clone (copy-on-write), so snapshot
-/// queries never block mutations and never observe them. Reclamation is
-/// by refcount: when the last snapshot of a superseded state drops, the
-/// old corpus and indexes free — no epochs to advance by hand, no reader
+/// reader (see FileQuerySystem::AcquireSnapshot). A mutation arriving
+/// after the pin forks the state: the fork shares the text bytes and
+/// every instance, word shard and posting list with the pinned one, and
+/// the write copies only the pieces it touches (CowPtr), so snapshot
+/// queries never block mutations and never observe them, and a write
+/// costs what it touches rather than the whole state. Reclamation is by
+/// refcount: when the last snapshot of a superseded state drops, the
+/// pieces only it held free — no epochs to advance by hand, no reader
 /// ever holding a dangling view.
 ///
 /// The snapshot pins its CacheEpoch in the eval cache too (entries cached

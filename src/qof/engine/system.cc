@@ -74,10 +74,11 @@ Status FileQuerySystem::AddFile(std::string name, std::string_view text,
   ExecContext governed(options);
   const ExecContext* ctx = governed.active() ? &governed : nullptr;
   std::lock_guard<std::mutex> lock(state_mu_);
-  CowIfPinnedLocked();
+  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
   if (maintainer_ != nullptr) {
     return maintainer_
-        ->AddDocument(std::move(name), text, EnsurePool(parallelism_), ctx)
+        ->AddDocument(TargetLocked(), std::move(name), text,
+                      EnsurePool(parallelism_), ctx)
         .status();
   }
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
@@ -90,10 +91,11 @@ Status FileQuerySystem::UpdateFile(std::string_view name,
   ExecContext governed(options);
   const ExecContext* ctx = governed.active() ? &governed : nullptr;
   std::lock_guard<std::mutex> lock(state_mu_);
-  CowIfPinnedLocked();
+  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
   if (maintainer_ != nullptr) {
     return maintainer_
-        ->UpdateDocument(name, text, EnsurePool(parallelism_), ctx)
+        ->UpdateDocument(TargetLocked(), name, text,
+                         EnsurePool(parallelism_), ctx)
         .status();
   }
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
@@ -105,9 +107,10 @@ Status FileQuerySystem::RemoveFile(std::string_view name,
   ExecContext governed(options);
   const ExecContext* ctx = governed.active() ? &governed : nullptr;
   std::lock_guard<std::mutex> lock(state_mu_);
-  CowIfPinnedLocked();
+  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
   if (maintainer_ != nullptr) {
-    return maintainer_->RemoveDocument(name, EnsurePool(parallelism_), ctx);
+    return maintainer_->RemoveDocument(TargetLocked(), name,
+                                       EnsurePool(parallelism_), ctx);
   }
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
   return corpus_->RemoveDocument(name).status();
@@ -119,10 +122,8 @@ Status FileQuerySystem::CompactIndexes() {
     return Status::InvalidArgument(
         "indexes not built; nothing to compact");
   }
-  // Compaction rebases every offset in place — readers pinned to the
-  // pre-compaction layout must keep their own copy.
-  CowIfPinnedLocked();
-  return maintainer_->Compact(EnsurePool(parallelism_));
+  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
+  return maintainer_->Compact(TargetLocked(), EnsurePool(parallelism_));
 }
 
 void FileQuerySystem::SetMaintainOptions(const MaintainOptions& options) {
@@ -133,31 +134,42 @@ void FileQuerySystem::SetMaintainOptions(const MaintainOptions& options) {
 
 MaintainStats FileQuerySystem::maintain_stats() const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  return maintainer_ != nullptr ? maintainer_->stats() : MaintainStats{};
+  return maintainer_ != nullptr ? maintainer_->stats(*corpus_)
+                                : MaintainStats{};
 }
 
 void FileQuerySystem::ResetMaintainer(uint64_t generation) {
-  maintainer_ = std::make_unique<IndexMaintainer>(
-      &schema_, corpus_.get(), built_.get(), spec_, maintain_options_);
+  maintainer_ = std::make_unique<IndexMaintainer>(&schema_, spec_,
+                                                  maintain_options_);
   maintainer_->set_generation(generation);
 }
 
-void FileQuerySystem::CowIfPinnedLocked() {
-  // Snapshots are the only other holders of these shared_ptrs, and they
-  // are only created under state_mu_ — so use_count == 1 means no reader
-  // can observe the in-place mutation about to happen. (A snapshot
-  // dropping concurrently can at worst make the count read high, causing
-  // one spurious clone — safe.)
-  bool corpus_pinned = corpus_.use_count() > 1;
-  bool built_pinned = built_ != nullptr && built_.use_count() > 1;
-  if (!corpus_pinned && !built_pinned) return;
-  corpus_ = std::make_shared<Corpus>(corpus_->Clone());
-  if (built_ != nullptr) built_ = std::make_shared<BuiltIndexes>(*built_);
-  // The clone is the same logical state at a new address; the maintainer
-  // keeps all its counters and just repoints.
-  if (maintainer_ != nullptr) {
-    maintainer_->Retarget(corpus_.get(), built_.get());
+namespace {
+
+/// The one copy-on-write step, for corpus and indexes alike: a copy of a
+/// pinned state object. The copy shares every text byte, instance, shard
+/// and posting list with the original (CowPtr handles), so it costs the
+/// document table and a few thousand handle copies; the write then
+/// copies only the pieces it touches.
+template <typename T>
+std::shared_ptr<T> ForkOf(const std::shared_ptr<T>& pinned) {
+  return pinned != nullptr ? std::make_shared<T>(*pinned) : nullptr;
+}
+
+}  // namespace
+
+Status FileQuerySystem::ForkIfPinnedLocked() {
+  if (!pinned_) return Status::OK();
+  if (built_ != nullptr) {
+    // No lazy load may write into a shard or instance two states share:
+    // a disk-backed index pages in fully before it is shared.
+    QOF_RETURN_IF_ERROR(built_->regions.EnsureResident());
+    QOF_RETURN_IF_ERROR(built_->words.EnsureResident());
   }
+  corpus_ = ForkOf(corpus_);
+  built_ = ForkOf(built_);
+  pinned_ = false;
+  return Status::OK();
 }
 
 ThreadPool* FileQuerySystem::EnsurePool(int threads) {
@@ -318,8 +330,8 @@ Result<QueryResult> FileQuerySystem::Execute(std::string_view fql,
   surface.built = built_.get();
   surface.compiler = compiler_.get();
   surface.epoch = CurrentEpochUnlocked();
-  surface.maintain =
-      maintainer_ != nullptr ? maintainer_->stats() : MaintainStats{};
+  surface.maintain = maintainer_ != nullptr ? maintainer_->stats(*corpus_)
+                                             : MaintainStats{};
   surface.maintained = maintainer_ != nullptr;
   surface.eval_cache = eval_cache_.get();
   // Two-phase candidate verification runs on the system pool.
@@ -342,7 +354,9 @@ Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
   snapshot->built = built_;
   snapshot->compiler = compiler_;
   snapshot->epoch = CurrentEpochUnlocked();
-  snapshot->maintain = maintainer_->stats();
+  snapshot->maintain = maintainer_->stats(*corpus_);
+  // The next write forks instead of mutating what this snapshot reads.
+  pinned_ = true;
   // Pin the epoch so eval-cache entries keyed under it survive later
   // mutations; the deleter unpins when the last reference drops. The
   // deleter captures the cache by shared_ptr: even if SetCacheOptions
@@ -742,8 +756,9 @@ Result<std::string> FileQuerySystem::EncodeStoreLocked(uint32_t page_size) {
     // away also makes the image canonical (byte-comparable to a fresh
     // build's). Same rules as CompactIndexes (whose lock we already
     // hold): readers pinned to the fragmented layout keep their copy.
-    CowIfPinnedLocked();
-    QOF_RETURN_IF_ERROR(maintainer_->Compact(EnsurePool(parallelism_)));
+    QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
+    QOF_RETURN_IF_ERROR(
+        maintainer_->Compact(TargetLocked(), EnsurePool(parallelism_)));
   }
   return EncodeIndexStore(
       *built_, spec_, *corpus_,

@@ -141,9 +141,9 @@ class FileQuerySystem {
 
   /// Pins the current corpus + indexes + compiler as an immutable
   /// generation-stamped view. Queries on the snapshot see exactly this
-  /// state forever — mutations arriving later clone the state and mutate
-  /// the clone (copy-on-write), never blocking on readers and never
-  /// becoming visible to them. Dropping the last reference releases the
+  /// state forever — a mutation arriving later forks the state and
+  /// writes private copies of just the pieces it touches (copy-on-write),
+  /// never blocking on readers and never becoming visible to them. Dropping the last reference releases the
   /// pinned state (and its eval-cache entries). Requires built indexes.
   Result<SnapshotRef> AcquireSnapshot();
 
@@ -343,12 +343,17 @@ class FileQuerySystem {
   /// corpus is fragmented). Caller must hold state_mu_.
   Result<std::string> EncodeStoreLocked(uint32_t page_size);
 
-  /// Clones corpus + indexes before mutating when any live snapshot pins
-  /// the current state (detected by shared_ptr use counts — snapshots are
-  /// the only other holders). The maintainer is retargeted at the clone;
-  /// the pinned originals stay immutable until their last snapshot drops.
-  /// Caller must hold state_mu_.
-  void CowIfPinnedLocked();
+  /// Before a write: when a snapshot was handed the current state since
+  /// the last fork, replaces corpus_ and built_ by copies that share all
+  /// their pieces with it (see ForkOf in system.cc), so the write copies
+  /// only what it touches and the pinned originals never change. Pages a
+  /// disk-backed index in first, which is the only way it fails. Caller
+  /// must hold state_mu_.
+  Status ForkIfPinnedLocked();
+
+  /// What the maintainer mutates: the current corpus and indexes. Caller
+  /// must hold state_mu_.
+  MaintainTarget TargetLocked() { return {corpus_.get(), built_.get()}; }
 
   /// The baseline plan body, shared by kBaseline executions and the
   /// auto-mode fallback (which has already parsed and view-checked the
@@ -383,8 +388,8 @@ class FileQuerySystem {
   /// maintainer state directly (no public accessors), so it is safe both
   /// with and without state_mu_ held.
   CacheEpoch CurrentEpochUnlocked() const {
-    MaintainStats ms =
-        maintainer_ != nullptr ? maintainer_->stats() : MaintainStats{};
+    MaintainStats ms = maintainer_ != nullptr ? maintainer_->stats(*corpus_)
+                                              : MaintainStats{};
     return CacheEpoch{ms.generation, ms.compactions, builds_};
   }
 
@@ -401,8 +406,15 @@ class FileQuerySystem {
   /// stats accessors can take it.
   mutable std::mutex state_mu_;
   /// Published state: snapshots copy these shared_ptrs; mutations either
-  /// mutate in place (nothing pinned) or clone-and-swap (CowIfPinned).
+  /// mutate in place (nothing pinned) or fork first (ForkIfPinnedLocked).
   std::shared_ptr<Corpus> corpus_ = std::make_shared<Corpus>();
+  /// Set when AcquireSnapshot hands out corpus_/built_, cleared by the
+  /// fork. A flag rather than a use_count() test: the count a writer
+  /// reads orders nothing against a reader that just released its pin on
+  /// another thread, so an in-place write could race that reader's last
+  /// reads. A write after every pin dropped still forks, and copies what
+  /// it touches once more.
+  bool pinned_ = false;
   IndexSpec spec_;
   int parallelism_ = 0;  // 0 = hardware concurrency
   std::unique_ptr<ThreadPool> pool_;

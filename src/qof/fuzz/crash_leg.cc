@@ -43,6 +43,8 @@ struct Maintained {
   Corpus corpus;
   BuiltIndexes built;
   std::unique_ptr<IndexMaintainer> maintainer;
+
+  MaintainTarget target() { return {&corpus, &built}; }
 };
 
 Result<std::unique_ptr<Maintained>> BuildBase(const StructuringSchema& schema,
@@ -56,7 +58,7 @@ Result<std::unique_ptr<Maintained>> BuildBase(const StructuringSchema& schema,
   MaintainOptions options;
   options.auto_compact = false;
   m->maintainer = std::make_unique<IndexMaintainer>(
-      &schema, &m->corpus, &m->built, IndexSpec::Full(), options);
+      &schema, IndexSpec::Full(), options);
   return m;
 }
 
@@ -72,8 +74,8 @@ Result<std::string> ReferenceStore(const StructuringSchema& schema,
   QOF_RETURN_IF_ERROR(ReplayJournal(
       std::vector<JournalRecord>(records.begin(),
                                  records.begin() + static_cast<long>(g)),
-      m->maintainer.get()));
-  QOF_RETURN_IF_ERROR(m->maintainer->Compact());
+      m->target(), m->maintainer.get()));
+  QOF_RETURN_IF_ERROR(m->maintainer->Compact(m->target()));
   return EncodeIndexStore(m->built, IndexSpec::Full(), m->corpus,
                           m->maintainer->generation());
 }
@@ -136,7 +138,8 @@ Status CheckCrashConsistency(
     artifacts.store0 = std::move(*store0);
     artifacts.checkpoint_after = c.mutations.size() / 2;
     for (size_t j = 0; j < records.size(); ++j) {
-      Status applied = ReplayJournal({records[j]}, m->maintainer.get());
+      Status applied =
+          ReplayJournal({records[j]}, m->target(), m->maintainer.get());
       if (!applied.ok()) {
         // A shrink artifact (a dropped add orphaned a later step), not a
         // finding — refuse the case, as the matrix does.
@@ -147,7 +150,7 @@ Status CheckCrashConsistency(
       }
       if (j == artifacts.checkpoint_after) {
         uint64_t before = m->maintainer->generation();
-        QOF_RETURN_IF_ERROR(m->maintainer->Compact());
+        QOF_RETURN_IF_ERROR(m->maintainer->Compact(m->target()));
         if (m->maintainer->generation() != before) {
           return Status::Internal(
               "crash leg: Compact() moved the generation counter");
@@ -266,8 +269,8 @@ Status CheckCrashConsistency(
     // The maintainer pages the store in on its first write.
     MaintainOptions maintain_options;
     maintain_options.auto_compact = false;
-    IndexMaintainer maintainer(&schema, &corpus, &loaded->indexes,
-                               loaded->spec, maintain_options);
+    IndexMaintainer maintainer(&schema, loaded->spec, maintain_options);
+    const MaintainTarget target{&corpus, &loaded->indexes};
     maintainer.set_generation(loaded->generation);
 
     auto surviving = opened->ReadJournal();
@@ -287,7 +290,7 @@ Status CheckCrashConsistency(
                     ") is not the record that was appended");
       }
     }
-    Status replayed = ReplayJournal(*surviving, &maintainer);
+    Status replayed = ReplayJournal(*surviving, target, &maintainer);
     if (!replayed.ok()) {
       return fail("journal replay failed: " + replayed.ToString());
     }
@@ -301,7 +304,7 @@ Status CheckCrashConsistency(
 
     // The recovered state must be byte-identical (compacted, generation
     // aside) to a direct application of exactly `recovered` steps.
-    Status compacted = maintainer.Compact();
+    Status compacted = maintainer.Compact(target);
     if (!compacted.ok()) {
       return fail("recovered state failed to compact: " +
                   compacted.ToString());

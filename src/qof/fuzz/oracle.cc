@@ -305,8 +305,9 @@ Status CheckJournalFault(
   // harness error here, not a failed resume below.
   Corpus corpus3;
   QOF_ASSIGN_OR_RETURN(BuiltIndexes built3, build_state(&corpus3));
-  IndexMaintainer m3(&schema, &corpus3, &built3, IndexSpec::Full());
-  Status applied = ReplayJournal(parsed->records, &m3);
+  IndexMaintainer m3(&schema, IndexSpec::Full());
+  Status applied =
+      ReplayJournal(parsed->records, {&corpus3, &built3}, &m3);
   if (!applied.ok()) {
     return Status::Internal("journal leg: direct apply failed: " +
                             applied.ToString());
@@ -318,10 +319,11 @@ Status CheckJournalFault(
   // remainder resumes cleanly once the one-shot fault has fired.
   Corpus corpus2;
   QOF_ASSIGN_OR_RETURN(BuiltIndexes built2, build_state(&corpus2));
-  IndexMaintainer m2(&schema, &corpus2, &built2, IndexSpec::Full());
+  IndexMaintainer m2(&schema, IndexSpec::Full());
   {
     ScopedFaultInjector inject(spec);
-    Status replayed = ReplayJournal(parsed->records, &m2);
+    Status replayed =
+        ReplayJournal(parsed->records, {&corpus2, &built2}, &m2);
     if (!replayed.ok()) {
       if (!inject.injector().fired()) {
         return Status::Internal(
@@ -335,7 +337,7 @@ Status CheckJournalFault(
       std::vector<JournalRecord> rest(
           parsed->records.begin() + static_cast<long>(done),
           parsed->records.end());
-      Status resumed = ReplayJournal(rest, &m2);
+      Status resumed = ReplayJournal(rest, {&corpus2, &built2}, &m2);
       if (!resumed.ok()) {
         return fail("replay did not resume after the injected fault: " +
                     resumed.ToString());
@@ -348,9 +350,9 @@ Status CheckJournalFault(
                 std::to_string(journaled.size()));
   }
 
-  Status c2 = m2.Compact();
+  Status c2 = m2.Compact({&corpus2, &built2});
   if (!c2.ok()) return fail("replayed state failed to compact: " + c2.ToString());
-  Status c3 = m3.Compact();
+  Status c3 = m3.Compact({&corpus3, &built3});
   if (!c3.ok()) {
     return Status::Internal("journal leg: reference compaction failed: " +
                             c3.ToString());

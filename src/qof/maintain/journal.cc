@@ -83,7 +83,7 @@ Result<ParsedJournal> ParseJournal(std::string_view data) {
 }
 
 Status ReplayJournal(const std::vector<JournalRecord>& records,
-                     IndexMaintainer* maintainer) {
+                     MaintainTarget target, IndexMaintainer* maintainer) {
   for (const JournalRecord& record : records) {
     QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kJournalReplay));
     if (record.generation != maintainer->generation() + 1) {
@@ -95,17 +95,17 @@ Status ReplayJournal(const std::vector<JournalRecord>& records,
     }
     switch (record.op) {
       case JournalOp::kAdd: {
-        auto id = maintainer->AddDocument(record.name, record.text);
+        auto id = maintainer->AddDocument(target, record.name, record.text);
         if (!id.ok()) return id.status();
         break;
       }
       case JournalOp::kUpdate: {
-        auto id = maintainer->UpdateDocument(record.name, record.text);
+        auto id = maintainer->UpdateDocument(target, record.name, record.text);
         if (!id.ok()) return id.status();
         break;
       }
       case JournalOp::kRemove:
-        QOF_RETURN_IF_ERROR(maintainer->RemoveDocument(record.name));
+        QOF_RETURN_IF_ERROR(maintainer->RemoveDocument(target, record.name));
         break;
     }
   }

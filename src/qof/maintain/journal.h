@@ -68,16 +68,17 @@ struct ParsedJournal {
 /// with `truncated_tail` set.
 Result<ParsedJournal> ParseJournal(std::string_view data);
 
-/// Replays records through the maintainer in order. Each record's
-/// generation must be exactly maintainer->generation() + 1 — a gap means
-/// store and journal are from different histories. Callers replaying onto
-/// a store-restored corpus should disable auto-compaction first (restored
-/// document bytes are placeholders; see MarkDocumentSynthetic).
+/// Replays records through the maintainer onto `target`, in order. Each
+/// record's generation must be exactly maintainer->generation() + 1 — a
+/// gap means store and journal are from different histories. Callers
+/// replaying onto a store-restored corpus should disable auto-compaction
+/// first (restored document bytes are placeholders; see
+/// MarkDocumentSynthetic).
 /// Mutations are atomic, so a replay aborted mid-way (error or injected
 /// "journal.replay" fault) leaves the maintainer at the state of the last
 /// successfully replayed record.
 Status ReplayJournal(const std::vector<JournalRecord>& records,
-                     IndexMaintainer* maintainer);
+                     MaintainTarget target, IndexMaintainer* maintainer);
 
 /// Appends one encoded frame to the journal file at `path` (creating it
 /// with the magic header when absent), through the DefaultVfs(). With

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "qof/exec/fault_injector.h"
@@ -10,6 +11,9 @@
 
 namespace qof {
 namespace {
+
+/// Stands for "no document" in Splice().
+constexpr DocId kNoDocument = std::numeric_limits<DocId>::max();
 
 /// One live document's shift under compaction: bytes in
 /// [old_start, old_end) move by `delta` (signed — documents only ever
@@ -27,11 +31,8 @@ TextPos Shift(TextPos p, int64_t delta) {
 }  // namespace
 
 IndexMaintainer::IndexMaintainer(const StructuringSchema* schema,
-                                 Corpus* corpus, BuiltIndexes* built,
                                  IndexSpec spec, MaintainOptions options)
     : schema_(schema),
-      corpus_(corpus),
-      built_(built),
       spec_(std::move(spec)),
       filter_(spec_.ToFilter()),
       options_(options) {}
@@ -53,110 +54,119 @@ Result<IndexMaintainer::Contribution> IndexMaintainer::ParseContribution(
   return collected;
 }
 
-void IndexMaintainer::SpliceIn(const Contribution& at_zero, TextPos start,
-                               std::string_view text) {
+void IndexMaintainer::Splice(MaintainTarget target, DocId old_id,
+                             DocId new_id, const Contribution& at_zero) {
+  const Corpus& corpus = *target.corpus;
+  TextPos old_begin = 0;
+  TextPos old_end = 0;
+  bool old_synthetic = false;
+  // Planted bug: the document gets tombstoned in the corpus but its
+  // contribution survives in the indexes — exactly the state a lost
+  // tombstone write would leave behind. One-shot.
+  if (old_id != kNoDocument && !TakePlantedBug(planted_bug::kDropTombstone)) {
+    old_begin = corpus.document_start(old_id);
+    old_end = corpus.document_end(old_id);
+    old_synthetic = synthetic_.erase(old_id) > 0;
+  }
+  TextPos start = 0;
+  std::string_view new_text;
   Contribution shifted;
-  for (const auto& [name, run] : at_zero) {
-    std::vector<Region>& dst = shifted[name];
-    dst.reserve(run.size());
-    for (const Region& r : run) {
-      dst.push_back({r.start + start, r.end + start});
+  if (new_id != kNoDocument) {
+    start = corpus.document_start(new_id);
+    new_text = corpus.RawText(start, corpus.document_end(new_id));
+    for (const auto& [name, run] : at_zero) {
+      std::vector<Region>& dst = shifted[name];
+      dst.reserve(run.size());
+      for (const Region& r : run) {
+        dst.push_back({r.start + start, r.end + start});
+      }
     }
   }
-  built_->regions.InsertDocRegions(shifted);
-  built_->words.AddDocPostings(text, start);
-}
-
-void IndexMaintainer::SpliceOut(DocId id) {
-  if (TakePlantedBug(planted_bug::kDropTombstone)) {
-    // Planted bug: the document gets tombstoned in the corpus but its
-    // contribution survives in the indexes — exactly the state a lost
-    // tombstone write would leave behind. One-shot.
-    return;
-  }
-  TextPos begin = corpus_->document_start(id);
-  TextPos end = corpus_->document_end(id);
-  built_->regions.EraseSpan(begin, end);
-  if (synthetic_.count(id) > 0) {
+  target.built->regions.SpliceDocument(old_begin, old_end, shifted);
+  WordIndex& words = target.built->words;
+  if (old_synthetic) {
     // Placeholder bytes would tokenize wrongly; erase by span instead
     // (identical effect: every posting in the span belongs to this
     // document).
-    built_->words.EraseSpanPostings(begin, end);
-    synthetic_.erase(id);
+    words.EraseSpanPostings(old_begin, old_end);
+    words.SpliceDocPostings({}, 0, 0, new_text, start);
   } else {
-    built_->words.EraseDocPostings(corpus_->RawText(begin, end), begin, end);
+    words.SpliceDocPostings(corpus.RawText(old_begin, old_end), old_begin,
+                            old_end, new_text, start);
   }
 }
 
-Status IndexMaintainer::EnsureIndexesResident() {
-  QOF_RETURN_IF_ERROR(built_->regions.EnsureResident());
-  return built_->words.EnsureResident();
+Status IndexMaintainer::EnsureIndexesResident(const BuiltIndexes& built) {
+  QOF_RETURN_IF_ERROR(built.regions.EnsureResident());
+  return built.words.EnsureResident();
 }
 
-Result<DocId> IndexMaintainer::AddDocument(std::string name,
+Result<DocId> IndexMaintainer::AddDocument(MaintainTarget target,
+                                           std::string name,
                                            std::string_view text,
                                            ThreadPool* pool,
                                            const ExecContext* ctx) {
-  if (corpus_->FindDocument(name).ok()) {
+  Corpus& corpus = *target.corpus;
+  if (corpus.FindDocument(name).ok()) {
     return Status::AlreadyExists("document already in corpus: " + name);
   }
-  QOF_RETURN_IF_ERROR(EnsureIndexesResident());
+  QOF_RETURN_IF_ERROR(EnsureIndexesResident(*target.built));
   // The fault site sits before any state change: an injected failure (or
   // a governance interrupt inside the parse below) aborts with corpus and
   // indexes untouched — the atomicity the fuzz fault leg verifies.
   QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kMaintainAdd));
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
   QOF_ASSIGN_OR_RETURN(Contribution fresh, ParseContribution(text, ctx));
-  QOF_ASSIGN_OR_RETURN(DocId id, corpus_->AddDocument(std::move(name), text));
-  TextPos start = corpus_->document_start(id);
-  SpliceIn(fresh, start, corpus_->RawText(start, corpus_->document_end(id)));
-  ++built_->documents;
+  QOF_ASSIGN_OR_RETURN(DocId id, corpus.AddDocument(std::move(name), text));
+  Splice(target, kNoDocument, id, fresh);
+  ++target.built->documents;
   ++stats_.generation;
   ++stats_.delta_segments;
   ++stats_.docs_reparsed;
   stats_.bytes_reparsed += text.size();
-  QOF_RETURN_IF_ERROR(MaybeAutoCompact(pool));
+  QOF_RETURN_IF_ERROR(MaybeAutoCompact(target, pool));
   return id;
 }
 
-Result<DocId> IndexMaintainer::UpdateDocument(std::string_view name,
+Result<DocId> IndexMaintainer::UpdateDocument(MaintainTarget target,
+                                              std::string_view name,
                                               std::string_view text,
                                               ThreadPool* pool,
                                               const ExecContext* ctx) {
-  QOF_ASSIGN_OR_RETURN(DocId old_id, corpus_->FindDocument(name));
-  QOF_RETURN_IF_ERROR(EnsureIndexesResident());
+  Corpus& corpus = *target.corpus;
+  QOF_ASSIGN_OR_RETURN(DocId old_id, corpus.FindDocument(name));
+  QOF_RETURN_IF_ERROR(EnsureIndexesResident(*target.built));
   QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kMaintainUpdate));
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
   QOF_ASSIGN_OR_RETURN(Contribution fresh, ParseContribution(text, ctx));
-  SpliceOut(old_id);
-  QOF_ASSIGN_OR_RETURN(DocId id, corpus_->ReplaceDocument(name, text));
-  TextPos start = corpus_->document_start(id);
-  SpliceIn(fresh, start, corpus_->RawText(start, corpus_->document_end(id)));
+  QOF_ASSIGN_OR_RETURN(DocId id, corpus.ReplaceDocument(name, text));
+  Splice(target, old_id, id, fresh);
   ++stats_.generation;
   ++stats_.delta_segments;
   ++stats_.docs_reparsed;
   stats_.bytes_reparsed += text.size();
-  QOF_RETURN_IF_ERROR(MaybeAutoCompact(pool));
+  QOF_RETURN_IF_ERROR(MaybeAutoCompact(target, pool));
   return id;
 }
 
-Status IndexMaintainer::RemoveDocument(std::string_view name,
+Status IndexMaintainer::RemoveDocument(MaintainTarget target,
+                                       std::string_view name,
                                        ThreadPool* pool,
                                        const ExecContext* ctx) {
-  QOF_ASSIGN_OR_RETURN(DocId id, corpus_->FindDocument(name));
-  QOF_RETURN_IF_ERROR(EnsureIndexesResident());
+  QOF_ASSIGN_OR_RETURN(DocId id, target.corpus->FindDocument(name));
+  QOF_RETURN_IF_ERROR(EnsureIndexesResident(*target.built));
   QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kMaintainRemove));
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
-  SpliceOut(id);
-  QOF_RETURN_IF_ERROR(corpus_->RemoveDocument(name).status());
-  --built_->documents;
+  QOF_RETURN_IF_ERROR(target.corpus->RemoveDocument(name).status());
+  Splice(target, id, kNoDocument, {});
+  --target.built->documents;
   ++stats_.generation;
-  return MaybeAutoCompact(pool);
+  return MaybeAutoCompact(target, pool);
 }
 
-bool IndexMaintainer::HasLiveSyntheticDocuments() const {
+bool IndexMaintainer::HasLiveSyntheticDocuments(const Corpus& corpus) const {
   for (DocId id : synthetic_) {
-    if (id < corpus_->num_documents() && corpus_->is_live(id)) return true;
+    if (id < corpus.num_documents() && corpus.is_live(id)) return true;
   }
   return false;
 }
@@ -165,30 +175,35 @@ void IndexMaintainer::MarkDocumentSynthetic(DocId id) {
   synthetic_.insert(id);
 }
 
-bool IndexMaintainer::NeedsCompaction() const {
-  if (!corpus_->fragmented()) return false;
-  if (HasLiveSyntheticDocuments()) return false;  // would bake bad bytes in
-  if (corpus_->num_dead_documents() > options_.max_tombstones) return true;
-  return static_cast<double>(corpus_->dead_bytes()) >
-         options_.max_dead_fraction * static_cast<double>(corpus_->size());
+bool IndexMaintainer::NeedsCompaction(const Corpus& corpus) const {
+  if (!corpus.fragmented()) return false;
+  if (HasLiveSyntheticDocuments(corpus)) return false;  // bad bytes
+  if (corpus.num_dead_documents() > options_.max_tombstones) return true;
+  return static_cast<double>(corpus.dead_bytes()) >
+         options_.max_dead_fraction * static_cast<double>(corpus.size());
 }
 
-Status IndexMaintainer::MaybeAutoCompact(ThreadPool* pool) {
-  if (options_.auto_compact && NeedsCompaction()) return Compact(pool);
+Status IndexMaintainer::MaybeAutoCompact(MaintainTarget target,
+                                         ThreadPool* pool) {
+  if (options_.auto_compact && NeedsCompaction(*target.corpus)) {
+    return Compact(target, pool);
+  }
   return Status::OK();
 }
 
-Status IndexMaintainer::Compact(ThreadPool* pool) {
+Status IndexMaintainer::Compact(MaintainTarget target, ThreadPool* pool) {
   // Before phase 1: an injected failure here proves callers survive a
   // compaction that refuses to start (state is untouched until commit).
-  QOF_RETURN_IF_ERROR(EnsureIndexesResident());
+  const Corpus& corpus = *target.corpus;
+  BuiltIndexes& built = *target.built;
+  QOF_RETURN_IF_ERROR(EnsureIndexesResident(built));
   QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kMaintainCompact));
-  if (HasLiveSyntheticDocuments()) {
+  if (HasLiveSyntheticDocuments(corpus)) {
     return Status::InvalidArgument(
         "cannot compact: live documents restored from a journal have "
         "placeholder bytes; update them with real text first");
   }
-  if (!corpus_->fragmented()) {
+  if (!corpus.fragmented()) {
     // Append-only history: the layout is already dense and identical to a
     // fresh build's, so there is nothing to fold.
     stats_.delta_segments = 0;
@@ -197,28 +212,26 @@ Status IndexMaintainer::Compact(ThreadPool* pool) {
 
   // Dense re-layout: live documents keep their physical order, so the
   // position mapping is monotone and canonical orders survive shifting.
+  Corpus fresh = corpus.LiveOnly();
   std::vector<Seg> segs;
-  Corpus fresh;
-  for (DocId id = 0; id < corpus_->num_documents(); ++id) {
-    if (!corpus_->is_live(id)) continue;
-    TextPos begin = corpus_->document_start(id);
-    TextPos end = corpus_->document_end(id);
-    auto added = fresh.AddDocument(corpus_->document_name(id),
-                                   corpus_->RawText(begin, end));
-    if (!added.ok()) return added.status();  // unreachable: live names unique
-    segs.push_back({begin, end,
-                    static_cast<int64_t>(fresh.document_start(*added)) -
+  segs.reserve(fresh.num_documents());
+  for (DocId id = 0; id < corpus.num_documents(); ++id) {
+    if (!corpus.is_live(id)) continue;
+    TextPos begin = corpus.document_start(id);
+    segs.push_back({begin, corpus.document_end(id),
+                    static_cast<int64_t>(fresh.document_start(
+                        static_cast<DocId>(segs.size()))) -
                         static_cast<int64_t>(begin)});
   }
 
-  // Phase 1 (read-only): rebase every region instance into a new index.
-  // Any region outside a live document means a tombstone was lost; fail
-  // here and nothing has been mutated.
-  std::vector<std::string> names = built_->regions.Names();
+  // Phase 1: rebase every region instance into fresh arrays. Any region
+  // outside a live document means a tombstone was lost; fail here and
+  // nothing has been mutated.
+  std::vector<std::string> names = built.regions.Names();
   std::vector<RegionSet> rebased(names.size());
   std::vector<Status> statuses(names.size(), Status::OK());
   auto rebase_name = [&](size_t i) {
-    auto set = built_->regions.Get(names[i]);
+    auto set = built.regions.Get(names[i]);
     if (!set.ok()) {
       statuses[i] = set.status();
       return;
@@ -251,9 +264,9 @@ Status IndexMaintainer::Compact(ThreadPool* pool) {
     if (!s.ok()) return s;
   }
 
-  // Phase 2: rebase postings in place. A stale posting here (possible
-  // only with already-corrupt indexes) is detected but leaves the word
-  // index partially rebased — the caller must rebuild.
+  // Phase 2: rebase postings into a fresh word index. A stale posting
+  // (possible only with already-corrupt indexes) fails the compaction
+  // with nothing mutated.
   std::atomic<bool> stale{false};
   auto map_pos = [&segs, &stale](TextPos p) -> TextPos {
     auto it = std::upper_bound(
@@ -270,11 +283,11 @@ Status IndexMaintainer::Compact(ThreadPool* pool) {
     }
     return Shift(p, it->delta);
   };
-  built_->words.RebasePostings(map_pos, pool);
+  WordIndex words = built.words.Rebased(map_pos, pool);
   if (stale.load(std::memory_order_relaxed)) {
     return Status::Internal(
         "word posting points into a tombstoned span — a tombstone was "
-        "lost; the word index is corrupt, rebuild the indexes");
+        "lost; rebuild the indexes");
   }
 
   // Commit.
@@ -282,19 +295,20 @@ Status IndexMaintainer::Compact(ThreadPool* pool) {
   for (size_t i = 0; i < names.size(); ++i) {
     fresh_regions.Add(std::move(names[i]), std::move(rebased[i]));
   }
-  built_->regions = std::move(fresh_regions);
-  *corpus_ = std::move(fresh);
+  built.regions = std::move(fresh_regions);
+  built.words = std::move(words);
+  *target.corpus = std::move(fresh);
   synthetic_.clear();
   ++stats_.compactions;
   stats_.delta_segments = 0;
   return Status::OK();
 }
 
-MaintainStats IndexMaintainer::stats() const {
+MaintainStats IndexMaintainer::stats(const Corpus& corpus) const {
   MaintainStats s = stats_;
-  s.live_documents = corpus_->num_live_documents();
-  s.tombstones = corpus_->num_dead_documents();
-  s.dead_bytes = corpus_->dead_bytes();
+  s.live_documents = corpus.num_live_documents();
+  s.tombstones = corpus.num_dead_documents();
+  s.dead_bytes = corpus.dead_bytes();
   return s;
 }
 

@@ -48,6 +48,18 @@ struct MaintainStats {
   uint64_t bytes_reparsed = 0;   // total bytes parsed by mutations
 };
 
+/// The state one maintenance call reads and writes: a corpus and the
+/// indexes built over it. Both are cheap-to-copy values that share their
+/// text bytes, region instances, word shards and posting lists
+/// copy-on-write (see CowPtr). A caller that must leave a state untouched
+/// for its readers — a pinned snapshot — passes copies, and the splices
+/// copy only the pieces they write; a state nobody else holds is
+/// mutated in place.
+struct MaintainTarget {
+  Corpus* corpus = nullptr;
+  BuiltIndexes* built = nullptr;
+};
+
 /// Keeps a Corpus and its BuiltIndexes live under document-level mutations
 /// without full rebuilds (the paper builds indexes as a one-shot
 /// pre-processing pass; this subsystem makes that pass incremental).
@@ -62,45 +74,53 @@ struct MaintainStats {
 /// the indexes are byte-identical (under EncodeIndexStore) to a
 /// from-scratch BuildIndexes of the same documents in the same order.
 ///
-/// Failed mutations (parse errors, unknown names) leave corpus and indexes
-/// untouched. The maintainer does not lock: callers serialize mutations
-/// against queries the same way they already serialize BuildIndexes.
+/// The maintainer holds the logical counters (generation, compactions,
+/// synthetic documents) and is handed the state it mutates on every
+/// call, so the owner can swap in a copy of a pinned state without
+/// telling it. Failed mutations (parse errors, unknown names, lost
+/// tombstones found by Compact) leave the target untouched. The
+/// maintainer does not lock: callers serialize mutations against queries
+/// the same way they already serialize BuildIndexes.
 class IndexMaintainer {
  public:
-  /// Maintains `built` (produced by BuildIndexes(schema, *corpus, spec))
-  /// in place. All pointees must outlive the maintainer.
-  IndexMaintainer(const StructuringSchema* schema, Corpus* corpus,
-                  BuiltIndexes* built, IndexSpec spec,
+  /// Maintains indexes produced by BuildIndexes(*schema, corpus, spec).
+  /// `schema` must outlive the maintainer.
+  IndexMaintainer(const StructuringSchema* schema, IndexSpec spec,
                   MaintainOptions options = {});
 
   /// Parses `text` and splices it in as a new document. AlreadyExists if
   /// a live document has that name; parse failures leave state untouched.
   /// `ctx` (optional) bounds the re-parse: a governance interrupt aborts
   /// before any state changes, like every other mutation failure.
-  Result<DocId> AddDocument(std::string name, std::string_view text,
+  Result<DocId> AddDocument(MaintainTarget target, std::string name,
+                            std::string_view text,
                             ThreadPool* pool = nullptr,
                             const ExecContext* ctx = nullptr);
 
   /// Replaces the live document `name`: splices its old contribution out
   /// and the re-parsed new text in. NotFound when absent.
-  Result<DocId> UpdateDocument(std::string_view name, std::string_view text,
+  Result<DocId> UpdateDocument(MaintainTarget target, std::string_view name,
+                               std::string_view text,
                                ThreadPool* pool = nullptr,
                                const ExecContext* ctx = nullptr);
 
   /// Splices the live document `name` out of corpus and indexes.
-  Status RemoveDocument(std::string_view name, ThreadPool* pool = nullptr,
+  Status RemoveDocument(MaintainTarget target, std::string_view name,
+                        ThreadPool* pool = nullptr,
                         const ExecContext* ctx = nullptr);
 
-  /// Folds tombstoned spans away: re-lays the corpus out densely (live
-  /// documents keep their physical order) and rebases every region and
-  /// posting by its document's shift — no re-parsing or re-tokenizing.
-  /// Fails without mutating if an indexed region points into a tombstoned
-  /// span (a lost tombstone — the corruption the fuzzer injects) or if a
-  /// live document's bytes are placeholders (MarkDocumentSynthetic).
-  Status Compact(ThreadPool* pool = nullptr);
+  /// Folds tombstoned spans away: lays the live documents out densely in
+  /// a fresh corpus (they keep their physical order) and writes every
+  /// region and posting, shifted by its document's move, into fresh
+  /// arrays — no re-parsing or re-tokenizing, and nothing shared with a
+  /// copy is written. Fails without mutating if an indexed region or
+  /// posting points into a tombstoned span (a lost tombstone — the
+  /// corruption the fuzzer injects) or if a live document's bytes are
+  /// placeholders (MarkDocumentSynthetic).
+  Status Compact(MaintainTarget target, ThreadPool* pool = nullptr);
 
   /// True when the options' thresholds say Compact() is due (and legal).
-  bool NeedsCompaction() const;
+  bool NeedsCompaction(const Corpus& corpus) const;
 
   /// Journal replay reconstructs corpus state from a base store whose
   /// document *bytes* may be unavailable (only sizes and fingerprints are
@@ -108,26 +128,15 @@ class IndexMaintainer {
   /// contributions are erased by span rather than by re-tokenizing, and
   /// Compact() refuses while any is live (its bytes would be wrong).
   void MarkDocumentSynthetic(DocId id);
-  bool HasLiveSyntheticDocuments() const;
+  bool HasLiveSyntheticDocuments(const Corpus& corpus) const;
 
   /// Resumes the generation counter (journal replay starts from the
   /// generation persisted in the base store).
   void set_generation(uint64_t g) { stats_.generation = g; }
   uint64_t generation() const { return stats_.generation; }
 
-  /// Repoints the maintainer at a copy-on-write clone of its corpus and
-  /// indexes (see FileQuerySystem::AcquireSnapshot: when a snapshot pins
-  /// the current state, the next mutation clones both and mutates the
-  /// clone). All counters — generation, compactions, reparse totals —
-  /// carry over: the clone *is* the same logical state, just at a new
-  /// address.
-  void Retarget(Corpus* corpus, BuiltIndexes* built) {
-    corpus_ = corpus;
-    built_ = built;
-  }
-
-  /// Point-in-time counters (corpus-derived fields refreshed on call).
-  MaintainStats stats() const;
+  /// Point-in-time counters (corpus-derived fields read from `corpus`).
+  MaintainStats stats(const Corpus& corpus) const;
 
   MaintainOptions& options() { return options_; }
 
@@ -140,24 +149,23 @@ class IndexMaintainer {
   Result<Contribution> ParseContribution(std::string_view text,
                                          const ExecContext* ctx);
 
-  /// Splices a document appended at [start, start+size) into the indexes.
-  void SpliceIn(const Contribution& at_zero, TextPos start,
-                std::string_view text);
+  /// Splices one document change into the indexes, one pass per touched
+  /// instance and posting list: erases the contribution of the
+  /// just-tombstoned document `old_id` (kNoDocument when adding; skipped
+  /// once under the armed drop-tombstone planted bug) and inserts
+  /// `at_zero`, shifted to the just-appended document `new_id`
+  /// (kNoDocument when removing).
+  void Splice(MaintainTarget target, DocId old_id, DocId new_id,
+              const Contribution& at_zero);
 
-  /// Erases the live document's contribution from regions and postings
-  /// (skipped once under the armed drop-tombstone planted bug).
-  void SpliceOut(DocId id);
+  /// Splicing edits instances and posting runs — a disk-backed index
+  /// must be fully paged in first, or the splice would edit a partial
+  /// view. No-ops for in-memory indexes.
+  static Status EnsureIndexesResident(const BuiltIndexes& built);
 
-  /// Splicing mutates instances and posting runs in place — a
-  /// disk-backed index must be fully paged in first, or the splice
-  /// would edit a partial view. No-ops for in-memory indexes.
-  Status EnsureIndexesResident();
-
-  Status MaybeAutoCompact(ThreadPool* pool);
+  Status MaybeAutoCompact(MaintainTarget target, ThreadPool* pool);
 
   const StructuringSchema* schema_;
-  Corpus* corpus_;
-  BuiltIndexes* built_;
   IndexSpec spec_;
   ExtractionFilter filter_;
   MaintainOptions options_;

@@ -216,8 +216,12 @@ class SchemaParser::Run {
       SymbolId symbol, const SequenceBody& seq) {
     auto node = std::make_unique<ParseNode>();
     node->symbol = symbol;
-    uint64_t span_start = 0;
-    uint64_t span_end = 0;
+    // Both ends start at the sequence's own position: a literal-free
+    // sequence whose children all match empty stays there, inside its
+    // parent, instead of stretching back to offset 0 (which overlaps
+    // earlier regions partially and breaks laminarity).
+    uint64_t span_start = base_ + pos_;
+    uint64_t span_end = span_start;
     bool first = true;
     for (const GrammarElement& e : seq.elements) {
       switch (e.kind) {

@@ -10,9 +10,7 @@ void RegionIndex::CopyFrom(const RegionIndex& other) {
   std::scoped_lock lock(other.lazy_mu_, other.universe_mu_);
   sets_ = other.sets_;
   universe_ = other.universe_;
-  universe_valid_ = other.universe_valid_;
   parents_ = other.parents_;
-  parents_valid_ = other.parents_valid_;
   separator_tables_ = other.separator_tables_;
   source_ = other.source_;
   unloaded_ = other.unloaded_;
@@ -21,28 +19,42 @@ void RegionIndex::CopyFrom(const RegionIndex& other) {
 void RegionIndex::Add(std::string name, RegionSet regions) {
   auto it = sets_.find(name);
   if (it == sets_.end()) {
-    sets_.emplace(std::move(name), std::move(regions));
+    sets_.emplace(std::move(name), CowPtr<RegionSet>(std::move(regions)));
   } else {
-    it->second = Union(it->second, regions);
+    it->second.Reset(Union(*it->second, regions));
   }
   InvalidateUniverse();
 }
 
-uint64_t RegionIndex::EraseSpan(uint64_t begin, uint64_t end) {
+uint64_t RegionIndex::SpliceDocument(
+    uint64_t begin, uint64_t end,
+    const std::map<std::string, std::vector<Region>>& insert) {
+  static const std::vector<Region> kNoRun;
   uint64_t erased = 0;
+  bool changed = false;
+  auto splice = [&](CowPtr<RegionSet>& set, const std::vector<Region>& run) {
+    if (!set) set.Reset(RegionSet());
+    Splice<Region> s = set->SpliceFor(begin, end, run);
+    if (s.empty()) return;
+    erased += s.hi - s.lo;
+    changed = true;
+    if (set.owned()) {
+      set.Mutable().ApplySplice(s);
+    } else {
+      set.Reset(RegionSet::FromSortedUnique(s.Applied(set->regions())));
+    }
+  };
   for (auto& [name, set] : sets_) {
-    erased += set.EraseStartsIn(begin, end);
+    auto run = insert.find(name);
+    splice(set, run != insert.end() ? run->second : kNoRun);
   }
-  if (erased > 0) InvalidateUniverse();
+  for (const auto& [name, run] : insert) {
+    if (sets_.find(name) != sets_.end()) continue;
+    changed = true;
+    splice(sets_[name], run);
+  }
+  if (changed) InvalidateUniverse();
   return erased;
-}
-
-void RegionIndex::InsertDocRegions(
-    const std::map<std::string, std::vector<Region>>& by_name) {
-  for (const auto& [name, run] : by_name) {
-    sets_[name].InsertRun(run);
-  }
-  InvalidateUniverse();
 }
 
 bool RegionIndex::Has(std::string_view name) const {
@@ -64,7 +76,7 @@ Status RegionIndex::MaterializeLocked(const std::string& name,
                             std::to_string(set.size()) + " regions, store " +
                             "dictionary promised " + std::to_string(count));
   }
-  sets_.emplace(name, std::move(set));
+  sets_.emplace(name, CowPtr<RegionSet>(std::move(set)));
   unloaded_.erase(name);
   return Status::OK();
 }
@@ -75,22 +87,22 @@ uint64_t RegionIndex::InstanceCount(std::string_view name) const {
     auto pending = unloaded_.find(name);
     if (pending != unloaded_.end()) return pending->second;
     auto it = sets_.find(name);
-    return it != sets_.end() ? it->second.size() : 0;
+    return it != sets_.end() ? it->second->size() : 0;
   }
   auto it = sets_.find(name);
-  return it != sets_.end() ? it->second.size() : 0;
+  return it != sets_.end() ? it->second->size() : 0;
 }
 
 Result<const RegionSet*> RegionIndex::Get(std::string_view name) const {
   if (source_ != nullptr) {
     std::lock_guard<std::mutex> lock(lazy_mu_);
     auto it = sets_.find(name);
-    if (it != sets_.end()) return &it->second;
+    if (it != sets_.end()) return it->second.get();
     auto pending = unloaded_.find(name);
     if (pending != unloaded_.end()) {
       QOF_RETURN_IF_ERROR(
           MaterializeLocked(pending->first, pending->second));
-      return &sets_.find(name)->second;
+      return sets_.find(name)->second.get();
     }
     return Status::NotFound("region name not indexed: " + std::string(name));
   }
@@ -98,7 +110,7 @@ Result<const RegionSet*> RegionIndex::Get(std::string_view name) const {
   if (it == sets_.end()) {
     return Status::NotFound("region name not indexed: " + std::string(name));
   }
-  return &it->second;
+  return it->second.get();
 }
 
 Result<std::unique_ptr<RegionCursor>> RegionIndex::OpenCursor(
@@ -187,29 +199,27 @@ const RegionSet& RegionIndex::Universe() const {
   // EnsureResident reports the same error).
   (void)EnsureResident();
   std::lock_guard<std::mutex> lock(universe_mu_);
-  if (!universe_valid_) {
+  if (universe_ == nullptr) {
     std::vector<const RegionSet*> instances;
     instances.reserve(sets_.size());
-    for (const auto& [name, set] : sets_) instances.push_back(&set);
-    universe_ = UnionAll(instances);
-    universe_valid_ = true;
+    for (const auto& [name, set] : sets_) instances.push_back(set.get());
+    universe_ = std::make_shared<const RegionSet>(UnionAll(instances));
   }
-  return universe_;
+  return *universe_;
 }
 
 const ParentTable& RegionIndex::Parents() const {
   const RegionSet& universe = Universe();
   std::lock_guard<std::mutex> lock(universe_mu_);
-  if (!parents_valid_) {
-    parents_ = BuildParentTable(universe);
-    parents_valid_ = true;
+  if (parents_ == nullptr) {
+    parents_ = std::make_shared<const ParentTable>(BuildParentTable(universe));
   }
-  return parents_;
+  return *parents_;
 }
 
 bool RegionIndex::has_parents() const {
   std::lock_guard<std::mutex> lock(universe_mu_);
-  return parents_valid_;
+  return parents_ != nullptr;
 }
 
 Result<std::shared_ptr<const SeparatorTable>> RegionIndex::Separators(
@@ -241,7 +251,7 @@ std::vector<const RegionSet*> RegionIndex::AllExcept(
   (void)EnsureResident();
   std::vector<const RegionSet*> out;
   for (const auto& [name, set] : sets_) {
-    if (name != excluded) out.push_back(&set);
+    if (name != excluded) out.push_back(set.get());
   }
   return out;
 }
@@ -259,10 +269,10 @@ uint64_t RegionIndex::num_regions() const {
   if (source_ != nullptr) {
     std::lock_guard<std::mutex> lock(lazy_mu_);
     for (const auto& [name, count] : unloaded_) n += count;
-    for (const auto& [name, set] : sets_) n += set.size();
+    for (const auto& [name, set] : sets_) n += set->size();
     return n;
   }
-  for (const auto& [name, set] : sets_) n += set.size();
+  for (const auto& [name, set] : sets_) n += set->size();
   return n;
 }
 
@@ -274,12 +284,12 @@ uint64_t RegionIndex::ApproxBytes() const {
       bytes += name.size() + count * sizeof(Region) + 64;
     }
     for (const auto& [name, set] : sets_) {
-      bytes += name.size() + set.size() * sizeof(Region) + 64;
+      bytes += name.size() + set->size() * sizeof(Region) + 64;
     }
     return bytes;
   }
   for (const auto& [name, set] : sets_) {
-    bytes += name.size() + set.size() * sizeof(Region) + 64;
+    bytes += name.size() + set->size() * sizeof(Region) + 64;
   }
   return bytes;
 }

@@ -11,6 +11,7 @@
 
 #include "qof/region/region_set.h"
 #include "qof/region/region_source.h"
+#include "qof/util/cow_ptr.h"
 #include "qof/util/result.h"
 #include "qof/util/status.h"
 
@@ -41,10 +42,13 @@ class RegionIndex {
  public:
   RegionIndex() = default;
 
-  // Hand-written copy/move: the index is a value (copy-on-write snapshots
-  // duplicate it, builds move it), but the mutexes guarding the lazy
-  // universe cache and the lazy materialization are neither copyable nor
-  // movable — each instance gets its own.
+  // Hand-written copy/move: the mutexes guarding the lazy caches and the
+  // lazy materialization are neither copyable nor movable — each index
+  // gets its own. A copy shares every instance (copy-on-write, see
+  // CowPtr) and every cached table (all immutable once built), so it
+  // costs a handle per name whatever the index holds. Copy a resident
+  // index, or one no reader is paging in (the lazy map is copied as it
+  // stands).
   RegionIndex(const RegionIndex& other) { CopyFrom(other); }
   RegionIndex& operator=(const RegionIndex& other) {
     if (this != &other) CopyFrom(other);
@@ -53,18 +57,14 @@ class RegionIndex {
   RegionIndex(RegionIndex&& other) noexcept
       : sets_(std::move(other.sets_)),
         universe_(std::move(other.universe_)),
-        universe_valid_(other.universe_valid_),
         parents_(std::move(other.parents_)),
-        parents_valid_(other.parents_valid_),
         separator_tables_(std::move(other.separator_tables_)),
         source_(std::move(other.source_)),
         unloaded_(std::move(other.unloaded_)) {}
   RegionIndex& operator=(RegionIndex&& other) noexcept {
     sets_ = std::move(other.sets_);
     universe_ = std::move(other.universe_);
-    universe_valid_ = other.universe_valid_;
     parents_ = std::move(other.parents_);
-    parents_valid_ = other.parents_valid_;
     separator_tables_ = std::move(other.separator_tables_);
     source_ = std::move(other.source_);
     unloaded_ = std::move(other.unloaded_);
@@ -76,18 +76,20 @@ class RegionIndex {
 
   // --- incremental maintenance (see src/qof/maintain/) ------------------
 
-  /// Erases from every instance the regions starting in [begin, end) — a
-  /// tombstoned document's contribution. Names stay registered (possibly
-  /// with empty instances): "indexed but absent" must survive removals.
-  /// Returns the number of regions erased.
-  uint64_t EraseSpan(uint64_t begin, uint64_t end);
-
-  /// Splices one document's contribution in: for each (name, run) the run
-  /// is inserted at its canonical position. Runs must be canonically
-  /// sorted, duplicate-free, and confined to a span no existing region
-  /// starts in. Unknown names are registered.
-  void InsertDocRegions(
-      const std::map<std::string, std::vector<Region>>& by_name);
+  /// One document change: erases from every instance the regions
+  /// starting in [begin, end) — a tombstoned document's contribution
+  /// (pass an empty span when only adding) — and inserts each run of
+  /// `insert` at its canonical position (the appended document's
+  /// contribution). Runs must be canonically sorted, duplicate-free, and
+  /// confined to a span no remaining region starts in; unknown names are
+  /// registered. Names stay registered when emptied: "indexed but
+  /// absent" must survive removals. Each touched instance is edited in
+  /// place when this index owns it, else rebuilt as prefix + run +
+  /// suffix in one pass (the copy sharing it keeps the old one). Returns
+  /// the number of regions erased.
+  uint64_t SpliceDocument(
+      uint64_t begin, uint64_t end,
+      const std::map<std::string, std::vector<Region>>& insert);
 
   bool Has(std::string_view name) const;
 
@@ -101,8 +103,7 @@ class RegionIndex {
   /// The instance of `name`; NotFound if the name was never registered.
   /// With a backing source attached this may page the instance in, so it
   /// can also fail on I/O or corruption. The returned pointer stays valid
-  /// for the life of the index (map nodes are stable; materialized
-  /// instances are immutable until EnsureResident precedes mutation).
+  /// until the next mutation of this index (copies keep their own).
   Result<const RegionSet*> Get(std::string_view name) const;
 
   /// Region names in registration-independent (sorted) order.
@@ -154,8 +155,7 @@ class RegionIndex {
 
   /// The SeparatorTable of `names` (sorted, duplicate-free; unregistered
   /// names contribute nothing). Built on first use and cached per set
-  /// until the next mutation; copies share the cached tables, which are
-  /// immutable. Pages in only the named instances, so it fails only on
+  /// until the next mutation; the tables are immutable. Pages in only the named instances, so it fails only on
   /// their I/O or corruption. Thread-safety as Universe().
   Result<std::shared_ptr<const SeparatorTable>> Separators(
       const std::vector<std::string>& names) const;
@@ -175,30 +175,30 @@ class RegionIndex {
   /// Pages `name` in from the source. Caller holds lazy_mu_.
   Status MaterializeLocked(const std::string& name, uint64_t count) const;
 
-  /// Copy assignment's body: takes both of `other`'s cache locks.
+  /// Copy assignment's body: takes both of `other`'s locks.
   void CopyFrom(const RegionIndex& other);
 
   /// Drops the cached universe, its parent table and every separator
   /// table: each mutator calls this.
   void InvalidateUniverse() {
-    universe_valid_ = false;
-    parents_valid_ = false;
+    universe_.reset();
+    parents_.reset();
     separator_tables_.clear();
   }
 
-  /// Mutable: Get() materializes lazily under lazy_mu_. Node-based, so
-  /// pointers handed out by Get() survive later insertions.
-  mutable std::map<std::string, RegionSet, std::less<>> sets_;
+  /// Mutable: Get() materializes lazily under lazy_mu_. Each instance sits
+  /// behind its own copy-on-write handle, so a copy of the index shares
+  /// them and a splice copies only the names it writes.
+  mutable std::map<std::string, CowPtr<RegionSet>, std::less<>> sets_;
   /// Serializes the lazy Universe() build between concurrent readers of a
   /// shared immutable index. Mutators (Add/EraseSpan/InsertDocRegions)
   /// require external exclusion, as before.
   mutable std::mutex universe_mu_;
-  mutable RegionSet universe_;
-  mutable bool universe_valid_ = false;
+  /// Null until built; copies share it.
+  mutable std::shared_ptr<const RegionSet> universe_;
   /// Guarded by universe_mu_ like universe_; valid only while the
   /// universe is.
-  mutable ParentTable parents_;
-  mutable bool parents_valid_ = false;
+  mutable std::shared_ptr<const ParentTable> parents_;
   /// Separators() cache, keyed by name set; guarded by universe_mu_.
   mutable std::map<std::vector<std::string>,
                    std::shared_ptr<const SeparatorTable>>

@@ -256,32 +256,31 @@ bool RegionSet::ContainsRegion(const Region& r) const {
   return std::binary_search(regions_.begin(), regions_.end(), r);
 }
 
-size_t RegionSet::EraseStartsIn(uint64_t begin, uint64_t end) {
-  auto lo = std::lower_bound(
-      regions_.begin(), regions_.end(), begin,
-      [](const Region& r, uint64_t s) { return r.start < s; });
-  auto hi = std::lower_bound(
-      lo, regions_.end(), end,
-      [](const Region& r, uint64_t s) { return r.start < s; });
-  size_t n = static_cast<size_t>(hi - lo);
-  regions_.erase(lo, hi);
-  return n;
+Splice<Region> RegionSet::SpliceFor(uint64_t begin, uint64_t end,
+                                    std::span<const Region> run) const {
+  auto by_start = [](const Region& r, uint64_t s) { return r.start < s; };
+  auto lo = std::lower_bound(regions_.begin(), regions_.end(), begin,
+                             by_start);
+  auto hi = std::lower_bound(lo, regions_.end(), end, by_start);
+  Splice<Region> splice;
+  splice.lo = static_cast<size_t>(lo - regions_.begin());
+  splice.hi = static_cast<size_t>(hi - regions_.begin());
+  splice.at = run.empty() ? splice.hi
+                          : static_cast<size_t>(
+                                std::lower_bound(regions_.begin(),
+                                                 regions_.end(), run.front()) -
+                                regions_.begin());
+  splice.run = run;
+  return splice;
 }
 
-void RegionSet::InsertRun(const std::vector<Region>& run) {
-  if (run.empty()) return;
+void RegionSet::ApplySplice(const Splice<Region>& splice) {
+  splice.Apply(&regions_);
 #ifndef NDEBUG
-  for (size_t i = 1; i < run.size(); ++i) {
-    assert(run[i - 1] < run[i] && "run not canonically sorted");
+  for (size_t i = 1; i < regions_.size(); ++i) {
+    assert(regions_[i - 1] < regions_[i] && "splice broke canonical order");
   }
 #endif
-  auto at = std::lower_bound(regions_.begin(), regions_.end(), run.front());
-  assert((at == regions_.end() || run.back().start < at->start) &&
-         "run start window overlaps existing members");
-  assert((at == regions_.begin() ||
-          std::prev(at)->start < run.front().start) &&
-         "run start window overlaps existing members");
-  regions_.insert(at, run.begin(), run.end());
 }
 
 uint64_t RegionSet::TotalLength() const {

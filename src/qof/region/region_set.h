@@ -2,11 +2,13 @@
 #define QOF_REGION_REGION_SET_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "qof/region/cost_model.h"
 #include "qof/region/region.h"
+#include "qof/util/splice.h"
 
 namespace qof {
 
@@ -47,13 +49,15 @@ class RegionSet {
   // document's members form a contiguous slice of the canonical order;
   // document-level maintenance is a slice erase / slice insert.
 
-  /// Erases members whose start lies in [begin, end); returns how many.
-  size_t EraseStartsIn(uint64_t begin, uint64_t end);
+  /// The splice that erases the members starting in [begin, end) and
+  /// inserts `run` — canonically sorted, duplicate-free, its start window
+  /// disjoint from every remaining member's start (one document's
+  /// contribution) — at its canonical position.
+  Splice<Region> SpliceFor(uint64_t begin, uint64_t end,
+                           std::span<const Region> run) const;
 
-  /// Splices in a canonically sorted, duplicate-free run whose start
-  /// window is disjoint from every existing member's start (one
-  /// document's contribution). Debug-checked.
-  void InsertRun(const std::vector<Region>& run);
+  /// Applies a SpliceFor() result in place. Debug-checked.
+  void ApplySplice(const Splice<Region>& splice);
 
   /// Sum of member lengths (bytes covered, counting nested spans multiply).
   uint64_t TotalLength() const;

@@ -1,6 +1,7 @@
 #include "qof/text/corpus.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace qof {
 
@@ -12,11 +13,51 @@ Result<DocId> Corpus::AddDocument(std::string name, std::string_view text) {
       return Status::AlreadyExists("document already in corpus: " + name);
     }
   }
-  if (!text_.empty()) text_.push_back('\n');
-  TextPos start = text_.size();
-  text_.append(text);
-  docs_.push_back(Doc{std::move(name), start, text_.size(), /*live=*/true});
+  if (size_ > 0) Append("\n");
+  TextPos start = size_;
+  Append(text);
+  docs_.push_back(Doc{std::move(name), start, size_, /*live=*/true});
   return static_cast<DocId>(docs_.size() - 1);
+}
+
+void Corpus::Append(std::string_view bytes) {
+  const size_t needed = size_ + bytes.size();
+  if (buffer_ == nullptr || buffer_->used != size_ ||
+      buffer_->capacity < needed) {
+    // Room for as much again keeps appends amortized O(1) and leaves
+    // headroom after a big first append; the pages past the end are not
+    // touched until written, so the headroom costs no memory.
+    auto grown = std::make_shared<TextBuffer>();
+    grown->capacity = std::max<size_t>(2 * needed, 4096);
+    grown->bytes.reset(new char[grown->capacity]);
+    if (size_ > 0) std::memcpy(grown->bytes.get(), data_, size_);
+    grown->used = size_;
+    buffer_ = std::move(grown);
+    data_ = buffer_->bytes.get();
+  }
+  std::memcpy(buffer_->bytes.get() + size_, bytes.data(), bytes.size());
+  size_ = needed;
+  buffer_->used = needed;
+}
+
+Corpus Corpus::LiveOnly() const {
+  Corpus dense;
+  uint64_t live_bytes = 0;
+  for (const Doc& d : docs_) {
+    if (d.live) live_bytes += d.end - d.start + 1;
+  }
+  dense.buffer_ = std::make_shared<TextBuffer>();
+  dense.buffer_->capacity = std::max<size_t>(2 * live_bytes, 4096);
+  dense.buffer_->bytes.reset(new char[dense.buffer_->capacity]);
+  dense.data_ = dense.buffer_->bytes.get();
+  for (const Doc& d : docs_) {
+    if (!d.live) continue;
+    if (dense.size_ > 0) dense.Append("\n");
+    TextPos start = dense.size_;
+    dense.Append(RawText(d.start, d.end));
+    dense.docs_.push_back(Doc{d.name, start, dense.size_, /*live=*/true});
+  }
+  return dense;
 }
 
 Result<DocId> Corpus::FindDocument(std::string_view name) const {

@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "qof/util/result.h"
@@ -36,46 +38,60 @@ using TextPos = uint64_t;
 /// appends the new text at the tail as a fresh entry under the same name.
 /// Dead bytes linger until the maintainer compacts the corpus. Everything
 /// that iterates documents must skip non-live entries.
+///
+/// Copies are cheap and share the text: the bytes live in one append-only
+/// buffer, and a copy owns only its document table and its end offset.
+/// An append lands past the end of every copy sharing the buffer, so a
+/// pinned copy's bytes never change under its readers; only growth, or an
+/// append to a copy that another copy has already appended past, moves
+/// the appender to a new buffer. Mutate copies from one thread at a time
+/// (the buffer's high-water mark is writer state).
 class Corpus {
  public:
   Corpus() = default;
 
-  // Corpus is the unique owner of the text; copies would silently duplicate
-  // megabytes, so it is move-only.
-  Corpus(const Corpus&) = delete;
-  Corpus& operator=(const Corpus&) = delete;
-  // Hand-written moves: the scanned-byte counter is atomic (parallel
-  // two-phase workers scan candidates concurrently), and atomics are not
-  // movable by default.
-  Corpus(Corpus&& other) noexcept
-      : text_(std::move(other.text_)),
-        docs_(std::move(other.docs_)),
+  // Hand-written copies and moves: the scanned-byte counter is atomic
+  // (parallel two-phase workers scan candidates concurrently), and
+  // atomics are neither copyable nor movable by default. A copy's
+  // counter starts at zero.
+  Corpus(const Corpus& other)
+      : buffer_(other.buffer_),
+        data_(other.data_),
+        size_(other.size_),
+        docs_(other.docs_),
         dead_docs_(other.dead_docs_),
-        dead_bytes_(other.dead_bytes_),
+        dead_bytes_(other.dead_bytes_) {}
+  Corpus& operator=(const Corpus& other) {
+    if (this != &other) {
+      buffer_ = other.buffer_;
+      data_ = other.data_;
+      size_ = other.size_;
+      docs_ = other.docs_;
+      dead_docs_ = other.dead_docs_;
+      dead_bytes_ = other.dead_bytes_;
+      bytes_read_.store(0, std::memory_order_relaxed);
+    }
+    return *this;
+  }
+  // A moved-from corpus is empty.
+  Corpus(Corpus&& other) noexcept
+      : buffer_(std::move(other.buffer_)),
+        data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        docs_(std::move(other.docs_)),
+        dead_docs_(std::exchange(other.dead_docs_, 0)),
+        dead_bytes_(std::exchange(other.dead_bytes_, 0)),
         bytes_read_(other.bytes_read_.load(std::memory_order_relaxed)) {}
   Corpus& operator=(Corpus&& other) noexcept {
-    text_ = std::move(other.text_);
+    buffer_ = std::move(other.buffer_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
     docs_ = std::move(other.docs_);
-    dead_docs_ = other.dead_docs_;
-    dead_bytes_ = other.dead_bytes_;
+    dead_docs_ = std::exchange(other.dead_docs_, 0);
+    dead_bytes_ = std::exchange(other.dead_bytes_, 0);
     bytes_read_.store(other.bytes_read_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
     return *this;
-  }
-
-  /// Explicit deep copy, for copy-on-write snapshot publication (see
-  /// FileQuerySystem::AcquireSnapshot): a mutation arriving while a
-  /// snapshot pins the current corpus clones it and mutates the clone,
-  /// leaving the pinned original immutable. Deliberately not a copy
-  /// constructor — accidental copies would silently duplicate megabytes.
-  /// The clone's scanned-byte counter starts at zero.
-  Corpus Clone() const {
-    Corpus copy;
-    copy.text_ = text_;
-    copy.docs_ = docs_;
-    copy.dead_docs_ = dead_docs_;
-    copy.dead_bytes_ = dead_bytes_;
-    return copy;
   }
 
   /// Appends a document; returns its id. Rejects names of *live*
@@ -106,7 +122,7 @@ class Corpus {
   bool fragmented() const { return dead_docs_ > 0; }
 
   /// Total size of the virtual address space, separators included.
-  TextPos size() const { return text_.size(); }
+  TextPos size() const { return size_; }
   /// Bytes belonging to tombstoned documents (compaction would reclaim
   /// them, separators excluded).
   uint64_t dead_bytes() const { return dead_bytes_; }
@@ -122,7 +138,7 @@ class Corpus {
 
   /// Raw bytes of [start, end). Does not count towards bytes_read().
   std::string_view RawText(TextPos start, TextPos end) const {
-    return std::string_view(text_).substr(start, end - start);
+    return full_text().substr(start, end - start);
   }
 
   /// Bytes of [start, end), *accounted* as scanned: experiments use
@@ -179,7 +195,14 @@ class Corpus {
   /// separately from query-time scanning, so this is unaccounted). On a
   /// fragmented corpus this still includes dead spans — builders must
   /// iterate live documents instead.
-  std::string_view full_text() const { return text_; }
+  std::string_view full_text() const {
+    return std::string_view(data_, size_);
+  }
+
+  /// A dense corpus of just the live documents, in physical order, under
+  /// their names (compaction). Its text is a fresh buffer; this corpus and
+  /// every copy sharing its buffer are untouched.
+  Corpus LiveOnly() const;
 
   uint64_t bytes_read() const {
     return bytes_read_.load(std::memory_order_relaxed);
@@ -207,7 +230,23 @@ class Corpus {
     bool live = true;
   };
 
-  std::string text_;
+  /// The bytes every copy of a corpus shares. Bytes below `used` are
+  /// never rewritten while the buffer lives.
+  struct TextBuffer {
+    std::unique_ptr<char[]> bytes;
+    size_t capacity = 0;
+    /// High-water mark: the end of the longest copy; appends land here.
+    size_t used = 0;
+  };
+
+  /// Appends `bytes` at size_, moving to a new buffer when this one is
+  /// full or another copy has appended past size_.
+  void Append(std::string_view bytes);
+
+  std::shared_ptr<TextBuffer> buffer_;
+  /// buffer_->bytes.get(), cached so RawText is one pointer add.
+  const char* data_ = nullptr;
+  TextPos size_ = 0;
   std::vector<Doc> docs_;
   size_t dead_docs_ = 0;
   uint64_t dead_bytes_ = 0;

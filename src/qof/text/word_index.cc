@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 
+#include "qof/util/splice.h"
+
 namespace qof {
 namespace {
 
@@ -36,10 +38,83 @@ void TokenizeInto(std::string_view text, TextPos base,
 
 }  // namespace
 
+void WordIndex::CopyFrom(const WordIndex& other) {
+  std::lock_guard<std::mutex> lock(other.lazy_mu_);
+  shards_ = other.shards_;
+  num_postings_ = other.num_postings_;
+  options_ = other.options_;
+  source_ = other.source_;
+  absent_ = other.absent_;
+  all_resident_.store(other.all_resident_.load(std::memory_order_acquire),
+                      std::memory_order_release);
+  sorted_words_.clear();
+}
+
+void WordIndex::MoveFrom(WordIndex&& other) {
+  shards_ = std::move(other.shards_);
+  num_postings_ = other.num_postings_;
+  options_ = std::move(other.options_);
+  source_ = std::move(other.source_);
+  absent_ = std::move(other.absent_);
+  all_resident_.store(other.all_resident_.load(std::memory_order_acquire),
+                      std::memory_order_release);
+  sorted_words_.clear();
+  other.shards_.clear();
+  other.num_postings_ = 0;
+  other.sorted_words_.clear();  // its pointers moved away with the shards
+}
+
+const WordIndex::PostingList* WordIndex::Find(const std::string& key) const {
+  if (shards_.empty()) return nullptr;
+  const CowPtr<Shard>& shard = shards_[ShardOf(key)];
+  if (!shard) return nullptr;
+  auto it = shard->find(key);
+  return it == shard->end() ? nullptr : it->second.get();
+}
+
+WordIndex::Shard& WordIndex::MutableShard(const std::string& key) const {
+  if (shards_.empty()) shards_.resize(kNumShards);
+  return shards_[ShardOf(key)].Mutable();
+}
+
+void WordIndex::SpliceList(const std::string& key, TextPos begin,
+                           TextPos end, std::span<const TextPos> run) {
+  const PostingList* old = Find(key);
+  if (old == nullptr) {
+    if (run.empty()) return;
+    num_postings_ += run.size();
+    MutableShard(key).emplace(
+        key, CowPtr<PostingList>(PostingList(run.begin(), run.end())));
+    return;
+  }
+  Splice<TextPos> s;
+  s.lo = std::lower_bound(old->begin(), old->end(), begin) - old->begin();
+  s.hi = std::lower_bound(old->begin() + s.lo, old->end(), end) -
+         old->begin();
+  s.at = run.empty() ? s.hi
+                     : std::lower_bound(old->begin(), old->end(),
+                                        run.front()) -
+                           old->begin();
+  s.run = run;
+  if (s.empty()) return;
+  num_postings_ = num_postings_ + run.size() - (s.hi - s.lo);
+  Shard& shard = MutableShard(key);
+  auto it = shard.find(key);
+  CowPtr<PostingList>& list = it->second;
+  if (run.empty() && s.hi - s.lo == list->size()) {
+    shard.erase(it);
+  } else if (list.owned()) {
+    s.Apply(&list.Mutable());
+  } else {
+    list.Reset(s.Applied(*list));
+  }
+}
+
 WordIndex WordIndex::Build(const Corpus& corpus, WordIndexOptions options,
                            ThreadPool* pool) {
-  WordIndex index;
-  index.options_ = options;
+  // Collected in one flat map (one hash per token), then dealt out to
+  // the shards.
+  std::unordered_map<std::string, PostingList> postings;
   if (pool == nullptr || pool->size() <= 1 || corpus.num_documents() < 2) {
     // Serial build: one pass over the whole corpus — unless tombstoned
     // spans fragment it, in which case only live documents are read
@@ -49,8 +124,7 @@ WordIndex WordIndex::Build(const Corpus& corpus, WordIndexOptions options,
       if (options.token_filter && !options.token_filter(t)) return;
       std::string key =
           options.fold_case ? FoldCase(t.text) : std::string(t.text);
-      index.postings_[std::move(key)].push_back(t.start);
-      ++index.num_postings_;
+      postings[std::move(key)].push_back(t.start);
     };
     if (!corpus.fragmented()) {
       Tokenizer::ForEachToken(corpus.full_text(), /*base=*/0, take);
@@ -66,8 +140,7 @@ WordIndex WordIndex::Build(const Corpus& corpus, WordIndexOptions options,
     // Parallel build: tokenize each document on the pool, then merge in
     // document order. Documents are contiguous ascending spans, so
     // appending a document's postings after its predecessors' keeps
-    // every list sorted, and inserting keys in (document, first
-    // occurrence) order matches the serial insertion sequence.
+    // every list sorted.
     std::vector<DocPostings> docs(corpus.num_documents());
     pool->ParallelFor(corpus.num_documents(), [&](int, size_t d) {
       DocId doc = static_cast<DocId>(d);
@@ -79,8 +152,7 @@ WordIndex WordIndex::Build(const Corpus& corpus, WordIndexOptions options,
     for (DocPostings& doc : docs) {
       for (const std::string* key : doc.order) {
         std::vector<TextPos>& shard = doc.map.at(*key);
-        index.num_postings_ += shard.size();
-        std::vector<TextPos>& list = index.postings_[*key];
+        std::vector<TextPos>& list = postings[*key];
         if (list.empty()) {
           list = std::move(shard);
         } else {
@@ -89,21 +161,24 @@ WordIndex WordIndex::Build(const Corpus& corpus, WordIndexOptions options,
       }
     }
   }
-  // Tokens are produced in text order, so postings are already sorted;
-  // keep an assertion-friendly invariant anyway.
-  for (auto& [word, list] : index.postings_) {
-    (void)word;
+  WordIndex index;
+  index.options_ = options;
+  for (auto& [word, list] : postings) {
+    // Tokens are produced in text order, so postings are already
+    // sorted; keep an assertion-friendly invariant anyway.
     if (!std::is_sorted(list.begin(), list.end())) {
       std::sort(list.begin(), list.end());
     }
+    index.num_postings_ += list.size();
+    index.MutableShard(word).emplace(word,
+                                     CowPtr<PostingList>(std::move(list)));
   }
   return index;
 }
 
 Result<const std::vector<TextPos>*> WordIndex::LoadLocked(
     const std::string& key) const {
-  auto it = postings_.find(key);
-  if (it != postings_.end()) return &it->second;
+  if (const PostingList* list = Find(key)) return list;
   if (all_resident_.load(std::memory_order_acquire) ||
       absent_.count(key) > 0) {
     return static_cast<const std::vector<TextPos>*>(nullptr);
@@ -115,8 +190,9 @@ Result<const std::vector<TextPos>*> WordIndex::LoadLocked(
     return static_cast<const std::vector<TextPos>*>(nullptr);
   }
   num_postings_ += loaded->size();
-  auto [pos, inserted] = postings_.emplace(key, std::move(*loaded));
-  return &pos->second;
+  auto [pos, inserted] =
+      MutableShard(key).emplace(key, CowPtr<PostingList>(std::move(*loaded)));
+  return pos->second.get();
 }
 
 const std::vector<TextPos>& WordIndex::Lookup(std::string_view word) const {
@@ -130,8 +206,8 @@ const std::vector<TextPos>& WordIndex::Lookup(std::string_view word) const {
     if (!loaded.ok() || *loaded == nullptr) return kEmpty;
     return **loaded;
   }
-  auto it = postings_.find(key);
-  return it == postings_.end() ? kEmpty : it->second;
+  const PostingList* list = Find(key);
+  return list == nullptr ? kEmpty : *list;
 }
 
 Status WordIndex::EnsureLoaded(std::string_view word) const {
@@ -189,11 +265,10 @@ std::vector<TextPos> WordIndex::LookupPrefix(
   // Prefix search is cold; holding the lock across the whole walk keeps
   // the lazy directory build race-free under concurrent snapshot readers.
   std::lock_guard<std::mutex> lock(sorted_words_mu_);
-  if (sorted_words_.empty() && !postings_.empty()) {
-    sorted_words_.reserve(postings_.size());
-    for (const auto& [word, list] : postings_) {
+  if (sorted_words_.empty()) {
+    ForEachWord([this](const std::string& word, const PostingList&) {
       sorted_words_.push_back(&word);
-    }
+    });
     std::sort(sorted_words_.begin(), sorted_words_.end(),
               [](const std::string* a, const std::string* b) {
                 return *a < *b;
@@ -205,8 +280,8 @@ std::vector<TextPos> WordIndex::LookupPrefix(
   std::vector<TextPos> out;
   for (auto it = lo; it != sorted_words_.end(); ++it) {
     if ((*it)->compare(0, key.size(), key) != 0) break;
-    const std::vector<TextPos>& list = postings_.at(**it);
-    out.insert(out.end(), list.begin(), list.end());
+    const PostingList* list = Find(**it);
+    out.insert(out.end(), list->begin(), list->end());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -219,97 +294,96 @@ WordIndex WordIndex::FromEntries(
   index.options_.fold_case = fold_case;
   for (auto& [word, postings] : entries) {
     index.num_postings_ += postings.size();
-    index.postings_.emplace(std::move(word), std::move(postings));
+    index.MutableShard(word).emplace(
+        std::move(word), CowPtr<PostingList>(std::move(postings)));
   }
   return index;
 }
 
-void WordIndex::AddDocPostings(std::string_view doc_text, TextPos base) {
-  DocPostings doc;
-  TokenizeInto(doc_text, base, options_, &doc);
-  for (const std::string* key : doc.order) {
-    std::vector<TextPos>& run = doc.map.at(*key);
-    num_postings_ += run.size();
-    std::vector<TextPos>& list = postings_[*key];
-    if (list.empty() || list.back() < run.front()) {
-      list.insert(list.end(), run.begin(), run.end());
-    } else {
-      // The document's span is disjoint from every other document's, so
-      // the whole run lands at a single insertion point.
-      auto at = std::lower_bound(list.begin(), list.end(), run.front());
-      list.insert(at, run.begin(), run.end());
-    }
+void WordIndex::SpliceDocPostings(std::string_view old_text,
+                                  TextPos old_begin, TextPos old_end,
+                                  std::string_view new_text,
+                                  TextPos new_base) {
+  DocPostings erased;
+  DocPostings added;
+  TokenizeInto(old_text, old_begin, options_, &erased);
+  TokenizeInto(new_text, new_base, options_, &added);
+  // Documents own disjoint spans, so each word's new run lands at a
+  // single insertion point outside the erased window.
+  for (const std::string* key : added.order) {
+    SpliceList(*key, old_begin, old_end, added.map.at(*key));
   }
-  sorted_words_.clear();
-}
-
-void WordIndex::EraseDocPostings(std::string_view doc_text, TextPos begin,
-                                 TextPos end) {
-  DocPostings doc;
-  TokenizeInto(doc_text, begin, options_, &doc);
-  for (const std::string* key : doc.order) {
-    auto it = postings_.find(*key);
-    if (it == postings_.end()) continue;
-    std::vector<TextPos>& list = it->second;
-    auto lo = std::lower_bound(list.begin(), list.end(), begin);
-    auto hi = std::lower_bound(lo, list.end(), end);
-    num_postings_ -= static_cast<uint64_t>(hi - lo);
-    list.erase(lo, hi);
-    if (list.empty()) postings_.erase(it);
+  for (const std::string* key : erased.order) {
+    if (added.map.count(*key) == 0) SpliceList(*key, old_begin, old_end, {});
   }
   sorted_words_.clear();
 }
 
 void WordIndex::EraseSpanPostings(TextPos begin, TextPos end) {
-  for (auto it = postings_.begin(); it != postings_.end();) {
-    std::vector<TextPos>& list = it->second;
+  // Collect first: erasing may copy a shard out from under the walk.
+  std::vector<std::string> touched;
+  ForEachWord([&](const std::string& word, const PostingList& list) {
     auto lo = std::lower_bound(list.begin(), list.end(), begin);
-    auto hi = std::lower_bound(lo, list.end(), end);
-    num_postings_ -= static_cast<uint64_t>(hi - lo);
-    list.erase(lo, hi);
-    it = list.empty() ? postings_.erase(it) : std::next(it);
-  }
+    if (lo != list.end() && *lo < end) touched.push_back(word);
+  });
+  for (const std::string& word : touched) SpliceList(word, begin, end, {});
   sorted_words_.clear();
 }
 
-void WordIndex::RebasePostings(const std::function<TextPos(TextPos)>& map,
-                               ThreadPool* pool) {
-  std::vector<std::vector<TextPos>*> lists;
-  lists.reserve(postings_.size());
-  for (auto& [word, list] : postings_) lists.push_back(&list);
-  auto rebase_one = [&map](std::vector<TextPos>* list) {
-    for (TextPos& p : *list) p = map(p);
-    // A document moved toward the front of the address space can land its
-    // run below a physically earlier (but logically later) one.
-    std::sort(list->begin(), list->end());
+WordIndex WordIndex::Rebased(const std::function<TextPos(TextPos)>& map,
+                             ThreadPool* pool) const {
+  WordIndex out;
+  out.num_postings_ = num_postings_;
+  out.options_ = options_;
+  if (shards_.empty()) return out;
+  out.shards_.resize(kNumShards);
+  auto rebase_shard = [&](size_t i) {
+    if (!shards_[i]) return;
+    Shard fresh;
+    fresh.reserve(shards_[i]->size());
+    for (const auto& [word, list] : *shards_[i]) {
+      PostingList moved;
+      moved.reserve(list->size());
+      for (TextPos p : *list) moved.push_back(map(p));
+      // A document moved toward the front of the address space can land
+      // its run below a physically earlier (but logically later) one.
+      if (!std::is_sorted(moved.begin(), moved.end())) {
+        std::sort(moved.begin(), moved.end());
+      }
+      fresh.emplace(word, CowPtr<PostingList>(std::move(moved)));
+    }
+    out.shards_[i] = CowPtr<Shard>(std::move(fresh));
   };
-  if (pool != nullptr && pool->size() > 1 && lists.size() > 1) {
-    pool->ParallelFor(lists.size(),
-                      [&](int, size_t i) { rebase_one(lists[i]); });
+  if (pool != nullptr && pool->size() > 1) {
+    pool->ParallelFor(kNumShards, [&](int, size_t i) { rebase_shard(i); });
   } else {
-    for (auto* list : lists) rebase_one(list);
+    for (size_t i = 0; i < kNumShards; ++i) rebase_shard(i);
   }
-  sorted_words_.clear();
+  return out;
 }
 
 uint64_t WordIndex::ApproxBytes() const {
+  // Per word: key, string header, postings, list header — the formula
+  // the footprint experiments were calibrated with.
+  auto word_bytes = [](const std::string& word, const PostingList& list) {
+    return word.size() + sizeof(std::string) +
+           list.size() * sizeof(TextPos) + sizeof(PostingList);
+  };
+  uint64_t bytes = 0;
   if (source_ != nullptr &&
       !all_resident_.load(std::memory_order_acquire)) {
     // Disk-resident: report the store's encoded footprint plus whatever
     // has been materialized so far.
     std::lock_guard<std::mutex> lock(lazy_mu_);
-    uint64_t bytes = source_->approx_bytes();
-    for (const auto& [word, list] : postings_) {
-      bytes += word.size() + sizeof(std::string) +
-               list.size() * sizeof(TextPos) + sizeof(list);
-    }
+    bytes = source_->approx_bytes();
+    ForEachWord([&](const std::string& word, const PostingList& list) {
+      bytes += word_bytes(word, list);
+    });
     return bytes;
   }
-  uint64_t bytes = 0;
-  for (const auto& [word, list] : postings_) {
-    bytes += word.size() + sizeof(std::string) +
-             list.size() * sizeof(TextPos) + sizeof(list);
-  }
+  ForEachWord([&](const std::string& word, const PostingList& list) {
+    bytes += word_bytes(word, list);
+  });
   return bytes;
 }
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 #include "qof/text/corpus.h"
 #include "qof/text/posting_source.h"
 #include "qof/text/tokenizer.h"
+#include "qof/util/cow_ptr.h"
 #include "qof/util/thread_pool.h"
 
 namespace qof {
@@ -80,54 +82,23 @@ class WordIndex {
   /// readers sharing an otherwise-immutable index (snapshot queries).
   std::vector<TextPos> LookupPrefix(std::string_view prefix) const;
 
-  // Hand-written copy/move: the directory cache both embeds a mutex
-  // (per-instance) and holds pointers into this instance's postings_
-  // keys, so it must never travel with the data — it is dropped and
-  // lazily rebuilt in the destination.
+  // Hand-written copy/move: the mutexes are per instance, and the sorted
+  // directory holds pointers into this instance's shard keys, so it never
+  // travels with the data — it is dropped and lazily rebuilt in the
+  // destination. A copy shares every shard and posting list (see
+  // CowPtr). A lazy load writes into a shard, and Mutable() keeps it
+  // from writing into one a copy shares; copying a disk-resident index
+  // that readers are paging in is still a race, so fork states only
+  // after EnsureResident().
   WordIndex() = default;
-  WordIndex(const WordIndex& other) {
-    std::lock_guard<std::mutex> lock(other.lazy_mu_);
-    postings_ = other.postings_;
-    num_postings_ = other.num_postings_;
-    options_ = other.options_;
-    source_ = other.source_;
-    absent_ = other.absent_;
-    all_resident_.store(other.all_resident_.load(std::memory_order_acquire),
-                        std::memory_order_release);
-  }
+  WordIndex(const WordIndex& other) { CopyFrom(other); }
   WordIndex& operator=(const WordIndex& other) {
-    if (this == &other) return *this;
-    std::lock_guard<std::mutex> lock(other.lazy_mu_);
-    postings_ = other.postings_;
-    num_postings_ = other.num_postings_;
-    options_ = other.options_;
-    source_ = other.source_;
-    absent_ = other.absent_;
-    all_resident_.store(other.all_resident_.load(std::memory_order_acquire),
-                        std::memory_order_release);
-    sorted_words_.clear();
+    if (this != &other) CopyFrom(other);
     return *this;
   }
-  WordIndex(WordIndex&& other) noexcept
-      : postings_(std::move(other.postings_)),
-        num_postings_(other.num_postings_),
-        options_(std::move(other.options_)),
-        source_(std::move(other.source_)),
-        absent_(std::move(other.absent_)) {
-    all_resident_.store(other.all_resident_.load(std::memory_order_acquire),
-                        std::memory_order_release);
-    other.sorted_words_.clear();  // its pointers moved away with the map
-  }
+  WordIndex(WordIndex&& other) noexcept { MoveFrom(std::move(other)); }
   WordIndex& operator=(WordIndex&& other) noexcept {
-    postings_ = std::move(other.postings_);
-    num_postings_ = other.num_postings_;
-    options_ = std::move(other.options_);
-    source_ = std::move(other.source_);
-    absent_ = std::move(other.absent_);
-    all_resident_.store(other.all_resident_.load(std::memory_order_acquire),
-                        std::memory_order_release);
-    sorted_words_.clear();
-    other.sorted_words_.clear();
+    if (this != &other) MoveFrom(std::move(other));
     return *this;
   }
 
@@ -140,7 +111,11 @@ class WordIndex {
     // Disk-resident: the store's dictionary knows the count without any
     // list being materialized (loaded words are a subset of stored ones).
     if (disk_resident()) return source_->distinct_words();
-    return postings_.size();
+    size_t n = 0;
+    for (const CowPtr<Shard>& shard : shards_) {
+      if (shard) n += shard->size();
+    }
+    return n;
   }
   uint64_t num_postings() const {
     if (disk_resident()) return source_->total_postings();
@@ -158,7 +133,10 @@ class WordIndex {
   /// materialized lists are visible here).
   template <typename Fn>
   void ForEachWord(Fn&& fn) const {
-    for (const auto& [word, postings] : postings_) fn(word, postings);
+    for (const CowPtr<Shard>& shard : shards_) {
+      if (!shard) continue;
+      for (const auto& [word, list] : *shard) fn(word, *list);
+    }
   }
 
   /// Reassembles an index from serialized entries. Postings must be
@@ -175,40 +153,75 @@ class WordIndex {
   // list: adding or removing a document is a per-word run insert/erase,
   // never a rebuild. A word whose last posting is erased loses its entry
   // entirely, so a maintained index stays indistinguishable from a fresh
-  // build over the live documents.
+  // build over the live documents. A list or shard shared with a copy is
+  // never written: the splice copies the shard's handles and builds the
+  // list as prefix + run + suffix in one pass.
 
-  /// Tokenizes `doc_text` (with this index's options) and splices the
-  /// postings in; `base` is the document's corpus offset.
-  void AddDocPostings(std::string_view doc_text, TextPos base);
-
-  /// Erases the postings of a document whose text is known: tokenizes
-  /// `doc_text` to find the affected words, then range-erases each one's
-  /// [begin, end) run. Exact (erases precisely the document's postings).
-  void EraseDocPostings(std::string_view doc_text, TextPos begin,
-                        TextPos end);
+  /// One document change, in one pass per touched list: erases the
+  /// postings in [old_begin, old_end) of the words of `old_text` (the
+  /// tombstoned document's text, tokenized with this index's options;
+  /// empty when only adding) and splices in the postings of `new_text`
+  /// tokenized at corpus offset `new_base` (empty when only removing).
+  /// Exact: erases precisely the old document's postings.
+  void SpliceDocPostings(std::string_view old_text, TextPos old_begin,
+                         TextPos old_end, std::string_view new_text,
+                         TextPos new_base);
 
   /// Erases every posting in [begin, end) without knowing the document's
-  /// text — walks all words. Same result as EraseDocPostings, used by
-  /// journal replay when the tombstoned document's bytes are unknown.
+  /// text — walks all words. Same result as SpliceDocPostings with the
+  /// old text, used by journal replay when the tombstoned document's
+  /// bytes are unknown.
   void EraseSpanPostings(TextPos begin, TextPos end);
 
-  /// Compaction support: remaps every posting through `map` (documents
-  /// shift as dead spans are squeezed out) and restores per-word sorted
-  /// order. When `pool` has more than one worker, word lists are rebased
-  /// in parallel.
-  void RebasePostings(const std::function<TextPos(TextPos)>& map,
-                      ThreadPool* pool = nullptr);
+  /// Compaction support: a fresh index whose postings are this one's
+  /// remapped through `map` (documents shift as dead spans are squeezed
+  /// out), per-word sorted order restored. Writes new lists and shards
+  /// only; this index, and every copy sharing its lists, is untouched.
+  /// When `pool` has more than one worker, shards are rebased in
+  /// parallel. Requires a resident index.
+  WordIndex Rebased(const std::function<TextPos(TextPos)>& map,
+                    ThreadPool* pool = nullptr) const;
 
  private:
+  using PostingList = std::vector<TextPos>;
+  /// One hash shard of the dictionary.
+  using Shard = std::unordered_map<std::string, CowPtr<PostingList>>;
+  /// Fixed, so a copy costs the same few thousand handle copies at any
+  /// vocabulary. A write touching a few hundred words lands in as many
+  /// shards and copies only their handles: on a 31k-word BibTeX corpus,
+  /// well under a tenth of the dictionary.
+  static constexpr size_t kNumShards = 4096;
+
+  static size_t ShardOf(std::string_view key) {
+    return std::hash<std::string_view>{}(key) % kNumShards;
+  }
+
+  /// `key`'s resident list, or null. Caller holds lazy_mu_ or knows the
+  /// index is resident.
+  const PostingList* Find(const std::string& key) const;
+
+  /// `key`'s shard for writing, copied first when a copy shares it.
+  /// Const because lazy loads write through it too (shards_ is mutable).
+  Shard& MutableShard(const std::string& key) const;
+
+  /// Erases `key`'s postings in [begin, end) and inserts `run` (sorted,
+  /// outside that window), dropping the word when its list empties.
+  void SpliceList(const std::string& key, TextPos begin, TextPos end,
+                  std::span<const TextPos> run);
+
+  void CopyFrom(const WordIndex& other);
+  void MoveFrom(WordIndex&& other);
+
   /// Pages `key` (already case-folded) in from the source; returns the
   /// resident list, or null when the word is absent. Caller holds
   /// lazy_mu_.
   Result<const std::vector<TextPos>*> LoadLocked(const std::string& key) const;
 
-  /// Mutable: Lookup materializes lazily under lazy_mu_ while a source is
-  /// attached. Node-based, so references handed out survive later
-  /// insertions.
-  mutable std::unordered_map<std::string, std::vector<TextPos>> postings_;
+  /// kNumShards handles, or none while the index has no words (a
+  /// moved-from index too). Mutable: Lookup materializes lazily under
+  /// lazy_mu_ while a source is attached. Lists sit behind their own
+  /// handles, so references handed out survive later insertions.
+  mutable std::vector<CowPtr<Shard>> shards_;
   mutable uint64_t num_postings_ = 0;
   WordIndexOptions options_;
   /// Backing source; null for a fully in-memory index. Set once before
@@ -221,9 +234,9 @@ class WordIndex {
   /// by lazy_mu_).
   mutable std::unordered_set<std::string> absent_;
   /// Flipped (release) once every stored list is materialized; readers
-  /// that observe it (acquire) may touch postings_ without the lock.
+  /// that observe it (acquire) may touch shards_ without the lock.
   mutable std::atomic<bool> all_resident_{false};
-  // Lazily built sorted directory of the words in postings_, for prefix
+  // Lazily built sorted directory of the words in shards_, for prefix
   // lookups. The mutex serializes the build between concurrent readers of
   // a shared immutable index; maintenance mutators (which require
   // external exclusion anyway) clear the directory.

@@ -62,6 +62,8 @@ class JournalFaultTest : public ::testing::Test {
     Corpus corpus;
     BuiltIndexes built;
     std::unique_ptr<IndexMaintainer> maintainer;
+
+    MaintainTarget target() { return {&corpus, &built}; }
   };
 
   std::unique_ptr<Maintained> Seed() {
@@ -75,8 +77,8 @@ class JournalFaultTest : public ::testing::Test {
     m->built = std::move(*built);
     MaintainOptions options;
     options.auto_compact = false;
-    m->maintainer = std::make_unique<IndexMaintainer>(
-        schema_.get(), &m->corpus, &m->built, IndexSpec::Full(), options);
+    m->maintainer = std::make_unique<IndexMaintainer>(schema_.get(),
+                                                      IndexSpec::Full(), options);
     return m;
   }
 
@@ -134,15 +136,15 @@ TEST_F(JournalFaultTest, RecoveryAfterTornAppendReplaysCleanly) {
   // mutations directly.
   auto replayed = Seed();
   ASSERT_TRUE(
-      ReplayJournal(recovered->records, replayed->maintainer.get()).ok());
+      ReplayJournal(recovered->records, replayed->target(), replayed->maintainer.get()).ok());
   auto direct = Seed();
   ASSERT_TRUE(
-      direct->maintainer->AddDocument("d.bib", records[0].text).ok());
+      direct->maintainer->AddDocument(direct->target(), "d.bib", records[0].text).ok());
   ASSERT_TRUE(
-      direct->maintainer->UpdateDocument("a.bib", records[1].text).ok());
-  ASSERT_TRUE(direct->maintainer->RemoveDocument("b.bib").ok());
-  ASSERT_TRUE(replayed->maintainer->Compact().ok());
-  ASSERT_TRUE(direct->maintainer->Compact().ok());
+      direct->maintainer->UpdateDocument(direct->target(), "a.bib", records[1].text).ok());
+  ASSERT_TRUE(direct->maintainer->RemoveDocument(direct->target(), "b.bib").ok());
+  ASSERT_TRUE(replayed->maintainer->Compact(replayed->target()).ok());
+  ASSERT_TRUE(direct->maintainer->Compact(direct->target()).ok());
   auto replayed_store = EncodeIndexStore(replayed->built, IndexSpec::Full(),
                                          replayed->corpus, 3);
   auto direct_store = EncodeIndexStore(direct->built, IndexSpec::Full(),
@@ -157,7 +159,7 @@ TEST_F(JournalFaultTest, InjectedReplayAbortStopsAtRecordBoundary) {
   auto m = Seed();
   {
     ScopedFaultInjector inject({fault_site::kJournalReplay, 2});
-    Status s = ReplayJournal(records, m->maintainer.get());
+    Status s = ReplayJournal(records, m->target(), m->maintainer.get());
     ASSERT_FALSE(s.ok());
     EXPECT_TRUE(inject.injector().fired());
   }
@@ -167,17 +169,17 @@ TEST_F(JournalFaultTest, InjectedReplayAbortStopsAtRecordBoundary) {
 
   // Resuming with the remaining records completes the replay.
   std::vector<JournalRecord> rest(records.begin() + 1, records.end());
-  ASSERT_TRUE(ReplayJournal(rest, m->maintainer.get()).ok());
+  ASSERT_TRUE(ReplayJournal(rest, m->target(), m->maintainer.get()).ok());
   EXPECT_EQ(m->maintainer->generation(), 3u);
 
   auto direct = Seed();
   ASSERT_TRUE(
-      direct->maintainer->AddDocument("d.bib", records[0].text).ok());
+      direct->maintainer->AddDocument(direct->target(), "d.bib", records[0].text).ok());
   ASSERT_TRUE(
-      direct->maintainer->UpdateDocument("a.bib", records[1].text).ok());
-  ASSERT_TRUE(direct->maintainer->RemoveDocument("b.bib").ok());
-  ASSERT_TRUE(m->maintainer->Compact().ok());
-  ASSERT_TRUE(direct->maintainer->Compact().ok());
+      direct->maintainer->UpdateDocument(direct->target(), "a.bib", records[1].text).ok());
+  ASSERT_TRUE(direct->maintainer->RemoveDocument(direct->target(), "b.bib").ok());
+  ASSERT_TRUE(m->maintainer->Compact(m->target()).ok());
+  ASSERT_TRUE(direct->maintainer->Compact(direct->target()).ok());
   auto resumed_store =
       EncodeIndexStore(m->built, IndexSpec::Full(), m->corpus, 3);
   auto direct_store = EncodeIndexStore(direct->built, IndexSpec::Full(),

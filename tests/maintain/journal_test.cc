@@ -99,6 +99,8 @@ class JournalReplayTest : public ::testing::Test {
     Corpus corpus;
     BuiltIndexes built;
     std::unique_ptr<IndexMaintainer> maintainer;
+
+    MaintainTarget target() { return {&corpus, &built}; }
   };
 
   std::unique_ptr<Maintained> Seed() {
@@ -114,8 +116,8 @@ class JournalReplayTest : public ::testing::Test {
     m->built = std::move(*built);
     MaintainOptions options;
     options.auto_compact = false;
-    m->maintainer = std::make_unique<IndexMaintainer>(
-        schema_.get(), &m->corpus, &m->built, IndexSpec::Full(), options);
+    m->maintainer = std::make_unique<IndexMaintainer>(schema_.get(),
+                                                      IndexSpec::Full(), options);
     return m;
   }
 
@@ -125,20 +127,20 @@ class JournalReplayTest : public ::testing::Test {
 TEST_F(JournalReplayTest, ReplayReproducesDirectMutations) {
   auto replayed = Seed();
   ASSERT_TRUE(
-      ReplayJournal(SampleRecords(), replayed->maintainer.get()).ok());
+      ReplayJournal(SampleRecords(), replayed->target(), replayed->maintainer.get()).ok());
   EXPECT_EQ(replayed->maintainer->generation(), 3u);
 
   auto direct = Seed();
   ASSERT_TRUE(
-      direct->maintainer->AddDocument("d.bib", Ref("RefD", "Z. Chang"))
+      direct->maintainer->AddDocument(direct->target(), "d.bib", Ref("RefD", "Z. Chang"))
           .ok());
   ASSERT_TRUE(
-      direct->maintainer->UpdateDocument("a.bib", Ref("RefA", "Y. Milo"))
+      direct->maintainer->UpdateDocument(direct->target(), "a.bib", Ref("RefA", "Y. Milo"))
           .ok());
-  ASSERT_TRUE(direct->maintainer->RemoveDocument("b.bib").ok());
+  ASSERT_TRUE(direct->maintainer->RemoveDocument(direct->target(), "b.bib").ok());
 
-  ASSERT_TRUE(replayed->maintainer->Compact().ok());
-  ASSERT_TRUE(direct->maintainer->Compact().ok());
+  ASSERT_TRUE(replayed->maintainer->Compact(replayed->target()).ok());
+  ASSERT_TRUE(direct->maintainer->Compact(direct->target()).ok());
   auto replayed_store = EncodeIndexStore(replayed->built, IndexSpec::Full(),
                                          replayed->corpus, 3);
   auto direct_store = EncodeIndexStore(direct->built, IndexSpec::Full(),
@@ -153,7 +155,7 @@ TEST_F(JournalReplayTest, ReplayRejectsGenerationGap) {
   std::vector<JournalRecord> gapped = {
       {2, JournalOp::kAdd, "d.bib", Ref("RefD", "Z. Chang")},
   };
-  Status s = ReplayJournal(gapped, m->maintainer.get());
+  Status s = ReplayJournal(gapped, m->target(), m->maintainer.get());
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("generation"), std::string::npos);
 }
@@ -163,7 +165,7 @@ TEST_F(JournalReplayTest, ReplayStopsOnFailedRecord) {
   std::vector<JournalRecord> bad = {
       {1, JournalOp::kRemove, "missing.bib", ""},
   };
-  EXPECT_FALSE(ReplayJournal(bad, m->maintainer.get()).ok());
+  EXPECT_FALSE(ReplayJournal(bad, m->target(), m->maintainer.get()).ok());
 }
 
 TEST_F(JournalReplayTest, SyntheticDocumentsBlockCompactionUntilDead) {
@@ -173,17 +175,17 @@ TEST_F(JournalReplayTest, SyntheticDocumentsBlockCompactionUntilDead) {
   // proceeds.
   auto m = Seed();
   m->maintainer->MarkDocumentSynthetic(0);  // a.bib's bytes are fake
-  EXPECT_TRUE(m->maintainer->HasLiveSyntheticDocuments());
-  EXPECT_FALSE(m->maintainer->NeedsCompaction());
-  ASSERT_TRUE(m->maintainer->RemoveDocument("b.bib").ok());
-  Status s = m->maintainer->Compact();
+  EXPECT_TRUE(m->maintainer->HasLiveSyntheticDocuments(m->corpus));
+  EXPECT_FALSE(m->maintainer->NeedsCompaction(m->corpus));
+  ASSERT_TRUE(m->maintainer->RemoveDocument(m->target(), "b.bib").ok());
+  Status s = m->maintainer->Compact(m->target());
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("placeholder"), std::string::npos);
   // Updating the synthetic document with real bytes clears the block.
   ASSERT_TRUE(
-      m->maintainer->UpdateDocument("a.bib", Ref("RefA", "Y. Chang")).ok());
-  EXPECT_FALSE(m->maintainer->HasLiveSyntheticDocuments());
-  EXPECT_TRUE(m->maintainer->Compact().ok());
+      m->maintainer->UpdateDocument(m->target(), "a.bib", Ref("RefA", "Y. Chang")).ok());
+  EXPECT_FALSE(m->maintainer->HasLiveSyntheticDocuments(m->corpus));
+  EXPECT_TRUE(m->maintainer->Compact(m->target()).ok());
 }
 
 }  // namespace

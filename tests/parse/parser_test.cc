@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "qof/datagen/schemas.h"
+#include "qof/engine/system.h"
+#include "qof/schema/schema_text.h"
 
 namespace qof {
 namespace {
@@ -222,6 +224,29 @@ TEST_F(MailLogParserTest, ParsesLogEntries) {
   auto tree = parser.ParseDocument(doc, 0);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ((*tree)->children.size(), 2u);
+}
+
+// A literal-free sequence whose children all match empty (the second
+// Pair below, in "r{}") spans its own position, inside its Rec — not
+// [0, 9), which would overlap the first Rec [0, 6) partially.
+TEST(ParserRegressionTest, EmptyLiteralFreeSequenceStaysLaminar) {
+  auto schema = ParseSchemaText(R"qq(
+    schema Recs root File view Rec;
+    File ::= (Rec)* => collect set;
+    Rec  ::= "r{" Pair "}" => object Rec(Pair: $1);
+    Pair ::= A B => tuple(A: $1, B: $2);
+    A    ::= until(";", "}");
+    B    ::= until("}");
+  )qq");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  FileQuerySystem system(*schema);
+  ASSERT_TRUE(system.AddFile("recs.txt", "r{x;y}\nr{}").ok());
+  ASSERT_TRUE(system.BuildIndexes(IndexSpec::Full()).ok());
+  EXPECT_TRUE(system.region_index().Universe().IsLaminar());
+  // The empty Pair is zero-length at offset 9, so it is not indexed.
+  auto pairs = system.region_index().Get("Pair");
+  ASSERT_TRUE(pairs.ok());
+  EXPECT_EQ(**pairs, RegionSet::FromUnsorted({{2, 5}}));
 }
 
 }  // namespace

@@ -128,19 +128,20 @@ TEST(RegionIndexParentsTest, RebuiltAfterAdd) {
 TEST(RegionIndexParentsTest, RebuiltAfterEraseSpan) {
   RegionIndex idx = ParentFixture();
   ExpectFreshParents(idx);
-  EXPECT_EQ(idx.EraseSpan(10, 40), 2u);  // Authors and Name
+  EXPECT_EQ(idx.SpliceDocument(10, 40, {}), 2u);  // Authors and Name
   EXPECT_FALSE(idx.has_parents());
   ExpectFreshParents(idx);
   EXPECT_EQ(idx.Parents(), (ParentTable{kNoParent, 0}));
   // Erasing nothing keeps the cache.
-  EXPECT_EQ(idx.EraseSpan(200, 300), 0u);
+  EXPECT_EQ(idx.SpliceDocument(200, 300, {}), 0u);
   EXPECT_TRUE(idx.has_parents());
 }
 
 TEST(RegionIndexParentsTest, RebuiltAfterInsertDocRegions) {
   RegionIndex idx = ParentFixture();
   ExpectFreshParents(idx);
-  idx.InsertDocRegions({{"Reference", {{100, 150}}}, {"Name", {{110, 120}}}});
+  idx.SpliceDocument(0, 0,
+                     {{"Reference", {{100, 150}}}, {"Name", {{110, 120}}}});
   EXPECT_FALSE(idx.has_parents());
   ExpectFreshParents(idx);
   EXPECT_EQ(DirectlyIncluded(**idx.Get("Name"), **idx.Get("Reference"),
@@ -276,9 +277,10 @@ TEST(RegionIndexSeparatorsTest, DroppedByAdd) {
 TEST(RegionIndexSeparatorsTest, DroppedByEraseSpan) {
   RegionIndex idx = ParentFixture();
   auto before = Seps(idx, {"Authors", "Reference"});
-  EXPECT_EQ(idx.EraseSpan(200, 300), 0u);  // erasing nothing keeps it
+  // Erasing nothing keeps it.
+  EXPECT_EQ(idx.SpliceDocument(200, 300, {}), 0u);
   EXPECT_EQ(Seps(idx, {"Authors", "Reference"}), before);
-  EXPECT_EQ(idx.EraseSpan(10, 40), 2u);
+  EXPECT_EQ(idx.SpliceDocument(10, 40, {}), 2u);
   EXPECT_EQ(Seps(idx, {"Authors", "Reference"})->regions, RS({{0, 100}}));
   ExpectFreshSeparators(idx, {"Authors", "Reference"});
 }
@@ -286,7 +288,8 @@ TEST(RegionIndexSeparatorsTest, DroppedByEraseSpan) {
 TEST(RegionIndexSeparatorsTest, DroppedByInsertDocRegions) {
   RegionIndex idx = ParentFixture();
   Seps(idx, {"Name", "Reference"});
-  idx.InsertDocRegions({{"Reference", {{100, 150}}}, {"Name", {{110, 120}}}});
+  idx.SpliceDocument(0, 0,
+                     {{"Reference", {{100, 150}}}, {"Name", {{110, 120}}}});
   EXPECT_EQ(Seps(idx, {"Name", "Reference"})->regions,
             RS({{0, 100}, {12, 30}, {100, 150}, {110, 120}}));
   ExpectFreshSeparators(idx, {"Name", "Reference"});

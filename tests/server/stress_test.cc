@@ -145,6 +145,73 @@ TEST(ServerStress, SnapshotPinUnpinRacesReclamation) {
   EXPECT_EQ(unexpected.load(), 0u);
 }
 
+/// A hash of everything a reader can see through a snapshot: its text
+/// bytes, every instance and every posting list.
+uint64_t ScanPinnedState(const IndexSnapshot& snapshot) {
+  uint64_t h = 0;
+  for (char c : snapshot.corpus->full_text()) {
+    h = h * 31 + static_cast<unsigned char>(c);
+  }
+  const RegionIndex& regions = snapshot.built->regions;
+  for (const std::string& name : regions.Names()) {
+    for (const Region& r : **regions.Get(name)) {
+      h = h * 31 + r.start * 7 + r.end;
+    }
+  }
+  snapshot.built->words.ForEachWord(
+      [&h](const std::string& word, const std::vector<TextPos>& list) {
+        h = h * 31 + word.size();
+        for (TextPos p : list) h = h * 31 + p;
+      });
+  return h;
+}
+
+TEST(ServerStress, PinnedStateScansRaceAppendsAndCompaction) {
+  // Readers walk pinned snapshots' text bytes, instances and posting
+  // lists while the writer appends past their end, splices private
+  // copies of what it touches and compacts into fresh arrays. Nothing a
+  // pin reaches may ever be written: TSan checks the memory, the hashes
+  // check the values. Readers also drop and re-take pins throughout, so
+  // writes race the release of the state they fork from.
+  auto system = MakeSystem();
+  auto frozen = system->AcquireSnapshot();
+  ASSERT_TRUE(frozen.ok());
+  const uint64_t frozen_hash = ScanPinnedState(**frozen);
+  std::atomic<uint64_t> unexpected{0};
+  std::atomic<bool> stop{false};
+
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (ScanPinnedState(**frozen) != frozen_hash) ++unexpected;
+    }
+  });
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto snapshot = system->AcquireSnapshot();
+        if (!snapshot.ok()) { ++unexpected; continue; }
+        if (ScanPinnedState(**snapshot) != ScanPinnedState(**snapshot)) {
+          ++unexpected;
+        }
+      }
+    });
+  }
+  for (uint32_t round = 0; round < 30; ++round) {
+    std::string added = std::to_string(round);
+    added += ".bib";
+    Status s = round % 10 == 9 ? system->CompactIndexes()
+               : round % 3 == 0
+                   ? system->AddFile(added, Doc(300 + round))
+                   : system->UpdateFile("a.bib", Doc(400 + round));
+    if (!s.ok()) ++unexpected;
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(unexpected.load(), 0u);
+  EXPECT_EQ(ScanPinnedState(**frozen), frozen_hash);
+}
+
 TEST(ServerStress, CancellationFromForeignThreads) {
   auto system = MakeSystem();
   ServiceOptions options;

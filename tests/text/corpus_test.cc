@@ -67,5 +67,35 @@ TEST(CorpusTest, ScanAccountsBytesRawDoesNot) {
   EXPECT_EQ(c.bytes_read(), 0u);
 }
 
+TEST(CorpusTest, CopiesShareBytesAndAppendsLandPastEveryEnd) {
+  Corpus live;
+  ASSERT_TRUE(live.AddDocument("a", "aaa").ok());
+  Corpus pinned = live;
+  EXPECT_EQ(pinned.full_text().data(), live.full_text().data());
+
+  // The live copy appends past the pinned one's end, in the same buffer.
+  ASSERT_TRUE(live.ReplaceDocument("a", "AAAA").ok());
+  EXPECT_EQ(live.full_text().data(), pinned.full_text().data());
+  EXPECT_EQ(pinned.full_text(), "aaa");
+  EXPECT_EQ(pinned.num_live_documents(), 1u);
+  EXPECT_TRUE(pinned.is_live(0));
+  EXPECT_EQ(live.full_text(), "aaa\nAAAA");
+  EXPECT_FALSE(live.is_live(0));
+
+  // The pinned copy appending too would overwrite the live bytes past
+  // its end, so it moves to a buffer of its own.
+  ASSERT_TRUE(pinned.AddDocument("b", "bb").ok());
+  EXPECT_NE(pinned.full_text().data(), live.full_text().data());
+  EXPECT_EQ(pinned.full_text(), "aaa\nbb");
+  EXPECT_EQ(live.full_text(), "aaa\nAAAA");
+
+  // Compaction's dense copy: live documents only, in order, fresh bytes.
+  Corpus dense = live.LiveOnly();
+  EXPECT_EQ(dense.full_text(), "AAAA");
+  EXPECT_EQ(dense.num_documents(), 1u);
+  EXPECT_EQ(dense.document_name(0), "a");
+  EXPECT_EQ(live.full_text(), "aaa\nAAAA");
+}
+
 }  // namespace
 }  // namespace qof

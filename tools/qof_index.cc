@@ -121,6 +121,8 @@ struct State {
   std::vector<DocId> synthetic;
   size_t journal_records = 0;
   bool journal_repaired = false;  // a torn tail was discarded
+
+  MaintainTarget target() { return {&corpus, &loaded.indexes}; }
 };
 
 Result<std::unique_ptr<State>> LoadState(const std::string& dir,
@@ -163,8 +165,7 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
   MaintainOptions maintain_options;
   maintain_options.auto_compact = false;  // store rewrites are explicit
   state->maintainer = std::make_unique<IndexMaintainer>(
-      state->schema.get(), &state->corpus, &state->loaded.indexes,
-      state->loaded.spec, maintain_options);
+      state->schema.get(), state->loaded.spec, maintain_options);
   state->maintainer->set_generation(state->loaded.generation);
   for (DocId id : state->synthetic) {
     state->maintainer->MarkDocumentSynthetic(id);
@@ -177,7 +178,8 @@ Result<std::unique_ptr<State>> LoadState(const std::string& dir,
     std::cerr << "warning: discarded a torn journal tail (crash "
                  "mid-append)\n";
   }
-  QOF_RETURN_IF_ERROR(ReplayJournal(records, state->maintainer.get()));
+  QOF_RETURN_IF_ERROR(
+      ReplayJournal(records, state->target(), state->maintainer.get()));
   state->journal_records = records.size();
   return state;
 }
@@ -238,14 +240,17 @@ Status RunMutate(const std::string& dir, const std::string& command,
       applied =
           command == "add"
               ? state->maintainer
-                    ->AddDocument(arg, record.text, SharedPool(), ctx)
+                    ->AddDocument(state->target(), arg, record.text,
+                                  SharedPool(), ctx)
                     .status()
               : state->maintainer
-                    ->UpdateDocument(arg, record.text, SharedPool(), ctx)
+                    ->UpdateDocument(state->target(), arg, record.text,
+                                     SharedPool(), ctx)
                     .status();
     } else {
       record.op = JournalOp::kRemove;
-      applied = state->maintainer->RemoveDocument(arg, SharedPool(), ctx);
+      applied = state->maintainer->RemoveDocument(state->target(), arg,
+                                                  SharedPool(), ctx);
     }
     if (!applied.ok()) {
       return Status(applied.code(),
@@ -257,12 +262,12 @@ Status RunMutate(const std::string& dir, const std::string& command,
   // The kBatch boundary: one fsync covers the whole command's appends (a
   // no-op under kAlways, already durable, and under kNone, opted out).
   QOF_RETURN_IF_ERROR(state->durable->SyncJournal());
-  MaintainStats stats = state->maintainer->stats();
+  MaintainStats stats = state->maintainer->stats(state->corpus);
   std::cout << command << " applied to " << args.size()
             << " file(s); generation " << stats.generation << ", "
             << stats.tombstones << " tombstone(s), " << stats.dead_bytes
             << " dead byte(s)"
-            << (state->maintainer->NeedsCompaction()
+            << (state->maintainer->NeedsCompaction(state->corpus)
                     ? " — run 'qof_index compact'"
                     : "")
             << "\n";
@@ -272,8 +277,9 @@ Status RunMutate(const std::string& dir, const std::string& command,
 Status RunCompact(const std::string& dir, SyncPolicy policy) {
   QOF_ASSIGN_OR_RETURN(std::unique_ptr<State> state,
                        LoadState(dir, policy));
-  uint64_t dead = state->maintainer->stats().dead_bytes;
-  QOF_RETURN_IF_ERROR(state->maintainer->Compact(SharedPool()));
+  uint64_t dead = state->maintainer->stats(state->corpus).dead_bytes;
+  QOF_RETURN_IF_ERROR(
+      state->maintainer->Compact(state->target(), SharedPool()));
   QOF_ASSIGN_OR_RETURN(
       std::string store,
       EncodeIndexStore(state->loaded.indexes, state->loaded.spec,
@@ -326,7 +332,7 @@ Status RunInspect(const std::string& dir, SyncPolicy policy) {
               << "\n";
     return Status::OK();
   }
-  MaintainStats stats = (*state)->maintainer->stats();
+  MaintainStats stats = (*state)->maintainer->stats((*state)->corpus);
   std::cout << "state: generation " << stats.generation << ", "
             << stats.live_documents << " live document(s), "
             << stats.tombstones << " tombstone(s), " << stats.dead_bytes
@@ -338,7 +344,7 @@ Status RunInspect(const std::string& dir, SyncPolicy policy) {
     std::cout << "  stale on disk: " << corpus.document_name(id)
               << " (update or remove before compacting)\n";
   }
-  if ((*state)->maintainer->NeedsCompaction()) {
+  if ((*state)->maintainer->NeedsCompaction(corpus)) {
     std::cout << "compaction due: run 'qof_index compact'\n";
   }
   return Status::OK();
