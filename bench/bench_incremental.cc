@@ -10,11 +10,17 @@
 // write forks the state and copies the instances, word shards and
 // posting lists it touches instead of editing them in place.
 //
+// Each update column times kUpdates single updates and reports their
+// median and quartiles, so a sub-millisecond row still resolves a
+// regression. Auto-compaction is off: no timed update pays for one.
+//
 // Usage: bench_incremental [--json <path>]
 //   default path: BENCH_incremental.json in the current directory.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +30,26 @@
 namespace {
 
 constexpr int kRefsPerDoc = 20;
+constexpr int kUpdates = 101;
+
+/// Microseconds one call of `fn` takes.
+double TimeMicros(const std::function<void()>& fn) {
+  auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// First quartile, median and third quartile of `samples`.
+struct Quartiles {
+  double q1, median, q3;
+};
+Quartiles QuartilesOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return {samples[n / 4], samples[n / 2], samples[(3 * n) / 4]};
+}
 
 std::unique_ptr<qof::FileQuerySystem> MakeSystem(int num_docs) {
   auto schema = qof::BibtexSchema();
@@ -46,6 +72,9 @@ void Row(int refs, qof_bench::JsonEmitter* json) {
   int num_docs = refs / kRefsPerDoc;
   auto system = MakeSystem(num_docs);
   system->SetParallelism(1);
+  qof::MaintainOptions maintain;
+  maintain.auto_compact = false;
+  system->SetMaintainOptions(maintain);
 
   double build_us = qof_bench::MedianMicros(3, [&] {
     if (!system->BuildIndexes(qof::IndexSpec::Full()).ok()) std::abort();
@@ -57,35 +86,39 @@ void Row(int refs, qof_bench::JsonEmitter* json) {
   gen.seed = 0x5eedu;
   std::string replacement = qof::GenerateBibtex(gen);
 
-  qof::MaintainStats before = system->maintain_stats();
-  const int kRuns = 9;
-  double update_us = qof_bench::MedianMicros(kRuns, [&] {
+  auto update = [&] {
     if (!system->UpdateFile("doc0.bib", replacement).ok()) std::abort();
-  });
+  };
+  qof::MaintainStats before = system->maintain_stats();
+  std::vector<double> unpinned_samples;
+  for (int i = 0; i < kUpdates; ++i) {
+    unpinned_samples.push_back(TimeMicros(update));
+  }
   qof::MaintainStats after = system->maintain_stats();
   uint64_t reparsed_per_update =
       (after.bytes_reparsed - before.bytes_reparsed) /
       (after.generation - before.generation);
 
-  std::vector<double> pinned;
-  for (int i = 0; i < kRuns; ++i) {
+  std::vector<double> pinned_samples;
+  for (int i = 0; i < kUpdates; ++i) {
     auto snapshot = system->AcquireSnapshot();
     if (!snapshot.ok()) std::abort();
-    pinned.push_back(qof_bench::MedianMicros(1, [&] {
-      if (!system->UpdateFile("doc0.bib", replacement).ok()) std::abort();
-    }));
+    pinned_samples.push_back(TimeMicros(update));
   }  // each snapshot (and the state only it holds) drops untimed
-  std::sort(pinned.begin(), pinned.end());
-  double pinned_us = pinned[pinned.size() / 2];
+  const Quartiles unpinned = QuartilesOf(std::move(unpinned_samples));
+  const Quartiles pinned = QuartilesOf(std::move(pinned_samples));
+  const double update_us = unpinned.median;
+  const double pinned_us = pinned.median;
 
   double compact_us = qof_bench::MedianMicros(1, [&] {
     if (!system->CompactIndexes().ok()) std::abort();
   });
 
   std::printf(
-      "%8d %6d  %11.0f us %11.0f us %11.0f us %6.1fx %8.1fx %10llu B "
-      "(%5.2f%%) %11.0f us\n",
-      refs, num_docs, build_us, update_us, pinned_us, pinned_us / update_us,
+      "%8d %6d  %11.0f us %5.0f/%5.0f/%5.0f us %5.0f/%5.0f/%5.0f us "
+      "%6.1fx %8.1fx %10llu B (%5.2f%%) %11.0f us\n",
+      refs, num_docs, build_us, unpinned.q1, update_us, unpinned.q3,
+      pinned.q1, pinned_us, pinned.q3, pinned_us / update_us,
       build_us / update_us,
       static_cast<unsigned long long>(reparsed_per_update),
       100.0 * static_cast<double>(reparsed_per_update) /
@@ -94,7 +127,11 @@ void Row(int refs, qof_bench::JsonEmitter* json) {
   const std::string config = "refs=" + std::to_string(refs);
   json->Row("incremental", config, "build_us", build_us);
   json->Row("incremental", config, "update_us", update_us);
+  json->Row("incremental", config, "update_q1_us", unpinned.q1);
+  json->Row("incremental", config, "update_q3_us", unpinned.q3);
   json->Row("incremental", config, "pinned_update_us", pinned_us);
+  json->Row("incremental", config, "pinned_update_q1_us", pinned.q1);
+  json->Row("incremental", config, "pinned_update_q3_us", pinned.q3);
   json->Row("incremental", config, "pinned_over_unpinned",
             pinned_us / update_us);
   json->Row("incremental", config, "compact_us", compact_us);
@@ -109,9 +146,10 @@ int main(int argc, char** argv) {
   std::printf(
       "incremental maintenance: single-document update vs full rebuild\n"
       "(one mutation re-parses one %d-reference document; the rebuild\n"
-      "re-parses everything; pinned = the update with a snapshot held)\n\n",
-      kRefsPerDoc);
-  std::printf("%8s %6s  %14s %14s %14s %7s %9s %21s %14s\n", "refs", "docs",
+      "re-parses everything; pinned = the update with a snapshot held;\n"
+      "update columns are q1/median/q3 over %d updates each)\n\n",
+      kRefsPerDoc, kUpdates);
+  std::printf("%8s %6s  %14s %20s %20s %7s %9s %21s %14s\n", "refs", "docs",
               "full build", "1-doc update", "pinned update", "pinned",
               "speedup", "reparsed/update (corpus)", "compact");
   for (int refs : {1000, 5000, 20000}) Row(refs, &json);

@@ -69,7 +69,7 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalCached(
   // Serialized expressions are canonical and re-parseable (and the
   // compiler emits Thm 3.6 normal forms), so the string is a perfect key.
   std::string key = expr.ToString();
-  if (auto hit = cache_->Lookup(key, epoch_)) {
+  if (auto hit = cache_->Lookup(key)) {
     if (stats) ++stats->cache_hits;
     // A hit charges exactly what computing the node would have charged
     // for its own result, keeping governance behavior cache-independent.
@@ -80,7 +80,7 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalCached(
   QOF_ASSIGN_OR_RETURN(EvalResult computed, EvalNode(expr, stats));
   // Composite nodes always own their result (only kName leaves borrow).
   auto shared = std::make_shared<const RegionSet>(std::move(computed.owned));
-  cache_->Insert(key, epoch_, shared);
+  cache_->Insert(key, shared);
   return EvalResult::Shared(std::move(shared));
 }
 

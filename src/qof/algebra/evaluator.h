@@ -59,22 +59,21 @@ class ExprEvaluator {
   /// every intermediate region produced, making index-plan evaluation
   /// deadline-aware and budget-bounded.
   /// `cache` (optional, borrowed) shares computed subexpression results
-  /// across evaluations: every composite node is looked up by its
-  /// serialized form under `epoch` before being computed, and published
-  /// after. Cached hits still charge the region budget, so governance is
+  /// across evaluations of one index state: every composite node is
+  /// looked up by its serialized form before being computed, and
+  /// published after. Cached hits still charge the region budget, so governance is
   /// identical with and without the cache.
   ExprEvaluator(const RegionIndex* region_index,
                 const WordIndex* word_index, const Corpus* corpus,
                 DirectAlgorithm direct = DirectAlgorithm::kFast,
                 const ExecContext* ctx = nullptr,
-                EvalCache* cache = nullptr, CacheEpoch epoch = {})
+                EvalCache* cache = nullptr)
       : index_(region_index),
         words_(word_index),
         corpus_(corpus),
         direct_(direct),
         ctx_(ctx),
-        cache_(cache),
-        epoch_(epoch) {}
+        cache_(cache) {}
 
   /// Evaluates `expr`; accumulates statistics into `stats` if non-null.
   Result<RegionSet> Evaluate(const RegionExpr& expr,
@@ -131,7 +130,6 @@ class ExprEvaluator {
   DirectAlgorithm direct_;
   const ExecContext* ctx_ = nullptr;
   EvalCache* cache_ = nullptr;
-  CacheEpoch epoch_;
 };
 
 }  // namespace qof

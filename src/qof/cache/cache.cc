@@ -7,11 +7,11 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::Lookup(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(fql);
   if (it == map_.end()) {
-    ++stats_.plan_misses;
+    counters_->plan_misses.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  ++stats_.plan_hits;
+  counters_->plan_hits.fetch_add(1, std::memory_order_relaxed);
   return it->second.entry;
 }
 
@@ -27,27 +27,16 @@ void PlanCache::Insert(const std::string& fql,
   }
   lru_.push_front(fql);
   map_[fql] = Slot{std::move(entry), lru_.begin()};
-  EvictIfNeededLocked();
-}
-
-void PlanCache::EvictIfNeededLocked() {
   while (map_.size() > max_plans_) {
     map_.erase(lru_.back());
     lru_.pop_back();
-    ++stats_.plan_evictions;
+    counters_->plan_evictions.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void PlanCache::Clear() {
+bool PlanCache::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  lru_.clear();
-  ++stats_.invalidations;
-}
-
-CacheStats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return map_.empty();
 }
 
 }  // namespace qof

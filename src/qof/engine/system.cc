@@ -8,6 +8,7 @@
 #include "qof/engine/index_io.h"
 #include "qof/engine/join.h"
 #include "qof/engine/two_phase.h"
+#include "qof/exec/fault_injector.h"
 #include "qof/ir/ir.h"
 #include "qof/ir/passes.h"
 #include "qof/store/paged_file.h"
@@ -74,7 +75,7 @@ Status FileQuerySystem::AddFile(std::string name, std::string_view text,
   ExecContext governed(options);
   const ExecContext* ctx = governed.active() ? &governed : nullptr;
   std::lock_guard<std::mutex> lock(state_mu_);
-  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
+  QOF_RETURN_IF_ERROR(BeginWriteLocked());
   if (maintainer_ != nullptr) {
     return maintainer_
         ->AddDocument(TargetLocked(), std::move(name), text,
@@ -91,7 +92,7 @@ Status FileQuerySystem::UpdateFile(std::string_view name,
   ExecContext governed(options);
   const ExecContext* ctx = governed.active() ? &governed : nullptr;
   std::lock_guard<std::mutex> lock(state_mu_);
-  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
+  QOF_RETURN_IF_ERROR(BeginWriteLocked());
   if (maintainer_ != nullptr) {
     return maintainer_
         ->UpdateDocument(TargetLocked(), name, text,
@@ -107,7 +108,7 @@ Status FileQuerySystem::RemoveFile(std::string_view name,
   ExecContext governed(options);
   const ExecContext* ctx = governed.active() ? &governed : nullptr;
   std::lock_guard<std::mutex> lock(state_mu_);
-  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
+  QOF_RETURN_IF_ERROR(BeginWriteLocked());
   if (maintainer_ != nullptr) {
     return maintainer_->RemoveDocument(TargetLocked(), name,
                                        EnsurePool(parallelism_), ctx);
@@ -122,7 +123,7 @@ Status FileQuerySystem::CompactIndexes() {
     return Status::InvalidArgument(
         "indexes not built; nothing to compact");
   }
-  QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
+  QOF_RETURN_IF_ERROR(BeginWriteLocked());
   return maintainer_->Compact(TargetLocked(), EnsurePool(parallelism_));
 }
 
@@ -158,18 +159,45 @@ std::shared_ptr<T> ForkOf(const std::shared_ptr<T>& pinned) {
 
 }  // namespace
 
-Status FileQuerySystem::ForkIfPinnedLocked() {
-  if (!pinned_) return Status::OK();
-  if (built_ != nullptr) {
-    // No lazy load may write into a shard or instance two states share:
-    // a disk-backed index pages in fully before it is shared.
-    QOF_RETURN_IF_ERROR(built_->regions.EnsureResident());
-    QOF_RETURN_IF_ERROR(built_->words.EnsureResident());
+Status FileQuerySystem::BeginWriteLocked() {
+  if (pinned_) {
+    if (built_ != nullptr) {
+      // No lazy load may write into a shard or instance two states
+      // share: a disk-backed index pages in fully before it is shared.
+      QOF_RETURN_IF_ERROR(built_->regions.EnsureResident());
+      QOF_RETURN_IF_ERROR(built_->words.EnsureResident());
+    }
+    corpus_ = ForkOf(corpus_);
+    built_ = ForkOf(built_);
+    pinned_ = false;
   }
-  corpus_ = ForkOf(corpus_);
-  built_ = ForkOf(built_);
-  pinned_ = false;
+  RenewCachesLocked(/*new_compiler=*/false);
   return Status::OK();
+}
+
+namespace {
+
+/// Replaces `cache` by an empty one reporting into the same counters,
+/// counting the retired one as an invalidation unless it was empty.
+template <typename Cache>
+void Renew(std::shared_ptr<Cache>* cache,
+           const std::shared_ptr<CacheCounters>& counters) {
+  if (!(*cache)->empty()) {
+    counters->invalidations.fetch_add(1, std::memory_order_relaxed);
+  }
+  *cache = std::make_shared<Cache>(counters);
+}
+
+}  // namespace
+
+void FileQuerySystem::RenewCachesLocked(bool new_compiler) {
+  if (cache_counters_ == nullptr) return;
+  // The planted bug: the new state keeps the old state's eval cache, so
+  // it serves entries computed before the write (--inject stale-cache).
+  if (!PlantedBugArmed(planted_bug::kStaleCache)) {
+    Renew(&eval_cache_, cache_counters_);
+  }
+  if (new_compiler) Renew(&plan_cache_, cache_counters_);
 }
 
 ThreadPool* FileQuerySystem::EnsurePool(int threads) {
@@ -197,17 +225,10 @@ Status FileQuerySystem::BuildIndexes(const IndexSpec& spec) {
       spec.within);
   store_.reset();
   index_source_ = "built";
-  ++builds_;
   ResetMaintainer(/*generation=*/0);
-  // A rebuild replaces the compiler: plan-cache entries (keyed by FQL
-  // text alone) may describe plans for the old index spec — drop them
-  // all. The eval cache only advances its epoch: the `build` component
-  // makes the new epoch unique, and entries pinned by live snapshots of
-  // the old build keep serving those snapshots.
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
-  if (eval_cache_ != nullptr) {
-    eval_cache_->AdvanceEpoch(CurrentEpochUnlocked());
-  }
+  // A rebuild replaces the compiler, so plans (keyed by FQL text alone)
+  // may describe the old index spec: both caches start empty.
+  RenewCachesLocked(/*new_compiler=*/true);
   return Status::OK();
 }
 
@@ -304,43 +325,35 @@ Result<std::string> FileQuerySystem::ExplainQuery(std::string_view fql) const {
 }
 
 Result<std::shared_ptr<const PlanCache::Entry>> FileQuerySystem::ParseCached(
-    std::string_view fql, uint64_t build) {
-  // Plans depend only on the schema and the index spec, never on the
-  // indexed data, so mutations need not invalidate them. PlanCache is
-  // internally locked, so concurrent snapshot queries can share it.
+    std::string_view fql, PlanCache* cache) {
   std::string key;
-  if (plan_cache_ != nullptr) {
+  if (cache != nullptr) {
     key.assign(fql);
-    auto hit = plan_cache_->Lookup(key);
-    if (hit != nullptr && hit->build == build) return hit;
+    if (auto hit = cache->Lookup(key)) return hit;
   }
   auto entry = std::make_shared<PlanCache::Entry>();
   QOF_ASSIGN_OR_RETURN(entry->query, ParseFql(fql));
-  entry->build = build;
-  if (plan_cache_ != nullptr) plan_cache_->Insert(key, entry);
+  if (cache != nullptr) cache->Insert(key, entry);
   return std::shared_ptr<const PlanCache::Entry>(std::move(entry));
+}
+
+IndexSnapshot FileQuerySystem::CurrentState() const {
+  return IndexSnapshot{
+      corpus_, built_, compiler_, plan_cache_, eval_cache_,
+      maintainer_ != nullptr ? maintainer_->stats(*corpus_)
+                             : MaintainStats{}};
 }
 
 Result<QueryResult> FileQuerySystem::Execute(std::string_view fql,
                                              ExecutionMode mode,
                                              const QueryOptions& options) {
-  QOF_ASSIGN_OR_RETURN(auto parsed, ParseCached(fql, builds_));
-  ExecSurface surface;
-  surface.corpus = corpus_.get();
-  surface.built = built_.get();
-  surface.compiler = compiler_.get();
-  surface.epoch = CurrentEpochUnlocked();
-  surface.maintain = maintainer_ != nullptr ? maintainer_->stats(*corpus_)
-                                             : MaintainStats{};
-  surface.maintained = maintainer_ != nullptr;
-  surface.eval_cache = eval_cache_.get();
-  // Two-phase candidate verification runs on the system pool.
-  surface.pool = EnsurePool(parallelism_);
+  const IndexSnapshot state = CurrentState();
   // The live path owns the corpus counter (no concurrent readers by
-  // contract — see AcquireSnapshot's concurrency notes).
+  // contract — see AcquireSnapshot's concurrency notes). Two-phase
+  // candidate verification runs on the system pool.
   corpus_->ResetBytesRead();
-  return ExecuteWithSurface(surface, parsed->query, mode, options, fql,
-                            parsed->plan);
+  return ExecuteWithSurface({state, EnsurePool(parallelism_)}, fql, mode,
+                            options);
 }
 
 Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
@@ -349,85 +362,42 @@ Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
     return Status::InvalidArgument(
         "indexes not built; snapshots require BuildIndexes() first");
   }
-  auto snapshot = std::make_unique<IndexSnapshot>();
-  snapshot->corpus = corpus_;
-  snapshot->built = built_;
-  snapshot->compiler = compiler_;
-  snapshot->epoch = CurrentEpochUnlocked();
-  snapshot->maintain = maintainer_->stats(*corpus_);
   // The next write forks instead of mutating what this snapshot reads.
   pinned_ = true;
-  // Pin the epoch so eval-cache entries keyed under it survive later
-  // mutations; the deleter unpins when the last reference drops. The
-  // deleter captures the cache by shared_ptr: even if SetCacheOptions
-  // swaps the system's cache meanwhile, the unpin reaches the instance
-  // that was pinned.
-  std::shared_ptr<EvalCache> cache = eval_cache_;
-  if (cache != nullptr) cache->Pin(snapshot->epoch);
-  return SnapshotRef(snapshot.release(),
-                     [cache](const IndexSnapshot* s) {
-                       if (cache != nullptr) cache->Unpin(s->epoch);
-                       delete s;
-                     });
+  return std::make_shared<const IndexSnapshot>(CurrentState());
 }
 
 Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
     const IndexSnapshot& snapshot, std::string_view fql,
     ExecutionMode mode, const QueryOptions& options) {
-  QOF_ASSIGN_OR_RETURN(auto parsed, ParseCached(fql, snapshot.epoch.build));
   // Per-query byte accounting: the snapshot's corpus is shared with
   // other concurrent queries (and possibly the live state), so its
   // member counter can't be reset — route this thread's scanning into a
   // local counter instead.
   std::atomic<uint64_t> scanned{0};
   Corpus::ScanCounterScope scope(&scanned);
-  ExecSurface surface;
-  surface.corpus = snapshot.corpus.get();
-  surface.built = snapshot.built.get();
-  surface.compiler = snapshot.compiler.get();
-  surface.epoch = snapshot.epoch;
-  surface.maintain = snapshot.maintain;
-  surface.maintained = true;
-  // The cache outlives the snapshot only via the system; grab the
-  // current instance — entries for the snapshot's pinned epoch are
-  // retained as long as the snapshot lives.
-  surface.eval_cache = eval_cache_.get();
   // Snapshot queries run concurrently, so they cannot share the system
   // pool (ParallelFor is not reentrant across callers): they run serial.
-  surface.pool = nullptr;
-  surface.scan_counter = &scanned;
-  return ExecuteWithSurface(surface, parsed->query, mode, options, fql,
-                            parsed->plan);
+  return ExecuteWithSurface({snapshot, nullptr, &scanned}, fql, mode,
+                            options);
 }
 
 void FileQuerySystem::SetCacheOptions(const CacheOptions& options) {
+  std::lock_guard<std::mutex> lock(state_mu_);
   cache_options_ = options;
-  plan_cache_ = options.enable_plan_cache
-                    ? std::make_unique<PlanCache>(options.max_plans)
+  cache_counters_ =
+      options.enabled ? std::make_shared<CacheCounters>() : nullptr;
+  plan_cache_ = options.enabled
+                    ? std::make_shared<PlanCache>(cache_counters_)
                     : nullptr;
-  eval_cache_ = options.enable_eval_cache
-                    ? std::make_shared<EvalCache>(options.max_cached_regions)
+  eval_cache_ = options.enabled
+                    ? std::make_shared<EvalCache>(cache_counters_)
                     : nullptr;
 }
 
 CacheStats FileQuerySystem::cache_stats() const {
-  CacheStats merged;
-  if (plan_cache_ != nullptr) {
-    CacheStats p = plan_cache_->stats();
-    merged.plan_hits = p.plan_hits;
-    merged.plan_misses = p.plan_misses;
-    merged.plan_evictions = p.plan_evictions;
-    merged.invalidations += p.invalidations;
-  }
-  if (eval_cache_ != nullptr) {
-    CacheStats e = eval_cache_->stats();
-    merged.eval_hits = e.eval_hits;
-    merged.eval_misses = e.eval_misses;
-    merged.eval_evictions = e.eval_evictions;
-    merged.eval_regions_cached = e.eval_regions_cached;
-    merged.invalidations += e.invalidations;
-  }
-  return merged;
+  return cache_counters_ != nullptr ? cache_counters_->stats()
+                                    : CacheStats{};
 }
 
 Result<QueryResult> FileQuerySystem::RunBaselinePlan(
@@ -435,11 +405,12 @@ Result<QueryResult> FileQuerySystem::RunBaselinePlan(
     const ExecContext* ctx, bool soft_fail) {
   Timer timer;
   QueryResult result;
-  result.stats.corpus_bytes = surface.corpus->size();
+  const Corpus& corpus = *surface.state.corpus;
+  result.stats.corpus_bytes = corpus.size();
   ObjectStore store;
   QOF_ASSIGN_OR_RETURN(
       BaselineResult baseline,
-      RunBaseline(schema_, *surface.corpus, query, full_rig_, &store, ctx,
+      RunBaseline(schema_, corpus, query, full_rig_, &store, ctx,
                   soft_fail));
   result.regions = std::move(baseline.regions);
   result.values = std::move(baseline.projected);
@@ -458,12 +429,14 @@ Result<QueryResult> FileQuerySystem::RunBaselinePlan(
 }
 
 Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
-    const ExecSurface& surface, const SelectQuery& query,
-    ExecutionMode mode, const QueryOptions& options, std::string_view fql,
-    std::shared_ptr<const QueryPlan> cached_plan) {
+    const ExecSurface& surface, std::string_view fql, ExecutionMode mode,
+    const QueryOptions& options) {
+  const IndexSnapshot& state = surface.state;
+  QOF_ASSIGN_OR_RETURN(auto parsed, ParseCached(fql, state.plan_cache.get()));
+  const SelectQuery& query = parsed->query;
   QOF_RETURN_IF_ERROR(CheckView(query.view));
 
-  const Corpus& corpus = *surface.corpus;
+  const Corpus& corpus = *state.corpus;
 
   // Arm governance. With no limits set `ctx` stays null and every checked
   // path below takes its pre-governance fast path.
@@ -503,28 +476,26 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   QueryResult result;
   result.stats.corpus_bytes = corpus.size();
 
-  if (surface.compiler == nullptr || surface.built == nullptr) {
+  if (state.compiler == nullptr || state.built == nullptr) {
     return Status::InvalidArgument(
         "indexes not built; call BuildIndexes() first (or use "
         "ExecutionMode::kBaseline)");
   }
-  std::shared_ptr<const QueryPlan> plan_ptr = std::move(cached_plan);
+  std::shared_ptr<const QueryPlan> plan_ptr = parsed->plan;
   if (plan_ptr == nullptr) {
-    QOF_ASSIGN_OR_RETURN(QueryPlan compiled,
-                         surface.compiler->Compile(query));
+    QOF_ASSIGN_OR_RETURN(QueryPlan compiled, state.compiler->Compile(query));
     plan_ptr = std::make_shared<const QueryPlan>(std::move(compiled));
-    if (plan_cache_ != nullptr) {
+    if (state.plan_cache != nullptr) {
       auto entry = std::make_shared<PlanCache::Entry>();
       entry->query = query;
-      entry->build = surface.epoch.build;
       entry->plan = plan_ptr;
-      plan_cache_->Insert(std::string(fql), std::move(entry));
+      state.plan_cache->Insert(std::string(fql), std::move(entry));
     }
   }
   const QueryPlan& plan = *plan_ptr;
   result.stats.notes = plan.notes;
-  if (surface.maintained && surface.maintain.generation > 0) {
-    const MaintainStats& ms = surface.maintain;
+  if (state.maintain.generation > 0) {
+    const MaintainStats& ms = state.maintain;
     result.stats.notes.push_back(
         "indexes maintained incrementally: generation " +
         std::to_string(ms.generation) + ", " +
@@ -600,9 +571,9 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
   const SeparatorFacts facts = separator_facts();
-  RunPasses(&ir, &surface.built->regions, &surface.built->words, &facts);
-  IrExecutor ir_exec(&ir, &surface.built->regions, &surface.built->words,
-                     surface.corpus, ctx, surface.eval_cache, surface.epoch);
+  RunPasses(&ir, &state.built->regions, &state.built->words, &facts);
+  IrExecutor ir_exec(&ir, &state.built->regions, &state.built->words,
+                     &corpus, ctx, state.eval_cache.get());
   ir_exec.SetJoinFn([&corpus](const RegionSet& cands, const RegionSet& lhs,
                               const RegionSet& rhs) {
     return RunIndexJoin(corpus, cands, lhs, rhs);
@@ -611,7 +582,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
 
   // Phase 1: evaluate the candidate expression on the indices. With the
   // eval cache on, every composite subexpression is first looked up by
-  // its serialized normal form under the surface's index epoch.
+  // its serialized normal form in the state's cache.
   RegionSet candidates;
   {
     auto cand = ir_exec.EvaluateRoot(ir.candidates, &result.stats.algebra);
@@ -756,7 +727,7 @@ Result<std::string> FileQuerySystem::EncodeStoreLocked(uint32_t page_size) {
     // away also makes the image canonical (byte-comparable to a fresh
     // build's). Same rules as CompactIndexes (whose lock we already
     // hold): readers pinned to the fragmented layout keep their copy.
-    QOF_RETURN_IF_ERROR(ForkIfPinnedLocked());
+    QOF_RETURN_IF_ERROR(BeginWriteLocked());
     QOF_RETURN_IF_ERROR(
         maintainer_->Compact(TargetLocked(), EnsurePool(parallelism_)));
   }
@@ -804,15 +775,9 @@ Status FileQuerySystem::OpenStore(const std::string& path,
   compiler_ = std::move(compiler);
   store_ = std::move(loaded.store);
   index_source_ = "paged-store";
-  ++builds_;
   ResetMaintainer(loaded.generation);
-  // Same reasoning as BuildIndexes: plans may describe the old spec —
-  // clear the plan cache; the eval cache advances to the new build's
-  // epoch, keeping only entries pinned by live snapshots.
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
-  if (eval_cache_ != nullptr) {
-    eval_cache_->AdvanceEpoch(CurrentEpochUnlocked());
-  }
+  // Same reasoning as BuildIndexes: both caches start empty.
+  RenewCachesLocked(/*new_compiler=*/true);
   return Status::OK();
 }
 

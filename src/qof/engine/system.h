@@ -139,22 +139,21 @@ class FileQuerySystem {
   // against concurrent mutations — multi-client callers (see
   // qof/server/) route every query through a snapshot.
 
-  /// Pins the current corpus + indexes + compiler as an immutable
-  /// generation-stamped view. Queries on the snapshot see exactly this
-  /// state forever — a mutation arriving later forks the state and
-  /// writes private copies of just the pieces it touches (copy-on-write),
-  /// never blocking on readers and never becoming visible to them. Dropping the last reference releases the
-  /// pinned state (and its eval-cache entries). Requires built indexes.
+  /// Copies the current index state (corpus, indexes, compiler and
+  /// their caches) as an immutable view. Queries on the snapshot see
+  /// exactly this state forever — a mutation arriving later forks the
+  /// state and writes private copies of just the pieces it touches
+  /// (copy-on-write), never blocking on readers and never becoming
+  /// visible to them. Dropping the last snapshot of a superseded state
+  /// releases it, its caches included. Requires built indexes.
   Result<SnapshotRef> AcquireSnapshot();
 
   /// Parses and runs `fql` against `snapshot` instead of the live state.
   /// Thread-safe: any number of snapshot executions may run concurrently
   /// with each other and with mutations. Execution is serial (no worker
   /// pool) — the multi-client service gets its parallelism across
-  /// queries, not within one. Both caches serve it: the eval cache under
-  /// the snapshot's pinned epoch, the plan cache guarded by
-  /// PlanCache::Entry::build (plans depend on the compiler, which is
-  /// replaced per build — entries from another build are ignored).
+  /// queries, not within one. The snapshot's own caches serve it, shared
+  /// with every other query on the same state.
   Result<QueryResult> ExecuteOnSnapshot(const IndexSnapshot& snapshot,
                                         std::string_view fql,
                                         ExecutionMode mode =
@@ -199,19 +198,22 @@ class FileQuerySystem {
                               ExecutionMode mode = ExecutionMode::kAuto,
                               const QueryOptions& options = {});
 
-  /// Installs (or disables, with a default-constructed CacheOptions) the
-  /// two query caches. The plan cache maps FQL text to its parsed AST and
-  /// compiled plan; the eval cache shares region-algebra subexpression
-  /// results keyed by serialized normal form + index epoch. Enabling them
-  /// never changes results — only cost. Both are invalidated here and on
-  /// BuildIndexes / OpenStore; the eval cache additionally retires
-  /// entries whenever the maintenance generation or compaction count
-  /// moves — per epoch, so entries pinned by a live snapshot survive
-  /// mutations and keep serving that snapshot's queries warm.
+  /// Turns the two query caches on (CacheOptions::Enabled()) or off
+  /// (a default-constructed CacheOptions) for the current state and the
+  /// states that follow it; snapshots already taken keep theirs. The
+  /// plan cache maps FQL text to its parsed AST and compiled plan; the
+  /// eval cache shares region-algebra subexpression results keyed by
+  /// serialized normal form. Enabling them never changes results — only
+  /// cost. Each index state owns its caches (see qof/engine/snapshot.h):
+  /// every write starts the new state with an empty eval cache, and
+  /// BuildIndexes / OpenStore with an empty plan cache too, while
+  /// snapshots of the old state keep serving its entries warm. Resets
+  /// the counters.
   void SetCacheOptions(const CacheOptions& options);
   const CacheOptions& cache_options() const { return cache_options_; }
 
-  /// Combined counters of both caches (all zeros while disabled).
+  /// Counters of every cache the system has published since
+  /// SetCacheOptions, summed (all zeros while disabled).
   CacheStats cache_stats() const;
 
   /// The compiled plan for a query (for inspection / tests / benches).
@@ -309,29 +311,27 @@ class FileQuerySystem {
   /// Explain()'s report for an already compiled plan.
   std::string ExplainPlan(const QueryPlan& plan) const;
 
-  /// Everything one query execution reads, bundled so the same body
-  /// serves the live state (members) and a pinned snapshot. When
-  /// `scan_counter` is set, byte accounting for the whole execution is
-  /// routed there (thread-locally) instead of the corpus's shared
-  /// counter — concurrent snapshot queries over one corpus each keep
-  /// exact per-query totals.
+  /// Everything one query execution reads: the index state it runs on
+  /// (the live one or a snapshot; `built` and `compiler` are null before
+  /// BuildIndexes), plus how it runs. When `scan_counter` is set, byte
+  /// accounting for the whole execution is routed there (thread-locally)
+  /// instead of the corpus's shared counter — concurrent snapshot
+  /// queries over one corpus each keep exact per-query totals.
   struct ExecSurface {
-    const Corpus* corpus = nullptr;
-    const BuiltIndexes* built = nullptr;        // null before BuildIndexes
-    const QueryCompiler* compiler = nullptr;    // null before BuildIndexes
-    CacheEpoch epoch;
-    MaintainStats maintain;
-    bool maintained = false;  // a maintainer exists (indexes built)
-    EvalCache* eval_cache = nullptr;
+    const IndexSnapshot& state;
     ThreadPool* pool = nullptr;                 // null -> serial paths
     std::atomic<uint64_t>* scan_counter = nullptr;
 
     uint64_t BytesScanned() const {
       return scan_counter != nullptr
                  ? scan_counter->load(std::memory_order_relaxed)
-                 : corpus->bytes_read();
+                 : state.corpus->bytes_read();
     }
   };
+
+  /// The current index state as one value: what AcquireSnapshot hands
+  /// out and what the live Execute runs on.
+  IndexSnapshot CurrentState() const;
 
   Status CheckView(const std::string& view) const;
 
@@ -346,10 +346,20 @@ class FileQuerySystem {
   /// Before a write: when a snapshot was handed the current state since
   /// the last fork, replaces corpus_ and built_ by copies that share all
   /// their pieces with it (see ForkOf in system.cc), so the write copies
-  /// only what it touches and the pinned originals never change. Pages a
-  /// disk-backed index in first, which is the only way it fails. Caller
-  /// must hold state_mu_.
-  Status ForkIfPinnedLocked();
+  /// only what it touches and the pinned originals never change. Then
+  /// starts the state the write produces with a fresh eval cache, whether
+  /// the write succeeds or not — a failed write may still have changed
+  /// the state (auto-compaction can fail after its splice applied). Pages
+  /// a disk-backed index in first, which is the only way it fails.
+  /// Caller must hold state_mu_.
+  Status BeginWriteLocked();
+
+  /// Publishes the current state with fresh caches: always an empty eval
+  /// cache, and an empty plan cache when `new_compiler`. The old caches
+  /// live on with the snapshots holding them; each non-empty one counts
+  /// as an invalidation. No-op while the caches are off. Caller must hold
+  /// state_mu_.
+  void RenewCachesLocked(bool new_compiler);
 
   /// What the maintainer mutates: the current corpus and indexes. Caller
   /// must hold state_mu_.
@@ -365,33 +375,21 @@ class FileQuerySystem {
                                       const ExecContext* ctx,
                                       bool soft_fail);
 
-  /// Parses `fql` through the plan cache, serving only entries stamped
-  /// with `build` (the live build for Execute, the pinned one for a
-  /// snapshot): plans depend on the compiler, which each build replaces,
-  /// and a snapshot can outlive a rebuild. A hit skips parsing, and
-  /// compiling too once a plan is attached; a miss parses and publishes
-  /// the parse (plan still null) for ExecuteWithSurface to complete.
-  /// With the plan cache off this only parses.
-  Result<std::shared_ptr<const PlanCache::Entry>> ParseCached(
-      std::string_view fql, uint64_t build);
+  /// Parses `fql` through `cache` (the state's plan cache; null when the
+  /// caches are off, and then this only parses). A hit skips parsing,
+  /// and compiling too once a plan is attached; a miss parses and
+  /// publishes the parse (plan still null) for ExecuteWithSurface to
+  /// complete.
+  static Result<std::shared_ptr<const PlanCache::Entry>> ParseCached(
+      std::string_view fql, PlanCache* cache);
 
-  /// The strategy ladder itself, parameterized by the surface it reads.
-  /// A compiled plan is published back to the plan cache under `fql`
-  /// when the cache is on; `cached_plan` skips compilation when the
-  /// lookup already produced one.
-  Result<QueryResult> ExecuteWithSurface(
-      const ExecSurface& surface, const SelectQuery& query,
-      ExecutionMode mode, const QueryOptions& options, std::string_view fql,
-      std::shared_ptr<const QueryPlan> cached_plan);
-
-  /// The epoch eval-cache entries are keyed under right now. Reads
-  /// maintainer state directly (no public accessors), so it is safe both
-  /// with and without state_mu_ held.
-  CacheEpoch CurrentEpochUnlocked() const {
-    MaintainStats ms = maintainer_ != nullptr ? maintainer_->stats(*corpus_)
-                                              : MaintainStats{};
-    return CacheEpoch{ms.generation, ms.compactions, builds_};
-  }
+  /// The strategy ladder itself, parameterized by the surface it reads:
+  /// parses through the state's plan cache, and publishes a compiled
+  /// plan back to it.
+  Result<QueryResult> ExecuteWithSurface(const ExecSurface& surface,
+                                         std::string_view fql,
+                                         ExecutionMode mode,
+                                         const QueryOptions& options);
 
   /// The shared worker pool, lazily (re)built for `threads` workers;
   /// nullptr when `threads` <= 1 so serial paths take no pool detour.
@@ -401,12 +399,14 @@ class FileQuerySystem {
   Rig full_rig_;
   Rig same_span_rig_;
   /// Serializes mutations and state publication (corpus_/built_/
-  /// compiler_/maintainer_ swaps, snapshot pinning) — see the
+  /// compiler_/cache/maintainer_ swaps, snapshot pinning) — see the
   /// concurrency contract above AcquireSnapshot(). Mutable so const
   /// stats accessors can take it.
   mutable std::mutex state_mu_;
-  /// Published state: snapshots copy these shared_ptrs; mutations either
-  /// mutate in place (nothing pinned) or fork first (ForkIfPinnedLocked).
+  /// Published state, with built_, compiler_, plan_cache_ and eval_cache_
+  /// below (CurrentState() bundles them): snapshots copy these
+  /// shared_ptrs; mutations either mutate in place (nothing pinned) or
+  /// fork first (BeginWriteLocked).
   std::shared_ptr<Corpus> corpus_ = std::make_shared<Corpus>();
   /// Set when AcquireSnapshot hands out corpus_/built_, cleared by the
   /// fork. A flag rather than a use_count() test: the count a writer
@@ -426,13 +426,14 @@ class FileQuerySystem {
   std::shared_ptr<const PagedStore> store_;
   /// index_stats() provenance: how built_ came to be.
   std::string index_source_ = "none";
-  /// Counts BuildIndexes/OpenStore (the `build` epoch component:
-  /// generations reset across rebuilds, epochs must not collide).
-  uint64_t builds_ = 0;
   MaintainOptions maintain_options_;
   std::unique_ptr<IndexMaintainer> maintainer_;
   CacheOptions cache_options_;
-  std::unique_ptr<PlanCache> plan_cache_;
+  /// Shared by every cache published since SetCacheOptions; null while
+  /// the caches are off. The two caches below belong to the current
+  /// state and are replaced, never cleared (RenewCachesLocked).
+  std::shared_ptr<CacheCounters> cache_counters_;
+  std::shared_ptr<PlanCache> plan_cache_;
   std::shared_ptr<EvalCache> eval_cache_;
   std::set<std::string> view_aliases_;
 };

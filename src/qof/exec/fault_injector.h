@@ -43,7 +43,7 @@ const std::vector<std::string>& FaultSites();
 namespace planted_bug {
 /// The maintainer loses one tombstone's index splice (one-shot).
 inline constexpr const char* kDropTombstone = "drop-tombstone";
-/// The eval cache ignores index-epoch changes.
+/// A write keeps the old index state's eval cache.
 inline constexpr const char* kStaleCache = "stale-cache";
 /// CSE hashes selections without their word operands.
 inline constexpr const char* kBadCse = "bad-cse";

@@ -187,10 +187,7 @@ Status CheckIrEquivalence(
         Config{true, false, " cache=on tree-first"},
         Config{true, true, " cache=on ir-first"}}) {
     std::unique_ptr<EvalCache> cache;
-    if (config.with_cache) {
-      cache = std::make_unique<EvalCache>(
-          CacheOptions::Enabled().max_cached_regions);
-    }
+    if (config.with_cache) cache = std::make_unique<EvalCache>();
     ExprEvaluator tree(&sys.region_index(), &sys.word_index(), &sys.corpus(),
                        DirectAlgorithm::kFast, nullptr, cache.get());
     IrExecutor exec(&ir, &sys.region_index(), &sys.word_index(),

@@ -25,7 +25,7 @@ namespace qof {
 ///    tombstone's index splice (one-shot per mutated row): the dead
 ///    document's contribution survives in the indexes, so the post-
 ///    mutation checks — or compaction's own consistency check — flag it.
-///  - kStaleCache makes the eval cache ignore index-epoch changes (cache
+///  - kStaleCache makes a write keep the old state's eval cache (cache
 ///    rows): entries cached before a mutation or compaction keep being
 ///    served after it, against the row's own baseline scan.
 ///  - kBadCse makes the IR optimizer's CSE pass hash selection nodes

@@ -75,9 +75,9 @@ Status CheckSessions(
     return Status::OK();
   };
 
-  // The service host: caches on, so the leg also exercises pinned-epoch
-  // eval-cache retention (a stale entry served across generations would
-  // diverge from the replay).
+  // The service host: caches on, so the leg also exercises the eval
+  // caches pinned snapshots hold (a stale entry served across
+  // generations would diverge from the replay).
   FileQuerySystem host(schema);
   for (const auto& [name, text] : docs) {
     QOF_RETURN_IF_ERROR(host.AddFile(name, text));

@@ -38,15 +38,13 @@ bool Cacheable(IrOp op) {
 
 IrExecutor::IrExecutor(const IrProgram* program, const RegionIndex* regions,
                        const WordIndex* words, const Corpus* corpus,
-                       const ExecContext* ctx, EvalCache* cache,
-                       CacheEpoch epoch)
+                       const ExecContext* ctx, EvalCache* cache)
     : program_(program),
       regions_(regions),
       words_(words),
       corpus_(corpus),
       ctx_(ctx),
       cache_(cache),
-      epoch_(epoch),
       slots_(program->nodes.size()) {}
 
 Status IrExecutor::Charge(EvalStats* stats,
@@ -123,7 +121,7 @@ Result<const RegionSet*> IrExecutor::EvalNode(int id, EvalStats* stats) {
   }
 
   if (cache_ != nullptr && Cacheable(node.op)) {
-    if (auto hit = cache_->Lookup(node.key, epoch_)) {
+    if (auto hit = cache_->Lookup(node.key)) {
       if (stats != nullptr) ++stats->cache_hits;
       // A hit charges what computing the node would have charged for its
       // own result — governance stays cache-independent.
@@ -136,7 +134,7 @@ Result<const RegionSet*> IrExecutor::EvalNode(int id, EvalStats* stats) {
     QOF_ASSIGN_OR_RETURN(Slot computed, ComputeNode(id, stats));
     auto shared =
         std::make_shared<const RegionSet>(std::move(computed.owned));
-    cache_->Insert(node.key, epoch_, shared);
+    cache_->Insert(node.key, shared);
     slot.shared = std::move(shared);
     slot.done = true;
     return &slot.set();

@@ -46,7 +46,7 @@ using IrOpTimings = std::map<std::string, IrOpTiming>;
 ///
 /// Governance, caching and statistics mirror the tree evaluator
 /// node-for-node: one ExecContext::Check() per operator, every composite
-/// node looked up in / published to the shared EvalCache under its
+/// node looked up in / published to the index state's EvalCache under its
 /// canonical key (identical to the equivalent expression's ToString(),
 /// so IR and tree share entries), cache hits charging their own result
 /// size, and kLoad borrowing index instances uncharged. kProject/kJoin
@@ -60,8 +60,7 @@ class IrExecutor {
   /// needs them; `ctx`/`cache` follow the tree evaluator's contract.
   IrExecutor(const IrProgram* program, const RegionIndex* regions,
              const WordIndex* words, const Corpus* corpus,
-             const ExecContext* ctx = nullptr, EvalCache* cache = nullptr,
-             CacheEpoch epoch = {});
+             const ExecContext* ctx = nullptr, EvalCache* cache = nullptr);
 
   /// Callback evaluating a kJoin node (candidates, lhs attrs, rhs attrs)
   /// — injected by the engine so qof_ir does not depend on qof_engine.
@@ -120,7 +119,6 @@ class IrExecutor {
   const Corpus* corpus_;
   const ExecContext* ctx_;
   EvalCache* cache_;
-  CacheEpoch epoch_;
   JoinFn join_fn_;
   std::vector<Slot> slots_;
   IrOpTimings timings_;

@@ -8,25 +8,13 @@
 
 #include "qof/exec/fault_injector.h"
 #include "qof/parse/parser.h"
+#include "qof/text/compaction_map.h"
 
 namespace qof {
 namespace {
 
 /// Stands for "no document" in Splice().
 constexpr DocId kNoDocument = std::numeric_limits<DocId>::max();
-
-/// One live document's shift under compaction: bytes in
-/// [old_start, old_end) move by `delta` (signed — documents only ever
-/// move toward the front).
-struct Seg {
-  TextPos old_start;
-  TextPos old_end;
-  int64_t delta;
-};
-
-TextPos Shift(TextPos p, int64_t delta) {
-  return static_cast<TextPos>(static_cast<int64_t>(p) + delta);
-}
 
 }  // namespace
 
@@ -213,7 +201,7 @@ Status IndexMaintainer::Compact(MaintainTarget target, ThreadPool* pool) {
   // Dense re-layout: live documents keep their physical order, so the
   // position mapping is monotone and canonical orders survive shifting.
   Corpus fresh = corpus.LiveOnly();
-  std::vector<Seg> segs;
+  std::vector<LiveSegment> segs;
   segs.reserve(fresh.num_documents());
   for (DocId id = 0; id < corpus.num_documents(); ++id) {
     if (!corpus.is_live(id)) continue;
@@ -238,11 +226,10 @@ Status IndexMaintainer::Compact(MaintainTarget target, ThreadPool* pool) {
     }
     std::vector<Region> out;
     out.reserve((*set)->size());
-    size_t s = 0;
+    SegmentCursor cursor(segs);
     for (const Region& r : **set) {
-      while (s < segs.size() && segs[s].old_end <= r.start) ++s;
-      if (s == segs.size() || r.start < segs[s].old_start ||
-          r.end > segs[s].old_end) {
+      std::optional<int64_t> delta = cursor.Delta(r.start, r.end);
+      if (!delta.has_value()) {
         statuses[i] = Status::Internal(
             "region instance '" + names[i] + "' span [" +
             std::to_string(r.start) + ", " + std::to_string(r.end) +
@@ -250,8 +237,7 @@ Status IndexMaintainer::Compact(MaintainTarget target, ThreadPool* pool) {
             "rebuild the indexes");
         return;
       }
-      out.push_back({Shift(r.start, segs[s].delta),
-                     Shift(r.end, segs[s].delta)});
+      out.push_back({ShiftPos(r.start, *delta), ShiftPos(r.end, *delta)});
     }
     rebased[i] = RegionSet::FromSortedUnique(std::move(out));
   };
@@ -267,28 +253,7 @@ Status IndexMaintainer::Compact(MaintainTarget target, ThreadPool* pool) {
   // Phase 2: rebase postings into a fresh word index. A stale posting
   // (possible only with already-corrupt indexes) fails the compaction
   // with nothing mutated.
-  std::atomic<bool> stale{false};
-  auto map_pos = [&segs, &stale](TextPos p) -> TextPos {
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), p,
-        [](TextPos v, const Seg& s) { return v < s.old_start; });
-    if (it == segs.begin()) {
-      stale.store(true, std::memory_order_relaxed);
-      return p;
-    }
-    --it;
-    if (p >= it->old_end) {
-      stale.store(true, std::memory_order_relaxed);
-      return p;
-    }
-    return Shift(p, it->delta);
-  };
-  WordIndex words = built.words.Rebased(map_pos, pool);
-  if (stale.load(std::memory_order_relaxed)) {
-    return Status::Internal(
-        "word posting points into a tombstoned span — a tombstone was "
-        "lost; rebuild the indexes");
-  }
+  QOF_ASSIGN_OR_RETURN(WordIndex words, built.words.Rebased(segs, pool));
 
   // Commit.
   RegionIndex fresh_regions;

@@ -330,13 +330,14 @@ void WordIndex::EraseSpanPostings(TextPos begin, TextPos end) {
   sorted_words_.clear();
 }
 
-WordIndex WordIndex::Rebased(const std::function<TextPos(TextPos)>& map,
-                             ThreadPool* pool) const {
+Result<WordIndex> WordIndex::Rebased(std::span<const LiveSegment> segs,
+                                     ThreadPool* pool) const {
   WordIndex out;
   out.num_postings_ = num_postings_;
   out.options_ = options_;
   if (shards_.empty()) return out;
   out.shards_.resize(kNumShards);
+  std::atomic<bool> stale{false};
   auto rebase_shard = [&](size_t i) {
     if (!shards_[i]) return;
     Shard fresh;
@@ -344,11 +345,14 @@ WordIndex WordIndex::Rebased(const std::function<TextPos(TextPos)>& map,
     for (const auto& [word, list] : *shards_[i]) {
       PostingList moved;
       moved.reserve(list->size());
-      for (TextPos p : *list) moved.push_back(map(p));
-      // A document moved toward the front of the address space can land
-      // its run below a physically earlier (but logically later) one.
-      if (!std::is_sorted(moved.begin(), moved.end())) {
-        std::sort(moved.begin(), moved.end());
+      SegmentCursor cursor(segs);
+      for (TextPos p : *list) {
+        std::optional<int64_t> delta = cursor.Delta(p, p + 1);
+        if (!delta.has_value()) {
+          stale.store(true, std::memory_order_relaxed);
+          return;
+        }
+        moved.push_back(ShiftPos(p, *delta));
       }
       fresh.emplace(word, CowPtr<PostingList>(std::move(moved)));
     }
@@ -358,6 +362,11 @@ WordIndex WordIndex::Rebased(const std::function<TextPos(TextPos)>& map,
     pool->ParallelFor(kNumShards, [&](int, size_t i) { rebase_shard(i); });
   } else {
     for (size_t i = 0; i < kNumShards; ++i) rebase_shard(i);
+  }
+  if (stale.load(std::memory_order_relaxed)) {
+    return Status::Internal(
+        "word posting points into a tombstoned span — a tombstone was "
+        "lost; rebuild the indexes");
   }
   return out;
 }

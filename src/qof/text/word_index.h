@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "qof/text/compaction_map.h"
 #include "qof/text/corpus.h"
 #include "qof/text/posting_source.h"
 #include "qof/text/tokenizer.h"
@@ -174,13 +175,15 @@ class WordIndex {
   void EraseSpanPostings(TextPos begin, TextPos end);
 
   /// Compaction support: a fresh index whose postings are this one's
-  /// remapped through `map` (documents shift as dead spans are squeezed
-  /// out), per-word sorted order restored. Writes new lists and shards
-  /// only; this index, and every copy sharing its lists, is untouched.
-  /// When `pool` has more than one worker, shards are rebased in
-  /// parallel. Requires a resident index.
-  WordIndex Rebased(const std::function<TextPos(TextPos)>& map,
-                    ThreadPool* pool = nullptr) const;
+  /// shifted by the live segment holding them (documents shift as dead
+  /// spans are squeezed out; see SegmentCursor — the map is monotone, so
+  /// every list stays sorted). Writes new lists and shards only; this
+  /// index, and every copy sharing its lists, is untouched. Fails when a
+  /// posting lies outside every segment (a tombstone was lost). When
+  /// `pool` has more than one worker, shards are rebased in parallel.
+  /// Requires a resident index.
+  Result<WordIndex> Rebased(std::span<const LiveSegment> segs,
+                            ThreadPool* pool = nullptr) const;
 
  private:
   using PostingList = std::vector<TextPos>;

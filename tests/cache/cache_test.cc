@@ -1,11 +1,11 @@
-// Tests of the generation-keyed query caches: the EvalCache and
-// PlanCache units, and the FileQuerySystem wiring — warm runs served
-// from cache, byte-identical answers, and invalidation on every path
-// that changes what a query would see (mutations, compaction, rebuilds,
-// imports).
+// Tests of the per-state query caches: the EvalCache and PlanCache
+// units, and the FileQuerySystem wiring — warm runs served from cache,
+// byte-identical answers, and a fresh cache on every path that changes
+// what a query would see (mutations, compaction, rebuilds, imports).
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,64 +25,73 @@ std::shared_ptr<const RegionSet> MakeSet(std::vector<Region> v) {
 }
 
 TEST(EvalCacheTest, LookupReturnsInsertedSetUnderSameEpoch) {
-  EvalCache cache(/*max_regions=*/100);
-  CacheEpoch epoch{1, 0};
-  EXPECT_EQ(cache.Lookup("k", epoch), nullptr);
-  cache.Insert("k", epoch, MakeSet({{0, 5}, {7, 9}}));
-  auto hit = cache.Lookup("k", epoch);
+  auto counters = std::make_shared<CacheCounters>(/*max_regions=*/100);
+  EvalCache cache(counters);
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
+  cache.Insert("k", MakeSet({{0, 5}, {7, 9}}));
+  auto hit = cache.Lookup("k");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 2u);
-  CacheStats stats = cache.stats();
+  CacheStats stats = counters->stats();
   EXPECT_EQ(stats.eval_hits, 1u);
   EXPECT_EQ(stats.eval_misses, 1u);
   EXPECT_EQ(stats.eval_regions_cached, 2u);
 }
 
-TEST(EvalCacheTest, EpochChangeFlushesEverything) {
-  EvalCache cache(100);
-  cache.Insert("k", CacheEpoch{1, 0}, MakeSet({{0, 5}}));
-  // Generation bump.
-  EXPECT_EQ(cache.Lookup("k", CacheEpoch{2, 0}), nullptr);
-  cache.Insert("k", CacheEpoch{2, 0}, MakeSet({{0, 5}}));
-  // Compaction bump at the same generation must flush too: offsets were
-  // rebased without touching the generation.
-  EXPECT_EQ(cache.Lookup("k", CacheEpoch{2, 1}), nullptr);
-  EXPECT_GE(cache.stats().invalidations, 2u);
-}
-
-TEST(EvalCacheTest, InjectStaleServesOldEpochEntries) {
-  ScopedFaultInjector planted({planted_bug::kStaleCache, 1});
-  EvalCache cache(100);
-  cache.Insert("k", CacheEpoch{1, 0}, MakeSet({{0, 5}}));
-  // The planted bug: the entry survives the epoch change.
-  EXPECT_NE(cache.Lookup("k", CacheEpoch{2, 0}), nullptr);
-}
-
 TEST(EvalCacheTest, EvictsLeastRecentlyUsedByRegionCount) {
-  EvalCache cache(/*max_regions=*/10);
-  CacheEpoch epoch{1, 0};
-  cache.Insert("a", epoch, MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
-  cache.Insert("b", epoch, MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
-  ASSERT_NE(cache.Lookup("a", epoch), nullptr);  // refresh a; b is LRU
-  cache.Insert("c", epoch, MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
-  EXPECT_NE(cache.Lookup("a", epoch), nullptr);
-  EXPECT_EQ(cache.Lookup("b", epoch), nullptr);
-  EXPECT_NE(cache.Lookup("c", epoch), nullptr);
-  CacheStats stats = cache.stats();
+  auto counters = std::make_shared<CacheCounters>(/*max_regions=*/10);
+  EvalCache cache(counters);
+  cache.Insert("a", MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
+  cache.Insert("b", MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
+  ASSERT_NE(cache.Lookup("a"), nullptr);  // refresh a; b is LRU
+  cache.Insert("c", MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.Lookup("b"), nullptr);
+  EXPECT_NE(cache.Lookup("c"), nullptr);
+  CacheStats stats = counters->stats();
   EXPECT_EQ(stats.eval_evictions, 1u);
   EXPECT_LE(stats.eval_regions_cached, 10u);
 }
 
 TEST(EvalCacheTest, RefusesSetsLargerThanTheWholeBudget) {
-  EvalCache cache(/*max_regions=*/2);
-  CacheEpoch epoch{1, 0};
-  cache.Insert("big", epoch, MakeSet({{0, 1}, {2, 3}, {4, 5}}));
-  EXPECT_EQ(cache.Lookup("big", epoch), nullptr);
-  EXPECT_EQ(cache.stats().eval_regions_cached, 0u);
+  auto counters = std::make_shared<CacheCounters>(/*max_regions=*/2);
+  EvalCache cache(counters);
+  cache.Insert("big", MakeSet({{0, 1}, {2, 3}, {4, 5}}));
+  EXPECT_EQ(cache.Lookup("big"), nullptr);
+  EXPECT_EQ(counters->stats().eval_regions_cached, 0u);
+}
+
+TEST(EvalCacheTest, TheRegionBoundHoldsAcrossTwoStatesCaches) {
+  // Two states' caches (an old one a snapshot still pins, and the live
+  // one) share one bound: an insert that takes the system total over it
+  // evicts from its own cache's LRU, never from the other state's.
+  auto counters = std::make_shared<CacheCounters>(/*max_regions=*/10);
+  auto pinned = std::make_unique<EvalCache>(counters);
+  EvalCache live(counters);
+  pinned->Insert("p1", MakeSet({{0, 1}, {2, 3}, {4, 5}}));
+  pinned->Insert("p2", MakeSet({{0, 1}, {2, 3}, {4, 5}}));
+  live.Insert("l1", MakeSet({{0, 1}, {2, 3}}));
+  EXPECT_EQ(counters->stats().eval_regions_cached, 8u);
+  live.Insert("l2", MakeSet({{0, 1}, {2, 3}, {4, 5}}));
+  // 11 > 10: the live cache dropped its own LRU entry.
+  EXPECT_EQ(live.Lookup("l1"), nullptr);
+  EXPECT_NE(live.Lookup("l2"), nullptr);
+  EXPECT_NE(pinned->Lookup("p1"), nullptr);
+  EXPECT_NE(pinned->Lookup("p2"), nullptr);
+  CacheStats stats = counters->stats();
+  EXPECT_EQ(stats.eval_evictions, 1u);
+  EXPECT_EQ(stats.eval_regions_cached, 9u);
+  // The pinned state's cache freeing hands its regions back to the bound.
+  pinned.reset();
+  EXPECT_EQ(counters->stats().eval_regions_cached, 3u);
+  live.Insert("l3", MakeSet({{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}}));
+  EXPECT_NE(live.Lookup("l2"), nullptr);
+  EXPECT_EQ(counters->stats().eval_regions_cached, 8u);
 }
 
 TEST(PlanCacheTest, LruEvictionByEntryCount) {
-  PlanCache cache(/*max_plans=*/2);
+  auto counters = std::make_shared<CacheCounters>();
+  PlanCache cache(counters, /*max_plans=*/2);
   auto entry = [] {
     auto e = std::make_shared<PlanCache::Entry>();
     return e;
@@ -94,9 +103,7 @@ TEST(PlanCacheTest, LruEvictionByEntryCount) {
   EXPECT_NE(cache.Lookup("q1"), nullptr);
   EXPECT_EQ(cache.Lookup("q2"), nullptr);
   EXPECT_NE(cache.Lookup("q3"), nullptr);
-  EXPECT_EQ(cache.stats().plan_evictions, 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.Lookup("q3"), nullptr);
+  EXPECT_EQ(counters->stats().plan_evictions, 1u);
 }
 
 // ---- system wiring ---------------------------------------------------------
@@ -266,7 +273,7 @@ TEST_F(CacheSystemTest, CacheHitsStillChargeTheRegionBudget) {
 TEST_F(CacheSystemTest, DisablingCachesRestoresUncachedBehavior) {
   ExpectAgree();
   cached_->SetCacheOptions(CacheOptions{});
-  EXPECT_FALSE(cached_->cache_options().any());
+  EXPECT_FALSE(cached_->cache_options().enabled);
   QueryResult r = Run(cached_.get());
   EXPECT_EQ(r.stats.algebra.cache_hits, 0u);
   CacheStats stats = cached_->cache_stats();
@@ -278,8 +285,8 @@ TEST_F(CacheSystemTest, DisablingCachesRestoresUncachedBehavior) {
 
 TEST_F(CacheSystemTest, InjectStaleServesPreMutationAnswers) {
   // The planted bug the fuzzer's cache leg exists to catch: with
-  // stale-cache armed the eval cache ignores the epoch change, so after a
-  // mutation the cached system keeps answering from pre-mutation state.
+  // stale-cache armed a write keeps the old state's eval cache, so after
+  // a mutation the cached system keeps answering from pre-mutation state.
   ScopedFaultInjector planted({planted_bug::kStaleCache, 1});
   cached_->SetCacheOptions(CacheOptions::Enabled());
   QueryResult before = Run(cached_.get());
@@ -291,6 +298,30 @@ TEST_F(CacheSystemTest, InjectStaleServesPreMutationAnswers) {
       << "stale-cache should have pinned the pre-mutation answer";
   EXPECT_NE(stale.regions, fresh.regions)
       << "the planted bug must be observable";
+}
+
+TEST_F(CacheSystemTest, LastSnapshotDropsOnAWorkerWhileTheWriterPublishes) {
+  // Each round a worker queries the only snapshot of the current state,
+  // filling that state's eval cache, and drops it — freeing the cache on
+  // the worker — while this thread's write publishes the next state.
+  // Run under TSan this checks that the shared counters need no lock.
+  const std::string both = std::string(kRefs) + kExtraRef;
+  for (int round = 0; round < 20; ++round) {
+    auto snapshot = cached_->AcquireSnapshot();
+    ASSERT_TRUE(snapshot.ok());
+    std::thread worker([this, pinned = std::move(*snapshot)]() mutable {
+      EXPECT_TRUE(cached_->ExecuteOnSnapshot(*pinned, kQuery).ok());
+      pinned.reset();
+    });
+    ASSERT_TRUE(
+        cached_->UpdateFile("refs.bib", round % 2 == 0 ? both : kRefs).ok());
+    worker.join();
+  }
+  // Every snapshot is gone and the live state was never queried: every
+  // freed cache handed its regions back.
+  CacheStats stats = cached_->cache_stats();
+  EXPECT_GT(stats.eval_misses, 0u);
+  EXPECT_EQ(stats.eval_regions_cached, 0u);
 }
 
 }  // namespace

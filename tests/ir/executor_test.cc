@@ -254,12 +254,11 @@ TEST(IrExecutorTest, CacheEntriesCrossEngines) {
   auto expr = ParseRegionExpr(
       "Reference > Authors > sigma(\"Chang\", Last_Name)");
   ASSERT_TRUE(expr.ok());
-  EvalCache cache(/*max_regions=*/4096);
-  CacheEpoch epoch;
+  EvalCache cache;
 
   // Tree evaluator populates the cache...
   ExprEvaluator tree(&f.index(), &f.words(), &f.corpus(),
-                     DirectAlgorithm::kFast, nullptr, &cache, epoch);
+                     DirectAlgorithm::kFast, nullptr, &cache);
   EvalStats warm;
   auto want = tree.Evaluate(**expr, &warm);
   ASSERT_TRUE(want.ok());
@@ -269,7 +268,7 @@ TEST(IrExecutorTest, CacheEntriesCrossEngines) {
   // canonical serialization, so the composite root is a hit.
   IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
   IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus(), nullptr,
-                  &cache, epoch);
+                  &cache);
   EvalStats served;
   auto got = exec.EvaluateRoot(p.candidates, &served);
   ASSERT_TRUE(got.ok());

@@ -272,6 +272,41 @@ TEST_F(MaintainerTest, CompactDetectsDroppedTombstone) {
       << s.message();
 }
 
+TEST(MaintainerCompactTest, CompactDetectsStalePostingWithNothingMutated) {
+  // Regions spliced right but postings left behind in the tombstoned
+  // span: only compaction's posting check can catch this, and it must
+  // fail before anything is written.
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok());
+  Corpus corpus;
+  ASSERT_TRUE(
+      corpus.AddDocument("a.bib", MakeRef("RefA", "Y. Chang", "Alpha")).ok());
+  ASSERT_TRUE(
+      corpus.AddDocument("b.bib", MakeRef("RefB", "T. Milo", "Beta")).ok());
+  auto built = BuildIndexes(*schema, corpus, IndexSpec::Full());
+  ASSERT_TRUE(built.ok());
+  MaintainOptions options;
+  options.auto_compact = false;
+  IndexMaintainer maintainer(&*schema, IndexSpec::Full(), options);
+  const WordIndex words_before_removal = built->words;
+  ASSERT_TRUE(maintainer.RemoveDocument({&corpus, &*built}, "a.bib").ok());
+  built->words = words_before_removal;  // a.bib's postings survive
+  const RegionSet refs = **built->regions.Get("Reference");
+  const std::vector<TextPos> chang = built->words.Lookup("Chang");
+  ASSERT_FALSE(chang.empty());
+  const TextPos size = corpus.size();
+
+  Status s = maintainer.Compact({&corpus, &*built});
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("word posting"), std::string::npos)
+      << s.message();
+  EXPECT_TRUE(corpus.fragmented());
+  EXPECT_EQ(corpus.size(), size);
+  EXPECT_EQ(**built->regions.Get("Reference"), refs);
+  EXPECT_EQ(built->words.Lookup("Chang"), chang);
+  EXPECT_EQ(maintainer.stats(corpus).compactions, 0u);
+}
+
 TEST_F(MaintainerTest, ExportCompactsFragmentedCorpus) {
   MaintainOptions options;
   options.auto_compact = false;

@@ -1,9 +1,9 @@
 // Generation-snapshot isolation at the engine level: pinned snapshots
 // answer byte-identically across mutations, compaction, and full
 // rebuilds (copy-on-write, sharing every piece a write does not touch),
-// and their eval-cache entries survive
-// unrelated mutations for as long as the snapshot lives (see
-// qof/engine/snapshot.h and DESIGN.md, "Server & snapshot isolation").
+// and the caches of their state survive unrelated mutations for as long
+// as a snapshot of it lives (see qof/engine/snapshot.h and DESIGN.md,
+// "Server & snapshot isolation").
 
 #include <algorithm>
 #include <map>
@@ -106,8 +106,8 @@ TEST(Snapshot, GenerationStampsRecordThePinPoint) {
 TEST(Snapshot, SurvivesFullRebuild) {
   // BuildIndexes replaces the compiler and resets maintenance counters;
   // a snapshot pinned before the rebuild keeps its own compiler and
-  // index state (the plan cache must not serve it cross-build entries —
-  // PlanCache::Entry::build guards that).
+  // index state (and its own plan cache: the rebuild starts a fresh one
+  // for the new compiler).
   auto system = MakeSystem(/*caches=*/true);
   auto snapshot = system->AcquireSnapshot();
   ASSERT_TRUE(snapshot.ok());
@@ -123,9 +123,9 @@ TEST(Snapshot, SurvivesFullRebuild) {
 }
 
 TEST(Snapshot, WarmEvalEntriesSurviveUnrelatedMutation) {
-  // The satellite regression: entries cached under a pinned epoch keep
-  // serving that snapshot's queries after an unrelated UpdateFile — the
-  // mutation must not cost pinned readers their warm cache.
+  // Entries cached on a pinned state keep serving that snapshot's
+  // queries after an unrelated UpdateFile — the mutation must not cost
+  // pinned readers their warm cache.
   auto system = MakeSystem(/*caches=*/true);
   auto snapshot = system->AcquireSnapshot();
   ASSERT_TRUE(snapshot.ok());
@@ -140,7 +140,8 @@ TEST(Snapshot, WarmEvalEntriesSurviveUnrelatedMutation) {
   ASSERT_GT(warm1.eval_hits, warm0.eval_hits)
       << "second snapshot query did not hit the eval cache";
 
-  // Unrelated mutation: advances the epoch, prunes unpinned entries.
+  // Unrelated mutation: the new state starts with a fresh cache; the
+  // snapshot keeps the old one.
   ASSERT_TRUE(system->UpdateFile("b.bib", Doc(66)).ok());
 
   std::string after = Fingerprint(
@@ -148,28 +149,57 @@ TEST(Snapshot, WarmEvalEntriesSurviveUnrelatedMutation) {
   CacheStats warm2 = system->cache_stats();
   EXPECT_EQ(after, cold);
   EXPECT_GT(warm2.eval_hits, warm1.eval_hits)
-      << "pinned-epoch entry was flushed by an unrelated mutation";
+      << "pinned state's entry was flushed by an unrelated mutation";
+}
+
+TEST(Snapshot, TwoSnapshotsOfOneStateShareOneCache) {
+  auto system = MakeSystem(/*caches=*/true);
+  auto a = system->AcquireSnapshot();
+  auto b = system->AcquireSnapshot();
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_NE((*a)->eval_cache, nullptr);
+  EXPECT_EQ((*a)->eval_cache, (*b)->eval_cache);
+  EXPECT_EQ((*a)->plan_cache, (*b)->plan_cache);
+
+  std::string cold = Fingerprint(system->ExecuteOnSnapshot(**a, kProbeFql));
+  CacheStats s0 = system->cache_stats();
+  std::string warm = Fingerprint(system->ExecuteOnSnapshot(**b, kProbeFql));
+  CacheStats s1 = system->cache_stats();
+  EXPECT_EQ(warm, cold);
+  EXPECT_GT(s1.eval_hits, s0.eval_hits) << "b missed what a cached";
+  EXPECT_EQ(s1.eval_misses, s0.eval_misses);
+  EXPECT_GT(s1.plan_hits, s0.plan_hits);
+
+  // A write publishes a new state with its own eval cache; the plan
+  // cache belongs to the build and carries over.
+  ASSERT_TRUE(system->UpdateFile("b.bib", Doc(88)).ok());
+  auto c = system->AcquireSnapshot();
+  ASSERT_TRUE(c.ok());
+  EXPECT_NE((*c)->eval_cache, (*a)->eval_cache);
+  EXPECT_EQ((*c)->plan_cache, (*a)->plan_cache);
 }
 
 TEST(Snapshot, ReleasingThePinReclaimsItsCacheEntries) {
   auto system = MakeSystem(/*caches=*/true);
+  uint64_t while_pinned = 0;
   {
     auto snapshot = system->AcquireSnapshot();
     ASSERT_TRUE(snapshot.ok());
     ASSERT_TRUE(
         system->ExecuteOnSnapshot(**snapshot, kProbeFql).ok());
-    // Move the live epoch past the pin so the pinned entries are the
-    // only survivors of their epoch.
+    // Move the live state past the pin so the snapshot holds the only
+    // reference to its state's cache.
     ASSERT_TRUE(system->UpdateFile("b.bib", Doc(77)).ok());
     ASSERT_TRUE(system->Execute(kProbeFql).ok());
-    EXPECT_GT(system->cache_stats().eval_regions_cached, 0u);
-    uint64_t while_pinned = system->cache_stats().eval_regions_cached;
-    // Snapshot drops here; its epoch unpins and its entries reclaim.
-    (void)while_pinned;
+    while_pinned = system->cache_stats().eval_regions_cached;
+    // Snapshot drops here, and with it the only hold on its state's cache.
   }
-  // Only current-epoch entries remain; re-running the live query still
-  // hits (its epoch was never reclaimed).
+  // Only the live state's entries remain; re-running the live query
+  // still hits them.
   CacheStats s0 = system->cache_stats();
+  EXPECT_GT(s0.eval_regions_cached, 0u);
+  EXPECT_LT(s0.eval_regions_cached, while_pinned)
+      << "the dropped snapshot's cache entries were not reclaimed";
   ASSERT_TRUE(system->Execute(kProbeFql).ok());
   CacheStats s1 = system->cache_stats();
   EXPECT_GT(s1.eval_hits, s0.eval_hits);
