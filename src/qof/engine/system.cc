@@ -30,6 +30,23 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Parses `fql` through `cache` (a state's plan cache; null when the
+/// caches are off, and then this only parses). A hit skips parsing, and
+/// compiling too once a plan is attached; a miss parses and publishes the
+/// parse (plan still null) for ExecuteWithSurface to complete.
+Result<std::shared_ptr<const PlanCache::Entry>> ParseCached(
+    std::string_view fql, PlanCache* cache) {
+  std::string key;
+  if (cache != nullptr) {
+    key.assign(fql);
+    if (auto hit = cache->Lookup(key)) return hit;
+  }
+  auto entry = std::make_shared<PlanCache::Entry>();
+  QOF_ASSIGN_OR_RETURN(entry->query, ParseFql(fql));
+  if (cache != nullptr) cache->Insert(key, entry);
+  return std::shared_ptr<const PlanCache::Entry>(std::move(entry));
+}
+
 /// Decorates a governance error with partial-progress stats so a caller
 /// that hit a limit knows how far execution got. Other codes pass through.
 Status WithProgress(const Status& status, const char* phase,
@@ -324,19 +341,6 @@ Result<std::string> FileQuerySystem::ExplainQuery(std::string_view fql) const {
   return out;
 }
 
-Result<std::shared_ptr<const PlanCache::Entry>> FileQuerySystem::ParseCached(
-    std::string_view fql, PlanCache* cache) {
-  std::string key;
-  if (cache != nullptr) {
-    key.assign(fql);
-    if (auto hit = cache->Lookup(key)) return hit;
-  }
-  auto entry = std::make_shared<PlanCache::Entry>();
-  QOF_ASSIGN_OR_RETURN(entry->query, ParseFql(fql));
-  if (cache != nullptr) cache->Insert(key, entry);
-  return std::shared_ptr<const PlanCache::Entry>(std::move(entry));
-}
-
 IndexSnapshot FileQuerySystem::CurrentState() const {
   return IndexSnapshot{
       corpus_, built_, compiler_, plan_cache_, eval_cache_,
@@ -385,19 +389,24 @@ Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
 void FileQuerySystem::SetCacheOptions(const CacheOptions& options) {
   std::lock_guard<std::mutex> lock(state_mu_);
   cache_options_ = options;
-  cache_counters_ =
-      options.enabled ? std::make_shared<CacheCounters>() : nullptr;
-  plan_cache_ = options.enabled
-                    ? std::make_shared<PlanCache>(cache_counters_)
-                    : nullptr;
-  eval_cache_ = options.enabled
-                    ? std::make_shared<EvalCache>(cache_counters_)
-                    : nullptr;
+  if (!options.enabled) {
+    cache_counters_ = nullptr;
+    plan_cache_ = nullptr;
+    eval_cache_ = nullptr;
+    return;
+  }
+  cache_counters_ = std::make_shared<CacheCounters>();
+  plan_cache_ = std::make_shared<PlanCache>(cache_counters_);
+  eval_cache_ = std::make_shared<EvalCache>(cache_counters_);
 }
 
 CacheStats FileQuerySystem::cache_stats() const {
-  return cache_counters_ != nullptr ? cache_counters_->stats()
-                                    : CacheStats{};
+  std::shared_ptr<const CacheCounters> counters;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    counters = cache_counters_;
+  }
+  return counters != nullptr ? counters->stats() : CacheStats{};
 }
 
 Result<QueryResult> FileQuerySystem::RunBaselinePlan(

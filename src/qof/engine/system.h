@@ -375,14 +375,6 @@ class FileQuerySystem {
                                       const ExecContext* ctx,
                                       bool soft_fail);
 
-  /// Parses `fql` through `cache` (the state's plan cache; null when the
-  /// caches are off, and then this only parses). A hit skips parsing,
-  /// and compiling too once a plan is attached; a miss parses and
-  /// publishes the parse (plan still null) for ExecuteWithSurface to
-  /// complete.
-  static Result<std::shared_ptr<const PlanCache::Entry>> ParseCached(
-      std::string_view fql, PlanCache* cache);
-
   /// The strategy ladder itself, parameterized by the surface it reads:
   /// parses through the state's plan cache, and publishes a compiled
   /// plan back to it.

@@ -155,8 +155,9 @@ class RegionIndex {
 
   /// The SeparatorTable of `names` (sorted, duplicate-free; unregistered
   /// names contribute nothing). Built on first use and cached per set
-  /// until the next mutation; the tables are immutable. Pages in only the named instances, so it fails only on
-  /// their I/O or corruption. Thread-safety as Universe().
+  /// until the next mutation; the tables are immutable. Pages in only
+  /// the named instances, so it fails only on their I/O or corruption.
+  /// Thread-safety as Universe().
   Result<std::shared_ptr<const SeparatorTable>> Separators(
       const std::vector<std::string>& names) const;
 
@@ -191,8 +192,8 @@ class RegionIndex {
   /// them and a splice copies only the names it writes.
   mutable std::map<std::string, CowPtr<RegionSet>, std::less<>> sets_;
   /// Serializes the lazy Universe() build between concurrent readers of a
-  /// shared immutable index. Mutators (Add/EraseSpan/InsertDocRegions)
-  /// require external exclusion, as before.
+  /// shared immutable index. Mutators (Add/SpliceDocument) require
+  /// external exclusion.
   mutable std::mutex universe_mu_;
   /// Null until built; copies share it.
   mutable std::shared_ptr<const RegionSet> universe_;
