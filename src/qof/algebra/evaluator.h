@@ -61,8 +61,8 @@ class ExprEvaluator {
   /// `cache` (optional, borrowed) shares computed subexpression results
   /// across evaluations of one index state: every composite node is
   /// looked up by its serialized form before being computed, and
-  /// published after. Cached hits still charge the region budget, so governance is
-  /// identical with and without the cache.
+  /// published after. Cached hits still charge the region budget, so
+  /// governance is identical with and without the cache.
   ExprEvaluator(const RegionIndex* region_index,
                 const WordIndex* word_index, const Corpus* corpus,
                 DirectAlgorithm direct = DirectAlgorithm::kFast,

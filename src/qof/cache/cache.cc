@@ -17,7 +17,7 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::Lookup(
 
 void PlanCache::Insert(const std::string& fql,
                        std::shared_ptr<const Entry> entry) {
-  if (max_plans_ == 0 || entry == nullptr) return;
+  if (entry == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(fql);
   if (it != map_.end()) {

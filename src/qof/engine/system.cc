@@ -388,7 +388,6 @@ Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
 
 void FileQuerySystem::SetCacheOptions(const CacheOptions& options) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  cache_options_ = options;
   if (!options.enabled) {
     cache_counters_ = nullptr;
     plan_cache_ = nullptr;

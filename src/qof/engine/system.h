@@ -210,7 +210,9 @@ class FileQuerySystem {
   /// snapshots of the old state keep serving its entries warm. Resets
   /// the counters.
   void SetCacheOptions(const CacheOptions& options);
-  const CacheOptions& cache_options() const { return cache_options_; }
+  CacheOptions cache_options() const {
+    return CacheOptions{cache_counters_ != nullptr};
+  }
 
   /// Counters of every cache the system has published since
   /// SetCacheOptions, summed (all zeros while disabled).
@@ -420,7 +422,6 @@ class FileQuerySystem {
   std::string index_source_ = "none";
   MaintainOptions maintain_options_;
   std::unique_ptr<IndexMaintainer> maintainer_;
-  CacheOptions cache_options_;
   /// Shared by every cache published since SetCacheOptions; null while
   /// the caches are off. The two caches below belong to the current
   /// state and are replaced, never cleared (RenewCachesLocked).

@@ -1,7 +1,6 @@
 #include "qof/maintain/maintainer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <utility>

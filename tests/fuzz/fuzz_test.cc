@@ -145,8 +145,8 @@ TEST(FuzzTest, InjectedDropTombstoneBugIsCaught) {
 }
 
 TEST(FuzzTest, InjectedStaleCacheBugIsCaught) {
-  // An eval cache that ignores index-epoch changes keeps serving
-  // answers computed before a mutation. A cache row's post-mutation
+  // A write that keeps the old state's eval cache keeps serving
+  // answers computed before the mutation. A cache row's post-mutation
   // check against its own baseline scan must flag it, and the written
   // repro must replay to the same failure.
   FuzzOptions options = FastOptions();

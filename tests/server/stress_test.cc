@@ -113,7 +113,7 @@ TEST(ServerStress, ReadersRaceMutatorsAndCompaction) {
 
 TEST(ServerStress, SnapshotPinUnpinRacesReclamation) {
   // Engine-level: snapshots acquired and dropped from several threads
-  // while a mutator forces copy-on-write clones and epoch advances —
+  // while a mutator forks the state and publishes fresh caches —
   // reclamation must never free state a live pin still reads.
   auto system = MakeSystem();
   std::atomic<uint64_t> unexpected{0};
