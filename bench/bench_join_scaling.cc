@@ -1,9 +1,8 @@
-// Index-join algorithm scaling: nested-loop vs. sort-merge join as the
-// per-candidate attribute count grows (sort-merge must not lose at the
-// largest size). Both algorithms run in production — the engine picks
-// by CostModel::kSortMergeJoinMinPairs — and the sizes span both sides
-// of that threshold. Plain program (no google-benchmark): prints a
-// table and writes the JSON rows the CI bench-smoke gate checks.
+// Index-join algorithm scaling: the nested-loop oracle vs. the sort-merge
+// join the engine runs, from a tiny join (4 candidates x 4 attributes a
+// side) to 1024 attributes a side (sort-merge must not lose at the
+// largest size). Plain program (no google-benchmark): prints a table and
+// writes the JSON rows the CI bench-smoke gate checks.
 //
 // Usage: bench_join_scaling [--json <path>]
 //   default path: BENCH_join_scaling.json in the current directory.
@@ -11,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -72,15 +72,16 @@ struct JoinFixture {
 };
 
 void BenchJoinScaling(qof_bench::JsonEmitter* emitter) {
-  constexpr size_t kCandidates = 64;
-  std::printf("\njoin: nested-loop vs sort-merge (%zu candidates)\n",
-              kCandidates);
-  std::printf("%-14s %14s %14s %9s\n", "attrs/side", "nested_us",
+  std::printf("\njoin: nested-loop vs sort-merge\n");
+  std::printf("%-14s %14s %14s %9s\n", "config", "nested_us",
               "sortmerge_us", "speedup");
-  for (size_t k : {size_t{4}, size_t{16}, size_t{64}, size_t{256},
-                   size_t{1024}}) {
-    JoinFixture f(kCandidates, k);
-    const int runs = k >= 256 ? 7 : 25;
+  // {candidates, attributes per side}: one small join (32 attributes in
+  // all), then 64 candidates with a growing attribute count.
+  const std::pair<size_t, size_t> sizes[] = {
+      {4, 4}, {64, 4}, {64, 16}, {64, 64}, {64, 256}, {64, 1024}};
+  for (auto [n, k] : sizes) {
+    JoinFixture f(n, k);
+    const int runs = k >= 256 ? 7 : n < 64 ? 201 : 25;
     std::vector<Region> nested_out, merged_out;
     double nested_us = qof_bench::MedianMicros(runs, [&] {
       auto r = qof::RunIndexJoin(f.corpus, f.candidates, f.lhs, f.rhs,
@@ -99,7 +100,11 @@ void BenchJoinScaling(qof_bench::JsonEmitter* emitter) {
       std::exit(1);
     }
     double speedup = merged_us > 0 ? nested_us / merged_us : 0;
-    std::string config = "k=" + std::to_string(k);
+    // The 64-candidate rows are named "k=<attrs>": CI's bench-smoke
+    // gate reads the k=1024 row by that name.
+    std::string config = n == 64 ? "k=" + std::to_string(k)
+                                 : "n=" + std::to_string(n) +
+                                       ",k=" + std::to_string(k);
     std::printf("%-14s %14.1f %14.1f %8.1fx\n", config.c_str(),
                 nested_us, merged_us, speedup);
     emitter->Row("join", config, "nested_micros", nested_us);

@@ -44,10 +44,9 @@ void BenchIndexBuild(Fixture* f, int num_files, int refs_per_file) {
               "identical");
   double serial_micros = 0;
   for (int threads : {1, 2, 4, 8}) {
-    qof::IndexSpec spec;
-    spec.parallelism = threads;
+    f->system->SetParallelism(threads);
     double micros = qof_bench::MedianMicros(3, [&] {
-      if (!f->system->BuildIndexes(spec).ok()) std::abort();
+      if (!f->system->BuildIndexes().ok()) std::abort();
     });
     auto store = f->system->ExportIndexes();
     bool identical = true;

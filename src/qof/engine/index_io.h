@@ -47,7 +47,7 @@ struct DocFingerprint {
 /// fingerprints from `corpus` and the given maintenance generation.
 /// Pages disk-backed indexes in first. Word postings are written in
 /// sorted order, so two images of equal indexes are byte-identical (the
-/// parallel-vs-serial determinism tests and the incremental-vs-rebuild
+/// worker-count determinism tests and the incremental-vs-rebuild
 /// fuzz oracle rely on this). Fails if the corpus has tombstoned spans
 /// (offsets would not describe a dense layout: compact first), the spec
 /// has a token filter, or `page_size` is not a multiple of

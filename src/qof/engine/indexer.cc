@@ -21,20 +21,18 @@ Status ParseFailure(const Corpus& corpus, DocId doc, const Status& status) {
 }
 
 /// Parses every document on the pool and merges the per-document region
-/// contributions in document order, producing the same canonical
-/// RegionSets as the serial per-document Union path (both reduce to
-/// sort + dedup over the identical span multiset).
-Status ParallelRegionPass(const StructuringSchema& schema,
-                          const Corpus& corpus,
-                          const ExtractionFilter& filter, ThreadPool* pool,
-                          const ExecContext* ctx, BuiltIndexes* built) {
+/// contributions in document order into canonical RegionSets (sort +
+/// dedup over the span multiset, so the worker count cannot show).
+Status RegionPass(const StructuringSchema& schema, const Corpus& corpus,
+                  const ExtractionFilter& filter, ThreadPool* pool,
+                  const ExecContext* ctx, BuiltIndexes* built) {
   const size_t num_docs = corpus.num_documents();
   SchemaParser parser(&schema, ctx);
   std::vector<std::map<std::string, std::vector<Region>>> collected(
       num_docs);
   std::vector<Status> statuses(num_docs, Status::OK());
-  pool->ParallelFor(
-      num_docs,
+  ParallelFor(
+      pool, num_docs,
       [&](int, size_t d) {
         DocId doc = static_cast<DocId>(d);
         if (!corpus.is_live(doc)) return;  // tombstoned — nothing to index
@@ -53,8 +51,8 @@ Status ParallelRegionPass(const StructuringSchema& schema,
         CollectRegions(schema, **tree, filter, &collected[d]);
       },
       ctx != nullptr ? ctx->stop_flag() : nullptr);
-  // Scan in document order so the reported error is the same one the
-  // serial build would have hit first.
+  // Scan in document order so the reported error is the first document's
+  // whichever worker drew it.
   for (size_t d = 0; d < num_docs; ++d) {
     if (!statuses[d].ok()) {
       return ParseFailure(corpus, static_cast<DocId>(d), statuses[d]);
@@ -78,6 +76,8 @@ Status ParallelRegionPass(const StructuringSchema& schema,
       }
     }
   }
+  // Every indexed name gets an instance, even with no regions, so lookups
+  // distinguish "indexed but absent" from "not indexed".
   RegisterIndexedNames(schema, filter, &merged);
   for (auto& [name, regions] : merged) {
     built->regions.Add(name, RegionSet::FromUnsorted(std::move(regions)));
@@ -94,34 +94,8 @@ Result<BuiltIndexes> BuildIndexes(const StructuringSchema& schema,
                                   const ExecContext* ctx) {
   auto start = std::chrono::steady_clock::now();
   BuiltIndexes built;
-  ExtractionFilter filter = spec.ToFilter();
-  if (pool != nullptr && pool->size() > 1 && corpus.num_documents() > 1) {
-    QOF_RETURN_IF_ERROR(
-        ParallelRegionPass(schema, corpus, filter, pool, ctx, &built));
-  } else {
-    SchemaParser parser(&schema, ctx);
-    for (DocId doc = 0; doc < corpus.num_documents(); ++doc) {
-      if (!corpus.is_live(doc)) continue;
-      if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
-      QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kIndexerBuild));
-      TextPos begin = corpus.document_start(doc);
-      TextPos end = corpus.document_end(doc);
-      auto tree = parser.ParseDocument(corpus.RawText(begin, end), begin);
-      if (!tree.ok()) {
-        return ParseFailure(corpus, doc, tree.status());
-      }
-      ExtractRegions(schema, **tree, filter, &built.regions);
-      ++built.documents;
-    }
-    // A zero-document corpus registers every indexed name anyway, so
-    // lookups distinguish "indexed but absent" from "not indexed" — the
-    // parallel path gets this from RegisterIndexedNames.
-    std::map<std::string, std::vector<Region>> registered;
-    RegisterIndexedNames(schema, filter, &registered);
-    for (auto& [name, regions] : registered) {
-      if (!built.regions.Has(name)) built.regions.Add(name, RegionSet());
-    }
-  }
+  QOF_RETURN_IF_ERROR(
+      RegionPass(schema, corpus, spec.ToFilter(), pool, ctx, &built));
   // Checkpoint between the two passes; the word pass itself is a
   // non-interruptible tail (it is the cheaper of the two).
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());

@@ -24,9 +24,9 @@ struct BuiltIndexes {
   uint64_t documents = 0;
 };
 
-/// When `pool` is non-null with more than one worker, documents are
-/// parsed and tokenized in parallel; the merge is deterministic, so the
-/// built indexes are identical to a serial build's. `ctx` (optional,
+/// Documents are parsed and tokenized on `pool` (inline when null) and
+/// merged in document order, so the built indexes are the same at any
+/// worker count. `ctx` (optional,
 /// borrowed) makes the build interruptible: a tripped deadline or
 /// cancellation aborts the whole build with a typed error — no partial
 /// BuiltIndexes ever escapes.

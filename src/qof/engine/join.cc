@@ -5,7 +5,6 @@
 #include <string>
 #include <string_view>
 
-#include "qof/region/cost_model.h"
 #include "qof/util/string_util.h"
 
 namespace qof {
@@ -169,14 +168,6 @@ Result<std::vector<Region>> RunIndexJoin(const Corpus& corpus,
                                          const RegionSet& lhs_attrs,
                                          const RegionSet& rhs_attrs,
                                          JoinAlgorithm algorithm) {
-  if (algorithm == JoinAlgorithm::kAuto) {
-    // Below the threshold the sort is pure overhead; the shared cost
-    // table pins the crossover so tests and benches agree on it.
-    algorithm = lhs_attrs.size() + rhs_attrs.size() <
-                        CostModel::kSortMergeJoinMinPairs
-                    ? JoinAlgorithm::kNestedLoop
-                    : JoinAlgorithm::kSortMerge;
-  }
   if (algorithm == JoinAlgorithm::kNestedLoop) {
     return JoinNestedLoop(corpus, candidates, lhs_attrs, rhs_attrs);
   }

@@ -11,12 +11,8 @@ namespace qof {
 
 /// How RunIndexJoin matches the two attribute groups.
 enum class JoinAlgorithm {
-  /// Sort-merge above CostModel::kSortMergeJoinMinPairs total attribute
-  /// regions, nested-loop below it (the sort is pure overhead on tiny
-  /// inputs).
-  kAuto,
   /// Per-candidate std::set comparison — the original quadratic-ish
-  /// algorithm, kept as the differential oracle and the small-input path.
+  /// algorithm, kept as the differential oracle for tests and benches.
   kNestedLoop,
   /// Flatten both sides to (candidate, trimmed text) pairs, sort each
   /// side once, two-pointer intersect per candidate. No per-candidate
@@ -31,11 +27,13 @@ enum class JoinAlgorithm {
 /// candidate, and compared. Returns the candidates whose two groups share
 /// a (whitespace-trimmed) string. Both algorithms scan exactly the same
 /// attribute texts (right-side groups are skipped when the left group is
-/// empty), so byte accounting is algorithm-independent.
+/// empty), so byte accounting is algorithm-independent. The engine runs
+/// sort-merge, which is no slower than the nested loop even at one
+/// attribute a side (bench_join_scaling).
 Result<std::vector<Region>> RunIndexJoin(
     const Corpus& corpus, const RegionSet& candidates,
     const RegionSet& lhs_attrs, const RegionSet& rhs_attrs,
-    JoinAlgorithm algorithm = JoinAlgorithm::kAuto);
+    JoinAlgorithm algorithm = JoinAlgorithm::kSortMerge);
 
 }  // namespace qof
 

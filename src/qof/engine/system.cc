@@ -96,7 +96,7 @@ Status FileQuerySystem::AddFile(std::string name, std::string_view text,
   if (maintainer_ != nullptr) {
     return maintainer_
         ->AddDocument(TargetLocked(), std::move(name), text,
-                      EnsurePool(parallelism_), ctx)
+                      pool_.get(), ctx)
         .status();
   }
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
@@ -113,7 +113,7 @@ Status FileQuerySystem::UpdateFile(std::string_view name,
   if (maintainer_ != nullptr) {
     return maintainer_
         ->UpdateDocument(TargetLocked(), name, text,
-                         EnsurePool(parallelism_), ctx)
+                         pool_.get(), ctx)
         .status();
   }
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
@@ -128,7 +128,7 @@ Status FileQuerySystem::RemoveFile(std::string_view name,
   QOF_RETURN_IF_ERROR(BeginWriteLocked());
   if (maintainer_ != nullptr) {
     return maintainer_->RemoveDocument(TargetLocked(), name,
-                                       EnsurePool(parallelism_), ctx);
+                                       pool_.get(), ctx);
   }
   if (ctx != nullptr) QOF_RETURN_IF_ERROR(ctx->Check());
   return corpus_->RemoveDocument(name).status();
@@ -141,7 +141,7 @@ Status FileQuerySystem::CompactIndexes() {
         "indexes not built; nothing to compact");
   }
   QOF_RETURN_IF_ERROR(BeginWriteLocked());
-  return maintainer_->Compact(TargetLocked(), EnsurePool(parallelism_));
+  return maintainer_->Compact(TargetLocked(), pool_.get());
 }
 
 void FileQuerySystem::SetMaintainOptions(const MaintainOptions& options) {
@@ -217,22 +217,16 @@ void FileQuerySystem::RenewCachesLocked(bool new_compiler) {
   if (new_compiler) Renew(&plan_cache_, cache_counters_);
 }
 
-ThreadPool* FileQuerySystem::EnsurePool(int threads) {
-  threads = EffectiveParallelism(threads);
-  if (threads <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->size() != threads) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return pool_.get();
+void FileQuerySystem::SetParallelism(int threads) {
+  parallelism_ = threads;
+  pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 Status FileQuerySystem::BuildIndexes(const IndexSpec& spec) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  // spec.parallelism == 0 defers to the system-wide knob.
-  ThreadPool* pool = EnsurePool(
-      spec.parallelism != 0 ? spec.parallelism : parallelism_);
-  QOF_ASSIGN_OR_RETURN(BuiltIndexes built,
-                       qof::BuildIndexes(schema_, *corpus_, spec, pool));
+  QOF_ASSIGN_OR_RETURN(
+      BuiltIndexes built,
+      qof::BuildIndexes(schema_, *corpus_, spec, pool_.get()));
   // Publish-by-swap: snapshots pinning the previous build keep it alive
   // through their shared_ptrs; the corpus itself was only read.
   built_ = std::make_shared<BuiltIndexes>(std::move(built));
@@ -352,12 +346,8 @@ Result<QueryResult> FileQuerySystem::Execute(std::string_view fql,
                                              ExecutionMode mode,
                                              const QueryOptions& options) {
   const IndexSnapshot state = CurrentState();
-  // The live path owns the corpus counter (no concurrent readers by
-  // contract — see AcquireSnapshot's concurrency notes). Two-phase
-  // candidate verification runs on the system pool.
-  corpus_->ResetBytesRead();
-  return ExecuteWithSurface({state, EnsurePool(parallelism_)}, fql, mode,
-                            options);
+  // Two-phase candidate verification runs on the system pool.
+  return ExecuteWithSurface({state, pool_.get()}, fql, mode, options);
 }
 
 Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
@@ -374,16 +364,10 @@ Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
 Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
     const IndexSnapshot& snapshot, std::string_view fql,
     ExecutionMode mode, const QueryOptions& options) {
-  // Per-query byte accounting: the snapshot's corpus is shared with
-  // other concurrent queries (and possibly the live state), so its
-  // member counter can't be reset — route this thread's scanning into a
-  // local counter instead.
-  std::atomic<uint64_t> scanned{0};
-  Corpus::ScanCounterScope scope(&scanned);
   // Snapshot queries run concurrently, so they cannot share the system
-  // pool (ParallelFor is not reentrant across callers): they run serial.
-  return ExecuteWithSurface({snapshot, nullptr, &scanned}, fql, mode,
-                            options);
+  // pool (ParallelFor is not reentrant across callers): each runs its
+  // candidates on its own thread.
+  return ExecuteWithSurface({snapshot, nullptr}, fql, mode, options);
 }
 
 void FileQuerySystem::SetCacheOptions(const CacheOptions& options) {
@@ -451,24 +435,18 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   ExecContext governed(options);
   const ExecContext* ctx = nullptr;
   if (governed.active()) {
-    governed.set_scanned_bytes_counter(
-        surface.scan_counter != nullptr ? surface.scan_counter
-                                        : &corpus.bytes_read_counter());
+    governed.set_scanned_bytes_counter(&surface.scanned);
     ctx = &governed;
   }
   // Layers without an explicit ExecContext* — the store's buffer pool on
   // a page miss — pick the context up thread-locally, so a governed
   // query's deadline and cancellation reach into the disk tier.
   ExecContext::ThreadScope thread_scope(ctx);
-  // Arm this thread's scan accounting so the disk tier's decompressed
-  // index bytes (Corpus::ChargeScanBytes) are counted. Snapshot queries
-  // already route to their private counter — this resolves to the same
-  // one; the live path resolves to the corpus's own counter, exactly
-  // where its ScanText charges always landed.
-  Corpus::ScanCounterScope scan_scope(
-      surface.scan_counter != nullptr
-          ? surface.scan_counter
-          : &corpus.mutable_bytes_read_counter());
+  // Route this thread's scan accounting into the query's own counter:
+  // the corpus may be shared with concurrent queries (snapshots), and the
+  // disk tier's decompressed index bytes (Corpus::ChargeScanBytes) count
+  // only inside a scope.
+  Corpus::ScanCounterScope scan_scope(&surface.scanned);
 
   // The baseline needs no indices at all.
   if (mode == ExecutionMode::kBaseline) {
@@ -689,10 +667,8 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   }
 
   // Phase 2 (§6.2): parse candidates, filter in the database.
-  ObjectStore store;
-  auto two_phase =
-      RunTwoPhase(schema_, corpus, plan, candidates, full_rig_, &store,
-                  surface.pool, ctx, options.soft_fail);
+  auto two_phase = RunTwoPhase(schema_, corpus, plan, candidates, full_rig_,
+                               surface.pool, ctx, options.soft_fail);
   if (!two_phase.ok()) {
     if (!degradable(two_phase.status())) {
       return WithProgress(two_phase.status(), "two-phase",
@@ -737,7 +713,7 @@ Result<std::string> FileQuerySystem::EncodeStoreLocked(uint32_t page_size) {
     // hold): readers pinned to the fragmented layout keep their copy.
     QOF_RETURN_IF_ERROR(BeginWriteLocked());
     QOF_RETURN_IF_ERROR(
-        maintainer_->Compact(TargetLocked(), EnsurePool(parallelism_)));
+        maintainer_->Compact(TargetLocked(), pool_.get()));
   }
   return EncodeIndexStore(
       *built_, spec_, *corpus_,

@@ -162,16 +162,16 @@ class FileQuerySystem {
 
   /// (Re)parses all files and builds word + region indices per the spec.
   /// Documents are processed in parallel on the system's thread pool
-  /// (see SetParallelism; `spec.parallelism` overrides per build); the
-  /// result is identical at any worker count.
+  /// (see SetParallelism); the result is identical at any worker count.
   Status BuildIndexes(const IndexSpec& spec = IndexSpec::Full());
 
-  /// Sets the worker count shared by index builds and two-phase query
-  /// execution: 0 (the default) means one worker per hardware thread,
-  /// 1 forces the serial code paths, n > 1 uses n workers. Results are
-  /// deterministic — identical indexes, regions, values and stats at any
-  /// setting; only wall time changes.
-  void SetParallelism(int threads) { parallelism_ = threads; }
+  /// Sets the worker count shared by index builds, compaction and
+  /// two-phase query execution: 0 (the default) means
+  /// std::thread::hardware_concurrency(), which ignores CPU affinity;
+  /// 1 runs every loop inline on the calling thread; n > 1 uses n
+  /// workers. Results are deterministic — identical indexes, regions,
+  /// values and stats at any setting; only wall time changes.
+  void SetParallelism(int threads);
   int parallelism() const { return parallelism_; }
 
   /// Parses and runs an FQL query. `mode` kAuto picks: empty plans
@@ -315,19 +315,16 @@ class FileQuerySystem {
 
   /// Everything one query execution reads: the index state it runs on
   /// (the live one or a snapshot; `built` and `compiler` are null before
-  /// BuildIndexes), plus how it runs. When `scan_counter` is set, byte
-  /// accounting for the whole execution is routed there (thread-locally)
-  /// instead of the corpus's shared counter — concurrent snapshot
-  /// queries over one corpus each keep exact per-query totals.
+  /// BuildIndexes), plus how it runs. ExecuteWithSurface routes the whole
+  /// execution's byte accounting into `scanned` (thread-locally), so
+  /// queries sharing one corpus each keep exact per-query totals.
   struct ExecSurface {
     const IndexSnapshot& state;
-    ThreadPool* pool = nullptr;                 // null -> serial paths
-    std::atomic<uint64_t>* scan_counter = nullptr;
+    ThreadPool* pool = nullptr;  // null: candidates run on this thread
+    mutable std::atomic<uint64_t> scanned{0};
 
     uint64_t BytesScanned() const {
-      return scan_counter != nullptr
-                 ? scan_counter->load(std::memory_order_relaxed)
-                 : state.corpus->bytes_read();
+      return scanned.load(std::memory_order_relaxed);
     }
   };
 
@@ -369,9 +366,9 @@ class FileQuerySystem {
 
   /// The baseline plan body, shared by kBaseline executions and the
   /// auto-mode fallback (which has already parsed and view-checked the
-  /// query, so it must not pay for either again). Does not reset the
-  /// corpus byte counter: the caller owns it, so bytes accumulate across
-  /// fallback rungs and stay monotone for the byte budget.
+  /// query, so it must not pay for either again). Bytes accumulate in
+  /// the surface's counter across fallback rungs, so they stay monotone
+  /// for the byte budget.
   Result<QueryResult> RunBaselinePlan(const ExecSurface& surface,
                                       const SelectQuery& query,
                                       const ExecContext* ctx,
@@ -384,10 +381,6 @@ class FileQuerySystem {
                                          std::string_view fql,
                                          ExecutionMode mode,
                                          const QueryOptions& options);
-
-  /// The shared worker pool, lazily (re)built for `threads` workers;
-  /// nullptr when `threads` <= 1 so serial paths take no pool detour.
-  ThreadPool* EnsurePool(int threads);
 
   StructuringSchema schema_;
   Rig full_rig_;
@@ -411,7 +404,8 @@ class FileQuerySystem {
   bool pinned_ = false;
   IndexSpec spec_;
   int parallelism_ = 0;  // 0 = hardware concurrency
-  std::unique_ptr<ThreadPool> pool_;
+  /// Rebuilt by SetParallelism; starts no thread until a job needs one.
+  std::unique_ptr<ThreadPool> pool_ = std::make_unique<ThreadPool>(0);
   std::shared_ptr<BuiltIndexes> built_;
   std::shared_ptr<const QueryCompiler> compiler_;
   /// Set by OpenStore; the indexes' backing sources co-own it. Cleared

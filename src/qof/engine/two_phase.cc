@@ -10,7 +10,7 @@ namespace {
 
 /// Phase-2 outcome for one candidate, filled by whichever worker drew it.
 /// Slots are indexed by candidate position, so assembling them in order
-/// preserves the serial output order exactly.
+/// gives candidate order whichever worker drew each.
 struct CandidateOutcome {
   Status status = Status::OK();
   /// False only when an early stop left the slot unclaimed — such a slot
@@ -87,44 +87,33 @@ Result<TwoPhaseResult> RunTwoPhase(const StructuringSchema& schema,
                                    const Corpus& corpus,
                                    const QueryPlan& plan,
                                    const RegionSet& candidates,
-                                   const Rig& full_rig, ObjectStore* store,
-                                   ThreadPool* pool, const ExecContext* ctx,
+                                   const Rig& full_rig, ThreadPool* pool,
+                                   const ExecContext* ctx,
                                    bool soft_fail) {
   TwoPhaseResult result;
   SchemaParser parser(&schema, ctx);
   const SelectQuery& query = plan.query;
   std::vector<CandidateOutcome> outcomes(candidates.size());
 
-  if (pool != nullptr && pool->size() > 1 && candidates.size() > 1) {
-    // Parallel phase 2: each worker parses and filters candidates into
-    // its own scratch store.
-    std::vector<ObjectStore> scratch(static_cast<size_t>(pool->size()));
-    // Carry the query thread's accounting/governance thread-locals onto
-    // every worker: snapshot queries route scans into a per-query
-    // counter, and the disk tier picks the ExecContext up thread-locally.
-    std::atomic<uint64_t>* scan_counter = Corpus::CurrentThreadScanCounter();
-    pool->ParallelFor(
-        candidates.size(),
-        [&](int worker, size_t i) {
-          ExecContext::ThreadScope thread_scope(ctx);
-          Corpus::ScanCounterScope scan_scope(scan_counter);
-          ProcessCandidate(schema, corpus, query, full_rig, parser,
-                           candidates[i], ctx, &scratch[worker],
-                           &outcomes[i]);
-        },
-        ctx != nullptr ? ctx->stop_flag() : nullptr);
-  } else {
-    // Serial phase 2 into the caller's store, stopping at the first
-    // failure — the slot the assembly below stops at too.
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      ProcessCandidate(schema, corpus, query, full_rig, parser,
-                       candidates[i], ctx, store, &outcomes[i]);
-      if (!outcomes[i].status.ok()) break;
-    }
-  }
+  // Each worker parses and filters candidates into its own scratch
+  // store; object ids are store-local, so the stores are discarded after.
+  std::vector<ObjectStore> scratch(static_cast<size_t>(WorkerCount(pool)));
+  // Carry the query thread's accounting/governance thread-locals onto
+  // every worker: the query's scans land in its own counter, and the
+  // disk tier picks the ExecContext up thread-locally.
+  std::atomic<uint64_t>* scan_counter = Corpus::CurrentThreadScanCounter();
+  ParallelFor(
+      pool, candidates.size(),
+      [&](int worker, size_t i) {
+        ExecContext::ThreadScope thread_scope(ctx);
+        Corpus::ScanCounterScope scan_scope(scan_counter);
+        ProcessCandidate(schema, corpus, query, full_rig, parser,
+                         candidates[i], ctx, &scratch[worker], &outcomes[i]);
+      },
+      ctx != nullptr ? ctx->stop_flag() : nullptr);
 
-  // Outcomes are assembled in candidate order, so both paths report the
-  // same first error, truncation prefix and results.
+  // Outcomes are assembled in candidate order, so the first error,
+  // truncation prefix and results do not depend on the worker count.
   size_t complete = candidates.size();
   for (size_t i = 0; i < candidates.size(); ++i) {
     // A slot left unclaimed by an early stop re-derives the governance

@@ -32,12 +32,11 @@ struct TwoPhaseResult {
 /// object to filter out false positives. Scanned bytes are exactly the
 /// candidates' text — the saving the paper claims over whole-file scans.
 ///
-/// Serially, objects are built in `store`. When `pool` is non-null with
-/// more than one worker, candidates are parsed and filtered in parallel
-/// (each worker building objects in its own scratch store). Both paths
-/// run the same per-candidate step and assemble its outcomes in
-/// candidate order, so output order, surviving regions, projected values
-/// and the reported error are identical.
+/// Candidates are parsed and filtered on `pool` (inline when null), each
+/// worker building objects in its own scratch store, and the outcomes
+/// are assembled in candidate order, so output order, surviving regions,
+/// projected values and the reported error are the same at any worker
+/// count.
 /// `ctx` (optional) is checked per candidate and polled by ParallelFor
 /// workers, so deadlines/cancellation/budgets interrupt phase 2 promptly;
 /// with `soft_fail` a tripped limit returns the verified candidate prefix
@@ -46,7 +45,7 @@ Result<TwoPhaseResult> RunTwoPhase(const StructuringSchema& schema,
                                    const Corpus& corpus,
                                    const QueryPlan& plan,
                                    const RegionSet& candidates,
-                                   const Rig& full_rig, ObjectStore* store,
+                                   const Rig& full_rig,
                                    ThreadPool* pool = nullptr,
                                    const ExecContext* ctx = nullptr,
                                    bool soft_fail = false);

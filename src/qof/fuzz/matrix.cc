@@ -110,7 +110,6 @@ IndexSpec SpecFor(const MatrixCase& m, const MatrixRow& row) {
     spec = IndexSpec::Partial(
         std::set<std::string>(names.begin(), names.end()));
   }
-  spec.parallelism = row.parallel ? m.options.workers : 1;
   return spec;
 }
 
@@ -403,10 +402,8 @@ class Lifecycle {
     for (const auto& [name, text] : LiveDocsAfter(m_.docs, applied_)) {
       QOF_RETURN_IF_ERROR(fresh.AddFile(name, text));
     }
-    MatrixRow serial = row_;
-    serial.parallel = false;
     fresh.SetParallelism(1);
-    QOF_RETURN_IF_ERROR(fresh.BuildIndexes(SpecFor(m_, serial)));
+    QOF_RETURN_IF_ERROR(fresh.BuildIndexes(SpecFor(m_, row_)));
     QOF_ASSIGN_OR_RETURN(std::string store, fresh.ExportIndexes());
     MatrixCase::FreshBuild build{
         std::move(store),

@@ -240,11 +240,7 @@ Status IndexMaintainer::Compact(MaintainTarget target, ThreadPool* pool) {
     }
     rebased[i] = RegionSet::FromSortedUnique(std::move(out));
   };
-  if (pool != nullptr && pool->size() > 1 && names.size() > 1) {
-    pool->ParallelFor(names.size(), [&](int, size_t i) { rebase_name(i); });
-  } else {
-    for (size_t i = 0; i < names.size(); ++i) rebase_name(i);
-  }
+  ParallelFor(pool, names.size(), [&](int, size_t i) { rebase_name(i); });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }

@@ -33,11 +33,6 @@ struct CostModel {
     return probes * (1.0 + std::log2(1.0 + universe / probes));
   }
 
-  /// Below this many total attribute regions (both join sides summed) the
-  /// nested-loop join's lower constant factor beats the sort-merge join's
-  /// sort; at or above it, sort both sides once and merge linearly.
-  static constexpr size_t kSortMergeJoinMinPairs = 64;
-
   /// Adaptive set-kernel direction: probe `small` into `large`?
   static constexpr bool PreferGallop(size_t small, size_t large) {
     return small < large / kGallopRatio;

@@ -167,8 +167,8 @@ class Corpus {
   }
 
   /// The calling thread's active scan counter, or null outside any scope.
-  /// Parallel two-phase captures this on the query thread and installs
-  /// it on its pool workers so their scans account like serial ones.
+  /// Two-phase captures this on the query thread and installs it on its
+  /// pool workers, so their scans land in the query's counter too.
   static std::atomic<uint64_t>* CurrentThreadScanCounter() {
     return tls_scan_counter_;
   }
@@ -213,12 +213,6 @@ class Corpus {
   /// The live counter itself, so a byte budget (ExecContext) can watch
   /// scanning progress without a dependency on this class.
   const std::atomic<uint64_t>& bytes_read_counter() const {
-    return bytes_read_;
-  }
-  /// Writable view of the same counter, for a ScanCounterScope that
-  /// routes a live (non-snapshot) execution's disk-tier charges here.
-  /// Const: the counter is accounting state, not corpus content.
-  std::atomic<uint64_t>& mutable_bytes_read_counter() const {
     return bytes_read_;
   }
 

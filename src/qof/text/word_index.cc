@@ -17,8 +17,8 @@ std::string FoldCase(std::string_view s) {
 }
 
 /// Per-document postings in first-occurrence key order, so that merging
-/// shards in document order reproduces the serial build's insertion
-/// sequence exactly.
+/// documents in corpus order gives the same insertion sequence (and so
+/// the same hash-map layout) at any worker count.
 struct DocPostings {
   std::unordered_map<std::string, std::vector<TextPos>> map;
   std::vector<const std::string*> order;  // keys in first-occurrence order
@@ -112,52 +112,27 @@ void WordIndex::SpliceList(const std::string& key, TextPos begin,
 
 WordIndex WordIndex::Build(const Corpus& corpus, WordIndexOptions options,
                            ThreadPool* pool) {
-  // Collected in one flat map (one hash per token), then dealt out to
-  // the shards.
+  // Tokenize each live document on the pool, then merge in document
+  // order into one flat map (one hash per token) that is dealt out to the
+  // shards. Documents are contiguous ascending spans, so appending a
+  // document's postings after its predecessors' keeps every list sorted.
+  std::vector<DocPostings> docs(corpus.num_documents());
+  ParallelFor(pool, corpus.num_documents(), [&](int, size_t d) {
+    DocId doc = static_cast<DocId>(d);
+    if (!corpus.is_live(doc)) return;
+    TextPos begin = corpus.document_start(doc);
+    TokenizeInto(corpus.RawText(begin, corpus.document_end(doc)), begin,
+                 options, &docs[d]);
+  });
   std::unordered_map<std::string, PostingList> postings;
-  if (pool == nullptr || pool->size() <= 1 || corpus.num_documents() < 2) {
-    // Serial build: one pass over the whole corpus — unless tombstoned
-    // spans fragment it, in which case only live documents are read
-    // (identical output: the '\n' separators mean no token straddles a
-    // document boundary).
-    auto take = [&](const WordToken& t) {
-      if (options.token_filter && !options.token_filter(t)) return;
-      std::string key =
-          options.fold_case ? FoldCase(t.text) : std::string(t.text);
-      postings[std::move(key)].push_back(t.start);
-    };
-    if (!corpus.fragmented()) {
-      Tokenizer::ForEachToken(corpus.full_text(), /*base=*/0, take);
-    } else {
-      for (DocId doc = 0; doc < corpus.num_documents(); ++doc) {
-        if (!corpus.is_live(doc)) continue;
-        TextPos begin = corpus.document_start(doc);
-        Tokenizer::ForEachToken(
-            corpus.RawText(begin, corpus.document_end(doc)), begin, take);
-      }
-    }
-  } else {
-    // Parallel build: tokenize each document on the pool, then merge in
-    // document order. Documents are contiguous ascending spans, so
-    // appending a document's postings after its predecessors' keeps
-    // every list sorted.
-    std::vector<DocPostings> docs(corpus.num_documents());
-    pool->ParallelFor(corpus.num_documents(), [&](int, size_t d) {
-      DocId doc = static_cast<DocId>(d);
-      if (!corpus.is_live(doc)) return;
-      TextPos begin = corpus.document_start(doc);
-      TokenizeInto(corpus.RawText(begin, corpus.document_end(doc)), begin,
-                   options, &docs[d]);
-    });
-    for (DocPostings& doc : docs) {
-      for (const std::string* key : doc.order) {
-        std::vector<TextPos>& shard = doc.map.at(*key);
-        std::vector<TextPos>& list = postings[*key];
-        if (list.empty()) {
-          list = std::move(shard);
-        } else {
-          list.insert(list.end(), shard.begin(), shard.end());
-        }
+  for (DocPostings& doc : docs) {
+    for (const std::string* key : doc.order) {
+      std::vector<TextPos>& shard = doc.map.at(*key);
+      std::vector<TextPos>& list = postings[*key];
+      if (list.empty()) {
+        list = std::move(shard);
+      } else {
+        list.insert(list.end(), shard.begin(), shard.end());
       }
     }
   }
@@ -358,11 +333,7 @@ Result<WordIndex> WordIndex::Rebased(std::span<const LiveSegment> segs,
     }
     out.shards_[i] = CowPtr<Shard>(std::move(fresh));
   };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->ParallelFor(kNumShards, [&](int, size_t i) { rebase_shard(i); });
-  } else {
-    for (size_t i = 0; i < kNumShards; ++i) rebase_shard(i);
-  }
+  ParallelFor(pool, kNumShards, [&](int, size_t i) { rebase_shard(i); });
   if (stale.load(std::memory_order_relaxed)) {
     return Status::Internal(
         "word posting points into a tombstoned span — a tombstone was "

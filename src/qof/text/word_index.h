@@ -39,11 +39,11 @@ struct WordIndexOptions {
 /// posting `p` denotes the corpus span [p, p + word.size()).
 class WordIndex {
  public:
-  /// Builds the index over the whole corpus. When `pool` is non-null and
-  /// has more than one worker, documents are tokenized in parallel and
-  /// the per-document postings merged in document order; the result is
-  /// identical to the serial build (documents never share a token — the
-  /// corpus separates them with '\n').
+  /// Builds the index over the live documents: each is tokenized on
+  /// `pool` (inline when null) and the per-document postings are merged
+  /// in document order, so the result is the same at any worker count
+  /// (documents never share a token — the corpus separates them with
+  /// '\n').
   static WordIndex Build(const Corpus& corpus, WordIndexOptions options = {},
                          ThreadPool* pool = nullptr);
 
@@ -179,9 +179,8 @@ class WordIndex {
   /// spans are squeezed out; see SegmentCursor — the map is monotone, so
   /// every list stays sorted). Writes new lists and shards only; this
   /// index, and every copy sharing its lists, is untouched. Fails when a
-  /// posting lies outside every segment (a tombstone was lost). When
-  /// `pool` has more than one worker, shards are rebased in parallel.
-  /// Requires a resident index.
+  /// posting lies outside every segment (a tombstone was lost). Shards
+  /// are rebased on `pool` (inline when null). Requires a resident index.
   Result<WordIndex> Rebased(std::span<const LiveSegment> segs,
                             ThreadPool* pool = nullptr) const;
 

@@ -1,6 +1,18 @@
 #include "qof/util/thread_pool.h"
 
 namespace qof {
+namespace {
+
+/// The loop of every job that runs on the calling thread alone.
+void RunInline(size_t num_items, const std::function<void(int, size_t)>& fn,
+               const std::atomic<bool>* stop) {
+  for (size_t i = 0; i < num_items; ++i) {
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
+    fn(0, i);
+  }
+}
+
+}  // namespace
 
 int EffectiveParallelism(int requested) {
   if (requested >= 1) return requested;
@@ -9,7 +21,9 @@ int EffectiveParallelism(int requested) {
 }
 
 ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(EffectiveParallelism(num_threads)) {
+    : num_threads_(EffectiveParallelism(num_threads)) {}
+
+void ThreadPool::StartWorkers() {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int w = 1; w < num_threads_; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -28,14 +42,13 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::ParallelFor(size_t num_items,
                              const std::function<void(int, size_t)>& fn,
                              const std::atomic<bool>* stop) {
-  if (num_items == 0) return;
-  if (workers_.empty() || num_items == 1) {
-    for (size_t i = 0; i < num_items; ++i) {
-      if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-      fn(0, i);
-    }
+  if (num_threads_ == 1 || num_items <= 1) {
+    RunInline(num_items, fn, stop);
     return;
   }
+  // ParallelFor is never called from two threads at once, so the first
+  // parallel job can start the workers without a lock.
+  if (workers_.empty()) StartWorkers();
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_fn_ = &fn;
@@ -86,6 +99,20 @@ void ThreadPool::RunJob(int worker) {
     if (i >= n) return;
     fn(worker, i);
   }
+}
+
+void ParallelFor(ThreadPool* pool, size_t num_items,
+                 const std::function<void(int, size_t)>& fn,
+                 const std::atomic<bool>* stop) {
+  if (pool == nullptr) {
+    RunInline(num_items, fn, stop);
+  } else {
+    pool->ParallelFor(num_items, fn, stop);
+  }
+}
+
+int WorkerCount(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->size();
 }
 
 TaskQueue::TaskQueue(int num_threads, size_t max_queued)

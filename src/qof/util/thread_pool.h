@@ -14,7 +14,9 @@
 namespace qof {
 
 /// Resolves a parallelism request: n >= 1 is taken literally; 0 (or a
-/// negative value) means "one worker per hardware thread". Always >= 1.
+/// negative value) means std::thread::hardware_concurrency(), which counts
+/// every hardware thread of the machine, whatever CPU affinity the
+/// process runs under. Always >= 1.
 int EffectiveParallelism(int requested);
 
 /// A fixed-size worker pool whose only operation is a blocking
@@ -23,8 +25,9 @@ int EffectiveParallelism(int requested);
 /// concurrency surface the engine needs: no futures, no task graph.
 ///
 /// The calling thread participates as worker 0, so a pool of size N uses
-/// N-1 background threads and `ParallelFor` never deadlocks on a pool of
-/// size 1 (it simply runs inline, preserving exact serial behavior).
+/// N-1 background threads, started by its first job of more than one
+/// item. A pool of size 1, like a job of one item, runs inline on the
+/// calling thread — the same loop the null-pool `ParallelFor` below runs.
 ///
 /// ParallelFor is not reentrant and must not be called from two threads
 /// at once; the engine serializes builds and queries per system, which
@@ -62,6 +65,7 @@ class ThreadPool {
                    const std::atomic<bool>* stop = nullptr);
 
  private:
+  void StartWorkers();
   void WorkerLoop(int worker);
   void RunJob(int worker);
 
@@ -79,6 +83,19 @@ class ThreadPool {
   const std::atomic<bool>* job_stop_ = nullptr;
   std::atomic<size_t> next_index_{0};
 };
+
+/// Runs `fn(worker, index)` for every index in [0, num_items) on `pool`
+/// (see ThreadPool::ParallelFor), or inline on the calling thread — as
+/// worker 0, in index order, until `stop` reads true — when `pool` is
+/// null. Engine loops call this with whatever pool they were handed, so
+/// each data-parallel job has one loop whatever the worker count.
+void ParallelFor(ThreadPool* pool, size_t num_items,
+                 const std::function<void(int, size_t)>& fn,
+                 const std::atomic<bool>* stop = nullptr);
+
+/// How many worker ids `ParallelFor(pool, ...)` hands out: pool->size(),
+/// or 1 for a null pool. Sizes per-worker scratch state.
+int WorkerCount(const ThreadPool* pool);
 
 /// A bounded task queue drained by dedicated worker threads — the
 /// concurrency surface the query *service* needs (many independent

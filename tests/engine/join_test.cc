@@ -165,23 +165,17 @@ TEST(JoinAlgorithmTest, DuplicateKeysJoinIdentically) {
   }
 }
 
-TEST(JoinAlgorithmTest, EquivalentAcrossSizesSpanningTheAutoThreshold) {
-  // Sweep sizes so total attribute counts land below, at, and above
-  // CostModel::kSortMergeJoinMinPairs: kAuto must agree with both forced
-  // algorithms everywhere, whichever one it dispatches to.
-  for (size_t n : {size_t{2}, size_t{8}, size_t{16}, size_t{40}}) {
+TEST(JoinAlgorithmTest, EquivalentAcrossSizes) {
+  // Sweep sizes from a handful of attributes to a few hundred: the
+  // default (sort-merge) must agree with the nested-loop oracle at each.
+  for (size_t n : {size_t{1}, size_t{2}, size_t{8}, size_t{16}, size_t{40}}) {
     DuplicateKeyFixture f(n, /*per_side=*/2, /*seed=*/static_cast<uint32_t>(n));
     auto nested = RunIndexJoin(f.corpus, f.candidates, f.lhs, f.rhs,
                                JoinAlgorithm::kNestedLoop);
-    auto merged = RunIndexJoin(f.corpus, f.candidates, f.lhs, f.rhs,
-                               JoinAlgorithm::kSortMerge);
-    auto autod = RunIndexJoin(f.corpus, f.candidates, f.lhs, f.rhs,
-                              JoinAlgorithm::kAuto);
+    auto merged = RunIndexJoin(f.corpus, f.candidates, f.lhs, f.rhs);
     ASSERT_TRUE(nested.ok());
     ASSERT_TRUE(merged.ok());
-    ASSERT_TRUE(autod.ok());
     EXPECT_EQ(*nested, *merged) << "n=" << n;
-    EXPECT_EQ(*nested, *autod) << "n=" << n;
   }
 }
 

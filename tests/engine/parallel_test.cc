@@ -45,9 +45,9 @@ std::unique_ptr<FileQuerySystem> MakeSystem(
   return system;
 }
 
-std::string BuildAndExport(FileQuerySystem* system, IndexSpec spec,
+std::string BuildAndExport(FileQuerySystem* system, const IndexSpec& spec,
                            int parallelism) {
-  spec.parallelism = parallelism;
+  system->SetParallelism(parallelism);
   EXPECT_TRUE(system->BuildIndexes(spec).ok());
   auto store = system->ExportIndexes();
   EXPECT_TRUE(store.ok()) << store.status().ToString();
@@ -116,6 +116,39 @@ TEST(ParallelBuildTest, SingleDocumentCorpusMatchesSerial) {
   opt.num_references = 50;
   std::vector<std::string> files = {GenerateBibtex(opt)};
   ExpectByteIdenticalBuilds(BibtexSchema(), files, IndexSpec::Full());
+}
+
+TEST(ParallelBuildTest, FragmentedCorpusMatchesFreshBuildOfLiveDocuments) {
+  // Mutations before any build leave tombstoned spans in the corpus, so
+  // the build reads only the live documents. Each worker count must
+  // export what a fresh build of just those documents exports.
+  auto schema = BibtexSchema();
+  std::vector<std::string> files = BibtexFiles();
+  BibtexGenOptions opt;
+  opt.num_references = 25;
+  opt.seed = 99;
+  const std::string replacement = GenerateBibtex(opt);
+  auto fragmented_store = [&](int parallelism) {
+    auto system = MakeSystem(schema, "f", files);
+    EXPECT_TRUE(system->UpdateFile("f1", replacement).ok());
+    EXPECT_TRUE(system->RemoveFile("f3").ok());
+    EXPECT_TRUE(system->corpus().fragmented());
+    return BuildAndExport(system.get(), IndexSpec::Full(), parallelism);
+  };
+  // A fresh system over the live documents, under the same names and in
+  // corpus order: the update moved f1 to the tail.
+  FileQuerySystem fresh(*schema);
+  const std::pair<const char*, const std::string*> live[] = {
+      {"f0", &files[0]}, {"f2", &files[2]}, {"f4", &files[4]},
+      {"f5", &files[5]}, {"f1", &replacement}};
+  for (const auto& [name, text] : live) {
+    ASSERT_TRUE(fresh.AddFile(name, *text).ok());
+  }
+  const std::string expected =
+      BuildAndExport(&fresh, IndexSpec::Full(), 1);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(fragmented_store(1), expected);
+  EXPECT_EQ(fragmented_store(kThreads), expected);
 }
 
 class ParallelQueryTest : public ::testing::Test {

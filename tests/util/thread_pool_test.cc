@@ -86,6 +86,46 @@ TEST(ThreadPoolTest, MoreWorkersThanItems) {
   EXPECT_EQ(calls.load(), 3);
 }
 
+TEST(NullPoolParallelForTest, RunsEachIndexOnceInOrderAsWorkerZero) {
+  EXPECT_EQ(WorkerCount(nullptr), 1);
+  std::vector<size_t> order;
+  ParallelFor(nullptr, 5, [&](int worker, size_t i) {
+    EXPECT_EQ(worker, 0);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(NullPoolParallelForTest, SetStopFlagEndsTheLoop) {
+  std::atomic<bool> stop{false};
+  std::vector<size_t> order;
+  ParallelFor(
+      nullptr, 10,
+      [&](int, size_t i) {
+        order.push_back(i);
+        if (i == 2) stop.store(true, std::memory_order_relaxed);
+      },
+      &stop);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
+  // A flag already set runs nothing.
+  ParallelFor(nullptr, 10, [&](int, size_t i) { order.push_back(i); },
+              &stop);
+  EXPECT_EQ(order.size(), 3u);
+}
+
+TEST(NullPoolParallelForTest, PoolArgumentDelegatesToThePool) {
+  ThreadPool pool(3);
+  EXPECT_EQ(WorkerCount(&pool), 3);
+  std::vector<std::atomic<int>> hits(1000);
+  ParallelFor(&pool, hits.size(), [&](int worker, size_t i) {
+    ASSERT_LT(worker, 3);
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(TaskQueueTest, RunsEveryAcceptedTask) {
   TaskQueue queue(2);
   std::atomic<int> ran{0};

@@ -98,10 +98,7 @@ Result<std::string> ReadFile(const std::string& path) {
 std::string SchemaPath(const std::string& dir) { return dir + "/schema"; }
 
 ThreadPool* SharedPool() {
-  static ThreadPool* pool = [] {
-    int n = EffectiveParallelism(0);
-    return n > 1 ? new ThreadPool(n) : nullptr;
-  }();
+  static ThreadPool* pool = new ThreadPool(0);
   return pool;
 }
 
