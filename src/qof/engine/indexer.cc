@@ -31,6 +31,10 @@ Status RegionPass(const StructuringSchema& schema, const Corpus& corpus,
   std::vector<std::map<std::string, std::vector<Region>>> collected(
       num_docs);
   std::vector<Status> statuses(num_docs, Status::OK());
+  // The first failure, governance trips included, stops the job: workers
+  // claim documents in order, so every document before a failed one was
+  // parsed, and the scan below reports the first failure.
+  std::atomic<bool> failed{false};
   ParallelFor(
       pool, num_docs,
       [&](int, size_t d) {
@@ -39,6 +43,7 @@ Status RegionPass(const StructuringSchema& schema, const Corpus& corpus,
         Status fault = MaybeInjectFault(fault_site::kIndexerBuild);
         if (!fault.ok()) {
           statuses[d] = fault;
+          failed.store(true, std::memory_order_relaxed);
           return;
         }
         TextPos begin = corpus.document_start(doc);
@@ -46,11 +51,12 @@ Status RegionPass(const StructuringSchema& schema, const Corpus& corpus,
         auto tree = parser.ParseDocument(corpus.RawText(begin, end), begin);
         if (!tree.ok()) {
           statuses[d] = tree.status();
+          failed.store(true, std::memory_order_relaxed);
           return;
         }
         CollectRegions(schema, **tree, filter, &collected[d]);
       },
-      ctx != nullptr ? ctx->stop_flag() : nullptr);
+      &failed);
   // Scan in document order so the reported error is the first document's
   // whichever worker drew it.
   for (size_t d = 0; d < num_docs; ++d) {
@@ -58,9 +64,9 @@ Status RegionPass(const StructuringSchema& schema, const Corpus& corpus,
       return ParseFailure(corpus, static_cast<DocId>(d), statuses[d]);
     }
   }
-  // An early stop may have left documents unclaimed with no per-document
-  // status recorded; re-derive the governance error rather than letting
-  // a partially built index escape.
+  // A governance trip no document recorded (the parser must propagate
+  // them, never swallow them) still must not let a partially built
+  // index escape: re-derive the error.
   if (ctx != nullptr && ctx->stopped()) {
     QOF_RETURN_IF_ERROR(ctx->Check());
     return Status::Internal("index build stopped without a recorded cause");

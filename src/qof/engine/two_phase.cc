@@ -102,6 +102,10 @@ Result<TwoPhaseResult> RunTwoPhase(const StructuringSchema& schema,
   // every worker: the query's scans land in its own counter, and the
   // disk tier picks the ExecContext up thread-locally.
   std::atomic<uint64_t>* scan_counter = Corpus::CurrentThreadScanCounter();
+  // The first failure, governance trips included, stops the job: workers
+  // claim candidates in order, so every candidate before a failed one
+  // ran, and the assembly below stops at the first failure.
+  std::atomic<bool> failed{false};
   ParallelFor(
       pool, candidates.size(),
       [&](int worker, size_t i) {
@@ -109,15 +113,18 @@ Result<TwoPhaseResult> RunTwoPhase(const StructuringSchema& schema,
         Corpus::ScanCounterScope scan_scope(scan_counter);
         ProcessCandidate(schema, corpus, query, full_rig, parser,
                          candidates[i], ctx, &scratch[worker], &outcomes[i]);
+        if (!outcomes[i].status.ok()) {
+          failed.store(true, std::memory_order_relaxed);
+        }
       },
-      ctx != nullptr ? ctx->stop_flag() : nullptr);
+      &failed);
 
   // Outcomes are assembled in candidate order, so the first error,
   // truncation prefix and results do not depend on the worker count.
   size_t complete = candidates.size();
   for (size_t i = 0; i < candidates.size(); ++i) {
-    // A slot left unclaimed by an early stop re-derives the governance
-    // error that tripped the stop flag.
+    // Every slot before the first failure ran; one that did not breaks
+    // that invariant and must not be read as "filtered out".
     Status status = outcomes[i].status;
     if (status.ok() && !outcomes[i].done) {
       status = ctx != nullptr ? ctx->Check() : Status::OK();

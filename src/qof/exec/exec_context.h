@@ -53,10 +53,10 @@ struct QueryOptions {
 };
 
 /// Execution-scoped governance state: an armed deadline, budget
-/// counters, and a stop flag workers poll so a tripped limit stops all
-/// of them promptly. One ExecContext lives for the duration of a single
-/// engine call (query, index build, mutation); it is shared by all
-/// worker threads of that call. All methods are thread-safe.
+/// counters, and a stop flag recording that a limit tripped. One
+/// ExecContext lives for the duration of a single engine call (query,
+/// index build, mutation); it is shared by all worker threads of that
+/// call. All methods are thread-safe.
 ///
 /// Engine code receives `const ExecContext*` and treats nullptr as
 /// "ungoverned" — every checkpoint is then a single branch.
@@ -82,8 +82,7 @@ class ExecContext {
   }
 
   /// Full checkpoint: cancellation, byte budget, region budget,
-  /// deadline — in that order. On failure the stop flag is set so
-  /// sibling workers unwind too.
+  /// deadline — in that order. On failure the stop flag is set.
   Status Check() const;
 
   /// Adds `n` to the produced-region counter and fails with
@@ -91,9 +90,7 @@ class ExecContext {
   /// clock read); deadline checks are left to Check().
   Status ChargeRegions(uint64_t n) const;
 
-  /// Raw stop flag for ThreadPool::ParallelFor early exit. Always
-  /// non-null; never set on an inactive context.
-  const std::atomic<bool>* stop_flag() const { return &stop_; }
+  /// True once a limit tripped; never on an inactive context.
   bool stopped() const { return stop_.load(std::memory_order_relaxed); }
 
   /// True once the region budget specifically has tripped. The

@@ -116,23 +116,26 @@ WordIndex WordIndex::Build(const Corpus& corpus, WordIndexOptions options,
   // order into one flat map (one hash per token) that is dealt out to the
   // shards. Documents are contiguous ascending spans, so appending a
   // document's postings after its predecessors' keeps every list sorted.
-  std::vector<DocPostings> docs(corpus.num_documents());
-  ParallelFor(pool, corpus.num_documents(), [&](int, size_t d) {
-    DocId doc = static_cast<DocId>(d);
-    if (!corpus.is_live(doc)) return;
-    TextPos begin = corpus.document_start(doc);
-    TokenizeInto(corpus.RawText(begin, corpus.document_end(doc)), begin,
-                 options, &docs[d]);
-  });
   std::unordered_map<std::string, PostingList> postings;
-  for (DocPostings& doc : docs) {
-    for (const std::string* key : doc.order) {
-      std::vector<TextPos>& shard = doc.map.at(*key);
-      std::vector<TextPos>& list = postings[*key];
-      if (list.empty()) {
-        list = std::move(shard);
-      } else {
-        list.insert(list.end(), shard.begin(), shard.end());
+  {
+    // Scoped so the per-document maps are freed before the shards fill.
+    std::vector<DocPostings> docs(corpus.num_documents());
+    ParallelFor(pool, corpus.num_documents(), [&](int, size_t d) {
+      DocId doc = static_cast<DocId>(d);
+      if (!corpus.is_live(doc)) return;
+      TextPos begin = corpus.document_start(doc);
+      TokenizeInto(corpus.RawText(begin, corpus.document_end(doc)), begin,
+                   options, &docs[d]);
+    });
+    for (DocPostings& doc : docs) {
+      for (const std::string* key : doc.order) {
+        std::vector<TextPos>& shard = doc.map.at(*key);
+        std::vector<TextPos>& list = postings[*key];
+        if (list.empty()) {
+          list = std::move(shard);
+        } else {
+          list.insert(list.end(), shard.begin(), shard.end());
+        }
       }
     }
   }
