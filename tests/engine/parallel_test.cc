@@ -14,6 +14,7 @@
 #include "qof/datagen/mail_gen.h"
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
+#include "qof/exec/fault_injector.h"
 
 namespace qof {
 namespace {
@@ -151,6 +152,23 @@ TEST(ParallelBuildTest, FragmentedCorpusMatchesFreshBuildOfLiveDocuments) {
   EXPECT_EQ(fragmented_store(kThreads), expected);
 }
 
+uint64_t Passes(const FaultInjector& injector, const char* site) {
+  for (const auto& [name, passes] : injector.observed()) {
+    if (name == site) return passes;
+  }
+  return 0;
+}
+
+TEST(ParallelBuildTest, FirstFailedDocumentStopsTheBuild) {
+  // One worker claims documents in order, so a fault in the second
+  // document ends the pass there: no later document is parsed.
+  auto system = MakeSystem(BibtexSchema(), "f", BibtexFiles());
+  system->SetParallelism(1);
+  ScopedFaultInjector inject({fault_site::kIndexerBuild, 2});
+  EXPECT_FALSE(system->BuildIndexes().ok());
+  EXPECT_EQ(Passes(inject.injector(), fault_site::kIndexerBuild), 2u);
+}
+
 class ParallelQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -217,6 +235,26 @@ TEST_F(ParallelQueryTest, ForcedTwoPhaseAgrees) {
 
 TEST_F(ParallelQueryTest, BaselineAgrees) {
   CheckAgreement(IndexSpec::Full(), ExecutionMode::kBaseline);
+}
+
+TEST_F(ParallelQueryTest, FirstFailedCandidateStopsPhaseTwo) {
+  // Both worker counts report the injected failure; with one worker the
+  // loop stops at the failed candidate instead of parsing the rest.
+  ASSERT_TRUE(serial_->BuildIndexes().ok());
+  ASSERT_TRUE(parallel_->BuildIndexes().ok());
+  const std::string fql =
+      "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "
+      "\"Chang\"";
+  for (FileQuerySystem* system : {serial_.get(), parallel_.get()}) {
+    ScopedFaultInjector inject({fault_site::kTwoPhaseCandidate, 2});
+    auto result = system->Execute(fql, ExecutionMode::kTwoPhase);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    if (system == serial_.get()) {
+      EXPECT_EQ(Passes(inject.injector(), fault_site::kTwoPhaseCandidate),
+                2u);
+    }
+  }
 }
 
 }  // namespace
